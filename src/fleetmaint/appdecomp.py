@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,7 +158,9 @@ class IterationCache:
     ``sigma_others[i, t]`` the relaxed waiting count excluding i;
     ``coord[i, t]`` the linear coordination coefficients multiplying
     X_{i,t} in subproblem i (already including the minus sign from the
-    constraint convention).
+    constraint convention): the stock term, plus the spare-order term
+    d1{0}(E_{i,t}) * sum_{j>i} d_S_j . Lam_{j,t+1}, a reverse cumulative
+    sum over the component axis.
     """
 
     bprev: np.ndarray           # (n, T, Q)
@@ -166,8 +168,27 @@ class IterationCache:
     coord: np.ndarray           # (n, T, D+2, Q)
 
 
+def _stock_sensitivity(E_t, A_t, P_t, S_t, u_t, w_t, Lam_next, alpha,
+                       cfg: SystemConfig) -> np.ndarray:
+    """Per-component d_S . Lam_{t+1} of the fleet's step at time t, (n, Q).
+
+    Takes (n, Q) regimes and ages, (n, D, Q) records, (Q,) stock, (n,)
+    controls, (Q, n) noises and the (n, D+2, Q) multipliers at t+1.
+    """
+    b_prev = rx.exclusive_cumsum(rx._ind_singleton(0.0, E_t, alpha))
+    cp = rx.component_step_partials(
+        E_t, A_t, P_t.transpose(1, 0, 2), S_t, b_prev, u_t[:, None], w_t.T,
+        alpha, cfg.weibull_shape[:, None], cfg.weibull_scale[:, None], cfg)
+    return np.einsum("ojq,joq->jq", cp.d_S, Lam_next)
+
+
 def build_iteration_cache(it: Iterate, noises, cfg: SystemConfig
                           ) -> IterationCache:
+    """Frozen bar-point quantities of iteration ``it``; see IterationCache.
+
+    Regime E_p enters component j > p only through ``b_prev``, with slope
+    -d_S_j * d1{0}(E_p): one fleet-wide partials call per step suffices.
+    """
     n, T, D = cfg.n, cfg.T, cfg.D
     Q = it.S.shape[1]
     alpha = it.alpha
@@ -177,7 +198,7 @@ def build_iteration_cache(it: Iterate, noises, cfg: SystemConfig
     i0E = rx._ind_singleton(0.0, E, alpha)
     waiting = i0E * rx._ind_strict_pos(A, alpha)
     sigma_others = np.sum(waiting, axis=0)[None] - waiting
-    bprev = np.cumsum(i0E[:, :T, :], axis=0) - i0E[:, :T, :]
+    bprev = rx.exclusive_cumsum(i0E[:, :T, :])
 
     coord = np.zeros((n, T, D + 2, Q))
     for t in range(T):
@@ -185,13 +206,11 @@ def build_iteration_cache(it: Iterate, noises, cfg: SystemConfig
         lam_s = it.LamS[t + 1]
         coord[:, t, 0] -= sp.d_E * lam_s
         coord[:, t, 2:] -= sp.d_P * lam_s
-        for j in range(1, n):
-            cp = rx.component_step_partials(
-                E[j, t], A[j, t], P[j, t], it.S[t], it.u[j, t],
-                noises[:, j, t], alpha, cfg, j, E_prev=E[:j, t])
-            # cross term of the regime of every component below j
-            cross = np.einsum("opq,oq->pq", cp.d_prev_E, it.Lam[j, t + 1])
-            coord[:j, t, 0] -= cross
+        h = _stock_sensitivity(E[:, t], A[:, t], P[:, t], it.S[t],
+                               it.u[:, t], noises[:, :, t],
+                               it.Lam[:, t + 1], alpha, cfg)
+        above = rx.exclusive_cumsum(h[::-1])[::-1]
+        coord[:, t, 0] += rx._dind_singleton(0.0, E[:, t], alpha) * above
     return IterationCache(bprev=bprev, sigma_others=sigma_others, coord=coord)
 
 
@@ -286,6 +305,16 @@ def solve_stock_subproblem(X_fresh, noises, alpha, cfg: SystemConfig
 # multiplier recursions
 
 
+def _component_partials(i, X_i, u_i, t, it: Iterate, noises,
+                        cfg: SystemConfig, cache: IterationCache
+                        ) -> rx.ComponentStepPartials:
+    """Partials of component i's step at time t against the frozen bar."""
+    return rx.component_step_partials(
+        X_i[t, 0], X_i[t, 1], X_i[t, 2:], it.S[t], cache.bprev[i, t],
+        u_i[t], noises[:, i, t], it.alpha, cfg.weibull_shape[i],
+        cfg.weibull_scale[i], cfg)
+
+
 def _own_cost_gradient(i, E, A, sigma_others_t, t, alpha,
                        cfg: SystemConfig):
     """Gradient in X_i of the stage cost with the others at the bar.
@@ -331,9 +360,7 @@ def component_multiplier_backward(i, X_i, u_i, it: Iterate, noises,
                              cache.sigma_others[i][T], T, alpha, cfg)
     Lam[T] = -g_T - it.gamma_x * (X_i[T] - it.X[i, T])
     for t in range(T - 1, -1, -1):
-        cp = rx.component_step_partials(
-            X_i[t, 0], X_i[t, 1], X_i[t, 2:], it.S[t], u_i[t],
-            noises[:, i, t], alpha, cfg, i, E_prev=it.X[:i, t, 0, :])
+        cp = _component_partials(i, X_i, u_i, t, it, noises, cfg, cache)
         g = _own_cost_gradient(i, X_i[t, 0], X_i[t, 1],
                                cache.sigma_others[i][t], t, alpha, cfg)
         carry = np.einsum("ocq,oq->cq", cp.d_own, Lam[t + 1])
@@ -357,12 +384,9 @@ def stock_multiplier_backward(S_new, X_new, u_new, Lam_new, S_bar, noises,
     LamS = np.zeros((T + 1, Q))
     LamS[T] = -gamma_s * (S_new[T] - S_bar[T])
     for t in range(T - 1, -1, -1):
-        acc = np.zeros(Q)
-        for i in range(cfg.n):
-            cp = rx.component_step_partials(
-                E[i, t], A[i, t], P[i, t], S_bar[t], u_new[i, t],
-                noises[:, i, t], alpha, cfg, i, E_prev=E[:i, t])
-            acc += np.einsum("oq,oq->q", cp.d_S, Lam_new[i, t + 1])
+        acc = np.sum(_stock_sensitivity(
+            E[:, t], A[:, t], P[:, t], S_bar[t], u_new[:, t],
+            noises[:, :, t], Lam_new[:, t + 1], alpha, cfg), axis=0)
         sp = rx.stock_step_partials(E[:, t], P[:, t], S_new[t], alpha, cfg)
         LamS[t] = -gamma_s * (S_new[t] - S_bar[t]) + acc + sp.d_S * LamS[t + 1]
     return LamS
@@ -386,10 +410,7 @@ def component_stationarity_residual(i, X_i, u_i, Lam_i, it: Iterate, noises,
                                cache.sigma_others[i][t], t, it.alpha, cfg)
         r = g + it.gamma_x * (X_i[t] - it.X[i, t]) + Lam_i[t]
         if t < T:
-            cp = rx.component_step_partials(
-                X_i[t, 0], X_i[t, 1], X_i[t, 2:], it.S[t], u_i[t],
-                noises[:, i, t], it.alpha, cfg, i,
-                E_prev=it.X[:i, t, 0, :])
+            cp = _component_partials(i, X_i, u_i, t, it, noises, cfg, cache)
             r = r + cache.coord[i, t] \
                 - np.einsum("ocq,oq->cq", cp.d_own, Lam_i[t + 1])
         worst = max(worst, float(np.max(np.abs(r))))
@@ -404,12 +425,9 @@ def stock_stationarity_residual(S_new, X_new, u_new, Lam_new, LamS, S_bar,
     E, A, P = X_new[:, :, 0, :], X_new[:, :, 1, :], X_new[:, :, 2:, :]
     worst = float(np.max(np.abs(gamma_s * (S_new[T] - S_bar[T]) + LamS[T])))
     for t in range(T - 1, -1, -1):
-        acc = np.zeros(S_new.shape[-1])
-        for i in range(cfg.n):
-            cp = rx.component_step_partials(
-                E[i, t], A[i, t], P[i, t], S_bar[t], u_new[i, t],
-                noises[:, i, t], alpha, cfg, i, E_prev=E[:i, t])
-            acc += np.einsum("oq,oq->q", cp.d_S, Lam_new[i, t + 1])
+        acc = np.sum(_stock_sensitivity(
+            E[:, t], A[:, t], P[:, t], S_bar[t], u_new[:, t],
+            noises[:, :, t], Lam_new[:, t + 1], alpha, cfg), axis=0)
         sp = rx.stock_step_partials(E[:, t], P[:, t], S_new[t], alpha, cfg)
         r = (gamma_s * (S_new[t] - S_bar[t]) - acc
              - sp.d_S * LamS[t + 1] + LamS[t])
@@ -480,9 +498,7 @@ def reduced_gradient(i, u_i, it: Iterate, noises, cfg: SystemConfig,
     grad = 2.0 * beta * cfg.C_P[i] * np.asarray(u_i, dtype=float) \
         + it.gamma_u * (np.asarray(u_i) - it.u[i])
     for t in range(T):
-        cp = rx.component_step_partials(
-            X_i[t, 0], X_i[t, 1], X_i[t, 2:], it.S[t], u_i[t],
-            noises[:, i, t], it.alpha, cfg, i, E_prev=it.X[:i, t, 0, :])
+        cp = _component_partials(i, X_i, u_i, t, it, noises, cfg, cache)
         grad[t] -= float(np.mean(np.einsum("oq,oq->q", cp.d_u, Lam[t + 1])))
     return grad
 

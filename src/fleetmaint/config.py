@@ -7,7 +7,7 @@ mapping (broadcast to the whole fleet) or a list of ``n`` mappings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -74,9 +74,6 @@ class SystemConfig:
     def discount(self, t) -> np.ndarray | float:
         """Discount factor (1 + tau)^(-t)."""
         return (1.0 + self.tau) ** (-np.asarray(t, dtype=float))
-
-    def with_overrides(self, **kwargs) -> "SystemConfig":
-        return replace(self, **kwargs)
 
 
 def _component_arrays(block, n: int) -> dict:

@@ -127,7 +127,7 @@ def evaluate_strategy(strategy: Strategy, scenarios, cfg: SystemConfig,
             f"scenarios must have shape (Q, {cfg.n}, {cfg.T}), "
             f"got {scenarios.shape}")
     Q = scenarios.shape[0]
-    stats = simulate_batch(strategy, scenarios, cfg, record_states=True)
+    stats = simulate_batch(strategy, scenarios, cfg)
     totals = np.sort(stats.total_cost, kind="stable")
     quantiles = np.array([_nearest_rank(totals, lv)
                           for lv in QUANTILE_LEVELS])

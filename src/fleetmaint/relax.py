@@ -17,6 +17,13 @@ to 1 by construction.  The only exception is the regime pair inside the
 failure-record update, which relaxes 1{1}(E) directly; the update still
 reduces to the exact one on integer states.
 
+Components are coupled through the stock and the spare-allocation order;
+the latter enters a component's step only through ``b_prev``, the relaxed
+count of broken components with a lower index.  The step reads ``S`` and
+``b_prev`` only through ``S - b_prev``, so its derivative in ``b_prev`` is
+``-d_S`` and in a lower regime E_j it is ``-d_S * d1{0}(E_j)``.  The whole
+fleet steps, and is differentiated, in one vectorized call per time step.
+
 Derivatives are taken to be exactly zero at the kinks.  All step functions
 can report which surrogate arguments fell strictly inside a ramp (band
 hits) and how far every argument was from the nearest kink, which the
@@ -24,7 +31,8 @@ higher layers use to filter scenarios and validation points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,15 +222,25 @@ def _p_spos(x, alpha, probe):
 # relaxed component and stock steps (vectorized cores)
 
 
-def component_step_core(E, A, P, S, b_prev, u, w, alpha, shape, scale,
-                        cfg: SystemConfig, probe: _Probe | None = None):
-    """Relaxed one-step update of a single component.
+def exclusive_cumsum(x):
+    """Sum of the rows of ``x`` strictly below each index of axis 0.
 
-    ``P`` carries the failure-record axis first (shape (D, ...)); all other
-    arguments are scalars or arrays sharing the trailing shape.  ``b_prev``
-    is the (possibly relaxed) count of broken components with lower index,
-    frozen or live depending on the caller.  Returns (E', A', P').
+    On a fleet's relaxed broken indicators this is every ``b_prev``; rows
+    are added in index order, as a loop over the components would.
     """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    np.cumsum(x[:-1], axis=0, out=out[1:])
+    return out
+
+
+_Forward = namedtuple("_Forward", "g b V Vp m p nf E_new A_new I1 I0n c "
+                                  "Idel keep record P_new")
+
+
+def _component_forward(E, A, P, S, b_prev, u, w, alpha, shape, scale,
+                       cfg: SystemConfig, probe: _Probe | None) -> _Forward:
+    """Surrogate values of one relaxed component step (see the core)."""
     delta = cfg.delta_default
     g = _p_sing(0.0, E, alpha, probe)
     b = b_prev + g
@@ -249,7 +267,23 @@ def component_step_core(E, A, P, S, b_prev, u, w, alpha, shape, scale,
     record[1:] = record[1:] + delta * Idel[:-1]
     record[:-1] = record[:-1] + (P[1:] + 1.0) * (1.0 - IdelD)
     P_new = keep * (1.0 - c) + record * c
-    return E_new, A_new, P_new
+    return _Forward(g, b, V, Vp, m, p, nf, E_new, A_new, I1, I0n, c, Idel,
+                    keep, record, P_new)
+
+
+def component_step_core(E, A, P, S, b_prev, u, w, alpha, shape, scale,
+                        cfg: SystemConfig, probe: _Probe | None = None):
+    """Relaxed one-step update of one component, or of a whole fleet.
+
+    ``P`` carries the failure-record axis first (shape (D, ...)); all other
+    arguments broadcast to the trailing shape (for a fleet, components
+    first and Weibull ``shape``/``scale`` of shape (n, 1)).  ``b_prev`` is
+    the relaxed count of broken components with lower index, frozen or live
+    depending on the caller.  Returns (E', A', P').
+    """
+    f = _component_forward(E, A, P, S, b_prev, u, w, alpha, shape, scale,
+                           cfg, probe)
+    return f.E_new, f.A_new, f.P_new
 
 
 def stock_step_core(E_all, P_all, S, alpha, cfg: SystemConfig,
@@ -267,19 +301,25 @@ def stock_step_core(E_all, P_all, S, alpha, cfg: SystemConfig,
     return S + np.sum(arrivals, axis=(0, 1)) - np.minimum(S, B)
 
 
+def _last_component_args(states: list[ComponentState], stock, u, w, alpha,
+                         cfg: SystemConfig) -> tuple:
+    """Step arguments of the last component in ``states`` at a scalar point."""
+    i = len(states) - 1
+    me = states[-1]
+    E_all = np.array([c.regime for c in states])
+    b_prev = exclusive_cumsum(_ind_singleton(0.0, E_all, alpha))[i]
+    return (np.float64(me.regime), np.float64(me.age),
+            me.last_failures.astype(float), np.float64(stock), b_prev,
+            np.float64(u), np.float64(w), alpha,
+            cfg.weibull_shape[i], cfg.weibull_scale[i], cfg)
+
+
 def step_component_relaxed(states: list[ComponentState], stock, u, w, alpha,
                            cfg: SystemConfig) -> ComponentState:
     """Scalar relaxed step of the last component in ``states``."""
     alpha = _alpha_of(alpha)
-    i = len(states)
-    me = states[-1]
-    b_prev = float(sum(_ind_singleton(0.0, c.regime, alpha)
-                       for c in states[:-1]))
     E, A, P = component_step_core(
-        np.float64(me.regime), np.float64(me.age),
-        me.last_failures.astype(float).copy(), np.float64(stock), b_prev,
-        np.float64(u), np.float64(w), alpha,
-        cfg.weibull_shape[i - 1], cfg.weibull_scale[i - 1], cfg)
+        *_last_component_args(states, stock, u, w, alpha, cfg))
     return ComponentState(float(E), float(A), np.asarray(P, dtype=float))
 
 
@@ -367,17 +407,17 @@ def fo_cost_gradient(E_all, A_all, t, alpha, cfg: SystemConfig):
 
 @dataclass
 class ComponentStepPartials:
-    """Jacobian blocks of one relaxed component step.
+    """Jacobian blocks of one relaxed component step (or a fleet's).
 
     State coordinates are ordered (E, A, P^1..P^D), so every block carries
-    a leading axis of size D+2 for the output coordinate.  ``d_prev_E`` has
-    a second axis running over the lower-indexed components (their A and P
-    never enter, so only the regime column is stored).
+    a leading axis of size D+2 for the output coordinate.  Lower components
+    enter only through ``b_prev`` and ``S - b_prev``, so no block is stored
+    for them: the derivative in ``b_prev`` is ``-d_S``, and the one in a
+    lower component's regime E_j is ``-d_S * d1{0}(E_j)``.
     """
 
     new_state: np.ndarray          # (D+2, ...)
     d_own: np.ndarray              # (D+2, D+2, ...)
-    d_prev_E: np.ndarray           # (D+2, i-1, ...)
     d_S: np.ndarray                # (D+2, ...)
     d_u: np.ndarray                # (D+2, ...)
 
@@ -390,65 +430,38 @@ class StockStepPartials:
     d_P: np.ndarray                # (n, D, ...)
 
 
-def component_step_partials(E, A, P, S, u, w, alpha, cfg: SystemConfig,
-                            comp_index: int, E_prev=None,
-                            probe: _Probe | None = None
+def component_step_partials(E, A, P, S, b_prev, u, w, alpha, shape, scale,
+                            cfg: SystemConfig, probe: _Probe | None = None
                             ) -> ComponentStepPartials:
     """Analytic Jacobians of the relaxed component step.
 
-    ``comp_index`` is 0-based; ``E_prev`` holds the regimes of components
-    with lower index (shape (comp_index, ...)), which enter only through
-    the spare-allocation count.  All inputs may carry a common trailing
-    batch shape.  Derivatives are 0 exactly at every kink.
+    Takes the arguments of ``component_step_core`` and broadcasts them the
+    same way, so one call covers a whole fleet.  Derivatives are 0 exactly
+    at every kink.
     """
     alpha = _alpha_of(alpha)
     delta = cfg.delta_default
-    shp = cfg.weibull_shape[comp_index]
-    scl = cfg.weibull_scale[comp_index]
     D = cfg.D
-    E = np.asarray(E, dtype=float)
-    A = np.asarray(A, dtype=float)
-    P = np.asarray(P, dtype=float)
-    S = np.asarray(S, dtype=float)
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if E_prev is None:
-        E_prev = np.zeros((0,) + E.shape)
-    E_prev = np.asarray(E_prev, dtype=float)
-    nprev = E_prev.shape[0]
-    batch = E.shape
+    f = _component_forward(E, A, P, S, b_prev, u, w, alpha, shape, scale,
+                           cfg, probe)
+    g, V, Vp, m, nf, c = f.g, f.V, f.Vp, f.m, f.nf, f.c
+    batch = np.broadcast_shapes(f.E_new.shape, f.A_new.shape,
+                                f.P_new.shape[1:])
 
-    g = _p_sing(0.0, E, alpha, probe)
     dg = _dind_singleton(0.0, E, alpha)
-    i0_prev = _ind_singleton(0.0, E_prev, alpha)
-    if probe is not None and nprev:
-        probe.add(i0_prev, _kinks_singleton(0.0, E_prev, alpha))
-    di0_prev = _dind_singleton(0.0, E_prev, alpha)
-    b = np.sum(i0_prev, axis=0) + g
-    V = _p_nonneg(S - b, alpha, probe)
-    dV = _dind_nonneg(S - b, alpha)
-    Vp = _p_spos(b - S, alpha, probe)
-    dVp = _dind_strict_pos(b - S, alpha)
-    m = _p_nonneg(u - cfg.nu, alpha, probe)
+    dV = _dind_nonneg(S - f.b, alpha)
+    dVp = _dind_strict_pos(f.b - S, alpha)
     dm = _dind_nonneg(u - cfg.nu, alpha)
-    p = failure_probability(shp, scl, A, cfg.dt)
-    dp = failure_probability_derivative(shp, scl, A, cfg.dt)
-    nf = _p_nonneg(w - p, alpha, probe)
-    dnf = _dind_nonneg(w - p, alpha)
+    dp = failure_probability_derivative(shape, scale, A, cfg.dt)
+    dnf = _dind_nonneg(w - f.p, alpha)
     nf_A = -dnf * dp
     one_g = 1.0 - g
-
-    E_new = V * g + (m + nf * (1.0 - m)) * one_g
-    A_new = ((A + 1.0) * (Vp * g + nf * (1.0 - m) * one_g)
-             + (1.0 - Vp) * g
-             + ((1.0 - u) * A + 1.0) * m * one_g)
 
     # regime row
     fE_E = V * dg - dV * dg * g - (m + nf * (1.0 - m)) * dg
     fE_A = nf_A * (1.0 - m) * one_g
     fE_S = dV * g
     fE_u = dm * (1.0 - nf) * one_g
-    fE_Eprev = -dV[None] * di0_prev * g[None]
 
     # age row
     brk = Vp * g + nf * (1.0 - m) * one_g
@@ -460,31 +473,20 @@ def component_step_partials(E, A, P, S, u, w, alpha, cfg: SystemConfig,
     fA_S = -A * g * dVp
     fA_u = one_g * (-(A + 1.0) * nf * dm
                     + ((1.0 - u) * A + 1.0) * dm - A * m)
-    fA_Eprev = A[None] * g[None] * dVp[None] * di0_prev
 
     # failure-record rows: switch c = 1{1}(E) * 1{0}(E_new)
-    I1 = _p_sing(1.0, E, alpha, probe)
     dI1 = _dind_singleton(1.0, E, alpha)
-    I0n = _p_sing(0.0, E_new, alpha, probe)
-    dI0n = _dind_singleton(0.0, E_new, alpha)
-    c = I1 * I0n
-    chain = I1 * dI0n            # multiplies d(E_new)/dx for every input x
-    c_E = dI1 * I0n + chain * fE_E
+    dI0n = _dind_singleton(0.0, f.E_new, alpha)
+    chain = f.I1 * dI0n          # multiplies d(E_new)/dx for every input x
+    c_E = dI1 * f.I0n + chain * fE_E
     c_A = chain * fE_A
     c_S = chain * fE_S
     c_u = chain * fE_u
-    c_Eprev = chain[None] * fE_Eprev
 
-    Idel = _p_sing(delta, P, alpha, probe)
+    Idel, IdelD = f.Idel, f.Idel[-1]
     dIdel = _dind_singleton(delta, P, alpha)
-    IdelD = Idel[-1]
     dIdelD = dIdel[-1]
-    keep = (P + 1.0) * (1.0 - Idel) + delta * Idel
-    record = (P + 1.0) * (1.0 - Idel) * IdelD
-    record[1:] = record[1:] + delta * Idel[:-1]
-    record[:-1] = record[:-1] + (P[1:] + 1.0) * (1.0 - IdelD)
-    P_new = keep * (1.0 - c) + record * c
-    gap = record - keep
+    gap = f.record - f.keep
 
     dkeep = (1.0 - Idel) - (P + 1.0 - delta) * dIdel    # diagonal only
     drec = np.zeros((D, D) + batch)
@@ -500,7 +502,7 @@ def component_step_partials(E, A, P, S, u, w, alpha, cfg: SystemConfig,
 
     # assemble blocks
     dim = D + 2
-    new_state = np.concatenate([E_new[None], A_new[None], P_new], axis=0)
+    new_state = np.concatenate([f.E_new[None], f.A_new[None], f.P_new])
     d_own = np.zeros((dim, dim) + batch)
     d_own[0, 0], d_own[0, 1] = fE_E, fE_A
     d_own[1, 0], d_own[1, 1] = fA_E, fA_A
@@ -515,12 +517,7 @@ def component_step_partials(E, A, P, S, u, w, alpha, cfg: SystemConfig,
     d_u = np.zeros((dim,) + batch)
     d_u[0], d_u[1] = fE_u, fA_u
     d_u[2:] = gap * c_u[None]
-    d_prev_E = np.zeros((dim, nprev) + batch)
-    if nprev:
-        d_prev_E[0] = fE_Eprev
-        d_prev_E[1] = fA_Eprev
-        d_prev_E[2:] = gap[:, None] * c_Eprev[None]
-    return ComponentStepPartials(new_state, d_own, d_prev_E, d_S, d_u)
+    return ComponentStepPartials(new_state, d_own, d_S, d_u)
 
 
 def stock_step_partials(E_all, P_all, S, alpha, cfg: SystemConfig,
@@ -556,13 +553,11 @@ def relaxed_partials(states: list[ComponentState], stock, u, w, alpha,
     Returns the component blocks, the stock-step blocks over all supplied
     components, and the stage-cost gradients.
     """
+    alpha = _alpha_of(alpha)
     i = len(states) - 1
-    E_prev = np.array([c.regime for c in states[:-1]])
     me = states[-1]
     comp = component_step_partials(
-        np.float64(me.regime), np.float64(me.age),
-        me.last_failures.astype(float).copy(), np.float64(stock),
-        np.float64(u), np.float64(w), alpha, cfg, i, E_prev=E_prev)
+        *_last_component_args(states, stock, u, w, alpha, cfg))
     E_all = np.array([c.regime for c in states])
     A_all = np.array([c.age for c in states])
     P_all = np.stack([c.last_failures for c in states]).astype(float)
@@ -586,15 +581,10 @@ def kink_distance(states: list[ComponentState], stock, u, w, alpha,
     the minimum distance of any surrogate argument to its kink set (ties of
     the min operators included).
     """
+    alpha = _alpha_of(alpha)
     probe = _Probe()
-    i = len(states) - 1
-    E_prev = np.array([c.regime for c in states[:-1]])
-    me = states[-1]
     component_step_partials(
-        np.float64(me.regime), np.float64(me.age),
-        me.last_failures.astype(float).copy(), np.float64(stock),
-        np.float64(u), np.float64(w), alpha, cfg, i, E_prev=E_prev,
-        probe=probe)
+        *_last_component_args(states, stock, u, w, alpha, cfg), probe=probe)
     E_all = np.array([c.regime for c in states])
     A_all = np.array([c.age for c in states])
     P_all = np.stack([c.last_failures for c in states]).astype(float)
@@ -673,19 +663,13 @@ def simulate_relaxed_batch(strategy: Strategy, noises, alpha,
         fo_cost += beta[t] * cfg.C_F * np.minimum(1.0, sigma)
         if t == T:
             break
-        E_new = np.empty_like(E)
-        A_new = np.empty_like(A)
-        P_new = np.empty_like(P)
-        b_prev = np.zeros(Q)
-        for i in range(n):
-            Ei, Ai, Pi = component_step_core(
-                E[i], A[i], P[i].copy(),
-                S, b_prev, u[i, t], noises[:, i, t], alpha,
-                cfg.weibull_shape[i], cfg.weibull_scale[i], cfg, probe)
-            E_new[i], A_new[i], P_new[i] = Ei, Ai, Pi
-            b_prev = b_prev + _ind_singleton(0.0, E[i], alpha)
+        E_new, A_new, P_new = component_step_core(
+            E, A, P.transpose(1, 0, 2), S, exclusive_cumsum(i0E),
+            u[:, t, None], noises[:, :, t].T, alpha,
+            cfg.weibull_shape[:, None], cfg.weibull_scale[:, None], cfg,
+            probe)
         S = stock_step_core(E, P, S, alpha, cfg, probe)
-        E, A, P = E_new, A_new, P_new
+        E, A, P = E_new, A_new, P_new.transpose(1, 0, 2)
         if record_states:
             regimes[t + 1], ages[t + 1], lf[t + 1], stock_hist[t + 1] = \
                 E, A, P, S
@@ -700,9 +684,9 @@ def simulate_relaxed_batch(strategy: Strategy, noises, alpha,
 
 
 def simulate_component_relaxed(u_i, noises_i, b_prev_bar, S_bar, alpha,
-                               cfg: SystemConfig, comp_index: int,
+                               cfg: SystemConfig, i: int,
                                probe: _Probe | None = None) -> np.ndarray:
-    """Relaxed trajectory of one component against frozen surroundings.
+    """Relaxed trajectory of component ``i`` against frozen surroundings.
 
     ``u_i`` has shape (T,), ``noises_i`` (Q, T); ``b_prev_bar`` and
     ``S_bar`` give the frozen broken-below count and stock level for
@@ -722,7 +706,6 @@ def simulate_component_relaxed(u_i, noises_i, b_prev_bar, S_bar, alpha,
     for t in range(T):
         E, A, P = component_step_core(
             E, A, P, S_bar[t], b_prev_bar[t], u_i[t], noises_i[:, t], alpha,
-            cfg.weibull_shape[comp_index], cfg.weibull_scale[comp_index],
-            cfg, probe)
+            cfg.weibull_shape[i], cfg.weibull_scale[i], cfg, probe)
         out[t + 1, 0], out[t + 1, 1], out[t + 1, 2:] = E, A, P
     return out

@@ -15,7 +15,7 @@ the same dynamics and are cross-checked in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,7 +147,6 @@ def sample_time_to_first_failure(shape, scale, draws, seed, dt=0.01,
     simulator's failure mechanism, refined to a small dt.
     """
     rng = np.random.default_rng(seed)
-    ages = np.zeros(draws)
     times = np.full(draws, np.nan)
     alive = np.arange(draws)
     t = 0.0
@@ -159,7 +158,6 @@ def sample_time_to_first_failure(shape, scale, draws, seed, dt=0.01,
         alive = alive[~failed]
         t += dt
     times[np.isnan(times)] = horizon
-    del ages
     return times
 
 

@@ -202,7 +202,9 @@ def test_criterion_5_step_jacobians_match_finite_differences():
                  (("A", None), comp.d_own[:, 1]),
                  (("S", None), comp.d_S), (("u", None), comp.d_u)]
         pairs += [(("P", d), comp.d_own[:, 2 + d]) for d in range(cfg.D)]
-        pairs += [(("E", j), comp.d_prev_E[:, j]) for j in range(i - 1)]
+        # a lower regime enters only through b_prev: -d_S d1{0}(E_j)
+        pairs += [(("E", j), -comp.d_S * rx._dind_singleton(
+            0.0, states[j].regime, alpha)) for j in range(i - 1)]
         for (kind, idx), got in pairs:
             fd = (comp_value(kind, idx, h)
                   - comp_value(kind, idx, -h)) / (2 * h)

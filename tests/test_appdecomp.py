@@ -259,6 +259,85 @@ def test_terminal_stock_multiplier_linear_in_gamma():
     assert lam3[cfg.T] == pytest.approx(3.0 * lam1[cfg.T])
 
 
+def _bar_cross_terms(X_t, p, t, it, noises, cfg):
+    """Bar-point terms of the Lagrangian that read X_{p,t} from outside p.
+
+    Returns (sum_{j != p} Lam_{j,t+1} . f_j(X_t), LamS_{t+1} f_S(X_t)) per
+    scenario, with f_j the relaxed step of component j and f_S the stock's.
+    """
+    alpha = it.alpha
+    E, A, P = X_t[:, 0], X_t[:, 1], X_t[:, 2:]
+    i0 = rx._ind_singleton(0.0, E, alpha)
+    comp = np.zeros(X_t.shape[-1])
+    for j in range(cfg.n):
+        if j == p:
+            continue
+        E_j, A_j, P_j = rx.component_step_core(
+            E[j], A[j], P[j], it.S[t], np.sum(i0[:j], axis=0), it.u[j, t],
+            noises[:, j, t], alpha, cfg.weibull_shape[j],
+            cfg.weibull_scale[j], cfg)
+        f_j = np.concatenate([E_j[None], A_j[None], P_j])
+        comp += np.sum(it.Lam[j, t + 1] * f_j, axis=0)
+    stock = it.LamS[t + 1] * rx.stock_step_core(E, P, it.S[t], alpha, cfg)
+    return comp, stock
+
+
+def test_coupling_coefficients_match_fd():
+    # coord[p, t] is minus the gradient in X_{p,t} of the other components'
+    # and the stock's bar terms; regimes sit inside the 1/(2 alpha) band so
+    # the spare-order coupling through b_prev is live
+    rng = np.random.default_rng(77)
+    n, T, Q, alpha, h = 4, 3, 6, 2.0, 1e-6
+    checked = live = 0
+    for _ in range(10):
+        cfg = make_cfg(n=n, T=T, s_init=2,
+                       weibull_shape=rng.uniform(1.5, 4.5, n),
+                       weibull_scale=rng.uniform(6.0, 14.0, n))
+        noises = rng.random((Q, n, T))
+        X = np.empty((n, T + 1, cfg.D + 2, Q))
+        X[:, :, 0] = np.where(rng.random((n, T + 1, Q)) < 0.2,
+                              rng.uniform(0.75, 1.25, (n, T + 1, Q)),
+                              rng.uniform(-0.25, 0.25, (n, T + 1, Q)))
+        X[:, :, 1] = rng.uniform(0.5, 10.0, (n, T + 1, Q))
+        X[:, :, 2:] = rng.uniform(-1.5, cfg.D + 1.0, (n, T + 1, cfg.D, Q))
+        it = ad.Iterate(X=X, S=rng.uniform(0.0, n, (T + 1, Q)),
+                        u=rng.random((n, T)),
+                        Lam=rng.normal(0.0, 2.0, X.shape),
+                        LamS=rng.normal(0.0, 2.0, (T + 1, Q)), k=0,
+                        gamma_x=0.0, gamma_s=0.0, gamma_u=0.0, alpha=alpha)
+        cache = ad.build_iteration_cache(it, noises, cfg)
+        i0 = rx._ind_singleton(0.0, X[:, :T, 0], alpha)
+        assert np.allclose(cache.bprev,
+                           [np.sum(i0[:i], axis=0) for i in range(n)])
+        for t in range(T):
+            probe = rx._Probe((Q,))
+            E, P = X[:, t, 0], X[:, t, 2:]
+            rx.component_step_core(
+                E, X[:, t, 1], P.transpose(1, 0, 2), it.S[t],
+                rx.exclusive_cumsum(rx._ind_singleton(0.0, E, alpha)),
+                it.u[:, t, None], noises[:, :, t].T, alpha,
+                cfg.weibull_shape[:, None], cfg.weibull_scale[:, None], cfg,
+                probe)
+            rx.stock_step_core(E, P, it.S[t], alpha, cfg, probe)
+            ok = probe.kink > 1e-3
+            for p in range(n):
+                for c in range(cfg.D + 2):
+                    up, dn = X[:, t].copy(), X[:, t].copy()
+                    up[p, c] += h
+                    dn[p, c] -= h
+                    comp_up, stock_up = _bar_cross_terms(up, p, t, it,
+                                                         noises, cfg)
+                    comp_dn, stock_dn = _bar_cross_terms(dn, p, t, it,
+                                                         noises, cfg)
+                    fd = (comp_up - comp_dn + stock_up - stock_dn) / (2 * h)
+                    np.testing.assert_allclose(cache.coord[p, t, c, ok],
+                                               -fd[ok], rtol=1e-7, atol=1e-6)
+                    checked += int(np.sum(ok))
+                    live += int(np.sum(ok & (np.abs(comp_up - comp_dn)
+                                             > 1e-3 * h)))
+    assert checked >= 2000 and live >= 40, (checked, live)
+
+
 # ---------------------------------------------------------------------------
 # reduced gradient
 

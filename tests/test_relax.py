@@ -116,7 +116,9 @@ def test_relaxed_step_matches_exact_on_integers(seed):
 @given(st.integers(0, 2 ** 31 - 1))
 def test_relaxed_batch_matches_exact_batch(seed):
     rng = np.random.default_rng(seed)
-    cfg = make_cfg(n=5, T=15, s_init=2)
+    cfg = make_cfg(n=5, T=15, s_init=2,
+                   weibull_shape=rng.uniform(1.5, 4.5, 5),
+                   weibull_scale=rng.uniform(6.0, 14.0, 5))
     u = sm.Strategy((rng.random((5, 15)) > 0.7).astype(float))
     noises = rng.random((8, 5, 15))
     exact = sm.simulate_batch(u, noises, cfg, record_states=True)
@@ -263,7 +265,9 @@ def test_component_partials_match_fd():
             elif kind == "u":
                 got = comp.d_u
             else:
-                got = comp.d_prev_E[:, idx]
+                # a lower regime enters only through b_prev: -d_S d1{0}(E_j)
+                got = -comp.d_S * rx._dind_singleton(
+                    0.0, states[idx].regime, alpha)
             assert np.allclose(got, fd, atol=1e-6), \
                 f"partial {kind}/{idx} mismatch: {got} vs {fd}"
         checked += 1
@@ -383,11 +387,13 @@ def test_component_partials_batch_shape():
     u = rng.uniform(0, 1, Q)
     w = rng.uniform(0, 1, Q)
     E_prev = rng.uniform(0, 1, (1, Q))
-    out = rx.component_step_partials(E, A, P, S, u, w, 4.0, cfg, 1,
-                                     E_prev=E_prev)
+    b_prev = rx._ind_singleton(0.0, E_prev[0], 4.0)
+    out = rx.component_step_partials(E, A, P, S, b_prev, u, w, 4.0,
+                                     cfg.weibull_shape[1],
+                                     cfg.weibull_scale[1], cfg)
     assert out.new_state.shape == (4, Q)
     assert out.d_own.shape == (4, 4, Q)
-    assert out.d_prev_E.shape == (4, 1, Q)
+    assert out.d_S.shape == (4, Q)
     # batch results agree with the scalar path
     for q in range(Q):
         states = [sm.ComponentState(E_prev[0, q], 1.0, np.full(2, -1.0)),
@@ -396,4 +402,43 @@ def test_component_partials_batch_shape():
         assert np.allclose(scal["component"].d_own, out.d_own[..., q])
         assert np.allclose(scal["component"].d_S, out.d_S[..., q])
         assert np.allclose(scal["component"].d_u, out.d_u[..., q])
-        assert np.allclose(scal["component"].d_prev_E, out.d_prev_E[..., q])
+
+
+def test_fleet_partials_match_per_component_calls():
+    # one call with components on the first trailing axis equals n calls,
+    # up to the last bits numpy's scalar-exponent power paths may change
+    n, Q = 5, 7
+    rng = np.random.default_rng(19)
+    cfg = make_cfg(n=n, D=3, weibull_shape=rng.uniform(1.5, 4.5, n),
+                   weibull_scale=rng.uniform(6.0, 14.0, n))
+    E = rng.uniform(-0.2, 1.2, (n, Q))
+    A = rng.uniform(0, 8, (n, Q))
+    P = rng.uniform(-1.5, 3, (cfg.D, n, Q))
+    S = rng.uniform(0, 3, Q)
+    u = rng.uniform(0, 1, n)
+    w = rng.uniform(0, 1, (n, Q))
+    b_prev = rx.exclusive_cumsum(rx._ind_singleton(0.0, E, 2.0))
+    fleet = rx.component_step_partials(
+        E, A, P, S, b_prev, u[:, None], w, 2.0, cfg.weibull_shape[:, None],
+        cfg.weibull_scale[:, None], cfg)
+    core = rx.component_step_core(
+        E, A, P, S, b_prev, u[:, None], w, 2.0, cfg.weibull_shape[:, None],
+        cfg.weibull_scale[:, None], cfg)
+
+    def close(x, y):
+        return np.allclose(x, y, rtol=1e-12, atol=1e-12)
+
+    for i in range(n):
+        one = rx.component_step_partials(
+            E[i], A[i], P[:, i], S, b_prev[i], u[i], w[i], 2.0,
+            cfg.weibull_shape[i], cfg.weibull_scale[i], cfg)
+        assert np.array_equal(b_prev[i],
+                              np.sum(rx._ind_singleton(0.0, E[:i], 2.0),
+                                     axis=0))
+        assert close(fleet.new_state[:, i], one.new_state)
+        assert close(fleet.d_own[:, :, i], one.d_own)
+        assert close(fleet.d_S[:, i], one.d_S)
+        assert close(fleet.d_u[:, i], one.d_u)
+        assert close(core[0][i], one.new_state[0])
+        assert close(core[1][i], one.new_state[1])
+        assert close(core[2][:, i], one.new_state[2:])
