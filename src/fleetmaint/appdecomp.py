@@ -40,6 +40,7 @@ import numpy as np
 from .config import SystemConfig
 from .sysmodel import Strategy, DimensionError
 from . import relax as rx
+from . import sysmodel as sm
 from .dsearch import SearchBudget, minimize
 
 
@@ -175,7 +176,7 @@ def _stock_sensitivity(E_t, A_t, P_t, S_t, u_t, w_t, Lam_next, alpha,
     Takes (n, Q) regimes and ages, (n, D, Q) records, (Q,) stock, (n,)
     controls, (Q, n) noises and the (n, D+2, Q) multipliers at t+1.
     """
-    b_prev = rx.exclusive_cumsum(rx._ind_singleton(0.0, E_t, alpha))
+    b_prev = sm.exclusive_cumsum(rx._ind_singleton(0.0, E_t, alpha))
     cp = rx.component_step_partials(
         E_t, A_t, P_t.transpose(1, 0, 2), S_t, b_prev, u_t[:, None], w_t.T,
         alpha, cfg.weibull_shape[:, None], cfg.weibull_scale[:, None], cfg)
@@ -198,7 +199,7 @@ def build_iteration_cache(it: Iterate, noises, cfg: SystemConfig
     i0E = rx._ind_singleton(0.0, E, alpha)
     waiting = i0E * rx._ind_strict_pos(A, alpha)
     sigma_others = np.sum(waiting, axis=0)[None] - waiting
-    bprev = rx.exclusive_cumsum(i0E[:, :T, :])
+    bprev = sm.exclusive_cumsum(i0E[:, :T, :])
 
     coord = np.zeros((n, T, D + 2, Q))
     for t in range(T):
@@ -209,7 +210,7 @@ def build_iteration_cache(it: Iterate, noises, cfg: SystemConfig
         h = _stock_sensitivity(E[:, t], A[:, t], P[:, t], it.S[t],
                                it.u[:, t], noises[:, :, t],
                                it.Lam[:, t + 1], alpha, cfg)
-        above = rx.exclusive_cumsum(h[::-1])[::-1]
+        above = sm.exclusive_cumsum(h[::-1])[::-1]
         coord[:, t, 0] += rx._dind_singleton(0.0, E[:, t], alpha) * above
     return IterationCache(bprev=bprev, sigma_others=sigma_others, coord=coord)
 
@@ -296,8 +297,9 @@ def solve_stock_subproblem(X_fresh, noises, alpha, cfg: SystemConfig
     S[0] = float(cfg.s_init)
     E = X_fresh[:, :, 0, :]
     P = X_fresh[:, :, 2:, :]
+    ind = rx._ramps(alpha)
     for t in range(T):
-        S[t + 1] = rx.stock_step_core(E[:, t], P[:, t], S[t], alpha, cfg)
+        S[t + 1] = sm.stock_step_core(E[:, t], P[:, t], S[t], cfg, ind)
     return S
 
 

@@ -5,12 +5,9 @@ The solver repeatedly polls the incumbent along a randomized orthonormal
 positive spanning set (columns of a QR-orthogonalized Gaussian matrix and
 their negatives) scaled by a mesh size.  Polling is opportunistic: the
 first improving trial is accepted immediately.  The mesh is halved after a
-full unsuccessful poll and multiplied by ``mesh_growth`` (capped at its
-initial value) after a success.  The classical choice is to double on
-success, but on moderate budgets that oscillates between overshooting and
-re-shrinking, so the default keeps the mesh unchanged.  Trial points
-falling outside the box are clipped onto it so the evaluation budget is
-never wasted.
+full unsuccessful poll and kept after a success.  Trial points falling
+outside the box are clipped onto it so the evaluation budget is never
+wasted.
 
 Everything is driven by a single seeded generator, so a given (objective,
 start, bounds, budget) always returns the same answer.
@@ -38,15 +35,11 @@ class SearchBudget:
             raise ValueError("need 0 < min_mesh <= initial_mesh")
 
 
-def minimize(objective, x0, bounds, budget: SearchBudget,
-             speculative: bool = False, mesh_growth: float = 1.0):
+def minimize(objective, x0, bounds, budget: SearchBudget):
     """Minimize ``objective`` over the box ``bounds`` starting from ``x0``.
 
     ``bounds`` is a pair of arrays (lo, hi).  Returns (best point, best
-    value, evaluations used).  With ``speculative`` set, each successful
-    poll is followed by one extra trial twice as far along the same
-    direction.  ``mesh_growth`` is the mesh multiplier applied after a
-    successful poll (2.0 recovers the textbook expansion).
+    value, evaluations used).
     """
     x0 = np.asarray(x0, dtype=float)
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
@@ -79,17 +72,8 @@ def minimize(objective, x0, bounds, budget: SearchBudget,
             if f < best_f:
                 best_x, best_f = trial, f
                 success = True
-                if speculative and evals < budget.max_evals:
-                    far = np.clip(best_x + 2.0 * mesh * scale * direction,
-                                  lo, hi)
-                    ff = float(objective(far))
-                    evals += 1
-                    if ff < best_f:
-                        best_x, best_f = far, ff
                 break
-        if success:
-            mesh = min(mesh_growth * mesh, budget.initial_mesh)
-        else:
+        if not success:
             mesh *= 0.5
 
     return best_x, best_f, evals

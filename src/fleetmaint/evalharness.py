@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .sysmodel import Strategy, DimensionError, simulate_batch
+from .sysmodel import Strategy, simulate_batch
 from . import relax as rx
 
 
@@ -121,13 +121,8 @@ def evaluate_strategy(strategy: Strategy, scenarios, cfg: SystemConfig,
     """
     if project:
         strategy = project_strategy(strategy, cfg.nu)
-    scenarios = np.asarray(scenarios, dtype=float)
-    if scenarios.ndim != 3 or scenarios.shape[1:] != (cfg.n, cfg.T):
-        raise DimensionError(
-            f"scenarios must have shape (Q, {cfg.n}, {cfg.T}), "
-            f"got {scenarios.shape}")
-    Q = scenarios.shape[0]
     stats = simulate_batch(strategy, scenarios, cfg)
+    Q = stats.total_cost.size
     totals = np.sort(stats.total_cost, kind="stable")
     quantiles = np.array([_nearest_rank(totals, lv)
                           for lv in QUANTILE_LEVELS])

@@ -1,13 +1,12 @@
-"""Continuous relaxation of the fleet dynamics and costs.
+"""Continuous relaxation of the fleet dynamics and its analytic partials.
 
-The exact dynamics is driven by indicator functions of the state (broken or
-not, sentinel or not, spare left or not).  Here every indicator is replaced
-by a piecewise-linear surrogate of slope 2*alpha, which makes trajectories
-and costs differentiable almost everywhere in states and controls while
-agreeing with the exact quantities on integer points once alpha >= 1.
-
-Three surrogate families are needed: singleton sets {a}, the closed half
-line [0, inf) and the open half line (0, inf).  The open half line gets a
+The fleet step kernel lives in :mod:`fleetmaint.sysmodel` and is written
+over three indicator functions: of singleton sets {a}, of the closed half
+line [0, inf) and of the open half line (0, inf).  The exact engine passes
+hard comparisons; this module passes piecewise-linear surrogates of slope
+2*alpha (:func:`_ramps`), which makes trajectories and costs differentiable
+almost everywhere in states and controls while agreeing with the exact
+quantities on integer points once alpha >= 1.  The open half line gets a
 ramp through the origin (0 at x <= 0, slope 2*alpha, 1 beyond 1/(2*alpha))
 so that it still vanishes at 0 in the limit.
 
@@ -24,55 +23,23 @@ count of broken components with a lower index.  The step reads ``S`` and
 ``-d_S`` and in a lower regime E_j it is ``-d_S * d1{0}(E_j)``.  The whole
 fleet steps, and is differentiated, in one vectorized call per time step.
 
-Derivatives are taken to be exactly zero at the kinks.  All step functions
-can report which surrogate arguments fell strictly inside a ramp (band
+Derivatives are taken to be exactly zero at the kinks.  A probe passed to
+the surrogates reports which arguments fell strictly inside a ramp (band
 hits) and how far every argument was from the nearest kink, which the
 higher layers use to filter scenarios and validation points.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SystemConfig
-from .sysmodel import ComponentState, Strategy, DimensionError, \
-    failure_probability, failure_probability_derivative
-
-
-@dataclass(frozen=True)
-class SetDescriptor:
-    """One of the three relaxable sets: {a}, [0, inf) or (0, inf)."""
-
-    kind: str                  # "singleton" | "nonneg" | "strict_pos"
-    a: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("singleton", "nonneg", "strict_pos"):
-            raise ValueError(f"unknown set kind {self.kind!r}")
-
-
-def singleton(a: float) -> SetDescriptor:
-    return SetDescriptor("singleton", float(a))
-
-
-NONNEG = SetDescriptor("nonneg")
-STRICT_POS = SetDescriptor("strict_pos")
-
-
-@dataclass(frozen=True)
-class RelaxationContext:
-    alpha: float
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+from . import sysmodel as sm
+from .sysmodel import Strategy, failure_probability_derivative
 
 
 def _alpha_of(alpha) -> float:
-    if isinstance(alpha, RelaxationContext):
-        return alpha.alpha
     alpha = float(alpha)
     if not alpha > 0:
         raise ValueError("alpha must be positive")
@@ -121,30 +88,6 @@ def _dind_strict_pos(x, alpha):
     x = np.asarray(x, dtype=float)
     half = 0.5 / alpha
     return np.where((x > 0.0) & (x < half), 2.0 * alpha, 0.0)
-
-
-def relaxed_indicator(set_: SetDescriptor, x, alpha):
-    """Piecewise-linear surrogate of the indicator of ``set_`` at ``x``."""
-    alpha = _alpha_of(alpha)
-    if set_.kind == "singleton":
-        out = _ind_singleton(set_.a, x, alpha)
-    elif set_.kind == "nonneg":
-        out = _ind_nonneg(x, alpha)
-    else:
-        out = _ind_strict_pos(x, alpha)
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def relaxed_indicator_derivative(set_: SetDescriptor, x, alpha):
-    """Slope of the surrogate; exactly 0 at kinks and on flat regions."""
-    alpha = _alpha_of(alpha)
-    if set_.kind == "singleton":
-        out = _dind_singleton(set_.a, x, alpha)
-    elif set_.kind == "nonneg":
-        out = _dind_nonneg(x, alpha)
-    else:
-        out = _dind_strict_pos(x, alpha)
-    return float(out) if np.ndim(x) == 0 else out
 
 
 def _kinks_singleton(a, x, alpha):
@@ -218,187 +161,11 @@ def _p_spos(x, alpha, probe):
     return v
 
 
-# ---------------------------------------------------------------------------
-# relaxed component and stock steps (vectorized cores)
-
-
-def exclusive_cumsum(x):
-    """Sum of the rows of ``x`` strictly below each index of axis 0.
-
-    On a fleet's relaxed broken indicators this is every ``b_prev``; rows
-    are added in index order, as a loop over the components would.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    np.cumsum(x[:-1], axis=0, out=out[1:])
-    return out
-
-
-_Forward = namedtuple("_Forward", "g b V Vp m p nf E_new A_new I1 I0n c "
-                                  "Idel keep record P_new")
-
-
-def _component_forward(E, A, P, S, b_prev, u, w, alpha, shape, scale,
-                       cfg: SystemConfig, probe: _Probe | None) -> _Forward:
-    """Surrogate values of one relaxed component step (see the core)."""
-    delta = cfg.delta_default
-    g = _p_sing(0.0, E, alpha, probe)
-    b = b_prev + g
-    V = _p_nonneg(S - b, alpha, probe)
-    Vp = _p_spos(b - S, alpha, probe)
-    m = _p_nonneg(u - cfg.nu, alpha, probe)
-    p = failure_probability(shape, scale, A, cfg.dt)
-    nf = _p_nonneg(w - p, alpha, probe)
-    one_g = 1.0 - g
-
-    E_new = V * g + (m + nf * (1.0 - m)) * one_g
-    A_new = ((A + 1.0) * (Vp * g + nf * (1.0 - m) * one_g)
-             + (1.0 - Vp) * g
-             + ((1.0 - u) * A + 1.0) * m * one_g)
-
-    # failure-record update, switched by c = 1{healthy now, broken next}
-    I1 = _p_sing(1.0, E, alpha, probe)
-    I0n = _p_sing(0.0, E_new, alpha, probe)
-    c = I1 * I0n
-    Idel = _p_sing(delta, P, alpha, probe)
-    IdelD = Idel[-1]
-    keep = (P + 1.0) * (1.0 - Idel) + delta * Idel
-    record = (P + 1.0) * (1.0 - Idel) * IdelD
-    record[1:] = record[1:] + delta * Idel[:-1]
-    record[:-1] = record[:-1] + (P[1:] + 1.0) * (1.0 - IdelD)
-    P_new = keep * (1.0 - c) + record * c
-    return _Forward(g, b, V, Vp, m, p, nf, E_new, A_new, I1, I0n, c, Idel,
-                    keep, record, P_new)
-
-
-def component_step_core(E, A, P, S, b_prev, u, w, alpha, shape, scale,
-                        cfg: SystemConfig, probe: _Probe | None = None):
-    """Relaxed one-step update of one component, or of a whole fleet.
-
-    ``P`` carries the failure-record axis first (shape (D, ...)); all other
-    arguments broadcast to the trailing shape (for a fleet, components
-    first and Weibull ``shape``/``scale`` of shape (n, 1)).  ``b_prev`` is
-    the relaxed count of broken components with lower index, frozen or live
-    depending on the caller.  Returns (E', A', P').
-    """
-    f = _component_forward(E, A, P, S, b_prev, u, w, alpha, shape, scale,
-                           cfg, probe)
-    return f.E_new, f.A_new, f.P_new
-
-
-def stock_step_core(E_all, P_all, S, alpha, cfg: SystemConfig,
-                    probe: _Probe | None = None):
-    """Relaxed stock update; arrivals and consumption from relaxed counts.
-
-    ``E_all`` has shape (n, ...), ``P_all`` shape (n, D, ...).  The min
-    operator is continuous already and is kept exact.
-    """
-    arrivals = _p_sing(cfg.D - 1.0, P_all, alpha, probe)
-    broken = _p_sing(0.0, E_all, alpha, probe)
-    B = np.sum(broken, axis=0)
-    if probe is not None:
-        probe.add_tie(S - B)
-    return S + np.sum(arrivals, axis=(0, 1)) - np.minimum(S, B)
-
-
-def _last_component_args(states: list[ComponentState], stock, u, w, alpha,
-                         cfg: SystemConfig) -> tuple:
-    """Step arguments of the last component in ``states`` at a scalar point."""
-    i = len(states) - 1
-    me = states[-1]
-    E_all = np.array([c.regime for c in states])
-    b_prev = exclusive_cumsum(_ind_singleton(0.0, E_all, alpha))[i]
-    return (np.float64(me.regime), np.float64(me.age),
-            me.last_failures.astype(float), np.float64(stock), b_prev,
-            np.float64(u), np.float64(w), alpha,
-            cfg.weibull_shape[i], cfg.weibull_scale[i], cfg)
-
-
-def step_component_relaxed(states: list[ComponentState], stock, u, w, alpha,
-                           cfg: SystemConfig) -> ComponentState:
-    """Scalar relaxed step of the last component in ``states``."""
-    alpha = _alpha_of(alpha)
-    E, A, P = component_step_core(
-        *_last_component_args(states, stock, u, w, alpha, cfg))
-    return ComponentState(float(E), float(A), np.asarray(P, dtype=float))
-
-
-def step_stock_relaxed(states: list[ComponentState], stock, alpha,
-                       cfg: SystemConfig) -> float:
-    alpha = _alpha_of(alpha)
-    E = np.array([c.regime for c in states])
-    P = np.stack([c.last_failures for c in states]).astype(float)
-    return float(stock_step_core(E, P, np.float64(stock), alpha, cfg))
-
-
-# ---------------------------------------------------------------------------
-# relaxed costs
-
-
-def relaxed_maintenance_cost(E, A, u, t, alpha, cfg: SystemConfig, i=None):
-    """Relaxed PM + repair cost term of one component (or all) at step t.
-
-    ``u`` is None at the final step (no control there).  When ``i`` is None
-    the inputs carry a leading component axis and per-component costs are
-    returned.
-    """
-    alpha = _alpha_of(alpha)
-    beta = cfg.discount(t)
-    C_P = cfg.C_P if i is None else cfg.C_P[i]
-    C_C = cfg.C_C if i is None else cfg.C_C[i]
-    cm = beta * C_C * (_ind_singleton(0.0, E, alpha)
-                       * _ind_singleton(0.0, A, alpha))
-    if u is None:
-        return cm
-    return beta * C_P * np.asarray(u, dtype=float) ** 2 + cm
-
-
-def relaxed_fo_cost(E_all, A_all, t, alpha, cfg: SystemConfig):
-    """Relaxed lump forced-outage cost at step t (components on axis 0)."""
-    alpha = _alpha_of(alpha)
-    waiting = (_ind_singleton(0.0, E_all, alpha)
-               * _ind_strict_pos(A_all, alpha))
-    sigma = np.sum(waiting, axis=0)
-    return cfg.discount(t) * cfg.C_F * np.minimum(1.0, sigma)
-
-
-def relaxed_costs(states: list[ComponentState], u, t, alpha,
-                  cfg: SystemConfig) -> float:
-    """Total relaxed stage cost at t: per-component terms plus the lump FO."""
-    E = np.array([c.regime for c in states])
-    A = np.array([c.age for c in states])
-    uu = None if u is None else np.asarray(u, dtype=float)
-    comp = relaxed_maintenance_cost(E, A, uu, t, alpha, cfg)
-    return float(np.sum(comp) + relaxed_fo_cost(E, A, t, alpha, cfg))
-
-
-def maintenance_cost_gradient(E, A, u, t, alpha, cfg: SystemConfig, i):
-    """Gradient of the relaxed component stage cost in (E, A, u)."""
-    alpha = _alpha_of(alpha)
-    beta = cfg.discount(t)
-    i0E = _ind_singleton(0.0, E, alpha)
-    i0A = _ind_singleton(0.0, A, alpha)
-    dE = beta * cfg.C_C[i] * _dind_singleton(0.0, E, alpha) * i0A
-    dA = beta * cfg.C_C[i] * i0E * _dind_singleton(0.0, A, alpha)
-    du = None if u is None else 2.0 * beta * cfg.C_P[i] * np.asarray(u, float)
-    return dE, dA, du
-
-
-def fo_cost_gradient(E_all, A_all, t, alpha, cfg: SystemConfig):
-    """Gradient of the relaxed FO cost in every (E_i, A_i).
-
-    At a min tie (relaxed waiting count exactly 1) the derivative comes
-    from the constant branch, hence 0.
-    """
-    alpha = _alpha_of(alpha)
-    i0 = _ind_singleton(0.0, E_all, alpha)
-    ipos = _ind_strict_pos(A_all, alpha)
-    sigma = np.sum(i0 * ipos, axis=0)
-    active = np.where(sigma < 1.0, 1.0, 0.0)
-    scale = cfg.discount(t) * cfg.C_F * active
-    dE = scale * _dind_singleton(0.0, E_all, alpha) * ipos
-    dA = scale * i0 * _dind_strict_pos(A_all, alpha)
-    return dE, dA
+def _ramps(alpha, probe: _Probe | None = None) -> sm.Indicators:
+    """The surrogates at sharpness ``alpha``, reporting to ``probe``."""
+    return sm.Indicators(lambda a, x: _p_sing(a, x, alpha, probe),
+                         lambda x: _p_nonneg(x, alpha, probe),
+                         lambda x: _p_spos(x, alpha, probe))
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +202,16 @@ def component_step_partials(E, A, P, S, b_prev, u, w, alpha, shape, scale,
                             ) -> ComponentStepPartials:
     """Analytic Jacobians of the relaxed component step.
 
-    Takes the arguments of ``component_step_core`` and broadcasts them the
-    same way, so one call covers a whole fleet.  Derivatives are 0 exactly
-    at every kink.
+    Takes the arguments of ``sysmodel.component_step_core``, with the
+    sharpness ``alpha`` and a probe in place of the indicators, and
+    broadcasts them the same way, so one call covers a whole fleet.
+    Derivatives are 0 exactly at every kink.
     """
     alpha = _alpha_of(alpha)
     delta = cfg.delta_default
     D = cfg.D
-    f = _component_forward(E, A, P, S, b_prev, u, w, alpha, shape, scale,
-                           cfg, probe)
+    f = sm._component_forward(E, A, P, S, b_prev, u, w, shape, scale, cfg,
+                              _ramps(alpha, probe))
     g, V, Vp, m, nf, c = f.g, f.V, f.Vp, f.m, f.nf, f.c
     batch = np.broadcast_shapes(f.E_new.shape, f.A_new.shape,
                                 f.P_new.shape[1:])
@@ -545,83 +313,13 @@ def stock_step_partials(E_all, P_all, S, alpha, cfg: SystemConfig,
     return StockStepPartials(new_stock, d_S, d_E, d_P)
 
 
-def relaxed_partials(states: list[ComponentState], stock, u, w, alpha,
-                     cfg: SystemConfig) -> dict:
-    """Convenience bundle of every Jacobian block at one scalar point.
-
-    ``states`` holds components 1..i; the stepped component is the last.
-    Returns the component blocks, the stock-step blocks over all supplied
-    components, and the stage-cost gradients.
-    """
-    alpha = _alpha_of(alpha)
-    i = len(states) - 1
-    me = states[-1]
-    comp = component_step_partials(
-        *_last_component_args(states, stock, u, w, alpha, cfg))
-    E_all = np.array([c.regime for c in states])
-    A_all = np.array([c.age for c in states])
-    P_all = np.stack([c.last_failures for c in states]).astype(float)
-    sto = stock_step_partials(E_all, P_all, np.float64(stock), alpha, cfg)
-    dE_cost, dA_cost, du_cost = maintenance_cost_gradient(
-        me.regime, me.age, u, 0, alpha, cfg, i)
-    dE_fo, dA_fo = fo_cost_gradient(E_all, A_all, 0, alpha, cfg)
-    return {
-        "component": comp,
-        "stock": sto,
-        "cost_dE": dE_cost, "cost_dA": dA_cost, "cost_du": du_cost,
-        "fo_dE": dE_fo, "fo_dA": dA_fo,
-    }
-
-
-def kink_distance(states: list[ComponentState], stock, u, w, alpha,
-                  cfg: SystemConfig) -> float:
-    """Distance from the nearest nondifferentiable point at a scalar input.
-
-    Runs the same indicator evaluations as the step partials and reports
-    the minimum distance of any surrogate argument to its kink set (ties of
-    the min operators included).
-    """
-    alpha = _alpha_of(alpha)
-    probe = _Probe()
-    component_step_partials(
-        *_last_component_args(states, stock, u, w, alpha, cfg), probe=probe)
-    E_all = np.array([c.regime for c in states])
-    A_all = np.array([c.age for c in states])
-    P_all = np.stack([c.last_failures for c in states]).astype(float)
-    stock_step_partials(E_all, P_all, np.float64(stock), alpha, cfg,
-                        probe=probe)
-    ipos = _ind_strict_pos(A_all, alpha)
-    i0 = _ind_singleton(0.0, E_all, alpha)
-    probe.add_tie(np.sum(i0 * ipos) - 1.0)
-    probe.add(i0, _kinks_singleton(0.0, E_all, alpha))
-    probe.add(ipos, _kinks_strict_pos(A_all, alpha))
-    probe.add(_ind_singleton(0.0, A_all, alpha),
-              _kinks_singleton(0.0, A_all, alpha))
-    return float(probe.kink)
-
-
 # ---------------------------------------------------------------------------
 # relaxed batch simulation
 
 
-@dataclass
-class RelaxedBatchStats:
-    """Per-scenario outcome of a relaxed full-system simulation."""
-
-    pm_cost: np.ndarray
-    cm_cost: np.ndarray
-    fo_cost: np.ndarray
-    total_cost: np.ndarray
-    band_hit: np.ndarray               # (Q,) bool: some surrogate was fractional
-    regimes: np.ndarray | None = None  # (T+1, n, Q)
-    ages: np.ndarray | None = None
-    last_failures: np.ndarray | None = None   # (T+1, n, D, Q)
-    stock: np.ndarray | None = None           # (T+1, Q)
-
-
 def simulate_relaxed_batch(strategy: Strategy, noises, alpha,
                            cfg: SystemConfig,
-                           record_states: bool = False) -> RelaxedBatchStats:
+                           record_states: bool = False) -> sm.BatchStats:
     """Relaxed analogue of the exact batch simulator.
 
     On binary controls and off-band noises the trajectory coincides bit for
@@ -629,58 +327,13 @@ def simulate_relaxed_batch(strategy: Strategy, noises, alpha,
     fractional value are flagged in ``band_hit``.
     """
     alpha = _alpha_of(alpha)
-    u = strategy.controls
-    noises = np.asarray(noises, dtype=float)
-    if noises.ndim != 3 or noises.shape[1:] != (cfg.n, cfg.T):
-        raise DimensionError(
-            f"noises must have shape (Q, {cfg.n}, {cfg.T}), got {noises.shape}")
-    Q = noises.shape[0]
-    n, T, D = cfg.n, cfg.T, cfg.D
-    beta = cfg.discount(np.arange(T + 1))
-    probe = _Probe((Q,))
 
-    E = np.ones((n, Q))
-    A = np.zeros((n, Q))
-    P = np.full((n, D, Q), cfg.delta_default)
-    S = np.full(Q, float(cfg.s_init))
+    def block_indicators(width):
+        probe = _Probe((width,))
+        return _ramps(alpha, probe), probe
 
-    pm_cost = np.full(Q, float(np.sum(beta[:T][None, :] * cfg.C_P[:, None]
-                                      * u ** 2)))
-    cm_cost = np.zeros(Q)
-    fo_cost = np.zeros(Q)
-    if record_states:
-        regimes = np.empty((T + 1, n, Q))
-        ages = np.empty((T + 1, n, Q))
-        lf = np.empty((T + 1, n, D, Q))
-        stock_hist = np.empty((T + 1, Q))
-        regimes[0], ages[0], lf[0], stock_hist[0] = E, A, P, S
-
-    for t in range(T + 1):
-        i0E = _p_sing(0.0, E, alpha, probe)
-        i0A = _ind_singleton(0.0, A, alpha)
-        cm_cost += np.sum(beta[t] * cfg.C_C[:, None] * (i0E * i0A), axis=0)
-        sigma = np.sum(i0E * _ind_strict_pos(A, alpha), axis=0)
-        fo_cost += beta[t] * cfg.C_F * np.minimum(1.0, sigma)
-        if t == T:
-            break
-        E_new, A_new, P_new = component_step_core(
-            E, A, P.transpose(1, 0, 2), S, exclusive_cumsum(i0E),
-            u[:, t, None], noises[:, :, t].T, alpha,
-            cfg.weibull_shape[:, None], cfg.weibull_scale[:, None], cfg,
-            probe)
-        S = stock_step_core(E, P, S, alpha, cfg, probe)
-        E, A, P = E_new, A_new, P_new.transpose(1, 0, 2)
-        if record_states:
-            regimes[t + 1], ages[t + 1], lf[t + 1], stock_hist[t + 1] = \
-                E, A, P, S
-
-    stats = RelaxedBatchStats(
-        pm_cost=pm_cost, cm_cost=cm_cost, fo_cost=fo_cost,
-        total_cost=pm_cost + cm_cost + fo_cost, band_hit=probe.band)
-    if record_states:
-        stats.regimes, stats.ages = regimes, ages
-        stats.last_failures, stats.stock = lf, stock_hist
-    return stats
+    return sm._simulate(strategy, noises, cfg, record_states,
+                        block_indicators)
 
 
 def simulate_component_relaxed(u_i, noises_i, b_prev_bar, S_bar, alpha,
@@ -703,9 +356,10 @@ def simulate_component_relaxed(u_i, noises_i, b_prev_bar, S_bar, alpha,
     out[0, 0], out[0, 1], out[0, 2:] = E, A, P
     b_prev_bar = np.asarray(b_prev_bar, dtype=float)
     S_bar = np.asarray(S_bar, dtype=float)
+    ind = _ramps(alpha, probe)
     for t in range(T):
-        E, A, P = component_step_core(
-            E, A, P, S_bar[t], b_prev_bar[t], u_i[t], noises_i[:, t], alpha,
-            cfg.weibull_shape[i], cfg.weibull_scale[i], cfg, probe)
+        E, A, P = sm.component_step_core(
+            E, A, P, S_bar[t], b_prev_bar[t], u_i[t], noises_i[:, t],
+            cfg.weibull_shape[i], cfg.weibull_scale[i], cfg, ind)
         out[t + 1, 0], out[t + 1, 1], out[t + 1, 2:] = E, A, P
     return out

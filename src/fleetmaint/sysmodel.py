@@ -1,4 +1,4 @@
-"""Exact (integer-regime) fleet dynamics, failure law and cost functions.
+"""Fleet dynamics, failure law and cost functions, and the fleet step kernel.
 
 State of one component: regime (1 healthy / 0 broken), age (age while
 healthy, downtime while broken) and the vector of elapsed times since the
@@ -6,16 +6,21 @@ last D undiscarded failures, which drives stock replenishment.  All
 components share a single stock of spare parts; broken components are
 repaired in index order while spares last.
 
-Two simulation entry points are provided: :func:`simulate` rolls a single
-scenario through readable per-component steps and produces a full
-:class:`Trajectory` with event logs; :func:`simulate_batch` is a vectorized
-engine over many scenarios used by the Monte-Carlo layers.  Both implement
-the same dynamics and are cross-checked in the tests.
+This module owns the one fleet step kernel (:func:`component_step_core`,
+:func:`stock_step_core`), written over three indicator functions, and the
+batch driver over it.  :func:`simulate_batch` runs the driver with hard
+indicators, which is the exact dynamics; :mod:`fleetmaint.relax` runs it
+with surrogate indicators.  :func:`simulate` rolls a single scenario
+through readable per-component steps and produces a full
+:class:`Trajectory` with event logs; it is the independent reference the
+batch engine is cross-checked against in the tests.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -284,22 +289,139 @@ def total_cost(traj: Trajectory, strategy: Strategy, cfg: SystemConfig) -> dict:
     return {"pm": pm, "cm": cm, "fo": fo, "total": pm + cm + fo}
 
 
-def in_flight_orders(state: SystemState, cfg: SystemConfig) -> int:
-    """Orders placed but not yet arrived: entries with 0 <= P^d <= D-1."""
-    count = 0
-    for c in state.components:
-        count += int(np.sum((c.last_failures >= 0)
-                            & (c.last_failures <= cfg.D - 1)))
-    return count
+# ---------------------------------------------------------------------------
+# the fleet step kernel
+
+
+class Indicators(NamedTuple):
+    """The three indicator functions the fleet step is written over.
+
+    ``singleton(a, x)`` stands for 1{a}(x), ``nonneg(x)`` for 1[0, inf)(x)
+    and ``strict_pos(x)`` for 1(0, inf)(x); each returns float values.
+    :data:`HARD` holds the exact comparisons; the relaxation passes its
+    piecewise-linear surrogates instead.
+    """
+
+    singleton: Callable
+    nonneg: Callable
+    strict_pos: Callable
+
+
+def _hard_singleton(a, x):
+    return np.equal(x, a).astype(float)
+
+
+def _hard_nonneg(x):
+    return np.greater_equal(x, 0.0).astype(float)
+
+
+def _hard_strict_pos(x):
+    return np.greater(x, 0.0).astype(float)
+
+
+#: exact indicators: u == nu counts as a PM, w == p as no failure and
+#: S == b as a spare left, the ties of :func:`step_component`
+HARD = Indicators(_hard_singleton, _hard_nonneg, _hard_strict_pos)
+
+
+def exclusive_cumsum(x):
+    """Sum of the rows of ``x`` strictly below each index of axis 0.
+
+    On a fleet's broken indicators this is every ``b_prev``; rows are added
+    in index order, as a loop over the components would.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    np.cumsum(x[:-1], axis=0, out=out[1:])
+    return out
+
+
+_Forward = namedtuple("_Forward", "g b V Vp m p nf one_g E_new A_new I1 I0n "
+                                  "c Idel keep record P_new")
+
+
+def _component_forward(E, A, P, S, b_prev, u, w, shape, scale,
+                       cfg: SystemConfig, ind: Indicators, g=None) -> _Forward:
+    """Indicator values and outputs of one component step (see the core).
+
+    ``g`` is the broken indicator 1{0}(E) when the caller has it already.
+    """
+    delta = cfg.delta_default
+    if g is None:
+        g = ind.singleton(0.0, E)
+    b = b_prev + g
+    V = ind.nonneg(S - b)
+    Vp = ind.strict_pos(b - S)
+    m = ind.nonneg(u - cfg.nu)
+    p = failure_probability(shape, scale, A, cfg.dt)
+    nf = ind.nonneg(w - p)
+    one_g = 1.0 - g
+    survive = nf * (1.0 - m)           # healthy, no PM, no failure
+
+    E_new = V * g + (m + survive) * one_g
+    A_new = ((A + 1.0) * (Vp * g + survive * one_g)
+             + (1.0 - Vp) * g
+             + ((1.0 - u) * A + 1.0) * m * one_g)
+
+    # failure-record update, switched by c = 1{healthy now, broken next}
+    I1 = ind.singleton(1.0, E)
+    I0n = ind.singleton(0.0, E_new)
+    c = I1 * I0n
+    Idel = ind.singleton(delta, P)
+    IdelD = Idel[-1]
+    aged = P + 1.0
+    shifted = aged * (1.0 - Idel)
+    keep = shifted + delta * Idel
+    record = shifted * IdelD
+    record[1:] = record[1:] + delta * Idel[:-1]
+    record[:-1] = record[:-1] + aged[1:] * (1.0 - IdelD)
+    P_new = keep * (1.0 - c) + record * c
+    return _Forward(g, b, V, Vp, m, p, nf, one_g, E_new, A_new, I1, I0n, c,
+                    Idel, keep, record, P_new)
+
+
+def component_step_core(E, A, P, S, b_prev, u, w, shape, scale,
+                        cfg: SystemConfig, ind: Indicators):
+    """One-step update of one component, or of a whole fleet.
+
+    ``P`` carries the failure-record axis first (shape (D, ...)); all other
+    arguments broadcast to the trailing shape (for a fleet, components
+    first and Weibull ``shape``/``scale`` of shape (n, 1)).  ``b_prev`` is
+    the count of broken components with lower index.  With :data:`HARD`
+    this is the exact step on integer states; complementary conditions are
+    always 1 minus the same indicator, so the branch weights of a relaxed
+    step sum to 1.  Returns (E', A', P').
+    """
+    f = _component_forward(E, A, P, S, b_prev, u, w, shape, scale, cfg, ind)
+    return f.E_new, f.A_new, f.P_new
+
+
+def stock_step_core(E_all, P_all, S, cfg: SystemConfig, ind: Indicators,
+                    g=None):
+    """Stock update: ordered parts arrive, repairs consume spares.
+
+    ``E_all`` has shape (n, ...), ``P_all`` shape (n, D, ...); ``g`` is
+    1{0}(E_all) when the caller has it already.  The min operator is
+    continuous and is kept exact.
+    """
+    arrivals = ind.singleton(cfg.D - 1.0, P_all)
+    if g is None:
+        g = ind.singleton(0.0, E_all)
+    return (S + np.add.reduce(arrivals, axis=(0, 1))
+            - np.minimum(S, np.add.reduce(g, axis=0)))
 
 
 # ---------------------------------------------------------------------------
-# vectorized batch engine
+# batch engine
 
 
 @dataclass
 class BatchStats:
-    """Per-scenario aggregates of an exact batch simulation."""
+    """Per-scenario aggregates of a batch simulation.
+
+    On a relaxed run the costs are relaxed costs and the event counts are
+    sums of surrogate values.
+    """
 
     pm_cost: np.ndarray        # (Q,)
     cm_cost: np.ndarray
@@ -311,6 +433,7 @@ class BatchStats:
     fo_steps: np.ndarray       # steps spent in forced outage
     pm_cumulative: np.ndarray  # (T,) PM events summed over scenarios
     empty_stock: np.ndarray    # (T+1,) count of scenarios with stock == 0
+    band_hit: np.ndarray       # (Q,) bool: some surrogate was fractional
     # full state history, only kept on request
     regimes: np.ndarray | None = None        # (T+1, n, Q)
     ages: np.ndarray | None = None
@@ -318,112 +441,108 @@ class BatchStats:
     stock: np.ndarray | None = None          # (T+1, Q)
 
 
-def simulate_batch(strategy: Strategy, noises: np.ndarray, cfg: SystemConfig,
-                   record_states: bool = False) -> BatchStats:
-    """Simulate the exact dynamics for a batch of scenarios.
+#: scenarios stepped together by the batch driver; bounds the memory the
+#: step temporaries take on large batches
+BLOCK = 2048
 
-    ``noises`` has shape (Q, n, T).  Costs use fixed-order summation over t
-    so results are reproducible regardless of chunking.
+
+def _simulate(strategy: Strategy, noises, cfg: SystemConfig,
+              record_states: bool, block_indicators) -> BatchStats:
+    """Batch driver shared by the exact and the relaxed engines.
+
+    ``block_indicators(width)`` returns the indicators for a block of
+    ``width`` scenarios and the probe collecting their band hits, or None.
+    Costs use fixed-order summation over t and scenarios never mix, so
+    results do not depend on the blocking.
     """
     u = strategy.controls
+    if u.shape != (cfg.n, cfg.T):
+        raise DimensionError(
+            f"strategy must have shape {(cfg.n, cfg.T)}, got {u.shape}")
     noises = np.asarray(noises, dtype=float)
     if noises.ndim != 3 or noises.shape[1:] != (cfg.n, cfg.T):
         raise DimensionError(
             f"noises must have shape (Q, {cfg.n}, {cfg.T}), got {noises.shape}")
     Q = noises.shape[0]
     n, T, D = cfg.n, cfg.T, cfg.D
-    delta = cfg.delta_default
     beta = cfg.discount(np.arange(T + 1))
-
-    E = np.ones((n, Q))
-    A = np.zeros((n, Q))
-    P = np.full((n, D, Q), delta)
-    S = np.full(Q, float(cfg.s_init))
+    shape, scale = cfg.weibull_shape[:, None], cfg.weibull_scale[:, None]
 
     pm_cost = np.full(Q, float(np.sum(beta[:T][None, :] * cfg.C_P[:, None]
                                       * u ** 2)))
-    cm_cost = np.zeros(Q)
-    fo_cost = np.zeros(Q)
-    pm_count = np.zeros(Q)
-    failure_count = np.zeros(Q)
-    fo_onsets = np.zeros(Q)
-    fo_steps = np.zeros(Q)
-    pm_cumulative = np.zeros(T)
-    empty_stock = np.zeros(T + 1)
-    fo_prev = np.zeros(Q, dtype=bool)
-
+    cm_cost, fo_cost = np.zeros(Q), np.zeros(Q)
+    pm_count, failure_count = np.zeros(Q), np.zeros(Q)
+    fo_onsets, fo_steps = np.zeros(Q), np.zeros(Q)
+    pm_steps, empty_stock = np.zeros(T), np.zeros(T + 1)
+    band_hit = np.zeros(Q, dtype=bool)
     if record_states:
         regimes = np.empty((T + 1, n, Q))
         ages = np.empty((T + 1, n, Q))
         lf = np.empty((T + 1, n, D, Q))
         stock_hist = np.empty((T + 1, Q))
-        regimes[0], ages[0], lf[0], stock_hist[0] = E, A, P, S
 
-    empty_stock[0] = np.sum(S == 0)
-
-    for t in range(T):
-        w = noises[:, :, t].T                       # (n, Q)
-        healthy = E == 1.0
-        broken = ~healthy
-        cum_broken = np.cumsum(broken, axis=0)
-        avail = S[None, :] >= cum_broken
-
-        do_pm = healthy & (u[:, t][:, None] >= cfg.nu)
-        p = failure_probability(cfg.weibull_shape[:, None],
-                                cfg.weibull_scale[:, None], A, cfg.dt)
-        fails = healthy & ~do_pm & (w < p)
-        do_cm = broken & avail
-
-        E_new = np.where(do_pm | do_cm | (healthy & ~do_pm & ~fails), 1.0, 0.0)
-        A_new = np.where(do_pm, (1.0 - u[:, t][:, None]) * A + 1.0,
-                         np.where(fails, 0.0,
-                                  np.where(do_cm, 1.0, A + 1.0)))
-
-        arrivals = np.sum(P == D - 1, axis=(0, 1))
-        S_new = S + arrivals - np.minimum(S, np.sum(broken, axis=0))
-
-        P_shift = np.where(P == delta, delta, P + 1.0)
-        full = P[:, D - 1, :] != delta             # (n, Q)
-        # failure with a free slot: insert 0 at the first sentinel position
-        nrec = np.minimum(np.sum(P != delta, axis=1), D - 1)   # (n, Q)
-        P_insert = P_shift.copy()
-        np.put_along_axis(P_insert, nrec[:, None, :].astype(int), 0.0, axis=1)
-        # failure with a full record: discard the oldest, append 0
-        P_discard = np.concatenate([P[:, 1:, :] + 1.0,
-                                    np.zeros((n, 1, Q))], axis=1)
-        fail3 = fails[:, None, :]
-        P_new = np.where(fail3, np.where(full[:, None, :], P_discard, P_insert),
-                         P_shift)
-
-        E, A, P, S = E_new, A_new, P_new, S_new
-
-        cm_cost += np.sum(beta[t + 1] * cfg.C_C[:, None] * fails, axis=0)
-        waiting = (E == 0.0) & (A > 0.0)
-        fo_now = np.any(waiting, axis=0)
-        fo_cost += beta[t + 1] * cfg.C_F * fo_now
-        fo_steps += fo_now
-        fo_onsets += fo_now & ~fo_prev
-        fo_prev = fo_now
-        pm_count += np.sum(do_pm, axis=0)
-        failure_count += np.sum(fails, axis=0)
-        pm_cumulative[t] = np.sum(do_pm)
-        empty_stock[t + 1] = np.sum(S == 0)
-
-        if record_states:
-            regimes[t + 1], ages[t + 1], lf[t + 1], stock_hist[t + 1] = E, A, P, S
+    for lo in range(0, Q, BLOCK):
+        cols = slice(lo, min(lo + BLOCK, Q))
+        width = cols.stop - lo
+        ind, probe = block_indicators(width)
+        E = np.ones((n, width))
+        A = np.zeros((n, width))
+        P = np.full((n, D, width), cfg.delta_default)
+        S = np.full(width, float(cfg.s_init))
+        fo_prev = np.zeros(width)
+        for t in range(T + 1):
+            if record_states:
+                regimes[t, :, cols], ages[t, :, cols] = E, A
+                lf[t, ..., cols], stock_hist[t, cols] = P, S
+            # np.add.reduce is np.sum without its Python-level dispatch,
+            # which on small batches costs as much as the arithmetic
+            empty_stock[t] += np.add.reduce(S == 0)
+            g = ind.singleton(0.0, E)
+            cm_cost[cols] += np.add.reduce(
+                beta[t] * cfg.C_C[:, None] * (g * ind.singleton(0.0, A)),
+                axis=0)
+            fo_now = np.minimum(1.0, np.add.reduce(g * ind.strict_pos(A),
+                                                   axis=0))
+            fo_cost[cols] += beta[t] * cfg.C_F * fo_now
+            fo_steps[cols] += fo_now
+            fo_onsets[cols] += fo_now * (1.0 - fo_prev)
+            fo_prev = fo_now
+            if t == T:
+                break
+            f = _component_forward(
+                E, A, P.transpose(1, 0, 2), S, exclusive_cumsum(g),
+                u[:, t, None], noises[cols, :, t].T, shape, scale, cfg, ind, g)
+            S = stock_step_core(E, P, S, cfg, ind, g)
+            pm = np.add.reduce(f.m * f.one_g, axis=0)
+            pm_count[cols] += pm
+            pm_steps[t] += np.add.reduce(pm)
+            failure_count[cols] += np.add.reduce(f.c, axis=0)
+            E, A, P = f.E_new, f.A_new, f.P_new.transpose(1, 0, 2)
+        if probe is not None:
+            band_hit[cols] = probe.band
 
     stats = BatchStats(
         pm_cost=pm_cost, cm_cost=cm_cost, fo_cost=fo_cost,
         total_cost=pm_cost + cm_cost + fo_cost,
         pm_count=pm_count, failure_count=failure_count,
         fo_onsets=fo_onsets, fo_steps=fo_steps,
-        pm_cumulative=np.cumsum(pm_cumulative),
-        empty_stock=empty_stock,
-    )
+        pm_cumulative=np.cumsum(pm_steps), empty_stock=empty_stock,
+        band_hit=band_hit)
     if record_states:
         stats.regimes, stats.ages = regimes, ages
         stats.last_failures, stats.stock = lf, stock_hist
     return stats
+
+
+def simulate_batch(strategy: Strategy, noises: np.ndarray, cfg: SystemConfig,
+                   record_states: bool = False) -> BatchStats:
+    """Simulate the exact dynamics for a batch of scenarios.
+
+    ``noises`` has shape (Q, n, T).  This is the fleet step kernel with
+    :data:`HARD` indicators; ``band_hit`` is all False.
+    """
+    return _simulate(strategy, noises, cfg, record_states,
+                     lambda width: (HARD, None))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from fleetmaint import cli
 from fleetmaint import evalharness as ev
 from fleetmaint import relax as rx
 from fleetmaint import sysmodel as sm
+from scalar_points import partials_at, step_last, step_stock
 
 
 def _verdict(num, name, ok, detail=""):
@@ -177,10 +178,9 @@ def test_criterion_5_step_jacobians_match_finite_differences():
         i = int(rng.integers(1, cfg.n + 1))
         alpha = float(rng.choice([2.0, 8.0]))
         states, stock, u, w = random_point(i)
-        if rx.kink_distance(states, stock, u, w, alpha, cfg) < 1e-2:
+        comp, sto, kink = partials_at(states, stock, u, w, alpha, cfg)
+        if kink < 1e-2:
             continue
-        blocks = rx.relaxed_partials(states, stock, u, w, alpha, cfg)
-        comp, sto = blocks["component"], blocks["stock"]
 
         def comp_value(bump_kind, idx, eps):
             st = [c.copy() for c in states]
@@ -195,8 +195,7 @@ def test_criterion_5_step_jacobians_match_finite_differences():
                 s += eps
             else:
                 uu += eps
-            out = rx.step_component_relaxed(st, s, uu, w, alpha, cfg)
-            return np.concatenate([[out.regime, out.age], out.last_failures])
+            return step_last(st, s, uu, w, alpha, cfg)
 
         pairs = [(("E", i - 1), comp.d_own[:, 0]),
                  (("A", None), comp.d_own[:, 1]),
@@ -220,7 +219,7 @@ def test_criterion_5_step_jacobians_match_finite_differences():
                 st[j].regime += eps
             else:
                 st[j].last_failures[d] += eps
-            return rx.step_stock_relaxed(st, s, alpha, cfg)
+            return step_stock(st, s, alpha, cfg)
 
         fd = (stock_value(("S", 0, 0), h)
               - stock_value(("S", 0, 0), -h)) / (2 * h)

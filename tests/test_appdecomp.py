@@ -76,12 +76,7 @@ def test_objective_at_bar_with_zero_multipliers():
         cm = np.sum(beta[:, None] * cfg.C_C[i]
                     * rx._ind_singleton(0.0, E, it.alpha)
                     * rx._ind_singleton(0.0, A, it.alpha), axis=0)
-        fo = np.zeros(5)
-        for t in range(cfg.T + 1):
-            fo += np.asarray(rx.relaxed_fo_cost(stats.regimes[t],
-                                                stats.ages[t], t,
-                                                it.alpha, cfg))
-        expect = float(np.mean(cm + fo))
+        expect = float(np.mean(cm + stats.fo_cost))
         got = ad.component_subproblem_objective(i, it.u[i], it, noises, cfg)
         assert got == pytest.approx(expect, rel=1e-9)
 
@@ -272,13 +267,14 @@ def _bar_cross_terms(X_t, p, t, it, noises, cfg):
     for j in range(cfg.n):
         if j == p:
             continue
-        E_j, A_j, P_j = rx.component_step_core(
+        E_j, A_j, P_j = sm.component_step_core(
             E[j], A[j], P[j], it.S[t], np.sum(i0[:j], axis=0), it.u[j, t],
-            noises[:, j, t], alpha, cfg.weibull_shape[j],
-            cfg.weibull_scale[j], cfg)
+            noises[:, j, t], cfg.weibull_shape[j], cfg.weibull_scale[j], cfg,
+            rx._ramps(alpha))
         f_j = np.concatenate([E_j[None], A_j[None], P_j])
         comp += np.sum(it.Lam[j, t + 1] * f_j, axis=0)
-    stock = it.LamS[t + 1] * rx.stock_step_core(E, P, it.S[t], alpha, cfg)
+    stock = it.LamS[t + 1] * sm.stock_step_core(E, P, it.S[t], cfg,
+                                                rx._ramps(alpha))
     return comp, stock
 
 
@@ -311,14 +307,15 @@ def test_coupling_coefficients_match_fd():
                            [np.sum(i0[:i], axis=0) for i in range(n)])
         for t in range(T):
             probe = rx._Probe((Q,))
+            ind = rx._ramps(alpha, probe)
             E, P = X[:, t, 0], X[:, t, 2:]
-            rx.component_step_core(
+            sm.component_step_core(
                 E, X[:, t, 1], P.transpose(1, 0, 2), it.S[t],
-                rx.exclusive_cumsum(rx._ind_singleton(0.0, E, alpha)),
-                it.u[:, t, None], noises[:, :, t].T, alpha,
+                sm.exclusive_cumsum(rx._ind_singleton(0.0, E, alpha)),
+                it.u[:, t, None], noises[:, :, t].T,
                 cfg.weibull_shape[:, None], cfg.weibull_scale[:, None], cfg,
-                probe)
-            rx.stock_step_core(E, P, it.S[t], alpha, cfg, probe)
+                ind)
+            rx.stock_step_partials(E, P, it.S[t], alpha, cfg, probe)
             ok = probe.kink > 1e-3
             for p in range(n):
                 for c in range(cfg.D + 2):

@@ -202,6 +202,17 @@ def test_evaluate_mode(tmp_path):
         assert (out / name).exists()
 
 
+def test_evaluate_wrong_size_strategy_exit_code(tmp_path):
+    cfg_path = write_cfg(tmp_path, small_cfg())
+    spath = tmp_path / "strategy.csv"
+    cli.save_strategy(Strategy(np.zeros((1, 3))), small_cfg(), spath)
+    rc = cli.run(cli.RunManifest(mode="evaluate", config=cfg_path, seed=2,
+                                 out=str(tmp_path / "o"),
+                                 strategy=str(spath),
+                                 validation_scenarios=30))
+    assert rc == cli.EXIT_DIMENSION
+
+
 def test_evaluate_requires_strategy(tmp_path):
     cfg_path = write_cfg(tmp_path, small_cfg())
     rc = cli.run(cli.RunManifest(mode="evaluate", config=cfg_path, seed=2,

@@ -87,15 +87,6 @@ def test_all_trials_stay_in_box():
     assert np.all(x > 0.9)
 
 
-def test_speculative_flag_runs():
-    x0 = np.full(6, 0.7)
-    x, f, used = minimize(sphere, x0, (-np.ones(6), np.ones(6)),
-                          SearchBudget(max_evals=800, seed=2),
-                          speculative=True)
-    assert f < sphere(x0)
-    assert used <= 800
-
-
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_never_worse_than_start(seed):

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fleetmaint.config import SystemConfig
+from fleetmaint import appdecomp as ad
 from fleetmaint import relax as rx
 from fleetmaint import sysmodel as sm
+from scalar_points import partials_at, step_last, step_stock
 
 
 def make_cfg(n=1, T=4, D=2, s_init=1, **kw):
@@ -20,54 +22,65 @@ def make_cfg(n=1, T=4, D=2, s_init=1, **kw):
 
 
 def test_indicator_reference_values():
-    s0 = rx.singleton(0.0)
-    assert rx.relaxed_indicator(s0, 0.0, 7.3) == 1.0
-    assert rx.relaxed_indicator(s0, 0.1, 2.0) == pytest.approx(0.6)
-    assert rx.relaxed_indicator(rx.STRICT_POS, 0.0, 5.0) == 0.0
-    assert rx.relaxed_indicator(rx.STRICT_POS, 0.05, 2.0) == pytest.approx(0.2)
-    assert rx.relaxed_indicator(rx.NONNEG, -0.1, 2.0) == pytest.approx(0.6)
-    assert rx.relaxed_indicator(rx.NONNEG, 0.0, 2.0) == 1.0
+    assert rx._ind_singleton(0.0, 0.0, 7.3) == 1.0
+    assert rx._ind_singleton(0.0, 0.1, 2.0) == pytest.approx(0.6)
+    assert rx._ind_strict_pos(0.0, 5.0) == 0.0
+    assert rx._ind_strict_pos(0.05, 2.0) == pytest.approx(0.2)
+    assert rx._ind_nonneg(-0.1, 2.0) == pytest.approx(0.6)
+    assert rx._ind_nonneg(0.0, 2.0) == 1.0
 
 
 def test_indicator_derivative_reference_values():
-    s0 = rx.singleton(0.0)
-    assert rx.relaxed_indicator_derivative(s0, 0.1, 2.0) == -4.0
-    assert rx.relaxed_indicator_derivative(s0, -0.1, 2.0) == 4.0
-    assert rx.relaxed_indicator_derivative(rx.NONNEG, 5.0, 2.0) == 0.0
+    assert rx._dind_singleton(0.0, 0.1, 2.0) == -4.0
+    assert rx._dind_singleton(0.0, -0.1, 2.0) == 4.0
+    assert rx._dind_nonneg(5.0, 2.0) == 0.0
     # derivative is 0 exactly at every kink
-    assert rx.relaxed_indicator_derivative(s0, 0.25, 2.0) == 0.0
-    assert rx.relaxed_indicator_derivative(s0, 0.0, 2.0) == 0.0
-    assert rx.relaxed_indicator_derivative(rx.NONNEG, 0.0, 2.0) == 0.0
-    assert rx.relaxed_indicator_derivative(rx.STRICT_POS, 0.0, 2.0) == 0.0
+    assert rx._dind_singleton(0.0, 0.25, 2.0) == 0.0
+    assert rx._dind_singleton(0.0, 0.0, 2.0) == 0.0
+    assert rx._dind_nonneg(0.0, 2.0) == 0.0
+    assert rx._dind_strict_pos(0.0, 2.0) == 0.0
+
+
+_SURROGATES = {
+    "singleton": lambda x, alpha: rx._ind_singleton(0.25, x, alpha),
+    "nonneg": rx._ind_nonneg,
+    "strict_pos": rx._ind_strict_pos,
+}
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.floats(-3, 3), st.floats(0.5, 50),
-       st.sampled_from(["singleton", "nonneg", "strict_pos"]))
+       st.sampled_from(sorted(_SURROGATES)))
 def test_indicator_range_and_lipschitz(x, alpha, kind):
-    set_ = rx.SetDescriptor(kind, 0.25 if kind == "singleton" else 0.0)
-    v = rx.relaxed_indicator(set_, x, alpha)
+    ind = _SURROGATES[kind]
+    v = float(ind(x, alpha))
     assert 0.0 <= v <= 1.0
     h = 1e-5
-    v2 = rx.relaxed_indicator(set_, x + h, alpha)
+    v2 = float(ind(x + h, alpha))
     assert abs(v2 - v) <= 2 * alpha * h + 1e-12
 
 
 def test_indicator_pointwise_limit():
-    s0 = rx.singleton(0.0)
     for x in [0.3, -0.2, 1.5]:
-        assert rx.relaxed_indicator(s0, x, 1e8) == 0.0
-    assert rx.relaxed_indicator(s0, 0.0, 1e8) == 1.0
-    assert rx.relaxed_indicator(rx.NONNEG, 1e-9, 1e12) == 1.0
+        assert rx._ind_singleton(0.0, x, 1e8) == 0.0
+    assert rx._ind_singleton(0.0, 0.0, 1e8) == 1.0
+    assert rx._ind_nonneg(1e-9, 1e12) == 1.0
 
 
 def test_alpha_validation():
+    cfg = make_cfg()
+    strat = sm.Strategy(np.zeros((1, 4)))
+    noises = np.ones((2, 1, 4))
+    for alpha in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            rx.simulate_relaxed_batch(strat, noises, alpha, cfg)
+        with pytest.raises(ValueError):
+            rx.simulate_component_relaxed(np.zeros(4), noises[:, 0],
+                                          np.zeros(4), np.ones(4), alpha,
+                                          cfg, 0)
     with pytest.raises(ValueError):
-        rx.relaxed_indicator(rx.NONNEG, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        rx.RelaxationContext(-1.0)
-    ctx = rx.RelaxationContext(2.0)
-    assert rx.relaxed_indicator(rx.NONNEG, -0.1, ctx) == pytest.approx(0.6)
+        rx.component_step_partials(1.0, 0.0, np.full(2, -1.0), 1.0, 0.0, 0.0,
+                                   0.5, 0.0, 3.0, 10.0, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +117,11 @@ def test_relaxed_step_matches_exact_on_integers(seed):
     if abs(w - p) < 0.5 / alpha:
         w = min(w + 1e-3, 1.0)
     exact = sm.step_component(states[:i], stock, u, w, cfg)
-    relaxed = rx.step_component_relaxed(states[:i], stock, u, w, alpha, cfg)
-    assert relaxed.regime == exact.regime
-    assert relaxed.age == exact.age
-    assert np.array_equal(relaxed.last_failures, exact.last_failures)
-    assert rx.step_stock_relaxed(states, stock, alpha, cfg) == \
+    relaxed = step_last(states[:i], stock, u, w, alpha, cfg)
+    assert relaxed[0] == exact.regime
+    assert relaxed[1] == exact.age
+    assert np.array_equal(relaxed[2:], exact.last_failures)
+    assert step_stock(states, stock, alpha, cfg) == \
         sm.step_stock(states, stock, cfg)
 
 
@@ -120,21 +133,19 @@ def test_relaxed_batch_matches_exact_batch(seed):
                    weibull_shape=rng.uniform(1.5, 4.5, 5),
                    weibull_scale=rng.uniform(6.0, 14.0, 5))
     u = sm.Strategy((rng.random((5, 15)) > 0.7).astype(float))
-    noises = rng.random((8, 5, 15))
+    # at alpha = 50 about half the scenarios touch a band, hence 40 of them
+    noises = rng.random((40, 5, 15))
     exact = sm.simulate_batch(u, noises, cfg, record_states=True)
-    relaxed = rx.simulate_relaxed_batch(u, noises, 1e6, cfg,
-                                        record_states=True)
-    ok = ~relaxed.band_hit
-    assert ok.any()
-    for arr_e, arr_r in [(exact.regimes, relaxed.regimes),
-                         (exact.ages, relaxed.ages),
-                         (exact.last_failures, relaxed.last_failures),
-                         (exact.stock, relaxed.stock)]:
-        assert np.array_equal(arr_e[..., ok], arr_r[..., ok])
-    assert np.array_equal(exact.pm_cost[ok], relaxed.pm_cost[ok])
-    assert np.array_equal(exact.cm_cost[ok], relaxed.cm_cost[ok])
-    assert np.array_equal(exact.fo_cost[ok], relaxed.fo_cost[ok])
-    assert np.array_equal(exact.total_cost[ok], relaxed.total_cost[ok])
+    for alpha in (1e6, 50.0):
+        relaxed = rx.simulate_relaxed_batch(u, noises, alpha, cfg,
+                                            record_states=True)
+        ok = ~relaxed.band_hit
+        assert ok.any()
+        for name in ("regimes", "ages", "last_failures", "stock", "pm_cost",
+                     "cm_cost", "fo_cost", "total_cost", "pm_count",
+                     "failure_count", "fo_onsets", "fo_steps"):
+            assert np.array_equal(getattr(exact, name)[..., ok],
+                                  getattr(relaxed, name)[..., ok]), name
 
 
 def test_band_hit_is_flagged():
@@ -150,49 +161,30 @@ def test_pm_branch_weight_on_fractional_regime():
     # regime 0.5 at alpha=2: broken weight is 0, so a full PM keeps it up
     cfg = make_cfg()
     state = sm.ComponentState(0.5, 2.0, np.full(2, -1.0))
-    out = rx.step_component_relaxed([state], 1.0, 1.0, 0.5, 2.0, cfg)
-    assert out.regime == pytest.approx(1.0)
+    out = step_last([state], 1.0, 1.0, 0.5, 2.0, cfg)
+    assert out[0] == pytest.approx(1.0)
 
 
 def test_relaxed_stock_fractional_regime():
     cfg = make_cfg(n=1)
     state = sm.ComponentState(0.9, 1.0, np.full(2, -1.0))
     # broken count = relaxed 1{0}(0.9) = 0 at alpha=2, so stock is unchanged
-    assert rx.step_stock_relaxed([state], 3.0, 2.0, cfg) == 3.0
-
-
-# ---------------------------------------------------------------------------
-# relaxed costs
+    assert step_stock([state], 3.0, 2.0, cfg) == 3.0
 
 
 def test_relaxed_costs_examples():
-    cfg = make_cfg(n=2)
-    healthy = [sm.ComponentState(1.0, 3.0, np.full(2, -1.0)),
-               sm.ComponentState(1.0, 1.0, np.full(2, -1.0))]
-    assert float(rx.relaxed_fo_cost(np.array([1.0, 1.0]),
-                                    np.array([3.0, 1.0]), 0, 10.0, cfg)) == 0.0
-    just_failed = sm.ComponentState(0.0, 0.0, np.array([0.0, -1.0]))
-    cost = rx.relaxed_costs([just_failed, healthy[1]], np.zeros(2), 0, 1e6, cfg)
-    assert cost == pytest.approx(200.0)
-    # fractional regime kills the repair term at alpha=2
-    frac = sm.ComponentState(0.5, 0.0, np.full(2, -1.0))
-    assert rx.relaxed_costs([frac], np.zeros(1), 0, 2.0,
-                            make_cfg(n=1)) == 0.0
-
-
-def test_relaxed_cost_matches_exact_on_trajectory():
-    cfg = make_cfg(n=3, T=10, s_init=0)
-    rng = np.random.default_rng(5)
-    u = sm.Strategy((rng.random((3, 10)) > 0.8).astype(float))
-    scen = sm.Scenario(rng.random((3, 10)))
-    traj = sm.simulate(u, scen, cfg)
-    exact = sm.total_cost(traj, u, cfg)
-    relaxed = 0.0
-    for t in range(cfg.T + 1):
-        ut = u.controls[:, t] if t < cfg.T else None
-        relaxed += rx.relaxed_costs(traj.states[t].components, ut, t, 50.0,
-                                    cfg)
-    assert relaxed == pytest.approx(exact["total"], rel=1e-12)
+    # the relaxed batch's stage costs at hand-traced states
+    cfg = make_cfg(n=2, T=1)
+    none = rx.simulate_relaxed_batch(sm.Strategy(np.zeros((2, 1))),
+                                     np.ones((1, 2, 1)), 10.0, cfg)
+    assert none.cm_cost[0] == 0.0 and none.fo_cost[0] == 0.0
+    # component 1 fails in step 0 and waits for its spare at t = 1: one
+    # repair cost, and no forced outage since its downtime is still 0
+    fail = rx.simulate_relaxed_batch(sm.Strategy(np.zeros((2, 1))),
+                                     np.array([[[0.0], [1.0]]]), 1e6, cfg)
+    assert fail.cm_cost[0] == pytest.approx(200.0 / 1.08, rel=1e-12)
+    assert fail.fo_cost[0] == 0.0
+    assert fail.total_cost[0] == fail.cm_cost[0]
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +222,7 @@ def _fd_component(states, stock, u, w, alpha, cfg, bump, h=1e-7):
             s += eps
         elif kind == "u":
             uu += eps
-        out = rx.step_component_relaxed(st, s, uu, ww, alpha, cfg)
-        return np.concatenate([[out.regime, out.age], out.last_failures])
+        return step_last(st, s, uu, ww, alpha, cfg)
 
     return (value(h) - value(-h)) / (2 * h)
 
@@ -244,10 +235,9 @@ def test_component_partials_match_fd():
         i = int(rng.integers(1, 5))
         alpha = float(rng.choice([2.0, 8.0]))
         states, stock, u, w = _random_relaxed_point(rng, cfg, i)
-        if rx.kink_distance(states, stock, u, w, alpha, cfg) < 1e-2:
+        comp, _, kink = partials_at(states, stock, u, w, alpha, cfg)
+        if kink < 1e-2:
             continue
-        blocks = rx.relaxed_partials(states, stock, u, w, alpha, cfg)
-        comp = blocks["component"]
         labels = ([("E", i - 1)] + [("A", None)]
                   + [("P", d) for d in range(cfg.D)]
                   + [("S", None), ("u", None)]
@@ -281,12 +271,12 @@ def test_stock_partials_match_fd():
     while checked < 120:
         alpha = float(rng.choice([2.0, 8.0]))
         states, stock, u, w = _random_relaxed_point(rng, cfg, 4)
-        if rx.kink_distance(states, stock, u, w, alpha, cfg) < 1e-2:
+        _, sto, kink = partials_at(states, stock, u, w, alpha, cfg)
+        if kink < 1e-2:
             continue
-        sto = rx.relaxed_partials(states, stock, u, w, alpha, cfg)["stock"]
 
         def val(sts, s):
-            return rx.step_stock_relaxed(sts, s, alpha, cfg)
+            return step_stock(sts, s, alpha, cfg)
 
         fd_S = (val(states, stock + h) - val(states, stock - h)) / (2 * h)
         assert sto.d_S == pytest.approx(fd_S, abs=1e-6)
@@ -308,7 +298,10 @@ def test_stock_partials_match_fd():
 
 
 def test_cost_gradients_match_fd():
+    # the stage-cost gradient the adjoint recursion uses, one component at
+    # a time with the others' waiting count frozen
     cfg = make_cfg(n=3)
+    no_repair = make_cfg(n=3, C_C=0.0)
     rng = np.random.default_rng(2)
     h = 1e-7
     checked = 0
@@ -316,47 +309,52 @@ def test_cost_gradients_match_fd():
         alpha = float(rng.choice([2.0, 8.0]))
         E = rng.uniform(-0.2, 1.2, 3)
         A = rng.uniform(0.0, 8.0, 3)
-        u = rng.uniform(0, 1, 3)
+        rng.uniform(0, 1, 3)            # controls: the PM term is not here
         t = int(rng.integers(0, 5))
         dists = [rx._kinks_singleton(0.0, E, alpha),
                  rx._kinks_singleton(0.0, A, alpha),
                  rx._kinks_strict_pos(A, alpha)]
-        sigma = float(np.sum(rx._ind_singleton(0.0, E, alpha)
-                             * rx._ind_strict_pos(A, alpha)))
-        if min(np.min(d) for d in dists) < 1e-2 or abs(sigma - 1.0) < 1e-2:
+        waiting = rx._ind_singleton(0.0, E, alpha) \
+            * rx._ind_strict_pos(A, alpha)
+        if min(np.min(d) for d in dists) < 1e-2 \
+                or abs(float(np.sum(waiting)) - 1.0) < 1e-2:
             continue
+        beta = float(cfg.discount(t))
+
+        def repair(j, e, a):
+            return beta * cfg.C_C[j] * float(
+                rx._ind_singleton(0.0, e, alpha)
+                * rx._ind_singleton(0.0, a, alpha))
+
+        def fo(E, A):
+            return beta * cfg.C_F * min(1.0, float(np.sum(
+                rx._ind_singleton(0.0, E, alpha)
+                * rx._ind_strict_pos(A, alpha))))
+
         for j in range(3):
-            dE, dA, du = rx.maintenance_cost_gradient(E[j], A[j], u[j], t,
-                                                      alpha, cfg, j)
-            fd = (rx.relaxed_maintenance_cost(E[j] + h, A[j], u[j], t, alpha,
-                                              cfg, j)
-                  - rx.relaxed_maintenance_cost(E[j] - h, A[j], u[j], t,
-                                                alpha, cfg, j)) / (2 * h)
-            assert dE == pytest.approx(fd, abs=1e-5)
-            fd = (rx.relaxed_maintenance_cost(E[j], A[j] + h, u[j], t, alpha,
-                                              cfg, j)
-                  - rx.relaxed_maintenance_cost(E[j], A[j] - h, u[j], t,
-                                                alpha, cfg, j)) / (2 * h)
-            assert dA == pytest.approx(fd, abs=1e-5)
-            fd = (rx.relaxed_maintenance_cost(E[j], A[j], u[j] + h, t, alpha,
-                                              cfg, j)
-                  - rx.relaxed_maintenance_cost(E[j], A[j], u[j] - h, t,
-                                                alpha, cfg, j)) / (2 * h)
-            assert du == pytest.approx(fd, abs=1e-5)
-        dE_fo, dA_fo = rx.fo_cost_gradient(E, A, t, alpha, cfg)
-        for j in range(3):
+            # two others waiting saturate the FO term: repair cost only
+            g = ad._own_cost_gradient(j, E[j], A[j], 2.0, t, alpha, cfg)
+            fd = (repair(j, E[j] + h, A[j]) - repair(j, E[j] - h, A[j])) \
+                / (2 * h)
+            assert g[0] == pytest.approx(fd, abs=1e-5)
+            fd = (repair(j, E[j], A[j] + h) - repair(j, E[j], A[j] - h)) \
+                / (2 * h)
+            assert g[1] == pytest.approx(fd, abs=1e-5)
+            assert np.all(g[2:] == 0.0)
+            # no repair cost: FO cost of the fleet only
+            g = ad._own_cost_gradient(j, E[j], A[j],
+                                      np.sum(waiting) - waiting[j], t,
+                                      alpha, no_repair)
             Ep, Em = E.copy(), E.copy()
             Ep[j] += h
             Em[j] -= h
-            fd = float(rx.relaxed_fo_cost(Ep, A, t, alpha, cfg)
-                       - rx.relaxed_fo_cost(Em, A, t, alpha, cfg)) / (2 * h)
-            assert dE_fo[j] == pytest.approx(fd, abs=1e-3)
+            assert g[0] == pytest.approx((fo(Ep, A) - fo(Em, A)) / (2 * h),
+                                         abs=1e-3)
             Ap, Am = A.copy(), A.copy()
             Ap[j] += h
             Am[j] -= h
-            fd = float(rx.relaxed_fo_cost(E, Ap, t, alpha, cfg)
-                       - rx.relaxed_fo_cost(E, Am, t, alpha, cfg)) / (2 * h)
-            assert dA_fo[j] == pytest.approx(fd, abs=1e-3)
+            assert g[1] == pytest.approx((fo(E, Ap) - fo(E, Am)) / (2 * h),
+                                         abs=1e-3)
         checked += 1
 
 
@@ -364,8 +362,7 @@ def test_partials_vanish_far_from_bands():
     cfg = make_cfg(n=2)
     states = [sm.ComponentState(1.0, 3.0, np.full(2, -1.0)),
               sm.ComponentState(1.0, 5.0, np.array([4.0, -1.0]))]
-    blocks = rx.relaxed_partials(states, 3.0, 0.0, 0.99, 10.0, cfg)
-    comp = blocks["component"]
+    comp, _, _ = partials_at(states, 3.0, 0.0, 0.99, 10.0, cfg)
     # healthy ageing far from every band: the only surviving partial is the
     # structural age carry and failure-record shift
     expect = np.zeros((4, 4))
@@ -398,10 +395,10 @@ def test_component_partials_batch_shape():
     for q in range(Q):
         states = [sm.ComponentState(E_prev[0, q], 1.0, np.full(2, -1.0)),
                   sm.ComponentState(E[q], A[q], P[:, q])]
-        scal = rx.relaxed_partials(states, S[q], u[q], w[q], 4.0, cfg)
-        assert np.allclose(scal["component"].d_own, out.d_own[..., q])
-        assert np.allclose(scal["component"].d_S, out.d_S[..., q])
-        assert np.allclose(scal["component"].d_u, out.d_u[..., q])
+        scal, _, _ = partials_at(states, S[q], u[q], w[q], 4.0, cfg)
+        assert np.allclose(scal.d_own, out.d_own[..., q])
+        assert np.allclose(scal.d_S, out.d_S[..., q])
+        assert np.allclose(scal.d_u, out.d_u[..., q])
 
 
 def test_fleet_partials_match_per_component_calls():
@@ -417,13 +414,13 @@ def test_fleet_partials_match_per_component_calls():
     S = rng.uniform(0, 3, Q)
     u = rng.uniform(0, 1, n)
     w = rng.uniform(0, 1, (n, Q))
-    b_prev = rx.exclusive_cumsum(rx._ind_singleton(0.0, E, 2.0))
+    b_prev = sm.exclusive_cumsum(rx._ind_singleton(0.0, E, 2.0))
     fleet = rx.component_step_partials(
         E, A, P, S, b_prev, u[:, None], w, 2.0, cfg.weibull_shape[:, None],
         cfg.weibull_scale[:, None], cfg)
-    core = rx.component_step_core(
-        E, A, P, S, b_prev, u[:, None], w, 2.0, cfg.weibull_shape[:, None],
-        cfg.weibull_scale[:, None], cfg)
+    core = sm.component_step_core(
+        E, A, P, S, b_prev, u[:, None], w, cfg.weibull_shape[:, None],
+        cfg.weibull_scale[:, None], cfg, rx._ramps(2.0))
 
     def close(x, y):
         return np.allclose(x, y, rtol=1e-12, atol=1e-12)

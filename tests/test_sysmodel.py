@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fleetmaint.config import SystemConfig, case1_config
+from fleetmaint.config import SystemConfig, case1_config, small_system_config
+from fleetmaint import evalharness as ev
+from fleetmaint import relax as rx
 from fleetmaint import sysmodel as sm
 
 
@@ -208,6 +210,58 @@ def test_batch_matches_scalar_simulation(seed):
                     c.last_failures.tolist()
 
 
+def test_blocked_batch_matches_scalar_and_slices():
+    # two full blocks of the batch driver plus a remainder
+    cfg = make_cfg(n=3, T=6, s_init=1, D=2, weibull_scale=3.0)
+    rng = np.random.default_rng(21)
+    Q = 2 * sm.BLOCK + 37
+    u = sm.Strategy(rng.random((3, 6)))
+    noises = rng.random((Q, 3, 6))
+    stats = sm.simulate_batch(u, noises, cfg, record_states=True)
+    picks = [0, 5, sm.BLOCK - 1, sm.BLOCK, sm.BLOCK + 11, 2 * sm.BLOCK,
+             Q - 1]
+    for q in picks:
+        traj = sm.simulate(u, sm.Scenario(noises[q]), cfg)
+        cost = sm.total_cost(traj, u, cfg)
+        assert stats.total_cost[q] == pytest.approx(cost["total"], rel=1e-12)
+        for t in range(cfg.T + 1):
+            stq = traj.states[t]
+            assert stats.stock[t, q] == stq.stock
+            for i, c in enumerate(stq.components):
+                assert stats.regimes[t, i, q] == c.regime
+                assert stats.ages[t, i, q] == c.age
+                assert np.array_equal(stats.last_failures[t, i, :, q],
+                                      c.last_failures)
+    # slices that do not line up with the blocks give the same scenarios
+    cuts = [0, 1000, 3000, Q]
+    parts = [sm.simulate_batch(u, noises[a:b], cfg)
+             for a, b in zip(cuts[:-1], cuts[1:])]
+    for name in ("total_cost", "cm_cost", "fo_cost", "pm_count",
+                 "failure_count", "fo_onsets", "fo_steps"):
+        assert np.array_equal(getattr(stats, name),
+                              np.concatenate([getattr(p, name)
+                                              for p in parts]))
+    assert np.array_equal(stats.pm_cumulative,
+                          sum(p.pm_cumulative for p in parts))
+    assert np.array_equal(stats.empty_stock,
+                          sum(p.empty_stock for p in parts))
+    assert stats.failure_count.sum() > 0 and stats.fo_steps.sum() > 0
+
+
+@pytest.mark.parametrize("shape", [(1, 40), (10, 1), (10, 43)])
+@pytest.mark.parametrize("engine", ["exact", "relaxed", "evaluate"])
+def test_strategy_shape_checked(engine, shape):
+    cfg = small_system_config()
+    strat = sm.Strategy(np.zeros(shape))
+    noises = np.random.default_rng(0).random((4, cfg.n, cfg.T))
+    run = {"exact": lambda: sm.simulate_batch(strat, noises, cfg),
+           "relaxed": lambda: rx.simulate_relaxed_batch(strat, noises, 50.0,
+                                                        cfg),
+           "evaluate": lambda: ev.evaluate_strategy(strat, noises, cfg)}
+    with pytest.raises(sm.DimensionError):
+        run[engine]()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_conservation_of_parts(seed):
@@ -218,8 +272,12 @@ def test_conservation_of_parts(seed):
     traj = sm.simulate(u, sm.Scenario(rng.random((5, 12))), cfg)
     for t, state in enumerate(traj.states):
         broken = sum(1 for c in state.components if c.regime == 0.0)
-        assert state.stock + sm.in_flight_orders(state, cfg) - broken == \
-            cfg.s_init, f"conservation broken at t={t}"
+        # orders placed but not yet arrived: entries with 0 <= P^d <= D-1
+        in_flight = sum(int(np.sum((c.last_failures >= 0)
+                                   & (c.last_failures <= cfg.D - 1)))
+                        for c in state.components)
+        assert state.stock + in_flight - broken == cfg.s_init, \
+            f"conservation broken at t={t}"
 
 
 @settings(max_examples=20, deadline=None)
