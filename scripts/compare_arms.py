@@ -29,7 +29,6 @@ def main():
                     help="evaluations per subproblem per iteration")
     ap.add_argument("--scenarios", type=int, default=20)
     ap.add_argument("--validation-scenarios", type=int, default=10_000)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     cfg = load_config(args.config) if args.config else small_system_config()
@@ -43,8 +42,7 @@ def main():
     p = ad.tuned_params(iterations=args.iterations,
                         subproblem_budget=args.budget)
     tic = time.perf_counter()
-    app_strat, history = ad.app_fixed_point(cfg, p, noises, seed=args.seed,
-                                            workers=args.threads)
+    app_strat, history = ad.app_fixed_point(cfg, p, noises, seed=args.seed)
     app_time = time.perf_counter() - tic
     ad.history_to_csv(history, out / "app_history.csv", cfg.n)
     cli.save_strategy(app_strat, cfg, out / "app_strategy.csv")

@@ -20,9 +20,12 @@ and are stored per scenario; expectations are empirical means over the Q
 fixed scenarios.
 
 The fixed-point driver implements the mixed parallel/sequential strategy:
-all component subproblems of an iteration are solved against the OLD bars
-(hence in parallel), then the stock subproblem and its multiplier run on
-the freshly installed component solutions.
+all component subproblems of an iteration are solved against the OLD bars,
+so they are independent and run in lockstep: one row-wise direct search
+whose every round steps all n trial trajectories with one fleet-wide
+relaxed step call per time step, and one fleet-wide multiplier recursion.
+Then the stock subproblem and its multiplier run on the freshly installed
+component solutions.
 
 Sign convention used throughout: the dynamics constraint is written as
 X_{t+1} - f(X_t, ...) = 0, so its Jacobian with respect to time-t inputs is
@@ -32,7 +35,6 @@ the identity.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,17 +171,30 @@ class IterationCache:
     coord: np.ndarray           # (n, T, D+2, Q)
 
 
-def _stock_sensitivity(E_t, A_t, P_t, S_t, u_t, w_t, Lam_next, alpha,
+def _fleet_partials(X, U, t, S_t, b_prev, noises, alpha, cfg: SystemConfig
+                    ) -> rx.ComponentStepPartials:
+    """Partials of every component's relaxed step at time t, in one call.
+
+    Takes the states (n, T+1, D+2, Q), controls (n, T) and noises
+    (Q, n, T) of all times, and the (Q,) stock and (n, Q) broken-below
+    counts at t.
+    """
+    return rx.component_step_partials(
+        X[:, t, 0], X[:, t, 1], X[:, t, 2:].transpose(1, 0, 2), S_t, b_prev,
+        U[:, t, None], noises[:, :, t].T, alpha, cfg.weibull_shape[:, None],
+        cfg.weibull_scale[:, None], cfg)
+
+
+def _stock_sensitivity(X, U, t, S_t, noises, Lam_next, alpha,
                        cfg: SystemConfig) -> np.ndarray:
     """Per-component d_S . Lam_{t+1} of the fleet's step at time t, (n, Q).
 
-    Takes (n, Q) regimes and ages, (n, D, Q) records, (Q,) stock, (n,)
-    controls, (Q, n) noises and the (n, D+2, Q) multipliers at t+1.
+    Takes the arguments of :func:`_fleet_partials` but the broken-below
+    counts, which it takes from ``X``, and the (n, D+2, Q) multipliers at
+    t+1.
     """
-    b_prev = sm.exclusive_cumsum(rx._ind_singleton(0.0, E_t, alpha))
-    cp = rx.component_step_partials(
-        E_t, A_t, P_t.transpose(1, 0, 2), S_t, b_prev, u_t[:, None], w_t.T,
-        alpha, cfg.weibull_shape[:, None], cfg.weibull_scale[:, None], cfg)
+    b_prev = sm.exclusive_cumsum(rx._ind_singleton(0.0, X[:, t, 0], alpha))
+    cp = _fleet_partials(X, U, t, S_t, b_prev, noises, alpha, cfg)
     return np.einsum("ojq,joq->jq", cp.d_S, Lam_next)
 
 
@@ -207,8 +222,7 @@ def build_iteration_cache(it: Iterate, noises, cfg: SystemConfig
         lam_s = it.LamS[t + 1]
         coord[:, t, 0] -= sp.d_E * lam_s
         coord[:, t, 2:] -= sp.d_P * lam_s
-        h = _stock_sensitivity(E[:, t], A[:, t], P[:, t], it.S[t],
-                               it.u[:, t], noises[:, :, t],
+        h = _stock_sensitivity(it.X, it.u, t, it.S[t], noises,
                                it.Lam[:, t + 1], alpha, cfg)
         above = sm.exclusive_cumsum(h[::-1])[::-1]
         coord[:, t, 0] += rx._dind_singleton(0.0, E[:, t], alpha) * above
@@ -216,67 +230,82 @@ def build_iteration_cache(it: Iterate, noises, cfg: SystemConfig
 
 
 # ---------------------------------------------------------------------------
-# component subproblem
+# component subproblems, all n in lockstep
 
 
-def _component_traj(i, u_i, it: Iterate, noises, cfg, cache):
-    return rx.simulate_component_relaxed(
-        u_i, noises[:, i, :], cache.bprev[i], it.S, it.alpha, cfg, i)
+def component_trajectories(U, it: Iterate, noises, cfg: SystemConfig,
+                           cache: IterationCache, probe=None) -> np.ndarray:
+    """Relaxed trajectories of all components against frozen surroundings.
+
+    Row i of the (n, T) controls ``U`` drives component i, which sees the
+    bar stock and its bar broken-below count; rows never mix.  One fleet
+    step call per time step; returns states (n, T+1, D+2, Q).
+    """
+    T, D = cfg.T, cfg.D
+    if np.shape(U) != (cfg.n, T):
+        raise DimensionError(f"controls must have shape {(cfg.n, T)}, "
+                             f"got {np.shape(U)}")
+    Q = noises.shape[0]
+    X = np.empty((cfg.n, T + 1, D + 2, Q))
+    E = np.ones((cfg.n, Q))
+    A = np.zeros((cfg.n, Q))
+    P = np.full((D, cfg.n, Q), cfg.delta_default)
+    ind = rx._ramps(it.alpha, probe)
+    shape, scale = cfg.weibull_shape[:, None], cfg.weibull_scale[:, None]
+    for t in range(T + 1):
+        X[:, t, 0], X[:, t, 1], X[:, t, 2:] = E, A, P.transpose(1, 0, 2)
+        if t < T:
+            E, A, P = sm.component_step_core(
+                E, A, P, it.S[t], cache.bprev[:, t], U[:, t, None],
+                noises[:, :, t].T, shape, scale, cfg, ind)
+    return X
 
 
-def _objective_from_traj(i, u_i, X_i, it: Iterate, cfg, cache):
-    T = cfg.T
-    beta = cfg.discount(np.arange(T + 1))
-    alpha = it.alpha
-    E, A = X_i[:, 0, :], X_i[:, 1, :]
-    own_cm = beta[:, None] * cfg.C_C[i] * (
-        rx._ind_singleton(0.0, E, alpha) * rx._ind_singleton(0.0, A, alpha))
-    sigma = cache.sigma_others[i] + (rx._ind_singleton(0.0, E, alpha)
-                                     * rx._ind_strict_pos(A, alpha))
-    fo = beta[:, None] * cfg.C_F * np.minimum(1.0, sigma)
-    prox = 0.5 * it.gamma_x * np.sum((X_i - it.X[i]) ** 2, axis=(0, 1))
-    coupling = np.einsum("tcq,tcq->q", cache.coord[i], X_i[:T])
-    per_scenario = np.sum(own_cm + fo, axis=0) + prox + coupling
-    pm = float(np.sum(beta[:T] * cfg.C_P[i] * np.asarray(u_i) ** 2))
-    prox_u = 0.5 * it.gamma_u * float(np.sum((u_i - it.u[i]) ** 2))
-    return pm + prox_u + float(np.mean(per_scenario))
-
-
-def component_subproblem_objective(i, u_i, it: Iterate, noises,
-                                   cfg: SystemConfig,
+def component_subproblem_objective(U, it: Iterate, noises, cfg: SystemConfig,
                                    cache: IterationCache | None = None
-                                   ) -> float:
-    """Auxiliary objective of component i at candidate controls ``u_i``."""
-    u_i = np.asarray(u_i, dtype=float)
-    if u_i.shape != (cfg.T,):
-        raise DimensionError(f"u_i must have shape ({cfg.T},)")
-    if cache is None:
-        cache = build_iteration_cache(it, noises, cfg)
-    X_i = _component_traj(i, u_i, it, noises, cfg, cache)
-    return _objective_from_traj(i, u_i, X_i, it, cfg, cache)
+                                   ) -> np.ndarray:
+    """Auxiliary objective of every component i at candidate controls U[i].
 
-
-def solve_component_subproblem(i, it: Iterate, noises, cfg: SystemConfig,
-                               budget: SearchBudget,
-                               cache: IterationCache | None = None):
-    """Minimize the auxiliary objective of component i over its controls.
-
-    Warm-started at the bar controls.  Returns (X_i, u_i, best value,
-    evaluations used); the trajectory satisfies the frozen-surroundings
-    relaxed dynamics by construction.
+    ``U`` has shape (n, T); returns the n values.  Every row is reduced on
+    its own, so each value is the one a single-component evaluation gives.
     """
     if cache is None:
         cache = build_iteration_cache(it, noises, cfg)
+    X = component_trajectories(U, it, noises, cfg, cache)
+    T = cfg.T
+    beta = cfg.discount(np.arange(T + 1))
+    alpha = it.alpha
+    E, A = X[:, :, 0, :], X[:, :, 1, :]
+    i0E = rx._ind_singleton(0.0, E, alpha)
+    own_cm = beta[:, None] * cfg.C_C[:, None, None] * (
+        i0E * rx._ind_singleton(0.0, A, alpha))
+    sigma = cache.sigma_others + i0E * rx._ind_strict_pos(A, alpha)
+    fo = beta[:, None] * cfg.C_F * np.minimum(1.0, sigma)
+    prox = 0.5 * it.gamma_x * np.sum((X - it.X) ** 2, axis=(1, 2))
+    coupling = np.einsum("itcq,itcq->iq", cache.coord, X[:, :T])
+    per_scenario = np.sum(own_cm + fo, axis=1) + prox + coupling
+    pm = np.sum(beta[:T] * cfg.C_P[:, None] * U ** 2, axis=1)
+    prox_u = 0.5 * it.gamma_u * np.sum((U - it.u) ** 2, axis=1)
+    return pm + prox_u + np.mean(per_scenario, axis=1)
 
-    def objective(u_i):
-        X_i = _component_traj(i, u_i, it, noises, cfg, cache)
-        return _objective_from_traj(i, u_i, X_i, it, cfg, cache)
 
+def solve_component_subproblems(it: Iterate, noises, cfg: SystemConfig,
+                                budgets, cache: IterationCache | None = None):
+    """Minimize every component's auxiliary objective over its controls.
+
+    One row-wise lockstep search, row i warm-started at the bar controls of
+    component i with ``budgets[i]``.  Returns (X, U, best values (n,),
+    evaluations used over all rows); the trajectories satisfy the
+    frozen-surroundings relaxed dynamics by construction.
+    """
+    if cache is None:
+        cache = build_iteration_cache(it, noises, cfg)
     lo, hi = np.zeros(cfg.T), np.ones(cfg.T)
-    u_best, f_best, evals = minimize(objective, it.u[i].copy(), (lo, hi),
-                                     budget)
-    X_best = _component_traj(i, u_best, it, noises, cfg, cache)
-    return X_best, u_best, f_best, evals
+    U, best, evals = minimize(
+        lambda U: component_subproblem_objective(U, it, noises, cfg, cache),
+        it.u.copy(), (lo, hi), budgets)
+    X = component_trajectories(U, it, noises, cfg, cache)
+    return X, U, best, evals
 
 
 # ---------------------------------------------------------------------------
@@ -307,67 +336,59 @@ def solve_stock_subproblem(X_fresh, noises, alpha, cfg: SystemConfig
 # multiplier recursions
 
 
-def _component_partials(i, X_i, u_i, t, it: Iterate, noises,
-                        cfg: SystemConfig, cache: IterationCache
-                        ) -> rx.ComponentStepPartials:
-    """Partials of component i's step at time t against the frozen bar."""
-    return rx.component_step_partials(
-        X_i[t, 0], X_i[t, 1], X_i[t, 2:], it.S[t], cache.bprev[i, t],
-        u_i[t], noises[:, i, t], it.alpha, cfg.weibull_shape[i],
-        cfg.weibull_scale[i], cfg)
+def _own_cost_gradient(X, sigma_others, alpha, cfg: SystemConfig
+                       ) -> np.ndarray:
+    """Gradient in X of every component's stage costs, others at the bar.
 
-
-def _own_cost_gradient(i, E, A, sigma_others_t, t, alpha,
-                       cfg: SystemConfig):
-    """Gradient in X_i of the stage cost with the others at the bar.
-
-    Returns an array (D+2, Q); failure-record coordinates never enter the
+    ``X`` holds the states (n, T'+1, D+2, Q) of times 0..T' and
+    ``sigma_others`` the frozen waiting counts (n, T'+1, Q); returns an
+    array shaped like ``X``.  Failure-record coordinates never enter the
     costs.  The FO min tie takes the derivative of the constant branch.
     """
-    beta = float(cfg.discount(t))
+    beta = cfg.discount(np.arange(X.shape[1]))[:, None]
+    c_c = cfg.C_C[:, None, None]
+    E, A = X[:, :, 0], X[:, :, 1]
     i0E = rx._ind_singleton(0.0, E, alpha)
     di0E = rx._dind_singleton(0.0, E, alpha)
     i0A = rx._ind_singleton(0.0, A, alpha)
     di0A = rx._dind_singleton(0.0, A, alpha)
     ipos = rx._ind_strict_pos(A, alpha)
     dipos = rx._dind_strict_pos(A, alpha)
-    sigma = sigma_others_t + i0E * ipos
+    sigma = sigma_others + i0E * ipos
     active = np.where(sigma < 1.0, 1.0, 0.0)
-    g = np.zeros((2 + cfg.D,) + np.shape(E))
-    g[0] = beta * cfg.C_C[i] * di0E * i0A \
+    g = np.zeros_like(X)
+    g[:, :, 0] = beta * c_c * di0E * i0A \
         + beta * cfg.C_F * active * di0E * ipos
-    g[1] = beta * cfg.C_C[i] * i0E * di0A \
+    g[:, :, 1] = beta * c_c * i0E * di0A \
         + beta * cfg.C_F * active * i0E * dipos
     return g
 
 
-def component_multiplier_backward(i, X_i, u_i, it: Iterate, noises,
+def component_multiplier_backward(X, U, it: Iterate, noises,
                                   cfg: SystemConfig,
                                   cache: IterationCache | None = None
                                   ) -> np.ndarray:
-    """Adjoint multipliers of component i's dynamics, per scenario.
+    """Adjoint multipliers of every component's dynamics, per scenario.
 
     Backward recursion from stationarity of the Lagrangian: cross terms
     (other components, stock) are evaluated at the bar point and enter
     through the cached coordination coefficients; the self term uses the
-    Jacobian of the relaxed step along the fresh trajectory.
+    Jacobian of the relaxed step along the fresh trajectories ``X`` of the
+    controls ``U``.  One fleet-wide partials call per time step; returns
+    (n, T+1, D+2, Q).
     """
     if cache is None:
         cache = build_iteration_cache(it, noises, cfg)
-    T, D = cfg.T, cfg.D
-    Q = X_i.shape[-1]
-    alpha = it.alpha
-    Lam = np.zeros((T + 1, D + 2, Q))
-    g_T = _own_cost_gradient(i, X_i[T, 0], X_i[T, 1],
-                             cache.sigma_others[i][T], T, alpha, cfg)
-    Lam[T] = -g_T - it.gamma_x * (X_i[T] - it.X[i, T])
+    T = cfg.T
+    g = _own_cost_gradient(X, cache.sigma_others, it.alpha, cfg)
+    Lam = np.empty_like(X)
+    Lam[:, T] = -g[:, T] - it.gamma_x * (X[:, T] - it.X[:, T])
     for t in range(T - 1, -1, -1):
-        cp = _component_partials(i, X_i, u_i, t, it, noises, cfg, cache)
-        g = _own_cost_gradient(i, X_i[t, 0], X_i[t, 1],
-                               cache.sigma_others[i][t], t, alpha, cfg)
-        carry = np.einsum("ocq,oq->cq", cp.d_own, Lam[t + 1])
-        Lam[t] = (-g - it.gamma_x * (X_i[t] - it.X[i, t])
-                  - cache.coord[i, t] + carry)
+        cp = _fleet_partials(X, U, t, it.S[t], cache.bprev[:, t], noises,
+                             it.alpha, cfg)
+        carry = np.einsum("ocjq,joq->jcq", cp.d_own, Lam[:, t + 1])
+        Lam[:, t] = (-g[:, t] - it.gamma_x * (X[:, t] - it.X[:, t])
+                     - cache.coord[:, t] + carry)
     return Lam
 
 
@@ -382,13 +403,13 @@ def stock_multiplier_backward(S_new, X_new, u_new, Lam_new, S_bar, noises,
     """
     T = cfg.T
     Q = S_new.shape[-1]
-    E, A, P = X_new[:, :, 0, :], X_new[:, :, 1, :], X_new[:, :, 2:, :]
+    E, P = X_new[:, :, 0, :], X_new[:, :, 2:, :]
     LamS = np.zeros((T + 1, Q))
     LamS[T] = -gamma_s * (S_new[T] - S_bar[T])
     for t in range(T - 1, -1, -1):
-        acc = np.sum(_stock_sensitivity(
-            E[:, t], A[:, t], P[:, t], S_bar[t], u_new[:, t],
-            noises[:, :, t], Lam_new[:, t + 1], alpha, cfg), axis=0)
+        acc = np.sum(_stock_sensitivity(X_new, u_new, t, S_bar[t], noises,
+                                        Lam_new[:, t + 1], alpha, cfg),
+                     axis=0)
         sp = rx.stock_step_partials(E[:, t], P[:, t], S_new[t], alpha, cfg)
         LamS[t] = -gamma_s * (S_new[t] - S_bar[t]) + acc + sp.d_S * LamS[t + 1]
     return LamS
@@ -398,25 +419,23 @@ def stock_multiplier_backward(S_new, X_new, u_new, Lam_new, S_bar, noises,
 # stationarity diagnostics and reduced gradient
 
 
-def component_stationarity_residual(i, X_i, u_i, Lam_i, it: Iterate, noises,
+def component_stationarity_residual(X, U, Lam, it: Iterate, noises,
                                     cfg: SystemConfig,
                                     cache: IterationCache | None = None
-                                    ) -> float:
-    """Max abs value of the Lagrangian state gradient at (X_i, Lam_i)."""
+                                    ) -> np.ndarray:
+    """Per component, max abs value of the Lagrangian state gradient at
+    (X, Lam), shape (n,)."""
     if cache is None:
         cache = build_iteration_cache(it, noises, cfg)
     T = cfg.T
-    worst = 0.0
-    for t in range(T + 1):
-        g = _own_cost_gradient(i, X_i[t, 0], X_i[t, 1],
-                               cache.sigma_others[i][t], t, it.alpha, cfg)
-        r = g + it.gamma_x * (X_i[t] - it.X[i, t]) + Lam_i[t]
-        if t < T:
-            cp = _component_partials(i, X_i, u_i, t, it, noises, cfg, cache)
-            r = r + cache.coord[i, t] \
-                - np.einsum("ocq,oq->cq", cp.d_own, Lam_i[t + 1])
-        worst = max(worst, float(np.max(np.abs(r))))
-    return worst
+    r = (_own_cost_gradient(X, cache.sigma_others, it.alpha, cfg)
+         + it.gamma_x * (X - it.X) + Lam)
+    for t in range(T):
+        cp = _fleet_partials(X, U, t, it.S[t], cache.bprev[:, t], noises,
+                             it.alpha, cfg)
+        r[:, t] += cache.coord[:, t] \
+            - np.einsum("ocjq,joq->jcq", cp.d_own, Lam[:, t + 1])
+    return np.max(np.abs(r), axis=(1, 2, 3))
 
 
 def stock_stationarity_residual(S_new, X_new, u_new, Lam_new, LamS, S_bar,
@@ -424,12 +443,12 @@ def stock_stationarity_residual(S_new, X_new, u_new, Lam_new, LamS, S_bar,
                                 ) -> float:
     """Max abs value of the Lagrangian stock gradient at (S_new, LamS)."""
     T = cfg.T
-    E, A, P = X_new[:, :, 0, :], X_new[:, :, 1, :], X_new[:, :, 2:, :]
+    E, P = X_new[:, :, 0, :], X_new[:, :, 2:, :]
     worst = float(np.max(np.abs(gamma_s * (S_new[T] - S_bar[T]) + LamS[T])))
     for t in range(T - 1, -1, -1):
-        acc = np.sum(_stock_sensitivity(
-            E[:, t], A[:, t], P[:, t], S_bar[t], u_new[:, t],
-            noises[:, :, t], Lam_new[:, t + 1], alpha, cfg), axis=0)
+        acc = np.sum(_stock_sensitivity(X_new, u_new, t, S_bar[t], noises,
+                                        Lam_new[:, t + 1], alpha, cfg),
+                     axis=0)
         sp = rx.stock_step_partials(E[:, t], P[:, t], S_new[t], alpha, cfg)
         r = (gamma_s * (S_new[t] - S_bar[t]) - acc
              - sp.d_S * LamS[t + 1] + LamS[t])
@@ -437,71 +456,26 @@ def stock_stationarity_residual(S_new, X_new, u_new, Lam_new, LamS, S_bar,
     return worst
 
 
-class _InteriorKinkProbe(rx._Probe):
-    """Kink probe that ignores arguments sitting exactly on a kink.
-
-    Off the indicator bands the surrogate dynamics is locally constant, so
-    states on the binary/integer lattice land exactly on singleton peaks
-    without ever being pushed across them by a small control perturbation.
-    Only strictly positive small distances signal that a finite-difference
-    step could cross a kink.
-    """
-
-    def add(self, value, dist):
-        dist = np.where(np.asarray(dist, dtype=float) == 0.0, np.inf, dist)
-        super().add(value, dist)
-
-    def add_tie(self, dist):
-        dist = np.abs(np.asarray(dist, dtype=float))
-        super().add_tie(np.where(dist == 0.0, np.inf, dist))
-
-
-def subproblem_kink_distance(i, u_i, it: Iterate, noises,
-                             cfg: SystemConfig,
-                             cache: IterationCache | None = None) -> float:
-    """Distance to the nearest surrogate kink along the trajectory of u_i.
-
-    Minimized over time steps and scenarios; covers the step indicators and
-    the forced-outage min tie.  Useful to decide where finite differences of
-    the subproblem objective are trustworthy.
-    """
-    if cache is None:
-        cache = build_iteration_cache(it, noises, cfg)
-    probe = _InteriorKinkProbe(())
-    X_i = rx.simulate_component_relaxed(
-        np.asarray(u_i, dtype=float), noises[:, i, :], cache.bprev[i],
-        it.S, it.alpha, cfg, i, probe=probe)
-    alpha = it.alpha
-    E, A = X_i[:, 0, :], X_i[:, 1, :]
-    probe.add(rx._ind_singleton(0.0, E, alpha),
-              rx._kinks_singleton(0.0, E, alpha))
-    probe.add(rx._ind_singleton(0.0, A, alpha),
-              rx._kinks_singleton(0.0, A, alpha))
-    probe.add(rx._ind_strict_pos(A, alpha), rx._kinks_strict_pos(A, alpha))
-    sigma = cache.sigma_others[i] + (rx._ind_singleton(0.0, E, alpha)
-                                     * rx._ind_strict_pos(A, alpha))
-    probe.add_tie(sigma - 1.0)
-    return float(probe.kink)
-
-
-def reduced_gradient(i, u_i, it: Iterate, noises, cfg: SystemConfig,
+def reduced_gradient(U, it: Iterate, noises, cfg: SystemConfig,
                      cache: IterationCache | None = None) -> np.ndarray:
-    """Gradient of the subproblem objective in u_i via the adjoint state.
+    """Gradient of each subproblem objective in U[i] via the adjoint state.
 
     Valid at any control point (not only at a minimizer): the adjoint
-    recursion is run along the trajectory of ``u_i`` itself.
+    recursion is run along the trajectories of ``U`` itself.  Returns
+    (n, T).
     """
     if cache is None:
         cache = build_iteration_cache(it, noises, cfg)
     T = cfg.T
-    X_i = _component_traj(i, u_i, it, noises, cfg, cache)
-    Lam = component_multiplier_backward(i, X_i, u_i, it, noises, cfg, cache)
+    X = component_trajectories(U, it, noises, cfg, cache)
+    Lam = component_multiplier_backward(X, U, it, noises, cfg, cache)
     beta = cfg.discount(np.arange(T))
-    grad = 2.0 * beta * cfg.C_P[i] * np.asarray(u_i, dtype=float) \
-        + it.gamma_u * (np.asarray(u_i) - it.u[i])
+    grad = 2.0 * beta * cfg.C_P[:, None] * U + it.gamma_u * (U - it.u)
     for t in range(T):
-        cp = _component_partials(i, X_i, u_i, t, it, noises, cfg, cache)
-        grad[t] -= float(np.mean(np.einsum("oq,oq->q", cp.d_u, Lam[t + 1])))
+        cp = _fleet_partials(X, U, t, it.S[t], cache.bprev[:, t], noises,
+                             it.alpha, cfg)
+        grad[:, t] -= np.mean(np.einsum("ojq,joq->jq", cp.d_u, Lam[:, t + 1]),
+                              axis=1)
     return grad
 
 
@@ -513,25 +487,15 @@ def _subproblem_seed(seed: int, k: int, i: int) -> int:
     return int(np.random.SeedSequence([seed, k, i]).generate_state(1)[0])
 
 
-def _solve_one(payload):
-    """Worker for one component subproblem plus its multiplier."""
-    (i, it, noises, cfg, cache, budget) = payload
-    X_i, u_i, best, evals = solve_component_subproblem(
-        i, it, noises, cfg, budget, cache)
-    Lam_i = component_multiplier_backward(i, X_i, u_i, it, noises, cfg,
-                                          cache)
-    return i, X_i, u_i, Lam_i, best, evals
-
-
 def app_fixed_point(cfg: SystemConfig, p: APPParams, noises, seed: int,
-                    workers: int = 1, progress=None):
+                    progress=None):
     """Run the mixed parallel/sequential fixed-point loop.
 
     ``noises`` has shape (Q, n, T).  Returns (Strategy, history) where the
     history holds one record per iteration with schedule values, the mean
     relaxed sample cost of the fresh controls, per-subproblem best values
     and the wall time.  Output is a deterministic function of (cfg, p,
-    noises, seed) regardless of ``workers``.
+    noises, seed).
     """
     noises = np.asarray(noises, dtype=float)
     if noises.ndim != 3 or noises.shape[1:] != (cfg.n, cfg.T):
@@ -539,54 +503,37 @@ def app_fixed_point(cfg: SystemConfig, p: APPParams, noises, seed: int,
             f"noises must have shape (Q, {cfg.n}, {cfg.T}), got {noises.shape}")
     it = initial_iterate(cfg, p, noises)
     history = []
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for k in range(p.iterations):
-            tic = time.perf_counter()
-            gamma_x, gamma_s, gamma_u, alpha = update_schedules(k, p)
-            it.k, it.alpha = k, alpha
-            it.gamma_x, it.gamma_s, it.gamma_u = gamma_x, gamma_s, gamma_u
-            cache = build_iteration_cache(it, noises, cfg)
-            payloads = [
-                (i, it, noises, cfg, cache,
-                 SearchBudget(max_evals=p.subproblem_budget,
-                              seed=_subproblem_seed(seed, k, i)))
-                for i in range(cfg.n)]
-            if pool is None:
-                results = [_solve_one(pl) for pl in payloads]
-            else:
-                results = list(pool.map(_solve_one, payloads))
-            results.sort(key=lambda r: r[0])
+    for k in range(p.iterations):
+        tic = time.perf_counter()
+        gamma_x, gamma_s, gamma_u, alpha = update_schedules(k, p)
+        it.k, it.alpha = k, alpha
+        it.gamma_x, it.gamma_s, it.gamma_u = gamma_x, gamma_s, gamma_u
+        cache = build_iteration_cache(it, noises, cfg)
+        budgets = [SearchBudget(max_evals=p.subproblem_budget,
+                                seed=_subproblem_seed(seed, k, i))
+                   for i in range(cfg.n)]
+        X_new, u_new, bests, _ = solve_component_subproblems(
+            it, noises, cfg, budgets, cache)
+        Lam_new = component_multiplier_backward(X_new, u_new, it, noises,
+                                                cfg, cache)
+        S_new = solve_stock_subproblem(X_new, noises, alpha, cfg)
+        LamS_new = stock_multiplier_backward(
+            S_new, X_new, u_new, Lam_new, it.S, noises, cfg, alpha, gamma_s)
+        it.X, it.u, it.Lam = X_new, u_new, Lam_new
+        it.S, it.LamS = S_new, LamS_new
 
-            X_new = np.empty_like(it.X)
-            u_new = np.empty_like(it.u)
-            Lam_new = np.empty_like(it.Lam)
-            bests = []
-            for i, X_i, u_i, Lam_i, best, _ in results:
-                X_new[i], u_new[i], Lam_new[i] = X_i, u_i, Lam_i
-                bests.append(best)
-            S_new = solve_stock_subproblem(X_new, noises, alpha, cfg)
-            LamS_new = stock_multiplier_backward(
-                S_new, X_new, u_new, Lam_new, it.S, noises, cfg, alpha,
-                gamma_s)
-            it.X, it.u, it.Lam = X_new, u_new, Lam_new
-            it.S, it.LamS = S_new, LamS_new
-
-            relaxed = rx.simulate_relaxed_batch(Strategy(u_new), noises,
-                                                alpha, cfg)
-            record = {
-                "k": k, "alpha": alpha, "gamma_u": gamma_u,
-                "gamma_x": gamma_x, "gamma_s": gamma_s,
-                "saa_relaxed": float(np.mean(relaxed.total_cost)),
-                "subproblem_best": bests,
-                "wall_time": time.perf_counter() - tic,
-            }
-            history.append(record)
-            if progress is not None:
-                progress(record)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        relaxed = rx.simulate_relaxed_batch(Strategy(u_new), noises, alpha,
+                                            cfg)
+        record = {
+            "k": k, "alpha": alpha, "gamma_u": gamma_u,
+            "gamma_x": gamma_x, "gamma_s": gamma_s,
+            "saa_relaxed": float(np.mean(relaxed.total_cost)),
+            "subproblem_best": bests.tolist(),
+            "wall_time": time.perf_counter() - tic,
+        }
+        history.append(record)
+        if progress is not None:
+            progress(record)
     return Strategy(it.u.copy()), history
 
 

@@ -81,18 +81,24 @@ def save_strategy(strategy: Strategy, cfg: SystemConfig, path):
 
 
 def load_strategy(path) -> Strategy:
+    """Read a strategy file: ConfigError when it is malformed,
+    DimensionError when its rows do not match its header."""
     lines = Path(path).read_text().strip().split("\n")
-    header = dict(kv.split("=") for kv in lines[0].split(","))
-    n, T = int(header["n"]), int(header["T"])
-    if len(lines) != T + 1:
-        raise DimensionError(f"expected {T} control rows, got {len(lines) - 1}")
-    u = np.empty((n, T))
-    for t, line in enumerate(lines[1:]):
-        row = [float(v) for v in line.split(",")]
+    try:
+        header = dict(kv.split("=") for kv in lines[0].split(","))
+        n, T = int(header["n"]), int(header["T"])
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"malformed strategy file {path}: {exc}") from exc
+    if len(rows) != T:
+        raise DimensionError(f"expected {T} control rows, got {len(rows)}")
+    for t, row in enumerate(rows):
         if len(row) != n:
             raise DimensionError(f"row {t} has {len(row)} entries, wanted {n}")
-        u[:, t] = row
-    return Strategy(u)
+    try:
+        return Strategy(np.array(rows).T.copy())
+    except ValueError as exc:          # entries outside [0, 1], or no rows
+        raise ConfigError(f"bad strategy file {path}: {exc}") from exc
 
 
 _PARAM_KEYS = ("gamma_u0", "r_x", "r_s", "d_gamma", "alpha0", "d_alpha")
@@ -238,8 +244,7 @@ def _run_optimize_app(manifest, cfg, out: Path):
                                    manifest.seed)
     print(f"optimize-app: surrogate dynamics, {p.iterations} iterations, "
           f"{manifest.scenarios} scenarios")
-    strat, history = ad.app_fixed_point(cfg, p, noises, seed=manifest.seed,
-                                        workers=manifest.threads)
+    strat, history = ad.app_fixed_point(cfg, p, noises, seed=manifest.seed)
     save_strategy(strat, cfg, out / "strategy.csv")
     save_strategy(ev.project_strategy(strat, cfg.nu), cfg,
                   out / "strategy_projected.csv")
@@ -364,7 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="strategy CSV (evaluate and simulate modes)")
     parser.add_argument("--lhs-count", type=int, default=8)
     parser.add_argument("--lhs-restarts", type=int, default=20)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker processes for tune; other modes "
+                             "accept it and ignore it")
     return parser
 
 

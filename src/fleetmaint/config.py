@@ -54,6 +54,10 @@ class SystemConfig:
         self.validate()
 
     def validate(self):
+        for name in ("C_F", "dt", "tau", "nu", "delta_default") \
+                + _COMPONENT_KEYS:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"{name} must be finite")
         if self.n < 1 or self.T < 1 or self.D < 1:
             raise ConfigError("n, T and D must all be >= 1")
         if self.s_init < 0:
@@ -62,6 +66,8 @@ class SystemConfig:
             raise ConfigError("PM threshold nu must lie in (0, 1)")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
+        if self.tau <= -1:
+            raise ConfigError("discount rate tau must be > -1")
         if self.delta_default >= 0:
             raise ConfigError("delta_default must be negative")
         if self.C_F < 0 or np.any(self.C_P < 0) or np.any(self.C_C < 0):

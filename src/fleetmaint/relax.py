@@ -25,8 +25,9 @@ fleet steps, and is differentiated, in one vectorized call per time step.
 
 Derivatives are taken to be exactly zero at the kinks.  A probe passed to
 the surrogates reports which arguments fell strictly inside a ramp (band
-hits) and how far every argument was from the nearest kink, which the
-higher layers use to filter scenarios and validation points.
+hits) and, unless it is a band-only probe as in the relaxed batch, how far
+every argument was from the nearest kink, which the tests use to filter
+scenarios and validation points.
 """
 from __future__ import annotations
 
@@ -108,64 +109,66 @@ def _kinks_strict_pos(x, alpha):
     return np.minimum(np.abs(x), np.abs(x - half))
 
 
-class _Probe:
-    """Collects band hits and kink distances across indicator evaluations.
+class _BandProbe:
+    """Collects band hits across indicator evaluations.
 
     ``band`` is a boolean array OR-accumulated over evaluations (reduced
-    over any leading axes down to its own shape); ``kink`` is the distance
-    from each surrogate argument to the nearest nondifferentiable point,
-    min-accumulated the same way.
+    over any leading axes down to its own shape): where some surrogate
+    evaluated strictly inside its ramp.
     """
+
+    records_kinks = False
 
     def __init__(self, shape=()):
         self.band = np.zeros(shape, dtype=bool)
+
+    def _reduce(self, values, op):
+        while np.ndim(values) > self.band.ndim:
+            values = op(values, axis=0)
+        return values
+
+    def add(self, value, dist=None):
+        self.band = self.band | self._reduce((value > 0.0) & (value < 1.0),
+                                             np.any)
+
+
+class _Probe(_BandProbe):
+    """Band hits, and kink distances: ``kink`` is the distance from each
+    surrogate argument to the nearest nondifferentiable point,
+    min-accumulated the same way."""
+
+    records_kinks = True
+
+    def __init__(self, shape=()):
+        super().__init__(shape)
         self.kink = np.full(shape, np.inf)
 
-    def _reduce_or(self, mask):
-        while np.ndim(mask) > self.band.ndim:
-            mask = np.any(mask, axis=0)
-        return mask
-
-    def _reduce_min(self, dist):
-        while np.ndim(dist) > self.kink.ndim:
-            dist = np.min(dist, axis=0)
-        return dist
-
     def add(self, value, dist):
-        self.band = self.band | self._reduce_or((value > 0.0) & (value < 1.0))
-        self.kink = np.minimum(self.kink, self._reduce_min(dist))
+        super().add(value)
+        self.kink = np.minimum(self.kink, self._reduce(dist, np.min))
 
     def add_tie(self, dist):
         """Record a kink coming from a min-operator tie (no band notion)."""
-        self.kink = np.minimum(self.kink, self._reduce_min(np.abs(dist)))
+        self.kink = np.minimum(self.kink, self._reduce(np.abs(dist), np.min))
 
 
-def _p_sing(a, x, alpha, probe):
-    v = _ind_singleton(a, x, alpha)
+def _seen(probe, value, kinks, *args):
+    """Report surrogate ``value`` to ``probe``, with the kink distances
+    ``kinks(*args)`` when the probe records them."""
     if probe is not None:
-        probe.add(v, _kinks_singleton(a, x, alpha))
-    return v
+        probe.add(value, kinks(*args) if probe.records_kinks else None)
+    return value
 
 
-def _p_nonneg(x, alpha, probe):
-    v = _ind_nonneg(x, alpha)
-    if probe is not None:
-        probe.add(v, _kinks_nonneg(x, alpha))
-    return v
-
-
-def _p_spos(x, alpha, probe):
-    v = _ind_strict_pos(x, alpha)
-    if probe is not None:
-        probe.add(v, _kinks_strict_pos(x, alpha))
-    return v
-
-
-def _ramps(alpha, probe: _Probe | None = None) -> sm.Indicators:
+def _ramps(alpha, probe: _BandProbe | None = None) -> sm.Indicators:
     """The surrogates at sharpness ``alpha``, reporting to ``probe``."""
-    return sm.Indicators(lambda a, x: _p_sing(a, x, alpha, probe),
-                         lambda x: _p_nonneg(x, alpha, probe),
-                         lambda x: _p_spos(x, alpha, probe))
+    return sm.Indicators(
+        lambda a, x: _seen(probe, _ind_singleton(a, x, alpha),
+                           _kinks_singleton, a, x, alpha),
+        lambda x: _seen(probe, _ind_nonneg(x, alpha), _kinks_nonneg, x,
+                        alpha),
+        lambda x: _seen(probe, _ind_strict_pos(x, alpha), _kinks_strict_pos,
+                        x, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +303,9 @@ def stock_step_partials(E_all, P_all, S, alpha, cfg: SystemConfig,
     E_all = np.asarray(E_all, dtype=float)
     P_all = np.asarray(P_all, dtype=float)
     S = np.asarray(S, dtype=float)
-    i0 = _p_sing(0.0, E_all, alpha, probe)
-    arrivals = _p_sing(cfg.D - 1.0, P_all, alpha, probe)
+    ind = _ramps(alpha, probe)
+    i0 = ind.singleton(0.0, E_all)
+    arrivals = ind.singleton(cfg.D - 1.0, P_all)
     B = np.sum(i0, axis=0)
     if probe is not None:
         probe.add_tie(S - B)
@@ -329,37 +333,8 @@ def simulate_relaxed_batch(strategy: Strategy, noises, alpha,
     alpha = _alpha_of(alpha)
 
     def block_indicators(width):
-        probe = _Probe((width,))
+        probe = _BandProbe((width,))
         return _ramps(alpha, probe), probe
 
     return sm._simulate(strategy, noises, cfg, record_states,
                         block_indicators)
-
-
-def simulate_component_relaxed(u_i, noises_i, b_prev_bar, S_bar, alpha,
-                               cfg: SystemConfig, i: int,
-                               probe: _Probe | None = None) -> np.ndarray:
-    """Relaxed trajectory of component ``i`` against frozen surroundings.
-
-    ``u_i`` has shape (T,), ``noises_i`` (Q, T); ``b_prev_bar`` and
-    ``S_bar`` give the frozen broken-below count and stock level for
-    t = 0..T-1, shaped (T, Q) or (T,).  Returns states (T+1, D+2, Q).
-    """
-    alpha = _alpha_of(alpha)
-    T, D = cfg.T, cfg.D
-    noises_i = np.asarray(noises_i, dtype=float)
-    Q = noises_i.shape[0]
-    out = np.empty((T + 1, D + 2, Q))
-    E = np.ones(Q)
-    A = np.zeros(Q)
-    P = np.full((D, Q), cfg.delta_default)
-    out[0, 0], out[0, 1], out[0, 2:] = E, A, P
-    b_prev_bar = np.asarray(b_prev_bar, dtype=float)
-    S_bar = np.asarray(S_bar, dtype=float)
-    ind = _ramps(alpha, probe)
-    for t in range(T):
-        E, A, P = sm.component_step_core(
-            E, A, P, S_bar[t], b_prev_bar[t], u_i[t], noises_i[:, t],
-            cfg.weibull_shape[i], cfg.weibull_scale[i], cfg, ind)
-        out[t + 1, 0], out[t + 1, 1], out[t + 1, 2:] = E, A, P
-    return out

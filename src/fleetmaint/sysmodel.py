@@ -64,7 +64,8 @@ class Strategy:
         self.controls = np.asarray(self.controls, dtype=float)
         if self.controls.ndim != 2:
             raise DimensionError("strategy controls must be an n x T matrix")
-        if np.any(self.controls < 0) or np.any(self.controls > 1):
+        # written so that NaN fails it too
+        if not np.all((self.controls >= 0) & (self.controls <= 1)):
             raise ValueError("strategy entries must lie in [0, 1]")
 
     @classmethod

@@ -7,6 +7,7 @@ from fleetmaint.dsearch import SearchBudget
 from fleetmaint import appdecomp as ad
 from fleetmaint import relax as rx
 from fleetmaint import sysmodel as sm
+from scalar_points import subproblem_kink_distance
 
 
 def make_cfg(n=2, T=3, D=2, s_init=1, **kw):
@@ -71,25 +72,25 @@ def test_objective_at_bar_with_zero_multipliers():
     stats = rx.simulate_relaxed_batch(sm.Strategy(it.u), noises, it.alpha,
                                       cfg, record_states=True)
     beta = cfg.discount(np.arange(cfg.T + 1))
+    got = ad.component_subproblem_objective(it.u, it, noises, cfg)
     for i in range(2):
         E, A = stats.regimes[:, i, :], stats.ages[:, i, :]
         cm = np.sum(beta[:, None] * cfg.C_C[i]
                     * rx._ind_singleton(0.0, E, it.alpha)
                     * rx._ind_singleton(0.0, A, it.alpha), axis=0)
         expect = float(np.mean(cm + stats.fo_cost))
-        got = ad.component_subproblem_objective(i, it.u[i], it, noises, cfg)
-        assert got == pytest.approx(expect, rel=1e-9)
+        assert got[i] == pytest.approx(expect, rel=1e-9)
 
 
 def test_objective_proximal_terms():
     cfg = make_cfg(n=1, T=3)
     noises = np.ones((2, 1, 3))      # no failures
     it = make_iterate(cfg, noises, gamma_x=0.0, gamma_u=4.0)
-    base = ad.component_subproblem_objective(0, it.u[0], it, noises, cfg)
-    shifted = it.u[0] + 0.1
-    got = ad.component_subproblem_objective(0, shifted, it, noises, cfg)
+    base = ad.component_subproblem_objective(it.u, it, noises, cfg)[0]
+    shifted = it.u + 0.1
+    got = ad.component_subproblem_objective(shifted, it, noises, cfg)[0]
     beta = cfg.discount(np.arange(3))
-    pm = float(np.sum(beta * cfg.C_P[0] * shifted ** 2))
+    pm = float(np.sum(beta * cfg.C_P[0] * shifted[0] ** 2))
     assert got == pytest.approx(base + pm + 0.5 * 4.0 * 3 * 0.1 ** 2,
                                 rel=1e-9)
 
@@ -98,8 +99,10 @@ def test_objective_dimension_check():
     cfg = make_cfg()
     noises = np.ones((2, 2, 3))
     it = make_iterate(cfg, noises)
-    with pytest.raises(sm.DimensionError):
-        ad.component_subproblem_objective(0, np.zeros(5), it, noises, cfg)
+    for shape in ((3,), (2, 5), (1, 3)):
+        with pytest.raises(sm.DimensionError):
+            ad.component_subproblem_objective(np.zeros(shape), it, noises,
+                                              cfg)
 
 
 def test_objective_is_deterministic():
@@ -107,10 +110,40 @@ def test_objective_is_deterministic():
     rng = np.random.default_rng(3)
     noises = rng.random((4, 2, 4))
     it = make_iterate(cfg, noises)
-    u = rng.random(4)
-    a = ad.component_subproblem_objective(1, u, it, noises, cfg)
-    b = ad.component_subproblem_objective(1, u, it, noises, cfg)
-    assert a == b
+    u = rng.random((2, 4))
+    a = ad.component_subproblem_objective(u, it, noises, cfg)
+    b = ad.component_subproblem_objective(u, it, noises, cfg)
+    assert np.array_equal(a, b)
+
+
+def test_subproblem_trajectories_at_bar_equal_relaxed_batch():
+    # shapes of exactly 2.0: numpy's power takes its square fast path for a
+    # scalar exponent 2.0 but not for an (n, 1) column, so a per-component
+    # trajectory with scalar Weibull parameters would differ in the last bits
+    cfg = make_cfg(n=5, T=8, s_init=1,
+                   weibull_shape=[2.0, 3.0, 2.0, 1.5, 2.0],
+                   weibull_scale=[4.0, 5.0, 6.0, 7.0, 8.0])
+    rng = np.random.default_rng(8)
+    noises = rng.random((40, 5, 8))
+    it = make_iterate(cfg, noises, make_params(alpha0=2.0))
+    it.u = rng.random((5, 8))
+    stats = rx.simulate_relaxed_batch(sm.Strategy(it.u), noises, it.alpha,
+                                      cfg, record_states=True)
+    it.X, it.S = ad._relaxed_system_arrays(sm.Strategy(it.u), noises,
+                                           it.alpha, cfg)
+    cache = ad.build_iteration_cache(it, noises, cfg)
+    X = ad.component_trajectories(it.u, it, noises, cfg, cache)
+    assert np.array_equal(X[:, :, 0], stats.regimes.transpose(1, 0, 2))
+    assert np.array_equal(X[:, :, 1], stats.ages.transpose(1, 0, 2))
+    assert np.array_equal(X[:, :, 2:],
+                          stats.last_failures.transpose(1, 0, 2, 3))
+    # rows never mix: other rows' controls leave row 0 unchanged
+    U = it.u.copy()
+    U[1:] = rng.random((4, 8))
+    assert np.array_equal(ad.component_trajectories(U, it, noises, cfg,
+                                                    cache)[0], X[0])
+    assert ad.component_subproblem_objective(U, it, noises, cfg, cache)[0] \
+        == ad.component_subproblem_objective(it.u, it, noises, cfg, cache)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +156,13 @@ def test_budget_one_returns_warm_start():
     noises = rng.random((3, 2, 3))
     it = make_iterate(cfg, noises)
     cache = ad.build_iteration_cache(it, noises, cfg)
-    X, u, best, evals = ad.solve_component_subproblem(
-        0, it, noises, cfg, SearchBudget(max_evals=1, seed=0), cache)
-    assert np.array_equal(u, it.u[0])
-    assert evals == 1
-    assert best == pytest.approx(
-        ad.component_subproblem_objective(0, it.u[0], it, noises, cfg, cache))
+    X, u, best, evals = ad.solve_component_subproblems(
+        it, noises, cfg, [SearchBudget(max_evals=1, seed=i) for i in range(2)],
+        cache)
+    assert np.array_equal(u, it.u)
+    assert evals == 2
+    assert np.array_equal(best, ad.component_subproblem_objective(
+        it.u, it, noises, cfg, cache))
 
 
 def test_subproblem_never_worse_than_warm_start():
@@ -140,12 +174,11 @@ def test_subproblem_never_worse_than_warm_start():
     it.X, it.S = ad._relaxed_system_arrays(sm.Strategy(it.u), noises,
                                            it.alpha, cfg)
     cache = ad.build_iteration_cache(it, noises, cfg)
-    for i in range(2):
-        ref = ad.component_subproblem_objective(i, it.u[i], it, noises, cfg,
-                                                cache)
-        _, _, best, _ = ad.solve_component_subproblem(
-            i, it, noises, cfg, SearchBudget(max_evals=120, seed=i), cache)
-        assert best <= ref + 1e-12
+    ref = ad.component_subproblem_objective(it.u, it, noises, cfg, cache)
+    _, _, best, _ = ad.solve_component_subproblems(
+        it, noises, cfg, [SearchBudget(max_evals=120, seed=i) for i in range(2)],
+        cache)
+    assert np.all(best <= ref + 1e-12)
 
 
 def test_stock_subproblem_all_healthy():
@@ -175,16 +208,11 @@ def test_stock_subproblem_matches_exact_trace():
 
 def _fresh_solution(cfg, noises, it, budget=60):
     cache = ad.build_iteration_cache(it, noises, cfg)
-    X_new = np.empty_like(it.X)
-    u_new = np.empty_like(it.u)
-    Lam_new = np.empty_like(it.Lam)
-    for i in range(cfg.n):
-        X_i, u_i, _, _ = ad.solve_component_subproblem(
-            i, it, noises, cfg, SearchBudget(max_evals=budget, seed=i),
-            cache)
-        X_new[i], u_new[i] = X_i, u_i
-        Lam_new[i] = ad.component_multiplier_backward(i, X_i, u_i, it,
-                                                      noises, cfg, cache)
+    X_new, u_new, _, _ = ad.solve_component_subproblems(
+        it, noises, cfg,
+        [SearchBudget(max_evals=budget, seed=i) for i in range(cfg.n)], cache)
+    Lam_new = ad.component_multiplier_backward(X_new, u_new, it, noises, cfg,
+                                               cache)
     return cache, X_new, u_new, Lam_new
 
 
@@ -197,14 +225,12 @@ def test_component_multiplier_stationarity():
     it.Lam = rng.normal(0, 5.0, it.Lam.shape)
     it.LamS = rng.normal(0, 5.0, it.LamS.shape)
     cache = ad.build_iteration_cache(it, noises, cfg)
-    for i in range(2):
-        u_i = rng.random(3)
-        X_i = ad._component_traj(i, u_i, it, noises, cfg, cache)
-        Lam_i = ad.component_multiplier_backward(i, X_i, u_i, it, noises,
-                                                 cfg, cache)
-        res = ad.component_stationarity_residual(i, X_i, u_i, Lam_i, it,
-                                                 noises, cfg, cache)
-        assert res < 1e-10
+    U = rng.random((2, 3))
+    X = ad.component_trajectories(U, it, noises, cfg, cache)
+    Lam = ad.component_multiplier_backward(X, U, it, noises, cfg, cache)
+    res = ad.component_stationarity_residual(X, U, Lam, it, noises, cfg,
+                                             cache)
+    assert res.shape == (2,) and np.all(res < 1e-10)
 
 
 def test_stock_multiplier_stationarity():
@@ -228,10 +254,9 @@ def test_multiplier_trivial_cases():
     noises = np.ones((2, 1, 2))
     it = make_iterate(cfg, noises, gamma_x=0.0)
     cache = ad.build_iteration_cache(it, noises, cfg)
-    X_i = ad._component_traj(0, it.u[0], it, noises, cfg, cache)
-    Lam = ad.component_multiplier_backward(0, X_i, it.u[0], it, noises, cfg,
-                                           cache)
-    assert np.all(Lam[cfg.T] == 0.0)
+    X = ad.component_trajectories(it.u, it, noises, cfg, cache)
+    Lam = ad.component_multiplier_backward(X, it.u, it, noises, cfg, cache)
+    assert np.all(Lam[:, cfg.T] == 0.0)
     # stock multiplier vanishes when S matches the bar and bars carry no
     # multipliers
     S = ad.solve_stock_subproblem(it.X, noises, it.alpha, cfg)
@@ -354,19 +379,20 @@ def test_reduced_gradient_matches_fd():
         it.LamS = rng.normal(0, 2.0, it.LamS.shape)
         cache = ad.build_iteration_cache(it, noises, cfg)
         i = int(rng.integers(0, n))
-        u_i = rng.uniform(0.05, 0.95, T)
-        if ad.subproblem_kink_distance(i, u_i, it, noises, cfg, cache) < 1e-2:
+        U = it.u.copy()
+        U[i] = rng.uniform(0.05, 0.95, T)
+        if subproblem_kink_distance(U, it, noises, cfg, cache)[i] < 1e-2:
             continue
-        grad = ad.reduced_gradient(i, u_i, it, noises, cfg, cache)
+        grad = ad.reduced_gradient(U, it, noises, cfg, cache)[i]
         h = 1e-5
         for t in range(T):
-            up, um = u_i.copy(), u_i.copy()
-            up[t] += h
-            um[t] -= h
-            fd = (ad.component_subproblem_objective(i, up, it, noises, cfg,
-                                                    cache)
-                  - ad.component_subproblem_objective(i, um, it, noises,
-                                                      cfg, cache)) / (2 * h)
+            up, um = U.copy(), U.copy()
+            up[i, t] += h
+            um[i, t] -= h
+            fd = (ad.component_subproblem_objective(up, it, noises, cfg,
+                                                    cache)[i]
+                  - ad.component_subproblem_objective(um, it, noises,
+                                                      cfg, cache)[i]) / (2 * h)
             assert grad[t] == pytest.approx(fd, rel=1e-4, abs=1e-7), \
                 f"t={t} analytic {grad[t]} fd {fd}"
         checked += 1
@@ -400,14 +426,16 @@ def test_fixed_point_runs_and_records_history():
         assert np.isfinite(rec["saa_relaxed"])
 
 
-def test_fixed_point_deterministic_across_workers():
+def test_fixed_point_deterministic_across_repeats():
     cfg = make_cfg(n=3, T=4, s_init=1)
     noises = np.random.default_rng(2).random((3, 3, 4))
     p = make_params(iterations=2, subproblem_budget=25)
-    s1, h1 = ad.app_fixed_point(cfg, p, noises, seed=5, workers=1)
-    s2, h2 = ad.app_fixed_point(cfg, p, noises, seed=5, workers=2)
+    s1, h1 = ad.app_fixed_point(cfg, p, noises, seed=5)
+    s2, h2 = ad.app_fixed_point(cfg, p, noises, seed=5)
     assert np.array_equal(s1.controls, s2.controls)
-    assert [r["saa_relaxed"] for r in h1] == [r["saa_relaxed"] for r in h2]
+    for r1, r2 in zip(h1, h2):
+        assert r1["saa_relaxed"] == r2["saa_relaxed"]
+        assert r1["subproblem_best"] == r2["subproblem_best"]
 
 
 def test_history_csv(tmp_path):

@@ -213,6 +213,25 @@ def test_evaluate_wrong_size_strategy_exit_code(tmp_path):
     assert rc == cli.EXIT_DIMENSION
 
 
+@pytest.mark.parametrize("text", [
+    "garbage\n0.0,0.0\n",                  # header without key=value pairs
+    "T=1,nu=0.9\n0.0,0.0\n",               # no n
+    "n=2,nu=0.9\n0.0,0.0\n",               # no T
+    "n=two,T=1,nu=0.9\n0.0,0.0\n",
+    "n=2,T=1,nu=0.9\n0.0,zero\n",
+    "n=2,T=1,nu=0.9\n0.0,nan\n",
+])
+def test_evaluate_malformed_strategy_exit_code(tmp_path, text):
+    cfg_path = write_cfg(tmp_path, small_cfg(T=1))
+    spath = tmp_path / "strategy.csv"
+    spath.write_text(text)
+    rc = cli.run(cli.RunManifest(mode="evaluate", config=cfg_path, seed=2,
+                                 out=str(tmp_path / "o"),
+                                 strategy=str(spath),
+                                 validation_scenarios=30))
+    assert rc == cli.EXIT_CONFIG
+
+
 def test_evaluate_requires_strategy(tmp_path):
     cfg_path = write_cfg(tmp_path, small_cfg())
     rc = cli.run(cli.RunManifest(mode="evaluate", config=cfg_path, seed=2,

@@ -101,3 +101,106 @@ def test_never_worse_than_start(seed):
                           SearchBudget(max_evals=200, seed=seed))
     assert f <= bumpy(x0)
     assert used <= 200
+
+
+# ---------------------------------------------------------------------------
+# row-wise lockstep
+
+
+def _reference_search(objective, x0, lo, hi, budget):
+    """The single-start poll loop written out plainly, as the reference
+    every lockstep row is checked against."""
+    d = x0.size
+    scale = hi - lo
+    rng = np.random.default_rng(budget.seed)
+    best_x, best_f, evals = x0.copy(), float(objective(x0)), 1
+    mesh = budget.initial_mesh
+    while evals < budget.max_evals and mesh >= budget.min_mesh:
+        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        success = False
+        for k in rng.permutation(2 * d):
+            if evals >= budget.max_evals:
+                break
+            direction = basis[:, k % d] * (1.0 if k < d else -1.0)
+            trial = np.clip(best_x + mesh * scale * direction, lo, hi)
+            f = float(objective(trial))
+            evals += 1
+            if f < best_f:
+                best_x, best_f, success = trial, f, True
+                break
+        if not success:
+            mesh *= 0.5
+    return best_x, best_f, evals
+
+
+def _bumpy_bowls(centres):
+    """Row r of a stack is scored against centres[r]; each row is reduced
+    on its own, so it gets the value of the single-row function."""
+    def stack(X):
+        return (np.sum((X - centres) ** 2, axis=1)
+                + 0.3 * np.sum(np.sin(5 * X), axis=1))
+
+    def row(r):
+        return lambda x: float(np.sum((x - centres[r]) ** 2)
+                               + 0.3 * np.sum(np.sin(5 * x)))
+    return stack, row
+
+
+def test_lockstep_rows_equal_separate_searches():
+    rng = np.random.default_rng(11)
+    d = 3
+    centres = rng.uniform(-1, 1, (5, d))
+    x0 = rng.uniform(-1, 1, (5, d))
+    lo, hi = -np.ones(d), np.ones(d)
+    # budgets run out in different polls; row 3 never polls; row 4 stops
+    # when its mesh falls below min_mesh
+    budgets = [SearchBudget(7, 1), SearchBudget(40, 2), SearchBudget(150, 3),
+               SearchBudget(1, 4), SearchBudget(500, 5, min_mesh=0.05)]
+    stack, row = _bumpy_bowls(centres)
+    seen = []
+
+    def tracked(X):
+        seen.append(X.copy())
+        return stack(X)
+
+    X, F, total = minimize(tracked, x0, (lo, hi), budgets)
+    used = []
+    for r, budget in enumerate(budgets):
+        x, f, evals = _reference_search(row(r), x0[r], lo, hi, budget)
+        assert np.array_equal(X[r], x) and F[r] == f, r
+        used.append(evals)
+    assert used[:4] == [7, 40, 150, 1] and used[4] < 500
+    assert total == sum(used) and type(total) is int
+    assert len(seen) == max(used)
+    # a row that has stopped is handed its final incumbent
+    for r in range(5):
+        assert all(np.array_equal(trials[r], X[r])
+                   for trials in seen[used[r]:])
+
+
+def test_single_start_is_the_one_row_view():
+    rng = np.random.default_rng(12)
+    d = 6
+    centres = rng.uniform(-1, 1, (1, d))
+    x0 = rng.uniform(-1, 1, d)
+    lo, hi = -np.ones(d), np.ones(d)
+    stack, row = _bumpy_bowls(centres)
+    budget = SearchBudget(max_evals=300, seed=21)
+    x, f, evals = minimize(row(0), x0, (lo, hi), budget)
+    ref = _reference_search(row(0), x0, lo, hi, budget)
+    assert np.array_equal(x, ref[0]) and f == ref[1] and evals == ref[2]
+    assert type(f) is float and type(evals) is int
+    X, F, total = minimize(stack, x0[None], (lo, hi), [budget])
+    assert np.array_equal(X[0], x) and F[0] == f and total == evals
+
+
+def test_lockstep_shape_checks():
+    x0 = np.zeros((2, 3))
+    box = (-np.ones(3), np.ones(3))
+    with pytest.raises(ValueError):
+        minimize(lambda X: np.zeros(2), x0, box, [SearchBudget(5, 0)])
+    with pytest.raises(ValueError):
+        minimize(lambda X: np.zeros(3), x0, box,
+                 [SearchBudget(5, 0), SearchBudget(5, 1)])
+    with pytest.raises(ValueError):
+        minimize(sphere, np.zeros((2, 2, 2)), box, SearchBudget(5, 0))

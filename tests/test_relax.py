@@ -74,10 +74,6 @@ def test_alpha_validation():
     for alpha in (0.0, -1.0):
         with pytest.raises(ValueError):
             rx.simulate_relaxed_batch(strat, noises, alpha, cfg)
-        with pytest.raises(ValueError):
-            rx.simulate_component_relaxed(np.zeros(4), noises[:, 0],
-                                          np.zeros(4), np.ones(4), alpha,
-                                          cfg, 0)
     with pytest.raises(ValueError):
         rx.component_step_partials(1.0, 0.0, np.full(2, -1.0), 1.0, 0.0, 0.0,
                                    0.5, 0.0, 3.0, 10.0, cfg)
@@ -331,9 +327,18 @@ def test_cost_gradients_match_fd():
                 rx._ind_singleton(0.0, E, alpha)
                 * rx._ind_strict_pos(A, alpha))))
 
+        # the states sit at time t of a one-scenario trajectory
+        X = np.zeros((3, t + 1, cfg.D + 2, 1))
+        X[:, t, 0, 0], X[:, t, 1, 0] = E, A
+        # two others waiting saturate the FO term: repair cost only
+        g_rep = ad._own_cost_gradient(X, np.full((3, t + 1, 1), 2.0), alpha,
+                                      cfg)[:, t, :, 0]
+        # no repair cost: FO cost of the fleet only
+        g_fo = ad._own_cost_gradient(
+            X, np.broadcast_to((np.sum(waiting) - waiting)[:, None, None],
+                               (3, t + 1, 1)), alpha, no_repair)[:, t, :, 0]
         for j in range(3):
-            # two others waiting saturate the FO term: repair cost only
-            g = ad._own_cost_gradient(j, E[j], A[j], 2.0, t, alpha, cfg)
+            g = g_rep[j]
             fd = (repair(j, E[j] + h, A[j]) - repair(j, E[j] - h, A[j])) \
                 / (2 * h)
             assert g[0] == pytest.approx(fd, abs=1e-5)
@@ -341,10 +346,7 @@ def test_cost_gradients_match_fd():
                 / (2 * h)
             assert g[1] == pytest.approx(fd, abs=1e-5)
             assert np.all(g[2:] == 0.0)
-            # no repair cost: FO cost of the fleet only
-            g = ad._own_cost_gradient(j, E[j], A[j],
-                                      np.sum(waiting) - waiting[j], t,
-                                      alpha, no_repair)
+            g = g_fo[j]
             Ep, Em = E.copy(), E.copy()
             Ep[j] += h
             Em[j] -= h
