@@ -50,8 +50,7 @@ def main():
     total_evals = args.iterations * cfg.n * args.budget
 
     def objective(flat):
-        return ev.saa_objective(Strategy(flat.reshape(cfg.n, cfg.T)),
-                                noises, cfg, mode="exact")
+        return ev.saa_objective(flat.reshape(-1, cfg.n, cfg.T), noises, cfg)
 
     tic = time.perf_counter()
     x, f, used = minimize(objective, np.zeros(cfg.n * cfg.T),

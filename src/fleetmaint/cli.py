@@ -80,16 +80,20 @@ def save_strategy(strategy: Strategy, cfg: SystemConfig, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_strategy(path) -> Strategy:
-    """Read a strategy file: ConfigError when it is malformed,
-    DimensionError when its rows do not match its header."""
+def load_strategy(path, cfg: SystemConfig) -> Strategy:
+    """Read a strategy file: ConfigError when it is malformed or was
+    written for another PM threshold than ``cfg.nu``, DimensionError when
+    its rows do not match its header."""
     lines = Path(path).read_text().strip().split("\n")
     try:
         header = dict(kv.split("=") for kv in lines[0].split(","))
-        n, T = int(header["n"]), int(header["T"])
+        n, T, nu = int(header["n"]), int(header["T"]), float(header["nu"])
         rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"malformed strategy file {path}: {exc}") from exc
+    if nu != cfg.nu:
+        raise ConfigError(f"strategy file {path} was written for nu={nu!r}, "
+                          f"the config has nu={cfg.nu!r}")
     if len(rows) != T:
         raise DimensionError(f"expected {T} control rows, got {len(rows)}")
     for t, row in enumerate(rows):
@@ -231,7 +235,7 @@ def _resolve_params(manifest: RunManifest) -> ad.APPParams:
 
 def _run_simulate(manifest, cfg, out: Path):
     noises = ev.generate_scenarios(cfg.n, cfg.T, 1, manifest.seed)
-    strategy = (load_strategy(manifest.strategy) if manifest.strategy
+    strategy = (load_strategy(manifest.strategy, cfg) if manifest.strategy
                 else Strategy(np.zeros((cfg.n, cfg.T))))
     traj = simulate(strategy, Scenario(noises[0]), cfg)
     trajectory_to_csv(traj, cfg, out / "trajectory.csv")
@@ -260,8 +264,7 @@ def _run_optimize_direct(manifest, cfg, out: Path):
           f"{manifest.scenarios} scenarios")
 
     def objective(flat):
-        return ev.saa_objective(Strategy(flat.reshape(cfg.n, cfg.T)),
-                                noises, cfg, mode="exact")
+        return ev.saa_objective(flat.reshape(-1, cfg.n, cfg.T), noises, cfg)
 
     x0 = np.zeros(cfg.n * cfg.T)
     lo, hi = np.zeros_like(x0), np.ones_like(x0)
@@ -278,7 +281,7 @@ def _run_optimize_direct(manifest, cfg, out: Path):
 def _run_evaluate(manifest, cfg, out: Path):
     if manifest.strategy is None:
         raise ConfigError("evaluate needs --strategy")
-    strategy = load_strategy(manifest.strategy)
+    strategy = load_strategy(manifest.strategy, cfg)
     scen = ev.generate_scenarios(cfg.n, cfg.T, manifest.validation_scenarios,
                                  manifest.seed)
     report = ev.evaluate_strategy(strategy, scen, cfg, project=True)

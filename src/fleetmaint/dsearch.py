@@ -4,10 +4,21 @@ direct search.
 The solver repeatedly polls the incumbent along a randomized orthonormal
 positive spanning set (columns of a QR-orthogonalized Gaussian matrix and
 their negatives) scaled by a mesh size.  Polling is opportunistic: the
-first improving trial is accepted immediately.  The mesh is halved after a
-full unsuccessful poll and kept after a success.  Trial points falling
+first improving trial in poll order is accepted.  The mesh is halved after
+a full unsuccessful poll and kept after a success.  Trial points falling
 outside the box are clipped onto it so the evaluation budget is never
 wasted.
+
+The objective is a batch function: it maps a (K, d) matrix of trials to
+their K values.  A single-start search hands each poll's trials over in
+chunks of 1, 2, 4, ... trials, each bounded by the trials left in the poll
+and by the budget left, and accepts the first improving trial of a chunk
+(the opportunistic poll of Audet & Dennis, SIAM J. Optim. 17(1), 2006).
+It charges the trials up to and including that one, or the whole chunk if
+none improves; the values after it are discarded and not charged.  The
+draws and the iterates are those of the one-trial-at-a-time poll, and the
+doubling keeps the uncharged trials below half of those evaluated, while
+a poll of hundreds of trials costs a handful of batched calls.
 
 Several independent searches can run row-wise in lockstep: given a stack
 of m starts, each round hands the objective one trial per row, as an
@@ -15,7 +26,11 @@ of m starts, each round hands the objective one trial per row, as an
 basis, poll order, mesh, incumbent and budget: it is the single-start
 search, suspended while the other rows' trials are evaluated, so its
 draws and iterates are exactly those of a separate call.  A row that has
-stopped is handed its incumbent and not charged.
+stopped is handed its incumbent and not charged.  A row gets one trial per
+round, not a chunk, because the rows already fill the batch axis: at n=80
+rows and Q=50 scenarios the fleet objective is compute-bound, and four
+trials per row cut the time per trial only from 41.7 to 34.5 ms while the
+peak allocation grew from 15 to 60 MB.
 
 Everything is driven by seeded generators, so a given (objective, start,
 bounds, budget) always returns the same answer.
@@ -46,20 +61,42 @@ class SearchBudget:
 def minimize(objective, x0, bounds, budget):
     """Minimize ``objective`` over the box ``bounds`` starting from ``x0``.
 
-    ``bounds`` is a pair of arrays (lo, hi).  With a start of shape (d,),
-    ``objective`` maps a point to a number, ``budget`` is one SearchBudget
-    and the result is (best point, best value, evaluations used).  With a
-    stack of starts of shape (m, d), ``objective`` maps an (m, d) matrix of
-    trials to m values, ``budget`` holds one SearchBudget per row, and the
-    result is (best points (m, d), best values (m,), total evaluations
-    charged over all rows).
+    ``bounds`` is a pair of arrays (lo, hi) and ``objective`` maps a (K, d)
+    matrix of trials to K values.  With a start of shape (d,), ``budget``
+    is one SearchBudget and the result is (best point, best value,
+    evaluations charged).  With a stack of starts of shape (m, d), every
+    call hands the objective one trial per row (K = m), ``budget`` holds
+    one SearchBudget per row, and the result is (best points (m, d), best
+    values (m,), total evaluations charged over all rows).
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 2:
         return _lockstep(objective, x0, bounds, list(budget))
-    x, f, evals = _lockstep(lambda X: [float(objective(X[0]))], x0[None],
-                            bounds, [budget])
-    return x[0], float(f[0]), evals
+    if x0.ndim != 1:
+        raise ValueError(f"start must have shape (d,) or (m, d), "
+                         f"got {x0.shape}")
+    lo, hi = _box(bounds, x0.shape)
+    search = _search(x0, lo, hi, budget, chunked=True)
+    chunk = next(search)
+    while True:
+        try:
+            chunk = search.send(_values(objective, chunk))
+        except StopIteration as stop:
+            x, f, evals = stop.value
+            return x, float(f), evals
+
+
+def _box(bounds, shape):
+    return (np.broadcast_to(np.asarray(b, dtype=float), shape)
+            for b in bounds)
+
+
+def _values(objective, X):
+    f = np.asarray(objective(X), dtype=float)
+    if f.shape != (len(X),):
+        raise ValueError(f"objective returned shape {f.shape} for "
+                         f"{len(X)} trials")
+    return f
 
 
 def _lockstep(objective, x0, bounds, budgets):
@@ -67,20 +104,17 @@ def _lockstep(objective, x0, bounds, budgets):
     if len(budgets) != m:
         raise ValueError(f"need one budget per row, got {len(budgets)} "
                          f"for {m} rows")
-    lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), x0.shape)
-              for b in bounds)
-    searches = [_search(*row) for row in zip(x0, lo, hi, budgets)]
-    trials = [next(s) for s in searches]
+    lo, hi = _box(bounds, x0.shape)
+    searches = [_search(*row, chunked=False)
+                for row in zip(x0, lo, hi, budgets)]
+    trials = [next(s)[0] for s in searches]
     results = [None] * m
     while None in results:
-        f = np.asarray(objective(np.array(trials)), dtype=float)
-        if f.shape != (m,):
-            raise ValueError(f"objective returned shape {f.shape} for "
-                             f"{m} rows")
+        f = _values(objective, np.array(trials))
         for r, search in enumerate(searches):
             if results[r] is None:
                 try:
-                    trials[r] = search.send(f[r])
+                    trials[r] = search.send(f[r:r + 1])[0]
                 except StopIteration as stop:
                     results[r] = stop.value
                     trials[r] = stop.value[0]
@@ -88,9 +122,11 @@ def _lockstep(objective, x0, bounds, budgets):
     return np.array(best_x), np.array(best_f), sum(evals)
 
 
-def _search(x0, lo, hi, budget: SearchBudget):
-    """One row's search: yields each point to evaluate, is sent its value,
-    and returns (best point, best value, evaluations used)."""
+def _search(x0, lo, hi, budget: SearchBudget, chunked: bool):
+    """One search: yields each chunk of trials to evaluate, a (c, d)
+    matrix, is sent their c values, and returns (best point, best value,
+    evaluations charged).  Chunks double within a poll when ``chunked``
+    and hold one trial otherwise."""
     if np.any(hi < lo):
         raise ValueError("empty bounds box")
     if np.any(x0 < lo) or np.any(x0 > hi):
@@ -100,24 +136,32 @@ def _search(x0, lo, hi, budget: SearchBudget):
     rng = np.random.default_rng(budget.seed)
 
     best_x = x0.copy()
-    best_f = yield best_x
+    best_f = (yield best_x[None])[0]
     evals = 1
     mesh = budget.initial_mesh
 
     while evals < budget.max_evals and mesh >= budget.min_mesh:
         basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
         order = rng.permutation(2 * d)
-        for k in order:
-            if evals >= budget.max_evals:
-                break
-            direction = basis[:, k % d] * (1.0 if k < d else -1.0)
-            trial = np.clip(best_x + mesh * scale * direction, lo, hi)
-            f = yield trial
-            evals += 1
-            if f < best_f:
-                best_x, best_f = trial, f
-                break
-        else:
+        step = mesh * scale
+        polled, size, improved = 0, 1, False
+        while polled < 2 * d and evals < budget.max_evals and not improved:
+            ks = order[polled:polled + min(size, budget.max_evals - evals)]
+            directions = basis[:, ks % d].T * np.where(ks < d, 1.0,
+                                                       -1.0)[:, None]
+            trials = np.clip(best_x + step * directions, lo, hi)
+            f = yield trials
+            better = np.flatnonzero(f < best_f)
+            if better.size:
+                j = int(better[0])
+                best_x, best_f, improved = trials[j], f[j], True
+                evals += j + 1
+            else:
+                evals += len(ks)
+            polled += len(ks)
+            if chunked:
+                size *= 2
+        if not improved:
             mesh *= 0.5
 
     return best_x, best_f, evals

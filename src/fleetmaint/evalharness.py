@@ -43,12 +43,14 @@ def generate_scenarios(n: int, T: int, count: int, seed: int) -> np.ndarray:
     return out
 
 
-def saa_objective(strategy: Strategy, scenarios, cfg: SystemConfig,
-                  mode: str = "exact", alpha: float | None = None) -> float:
+def saa_objective(strategy, scenarios, cfg: SystemConfig,
+                  mode: str = "exact", alpha: float | None = None):
     """Mean total discounted cost of ``strategy`` over the scenario set.
 
     ``mode`` selects the dynamics: "exact" or "relaxed" (the latter needs
-    the sharpness parameter ``alpha``).
+    the sharpness parameter ``alpha``).  A Strategy gives a float; an
+    exact-mode (K, n, T) stack of candidate controls gives their K values,
+    from one batch run, each bit-identical to the candidate's own value.
     """
     scenarios = np.asarray(scenarios, dtype=float)
     if mode == "exact":
@@ -59,7 +61,9 @@ def saa_objective(strategy: Strategy, scenarios, cfg: SystemConfig,
         stats = rx.simulate_relaxed_batch(strategy, scenarios, alpha, cfg)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return float(np.mean(stats.total_cost))
+    if isinstance(strategy, Strategy):
+        return float(np.mean(stats.total_cost))
+    return np.mean(stats.total_cost, axis=1)
 
 
 def project_strategy(strategy: Strategy, nu: float) -> Strategy:

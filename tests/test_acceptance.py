@@ -244,8 +244,8 @@ def test_criterion_6_direct_search_sphere():
     x0 = rng.uniform(-1, 1, 40)
     box = (-np.ones(40), np.ones(40))
 
-    def sphere(x):
-        return float(np.dot(x, x))
+    def sphere(X):
+        return np.sum(X * X, axis=1)
 
     out1 = minimize(sphere, x0, box, SearchBudget(max_evals=10_000, seed=6))
     out2 = minimize(sphere, x0, box, SearchBudget(max_evals=10_000, seed=6))
@@ -267,8 +267,7 @@ def test_criterion_7_decomposition_vs_direct_reference():
     total_evals = 20 * cfg.n * 500
 
     def objective(flat):
-        return ev.saa_objective(sm.Strategy(flat.reshape(cfg.n, cfg.T)),
-                                noises, cfg)
+        return ev.saa_objective(flat.reshape(-1, cfg.n, cfg.T), noises, cfg)
 
     x, _, _ = minimize(objective, np.zeros(cfg.n * cfg.T),
                        (np.zeros(cfg.n * cfg.T), np.ones(cfg.n * cfg.T)),

@@ -25,7 +25,7 @@ def test_strategy_roundtrip(tmp_path):
     u = np.random.default_rng(0).random((2, 3))
     path = tmp_path / "strategy.csv"
     cli.save_strategy(Strategy(u), cfg, path)
-    back = cli.load_strategy(path)
+    back = cli.load_strategy(path, cfg)
     assert np.array_equal(back.controls, u)
     header = path.read_text().split("\n")[0]
     assert header.startswith("n=2,T=3,nu=")
@@ -35,7 +35,7 @@ def test_strategy_file_validation(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("n=2,T=3,nu=0.9\n0.1,0.2\n")
     with pytest.raises(Exception):
-        cli.load_strategy(path)
+        cli.load_strategy(path, small_cfg())
 
 
 def test_params_roundtrip(tmp_path):
@@ -168,7 +168,7 @@ def test_optimize_direct_budget_one(tmp_path):
                                  seed=1, out=str(tmp_path / "o"),
                                  budget=1, scenarios=3))
     assert rc == 0
-    strat = cli.load_strategy(tmp_path / "o" / "strategy.csv")
+    strat = cli.load_strategy(tmp_path / "o" / "strategy.csv", small_cfg())
     assert np.all(strat.controls == 0.0)
 
 
@@ -179,9 +179,10 @@ def test_optimize_app_writes_artifacts(tmp_path):
                                  iterations=2, budget=10, scenarios=3))
     assert rc == 0
     out = tmp_path / "o"
-    strat = cli.load_strategy(out / "strategy.csv")
+    strat = cli.load_strategy(out / "strategy.csv", small_cfg())
     assert strat.controls.shape == (2, 3)
-    proj = cli.load_strategy(out / "strategy_projected.csv")
+    proj = cli.load_strategy(out / "strategy_projected.csv",
+                             small_cfg())
     assert set(np.unique(proj.controls)) <= {0.0, 1.0}
     assert (out / "history.csv").exists()
 
@@ -230,6 +231,25 @@ def test_evaluate_malformed_strategy_exit_code(tmp_path, text):
                                  strategy=str(spath),
                                  validation_scenarios=30))
     assert rc == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("header", ["n=2,T=1,nu=0.4", "n=2,T=1"])
+def test_evaluate_strategy_for_another_nu_exit_code(tmp_path, header):
+    # entries of 0.5 are PMs under nu=0.4 and no-ops under the config's
+    # nu=0.9, so scoring the file would silently change the schedule
+    cfg_path = write_cfg(tmp_path, small_cfg(T=1, nu=0.9))
+    spath = tmp_path / "strategy.csv"
+    spath.write_text(header + "\n0.5,0.5\n")
+    rc = cli.run(cli.RunManifest(mode="evaluate", config=cfg_path, seed=2,
+                                 out=str(tmp_path / "o"),
+                                 strategy=str(spath),
+                                 validation_scenarios=30))
+    assert rc == cli.EXIT_CONFIG
+    with pytest.raises(cli.ConfigError):
+        cli.load_strategy(spath, small_cfg(T=1, nu=0.9))
+    if "nu=" in header:
+        assert cli.load_strategy(spath, small_cfg(T=1, nu=0.4)).controls \
+            .shape == (2, 1)
 
 
 def test_evaluate_requires_strategy(tmp_path):

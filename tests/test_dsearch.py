@@ -6,8 +6,24 @@ from hypothesis import given, settings, strategies as st
 from fleetmaint.dsearch import SearchBudget, minimize
 
 
-def sphere(x):
-    return float(np.dot(x, x))
+def sphere(X):
+    """Batch objective: one squared norm per row of X."""
+    return np.sum(X * X, axis=1)
+
+
+def _replay(chunks):
+    """Apply the charging rule to the value chunks a search was handed:
+    returns (charged values in order, best charged value, values charged
+    from each chunk)."""
+    best = chunks[0][0]
+    charged, stops = [best], [1]
+    for f in chunks[1:]:
+        better = np.flatnonzero(f < best)
+        stops.append(int(better[0]) + 1 if better.size else len(f))
+        charged += list(f[:stops[-1]])
+        if better.size:
+            best = f[stops[-1] - 1]
+    return charged, best, stops
 
 
 def test_budget_validation():
@@ -22,7 +38,7 @@ def test_single_eval_returns_start():
     x, f, used = minimize(sphere, x0, (-np.ones(2), np.ones(2)),
                           SearchBudget(max_evals=1, seed=0))
     assert np.array_equal(x, x0)
-    assert f == sphere(x0)
+    assert f == sphere(x0[None])[0]
     assert used == 1
 
 
@@ -57,26 +73,28 @@ def test_deterministic_given_seed():
 
 
 def test_monotone_incumbent():
-    history = []
+    chunks = []
 
-    def tracked(x):
-        f = sphere(x)
-        history.append(f)
+    def tracked(X):
+        f = sphere(X)
+        chunks.append(f)
         return f
 
     x0 = np.full(5, 0.8)
-    _, f, _ = minimize(tracked, x0, (-np.ones(5), np.ones(5)),
-                       SearchBudget(max_evals=300, seed=3))
-    assert f <= history[0]
-    assert f == min(history)
+    _, f, used = minimize(tracked, x0, (-np.ones(5), np.ones(5)),
+                          SearchBudget(max_evals=300, seed=3))
+    charged, best, _ = _replay(chunks)
+    assert f <= chunks[0][0]
+    assert used == len(charged) == 300
+    assert f == best == min(charged)
 
 
 def test_all_trials_stay_in_box():
     seen = []
 
-    def tracked(x):
-        seen.append(x.copy())
-        return sphere(x - 2.0)     # optimum outside the box
+    def tracked(X):
+        seen.extend(X.copy())
+        return sphere(X - 2.0)     # optimum outside the box
 
     lo, hi = -np.ones(3), np.ones(3)
     x, _, _ = minimize(tracked, np.zeros(3), (lo, hi),
@@ -94,12 +112,12 @@ def test_never_worse_than_start(seed):
     d = int(rng.integers(1, 8))
     x0 = rng.uniform(-1, 1, d)
 
-    def bumpy(x):
-        return float(np.sum(x ** 2) + 0.3 * np.sum(np.sin(5 * x)))
+    def bumpy(X):
+        return np.sum(X ** 2, axis=1) + 0.3 * np.sum(np.sin(5 * X), axis=1)
 
     _, f, used = minimize(bumpy, x0, (-np.ones(d), np.ones(d)),
                           SearchBudget(max_evals=200, seed=seed))
-    assert f <= bumpy(x0)
+    assert f <= bumpy(x0[None])[0]
     assert used <= 200
 
 
@@ -108,8 +126,9 @@ def test_never_worse_than_start(seed):
 
 
 def _reference_search(objective, x0, lo, hi, budget):
-    """The single-start poll loop written out plainly, as the reference
-    every lockstep row is checked against."""
+    """The poll loop written out plainly, one scalar evaluation per trial:
+    the reference every chunked single-start search and every lockstep
+    row is checked against."""
     d = x0.size
     scale = hi - lo
     rng = np.random.default_rng(budget.seed)
@@ -186,7 +205,7 @@ def test_single_start_is_the_one_row_view():
     lo, hi = -np.ones(d), np.ones(d)
     stack, row = _bumpy_bowls(centres)
     budget = SearchBudget(max_evals=300, seed=21)
-    x, f, evals = minimize(row(0), x0, (lo, hi), budget)
+    x, f, evals = minimize(stack, x0, (lo, hi), budget)
     ref = _reference_search(row(0), x0, lo, hi, budget)
     assert np.array_equal(x, ref[0]) and f == ref[1] and evals == ref[2]
     assert type(f) is float and type(evals) is int
@@ -204,3 +223,87 @@ def test_lockstep_shape_checks():
                  [SearchBudget(5, 0), SearchBudget(5, 1)])
     with pytest.raises(ValueError):
         minimize(sphere, np.zeros((2, 2, 2)), box, SearchBudget(5, 0))
+    with pytest.raises(ValueError):
+        minimize(lambda X: np.zeros(2), np.zeros(3), box, SearchBudget(5, 0))
+
+
+# ---------------------------------------------------------------------------
+# chunked single-start poll
+
+
+def _logged(scalar):
+    """Batch objective evaluating ``scalar`` row by row, so its values are
+    those the reference sees; records the chunks of values it returns."""
+    chunks = []
+
+    def batch(X):
+        f = np.array([scalar(x) for x in X])
+        chunks.append(f)
+        return f
+    return batch, chunks
+
+
+def _bumpy(centre):
+    return lambda x: float(np.sum((x - centre) ** 2)
+                           + 0.3 * np.sum(np.sin(5 * x)))
+
+
+def _check_against_reference(scalar, x0, lo, hi, budget):
+    batch, chunks = _logged(scalar)
+    x, f, evals = minimize(batch, x0, (lo, hi), budget)
+    ref = _reference_search(scalar, x0, lo, hi, budget)
+    assert np.array_equal(x, ref[0]) and f == ref[1] and evals == ref[2]
+    assert type(f) is float and type(evals) is int
+    charged, best, stops = _replay(chunks)
+    assert len(charged) == evals and best == f
+    # no chunk is longer than the budget left, nor than a poll
+    for k in range(1, len(chunks)):
+        assert len(chunks[k]) <= min(budget.max_evals - sum(stops[:k]),
+                                     2 * x0.size)
+    return chunks
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 9),
+       st.integers(1, 400), st.sampled_from([1e-9, 1e-3, 0.05]))
+def test_chunked_search_equals_reference(seed, d, max_evals, min_mesh):
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-1, 1, d)
+    lo, hi = -np.ones(d), np.ones(d)
+    _check_against_reference(_bumpy(rng.uniform(-1, 1, d)), x0, lo, hi,
+                             SearchBudget(max_evals, seed, min_mesh=min_mesh))
+
+
+def test_chunked_search_mid_chunk_success_and_budget_end():
+    rng = np.random.default_rng(31)
+    d = 8
+    x0 = rng.uniform(-1, 1, d)
+    budget = SearchBudget(max_evals=157, seed=4)
+    chunks = _check_against_reference(_bumpy(rng.uniform(-1, 1, d)), x0,
+                                      -np.ones(d), np.ones(d), budget)
+    charged, _, stops = _replay(chunks)
+    # some chunk was cut by a success before its last trial, whose value
+    # was discarded
+    assert any(stop < len(f) for f, stop in zip(chunks, stops))
+    assert len(charged) == 157
+
+
+def test_chunk_sizes_double_within_a_poll():
+    """A flat objective never improves, so every poll runs all 2d trials:
+    chunks of 1, 2, 4, ... cut by the poll's end and by the budget."""
+    def flat(x):
+        return 1.0
+
+    box = (-np.ones(3), np.ones(3))
+    for budget, sizes in (
+            (SearchBudget(30, 0), [1] + [1, 2, 3] * 4 + [1, 2, 2]),
+            (SearchBudget(1, 0), [1]),
+            (SearchBudget(2, 0), [1, 1]),
+            # the mesh falls below min_mesh after three polls
+            (SearchBudget(100, 0, min_mesh=0.05), [1] + [1, 2, 3] * 3)):
+        chunks = _check_against_reference(flat, np.zeros(3), *box, budget)
+        assert [len(f) for f in chunks] == sizes
+    # a poll of 800 trials against a budget of 500: ten objective calls
+    chunks = _check_against_reference(flat, np.zeros(400), np.zeros(400),
+                                      np.ones(400), SearchBudget(500, 1))
+    assert [len(f) for f in chunks] == [1, 1, 2, 4, 8, 16, 32, 64, 128, 244]

@@ -1,4 +1,5 @@
 """Tests for the exact dynamics, hand-traced oracles and invariants."""
+import dataclasses
 import math
 
 import numpy as np
@@ -260,6 +261,89 @@ def test_strategy_shape_checked(engine, shape):
            "evaluate": lambda: ev.evaluate_strategy(strat, noises, cfg)}
     with pytest.raises(sm.DimensionError):
         run[engine]()
+
+
+# ---------------------------------------------------------------------------
+# stacked candidates
+
+
+def _assert_stack_equals_own_runs(U, noises, cfg, record_states):
+    stats = sm.simulate_batch(U, noises, cfg, record_states=record_states)
+    values = ev.saa_objective(U, noises, cfg)
+    assert values.shape == (len(U),)
+    for k in range(len(U)):
+        own = sm.simulate_batch(sm.Strategy(U[k]), noises, cfg,
+                                record_states=record_states)
+        for name in sm.BatchStats.__dataclass_fields__:
+            mine = getattr(own, name)
+            if mine is None:
+                assert getattr(stats, name) is None, name
+            else:
+                assert np.array_equal(getattr(stats, name)[k], mine), \
+                    (name, k)
+        assert values[k] == ev.saa_objective(sm.Strategy(U[k]), noises, cfg)
+    return stats
+
+
+def _candidates(rng, K, n, T):
+    """Fractional controls with PMs at every third step; candidate 0 is
+    the do-nothing schedule."""
+    U = rng.random((K, n, T))
+    U[:, :, ::3] = 1.0
+    U[0] = 0.0
+    return U
+
+
+def test_stack_equals_each_candidate_run():
+    # K·Q = 1110 columns: three stack blocks, the first two boundaries
+    # inside candidates 13 and 27
+    cfg = make_cfg(n=4, T=10, s_init=1, D=2, weibull_scale=4.0)
+    rng = np.random.default_rng(41)
+    K, Q = 30, 37
+    assert sm.STACK_BLOCK % Q and K * Q > 2 * sm.STACK_BLOCK
+    stats = _assert_stack_equals_own_runs(_candidates(rng, K, 4, 10),
+                                          rng.random((Q, 4, 10)), cfg, True)
+    assert stats.total_cost.shape == (K, Q)
+    assert stats.regimes.shape == (K, 11, 4, Q)
+    assert stats.failure_count.sum() > 0 and stats.fo_steps.sum() > 0
+
+
+@pytest.mark.parametrize("shape", [2.0, 3.0])
+def test_stack_of_two_over_more_than_one_block_of_scenarios(shape):
+    # each candidate alone spans two Strategy blocks; shape 2.0 checks that
+    # the power of the failure law does not depend on the block layout
+    cfg = dataclasses.replace(small_system_config(), weibull_shape=shape,
+                              weibull_scale=8.0)
+    rng = np.random.default_rng(42)
+    noises = ev.generate_scenarios(cfg.n, cfg.T, sm.BLOCK + 52, seed=5)
+    _assert_stack_equals_own_runs(_candidates(rng, 2, cfg.n, cfg.T), noises,
+                                  cfg, False)
+
+
+def test_stack_of_one_and_case1_fleet():
+    cfg = case1_config()
+    rng = np.random.default_rng(43)
+    noises = rng.random((9, cfg.n, cfg.T))
+    _assert_stack_equals_own_runs(_candidates(rng, 1, cfg.n, cfg.T), noises,
+                                  cfg, True)
+    _assert_stack_equals_own_runs(_candidates(rng, 3, cfg.n, cfg.T), noises,
+                                  cfg, False)
+
+
+def test_malformed_stack_rejected():
+    cfg = small_system_config()
+    noises = np.random.default_rng(0).random((4, cfg.n, cfg.T))
+    for shape in [(cfg.n, cfg.T), (2, 1, cfg.T), (2, cfg.n, cfg.T + 1),
+                  (1, 2, cfg.n, cfg.T)]:
+        with pytest.raises(sm.DimensionError):
+            sm.simulate_batch(np.zeros(shape), noises, cfg)
+    for bad in (-0.1, 1.5, np.nan):
+        U = np.zeros((3, cfg.n, cfg.T))
+        U[1, 2, 3] = bad
+        with pytest.raises(ValueError):
+            sm.simulate_batch(U, noises, cfg)
+        with pytest.raises(ValueError):
+            ev.saa_objective(U, noises, cfg)
 
 
 @settings(max_examples=25, deadline=None)
