@@ -22,8 +22,9 @@ fixed scenarios.
 The fixed-point driver implements the mixed parallel/sequential strategy:
 all component subproblems of an iteration are solved against the OLD bars,
 so they are independent and run in lockstep: one row-wise direct search
-whose every round steps all n trial trajectories with one fleet-wide
-relaxed step call per time step, and one fleet-wide multiplier recursion.
+whose every round steps a chunk of candidate controls per component, all
+on one stack of scenario columns with one fleet-wide relaxed step call per
+time step, and one fleet-wide multiplier recursion.
 Then the stock subproblem and its multiplier run on the freshly installed
 component solutions.
 
@@ -239,26 +240,35 @@ def component_trajectories(U, it: Iterate, noises, cfg: SystemConfig,
 
     Row i of the (n, T) controls ``U`` drives component i, which sees the
     bar stock and its bar broken-below count; rows never mix.  One fleet
-    step call per time step; returns states (n, T+1, D+2, Q).
+    step call per time step; returns states (n, T+1, D+2, Q).  An (n, K, T)
+    stack of K candidate controls per component is stepped together on
+    K*Q scenario columns, candidate-major, and gives states
+    (n, K, T+1, D+2, Q), each candidate's those of its own call.
     """
     T, D = cfg.T, cfg.D
-    if np.shape(U) != (cfg.n, T):
-        raise DimensionError(f"controls must have shape {(cfg.n, T)}, "
-                             f"got {np.shape(U)}")
-    Q = noises.shape[0]
-    X = np.empty((cfg.n, T + 1, D + 2, Q))
-    E = np.ones((cfg.n, Q))
-    A = np.zeros((cfg.n, Q))
-    P = np.full((D, cfg.n, Q), cfg.delta_default)
+    U = np.asarray(U, dtype=float)
+    stacked = U.ndim == 3
+    if (U.ndim not in (2, 3) or U.shape[0] != cfg.n or U.shape[-1] != T
+            or U.size == 0):
+        raise DimensionError(f"controls must have shape {(cfg.n, T)} or "
+                             f"{(cfg.n, 'K', T)}, got {U.shape}")
+    Uc = U.transpose(1, 0, 2) if stacked else U[None]   # (K, n, T)
+    K, Q = len(Uc), noises.shape[0]
+    # candidate k's states are the contiguous block X[k]
+    X = np.empty((K, cfg.n, T + 1, D + 2, Q))
+    E = np.ones((K, cfg.n, Q))
+    A = np.zeros((K, cfg.n, Q))
+    P = np.full((D, K, cfg.n, Q), cfg.delta_default)
     ind = rx._ramps(it.alpha, probe)
     shape, scale = cfg.weibull_shape[:, None], cfg.weibull_scale[:, None]
     for t in range(T + 1):
-        X[:, t, 0], X[:, t, 1], X[:, t, 2:] = E, A, P.transpose(1, 0, 2)
+        X[:, :, t, 0], X[:, :, t, 1] = E, A
+        X[:, :, t, 2:] = P.transpose(1, 2, 0, 3)
         if t < T:
             E, A, P = sm.component_step_core(
-                E, A, P, it.S[t], cache.bprev[:, t], U[:, t, None],
+                E, A, P, it.S[t], cache.bprev[:, t], Uc[:, :, t, None],
                 noises[:, :, t].T, shape, scale, cfg, ind)
-    return X
+    return X.transpose(1, 0, 2, 3, 4) if stacked else X[0]
 
 
 def component_subproblem_objective(U, it: Iterate, noises, cfg: SystemConfig,
@@ -266,12 +276,24 @@ def component_subproblem_objective(U, it: Iterate, noises, cfg: SystemConfig,
                                    ) -> np.ndarray:
     """Auxiliary objective of every component i at candidate controls U[i].
 
-    ``U`` has shape (n, T); returns the n values.  Every row is reduced on
-    its own, so each value is the one a single-component evaluation gives.
+    ``U`` has shape (n, T) and gives the n values, or (n, K, T) and gives
+    (n, K).  Every row and every candidate is reduced on its own, on its
+    own Q scenario columns, so each value is the one a single-component,
+    single-candidate evaluation gives.
     """
     if cache is None:
         cache = build_iteration_cache(it, noises, cfg)
     X = component_trajectories(U, it, noises, cfg, cache)
+    U = np.asarray(U, dtype=float)
+    if U.ndim == 2:
+        return _subproblem_values(U, X, it, cfg, cache)
+    return np.stack([_subproblem_values(U[:, k], X[:, k], it, cfg, cache)
+                     for k in range(U.shape[1])], axis=1)
+
+
+def _subproblem_values(U, X, it: Iterate, cfg: SystemConfig,
+                       cache: IterationCache) -> np.ndarray:
+    """The n objective values of controls (n, T) with states X."""
     T = cfg.T
     beta = cfg.discount(np.arange(T + 1))
     alpha = it.alpha
@@ -281,7 +303,8 @@ def component_subproblem_objective(U, it: Iterate, noises, cfg: SystemConfig,
         i0E * rx._ind_singleton(0.0, A, alpha))
     sigma = cache.sigma_others + i0E * rx._ind_strict_pos(A, alpha)
     fo = beta[:, None] * cfg.C_F * np.minimum(1.0, sigma)
-    prox = 0.5 * it.gamma_x * np.sum((X - it.X) ** 2, axis=(1, 2))
+    dev = X - it.X
+    prox = 0.5 * it.gamma_x * np.sum(np.square(dev, out=dev), axis=(1, 2))
     coupling = np.einsum("itcq,itcq->iq", cache.coord, X[:, :T])
     per_scenario = np.sum(own_cm + fo, axis=1) + prox + coupling
     pm = np.sum(beta[:T] * cfg.C_P[:, None] * U ** 2, axis=1)
@@ -289,21 +312,31 @@ def component_subproblem_objective(U, it: Iterate, noises, cfg: SystemConfig,
     return pm + prox_u + np.mean(per_scenario, axis=1)
 
 
+#: scenario columns one lockstep round steps, summed over the rows: each
+#: row's chunk is capped at max(1, LOCKSTEP_COLUMNS // (n Q)) candidates.
+#: That is ten on the 10-component system with 20 scenarios, where a round
+#: of one candidate per row is dispatch-bound (see ``dsearch``), and one on
+#: the 80-component fleet with 50 scenarios or more.
+LOCKSTEP_COLUMNS = sm.BLOCK
+
+
 def solve_component_subproblems(it: Iterate, noises, cfg: SystemConfig,
                                 budgets, cache: IterationCache | None = None):
     """Minimize every component's auxiliary objective over its controls.
 
     One row-wise lockstep search, row i warm-started at the bar controls of
-    component i with ``budgets[i]``.  Returns (X, U, best values (n,),
-    evaluations used over all rows); the trajectories satisfy the
-    frozen-surroundings relaxed dynamics by construction.
+    component i with ``budgets[i]``; each round steps a chunk of up to
+    max(1, LOCKSTEP_COLUMNS // (n Q)) candidates per row.  Returns (X, U,
+    best values (n,), evaluations used over all rows); the trajectories
+    satisfy the frozen-surroundings relaxed dynamics by construction.
     """
     if cache is None:
         cache = build_iteration_cache(it, noises, cfg)
     lo, hi = np.zeros(cfg.T), np.ones(cfg.T)
     U, best, evals = minimize(
         lambda U: component_subproblem_objective(U, it, noises, cfg, cache),
-        it.u.copy(), (lo, hi), budgets)
+        it.u.copy(), (lo, hi), budgets,
+        max_chunk=max(1, LOCKSTEP_COLUMNS // (cfg.n * noises.shape[0])))
     X = component_trajectories(U, it, noises, cfg, cache)
     return X, U, best, evals
 

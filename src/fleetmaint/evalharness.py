@@ -29,17 +29,26 @@ QUANTILE_LEVELS = (1, 5, 25, 50, 75, 95, 99)
 def generate_scenarios(n: int, T: int, count: int, seed: int) -> np.ndarray:
     """Uniform [0, 1) noise panels, shape (count, n, T).
 
-    Each scenario comes from its own Philox stream keyed by (seed, index)
-    and filled in component-major order, so scenario q does not depend on
-    ``count`` and distinct seeds never share a stream.
+    Scenario q is the stream of ``Philox(key=(seed << 64) + q)``, filled in
+    component-major order, so it does not depend on ``count`` and distinct
+    seeds in [0, 2**64) never share a stream.  One generator is rewound to
+    each scenario's key, which is much cheaper than building one per
+    scenario.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    seed = int(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     out = np.empty((count, n, T))
-    base = int(seed) << 64
+    bits = np.random.Philox(key=seed << 64)
+    gen = np.random.Generator(bits)
+    state = bits.state        # counter 0, key [0, seed], buffer empty
+    key = state["state"]["key"]
     for q in range(count):
-        bits = np.random.Philox(key=base + q)
-        out[q] = np.random.Generator(bits).random((n, T))
+        key[0] = q
+        bits.state = state
+        gen.random((n, T), out=out[q])
     return out
 
 

@@ -146,6 +146,63 @@ def test_subproblem_trajectories_at_bar_equal_relaxed_batch():
         == ad.component_subproblem_objective(it.u, it, noises, cfg, cache)[0]
 
 
+def _stacked_case(cfg, Q, K, seed):
+    """An iterate with fractional bars and nonzero multipliers, and an
+    (n, K, T) stack of candidates: the bar controls, controls straddling
+    the renewal threshold and uniform ones."""
+    rng = np.random.default_rng(seed)
+    noises = rng.random((Q, cfg.n, cfg.T))
+    it = make_iterate(cfg, noises, make_params(alpha0=2.0))
+    it.u = rng.random((cfg.n, cfg.T))
+    it.X, it.S = ad._relaxed_system_arrays(sm.Strategy(it.u), noises,
+                                           it.alpha, cfg)
+    it.Lam = rng.standard_normal(it.X.shape)
+    it.LamS = rng.standard_normal(it.S.shape)
+    U = rng.random((cfg.n, K, cfg.T))
+    U[:, 0] = it.u
+    U[:, 1] = np.clip(cfg.nu + rng.uniform(-0.3, 0.3, (cfg.n, cfg.T)), 0, 1)
+    return noises, it, ad.build_iteration_cache(it, noises, cfg), U
+
+
+@pytest.mark.parametrize("case", ["small", "shape2", "fleet80"])
+def test_stacked_candidates_equal_separate_calls(case):
+    from fleetmaint.config import case1_config, small_system_config
+    if case == "small":
+        cfg, Q, K = small_system_config(), 20, 10
+    elif case == "shape2":
+        # Weibull shapes of exactly 2.0, where numpy's power may take a
+        # squaring path
+        cfg, Q, K = make_cfg(n=5, T=8, weibull_shape=[2.0, 3.0, 2.0, 1.5,
+                                                      2.0],
+                             weibull_scale=[4.0, 5.0, 6.0, 7.0, 8.0]), 30, 7
+    else:
+        cfg, Q, K = case1_config(), 4, 3
+    noises, it, cache, U = _stacked_case(cfg, Q, K, seed=len(case))
+    X = ad.component_trajectories(U, it, noises, cfg, cache)
+    F = ad.component_subproblem_objective(U, it, noises, cfg, cache)
+    assert X.shape == (cfg.n, K, cfg.T + 1, cfg.D + 2, Q)
+    assert F.shape == (cfg.n, K)
+    for k in range(K):
+        Xk = ad.component_trajectories(U[:, k], it, noises, cfg, cache)
+        assert np.array_equal(X[:, k], Xk), k
+        fk = ad.component_subproblem_objective(U[:, k], it, noises, cfg,
+                                               cache)
+        assert np.array_equal(F[:, k], fk), k
+    # a stack of one is the single call
+    assert np.array_equal(ad.component_subproblem_objective(
+        U[:, :1], it, noises, cfg, cache)[:, 0], F[:, 0])
+
+
+def test_stacked_objective_dimension_check():
+    cfg = make_cfg()
+    noises = np.ones((2, 2, 3))
+    it = make_iterate(cfg, noises)
+    for shape in ((2, 0, 3), (3, 2, 3), (2, 2, 4), (2, 1, 1, 3)):
+        with pytest.raises(sm.DimensionError):
+            ad.component_subproblem_objective(np.zeros(shape), it, noises,
+                                              cfg)
+
+
 # ---------------------------------------------------------------------------
 # subproblem solvers
 
@@ -179,6 +236,30 @@ def test_subproblem_never_worse_than_warm_start():
         it, noises, cfg, [SearchBudget(max_evals=120, seed=i) for i in range(2)],
         cache)
     assert np.all(best <= ref + 1e-12)
+
+
+def test_subproblem_solution_independent_of_round_size(monkeypatch):
+    """Rounds of one candidate per row (a column budget below n Q), of
+    up to 3 and of whole polls give the same solutions and charges."""
+    cfg = make_cfg(n=3, T=5)
+    rng = np.random.default_rng(14)
+    noises = rng.random((6, 3, 5))
+    it = make_iterate(cfg, noises)
+    it.u = rng.random((3, 5)) * 0.5
+    it.X, it.S = ad._relaxed_system_arrays(sm.Strategy(it.u), noises,
+                                           it.alpha, cfg)
+    cache = ad.build_iteration_cache(it, noises, cfg)
+    ref = ad.component_subproblem_objective(it.u, it, noises, cfg, cache)
+    outs = []
+    for columns in (1, 3 * 18, 10 ** 6):
+        monkeypatch.setattr(ad, "LOCKSTEP_COLUMNS", columns)
+        outs.append(ad.solve_component_subproblems(
+            it, noises, cfg, [SearchBudget(max_evals=90, seed=i)
+                              for i in range(3)], cache))
+    for out in outs[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(out[:3], outs[0]))
+        assert out[3] == outs[0][3] == 270
+    assert np.all(outs[0][2] < ref)
 
 
 def test_stock_subproblem_all_healthy():

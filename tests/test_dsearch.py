@@ -153,16 +153,31 @@ def _reference_search(objective, x0, lo, hi, budget):
 
 
 def _bumpy_bowls(centres):
-    """Row r of a stack is scored against centres[r]; each row is reduced
-    on its own, so it gets the value of the single-row function."""
+    """Row r of a lockstep stack (m, K, d) is scored against centres[r]
+    (a single start's (K, d) trials against centres[0]); each trial is
+    reduced on its own, so it gets the value of the single-row function."""
     def stack(X):
-        return (np.sum((X - centres) ** 2, axis=1)
-                + 0.3 * np.sum(np.sin(5 * X), axis=1))
+        c = centres[:, None] if X.ndim == 3 else centres[0]
+        return (np.sum((X - c) ** 2, axis=-1)
+                + 0.3 * np.sum(np.sin(5 * X), axis=-1))
 
     def row(r):
         return lambda x: float(np.sum((x - centres[r]) ** 2)
                                + 0.3 * np.sum(np.sin(5 * x)))
     return stack, row
+
+
+def _logged(scalar):
+    """Batch objective evaluating ``scalar`` trial by trial, so its values
+    are those the reference sees; records the chunks of trials it is
+    handed and the values it returns."""
+    trials, values = [], []
+
+    def batch(X):
+        trials.append(X.copy())
+        values.append(np.array([scalar(x) for x in X]))
+        return values[-1]
+    return batch, trials, values
 
 
 def test_lockstep_rows_equal_separate_searches():
@@ -176,25 +191,50 @@ def test_lockstep_rows_equal_separate_searches():
     budgets = [SearchBudget(7, 1), SearchBudget(40, 2), SearchBudget(150, 3),
                SearchBudget(1, 4), SearchBudget(500, 5, min_mesh=0.05)]
     stack, row = _bumpy_bowls(centres)
-    seen = []
+    for cap in (1, 3, 10):
+        rounds = []
 
-    def tracked(X):
-        seen.append(X.copy())
-        return stack(X)
+        def tracked(X):
+            rounds.append(X.copy())
+            return stack(X)
 
-    X, F, total = minimize(tracked, x0, (lo, hi), budgets)
-    used = []
-    for r, budget in enumerate(budgets):
-        x, f, evals = _reference_search(row(r), x0[r], lo, hi, budget)
-        assert np.array_equal(X[r], x) and F[r] == f, r
-        used.append(evals)
-    assert used[:4] == [7, 40, 150, 1] and used[4] < 500
-    assert total == sum(used) and type(total) is int
-    assert len(seen) == max(used)
-    # a row that has stopped is handed its final incumbent
-    for r in range(5):
-        assert all(np.array_equal(trials[r], X[r])
-                   for trials in seen[used[r]:])
+        X, F, total = minimize(tracked, x0, (lo, hi), budgets, max_chunk=cap)
+        assert all(R.shape[::2] == (5, d) and R.shape[1] <= cap
+                   for R in rounds)
+        used, own, padded, cut = [], [], False, False
+        for r, budget in enumerate(budgets):
+            x, f, evals = _reference_search(row(r), x0[r], lo, hi, budget)
+            assert np.array_equal(X[r], x) and F[r] == f, (cap, r)
+            used.append(evals)
+            # the row is handed the chunks of its own capped search, padded
+            # with copies of the last trial, then its final incumbent
+            batch, chunks, values = _logged(row(r))
+            assert minimize(batch, x0[r], (lo, hi), budget,
+                            max_chunk=cap)[2] == evals
+            for j, R in enumerate(rounds):
+                if j < len(chunks):
+                    c = len(chunks[j])
+                    assert np.array_equal(R[r, :c], chunks[j]), (cap, r, j)
+                    assert np.all(R[r, c:] == chunks[j][-1])
+                    padded |= c < R.shape[1]
+                else:
+                    assert np.all(R[r] == X[r]), (cap, r, j)
+            own.append([len(c) for c in chunks])
+            _, _, stops = _replay(values)
+            cut |= any(stop < len(f) for f, stop in zip(values, stops))
+        assert used[:4] == [7, 40, 150, 1] and used[4] < 500
+        assert total == sum(used) and type(total) is int
+        # a round is as wide as the longest chunk of a live row
+        assert len(rounds) == max(map(len, own))
+        assert [R.shape[1] for R in rounds] == [
+            max(sizes[j] for sizes in own if j < len(sizes))
+            for j in range(len(rounds))]
+        if cap == 1:
+            assert all(R.shape[1] == 1 for R in rounds)
+        else:
+            # a shorter chunk was padded, and a success cut a chunk
+            # before its last trial
+            assert padded and cut
 
 
 def test_single_start_is_the_one_row_view():
@@ -225,22 +265,16 @@ def test_lockstep_shape_checks():
         minimize(sphere, np.zeros((2, 2, 2)), box, SearchBudget(5, 0))
     with pytest.raises(ValueError):
         minimize(lambda X: np.zeros(2), np.zeros(3), box, SearchBudget(5, 0))
+    # a lockstep objective returns one value per row and trial
+    with pytest.raises(ValueError):
+        minimize(lambda X: np.zeros(len(X)), x0, box,
+                 [SearchBudget(5, 0), SearchBudget(5, 1)])
+    with pytest.raises(ValueError):
+        minimize(sphere, np.zeros(3), box, SearchBudget(5, 0), max_chunk=0)
 
 
 # ---------------------------------------------------------------------------
 # chunked single-start poll
-
-
-def _logged(scalar):
-    """Batch objective evaluating ``scalar`` row by row, so its values are
-    those the reference sees; records the chunks of values it returns."""
-    chunks = []
-
-    def batch(X):
-        f = np.array([scalar(x) for x in X])
-        chunks.append(f)
-        return f
-    return batch, chunks
 
 
 def _bumpy(centre):
@@ -248,30 +282,33 @@ def _bumpy(centre):
                            + 0.3 * np.sum(np.sin(5 * x)))
 
 
-def _check_against_reference(scalar, x0, lo, hi, budget):
-    batch, chunks = _logged(scalar)
-    x, f, evals = minimize(batch, x0, (lo, hi), budget)
+def _check_against_reference(scalar, x0, lo, hi, budget, max_chunk=None):
+    batch, _, chunks = _logged(scalar)
+    x, f, evals = minimize(batch, x0, (lo, hi), budget, max_chunk=max_chunk)
     ref = _reference_search(scalar, x0, lo, hi, budget)
     assert np.array_equal(x, ref[0]) and f == ref[1] and evals == ref[2]
     assert type(f) is float and type(evals) is int
     charged, best, stops = _replay(chunks)
     assert len(charged) == evals and best == f
-    # no chunk is longer than the budget left, nor than a poll
+    # no chunk is longer than the budget left, nor than a poll or the cap
     for k in range(1, len(chunks)):
         assert len(chunks[k]) <= min(budget.max_evals - sum(stops[:k]),
-                                     2 * x0.size)
+                                     2 * x0.size, max_chunk or np.inf)
     return chunks
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 9),
-       st.integers(1, 400), st.sampled_from([1e-9, 1e-3, 0.05]))
-def test_chunked_search_equals_reference(seed, d, max_evals, min_mesh):
+       st.integers(1, 400), st.sampled_from([1e-9, 1e-3, 0.05]),
+       st.sampled_from([None, 1, 3, 10]))
+def test_chunked_search_equals_reference(seed, d, max_evals, min_mesh,
+                                         max_chunk):
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(-1, 1, d)
     lo, hi = -np.ones(d), np.ones(d)
     _check_against_reference(_bumpy(rng.uniform(-1, 1, d)), x0, lo, hi,
-                             SearchBudget(max_evals, seed, min_mesh=min_mesh))
+                             SearchBudget(max_evals, seed, min_mesh=min_mesh),
+                             max_chunk)
 
 
 def test_chunked_search_mid_chunk_success_and_budget_end():
@@ -307,3 +344,10 @@ def test_chunk_sizes_double_within_a_poll():
     chunks = _check_against_reference(flat, np.zeros(400), np.zeros(400),
                                       np.ones(400), SearchBudget(500, 1))
     assert [len(f) for f in chunks] == [1, 1, 2, 4, 8, 16, 32, 64, 128, 244]
+    # a cap stops the doubling, and a cap of one polls trial by trial
+    for cap, sizes in ((3, [1] + [1, 2, 3] * 4 + [1, 2, 2]),
+                       (2, [1] + [1, 2, 2, 1] * 4 + [1, 2, 2]),
+                       (1, [1] * 30)):
+        chunks = _check_against_reference(flat, np.zeros(3), *box,
+                                          SearchBudget(30, 0), cap)
+        assert [len(f) for f in chunks] == sizes

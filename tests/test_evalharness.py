@@ -46,6 +46,22 @@ def test_scenarios_count_validation():
         ev.generate_scenarios(2, 3, 0, seed=1)
 
 
+@pytest.mark.parametrize("seed", [0, 42, 2 ** 63])
+def test_scenarios_are_the_keyed_philox_streams(seed):
+    """Scenario q is Generator(Philox(key=(seed << 64) + q)).random((n, T)),
+    also past the first few thousand scenarios."""
+    s = ev.generate_scenarios(3, 5, 2100, seed)
+    for q in (0, 1, 2, 1023, 2048, 2049, 2099):
+        ref = np.random.Generator(np.random.Philox(key=(seed << 64) + q))
+        assert np.array_equal(s[q], ref.random((3, 5))), q
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_scenarios_seed_range(seed):
+    with pytest.raises(ValueError):
+        ev.generate_scenarios(2, 3, 4, seed)
+
+
 # ---------------------------------------------------------------------------
 # SAA objective
 
