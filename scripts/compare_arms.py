@@ -9,14 +9,10 @@ import argparse
 import time
 from pathlib import Path
 
-import numpy as np
-
 from fleetmaint import appdecomp as ad
 from fleetmaint import cli
 from fleetmaint import evalharness as ev
 from fleetmaint.config import load_config, small_system_config
-from fleetmaint.dsearch import SearchBudget, minimize
-from fleetmaint.sysmodel import Strategy
 
 
 def main():
@@ -48,17 +44,10 @@ def main():
     cli.save_strategy(app_strat, cfg, out / "app_strategy.csv")
 
     total_evals = args.iterations * cfg.n * args.budget
-
-    def objective(flat):
-        return ev.saa_objective(flat.reshape(-1, cfg.n, cfg.T), noises, cfg)
-
     tic = time.perf_counter()
-    x, f, used = minimize(objective, np.zeros(cfg.n * cfg.T),
-                          (np.zeros(cfg.n * cfg.T), np.ones(cfg.n * cfg.T)),
-                          SearchBudget(max_evals=total_evals,
-                                       seed=args.seed))
+    direct_strat, _, _ = cli.optimize_direct(cfg, noises, total_evals,
+                                             args.seed)
     direct_time = time.perf_counter() - tic
-    direct_strat = Strategy(x.reshape(cfg.n, cfg.T))
     cli.save_strategy(direct_strat, cfg, out / "direct_strategy.csv")
 
     rows = []

@@ -235,7 +235,7 @@ def build_iteration_cache(it: Iterate, noises, cfg: SystemConfig
 
 
 def component_trajectories(U, it: Iterate, noises, cfg: SystemConfig,
-                           cache: IterationCache, probe=None) -> np.ndarray:
+                           cache: IterationCache) -> np.ndarray:
     """Relaxed trajectories of all components against frozen surroundings.
 
     Row i of the (n, T) controls ``U`` drives component i, which sees the
@@ -259,7 +259,7 @@ def component_trajectories(U, it: Iterate, noises, cfg: SystemConfig,
     E = np.ones((K, cfg.n, Q))
     A = np.zeros((K, cfg.n, Q))
     P = np.full((D, K, cfg.n, Q), cfg.delta_default)
-    ind = rx._ramps(it.alpha, probe)
+    ind = rx._ramps(it.alpha)
     shape, scale = cfg.weibull_shape[:, None], cfg.weibull_scale[:, None]
     for t in range(T + 1):
         X[:, :, t, 0], X[:, :, t, 1] = E, A
@@ -272,8 +272,7 @@ def component_trajectories(U, it: Iterate, noises, cfg: SystemConfig,
 
 
 def component_subproblem_objective(U, it: Iterate, noises, cfg: SystemConfig,
-                                   cache: IterationCache | None = None
-                                   ) -> np.ndarray:
+                                   cache: IterationCache) -> np.ndarray:
     """Auxiliary objective of every component i at candidate controls U[i].
 
     ``U`` has shape (n, T) and gives the n values, or (n, K, T) and gives
@@ -281,8 +280,6 @@ def component_subproblem_objective(U, it: Iterate, noises, cfg: SystemConfig,
     own Q scenario columns, so each value is the one a single-component,
     single-candidate evaluation gives.
     """
-    if cache is None:
-        cache = build_iteration_cache(it, noises, cfg)
     X = component_trajectories(U, it, noises, cfg, cache)
     U = np.asarray(U, dtype=float)
     if U.ndim == 2:
@@ -321,7 +318,7 @@ LOCKSTEP_COLUMNS = sm.BLOCK
 
 
 def solve_component_subproblems(it: Iterate, noises, cfg: SystemConfig,
-                                budgets, cache: IterationCache | None = None):
+                                budgets, cache: IterationCache):
     """Minimize every component's auxiliary objective over its controls.
 
     One row-wise lockstep search, row i warm-started at the bar controls of
@@ -330,8 +327,6 @@ def solve_component_subproblems(it: Iterate, noises, cfg: SystemConfig,
     best values (n,), evaluations used over all rows); the trajectories
     satisfy the frozen-surroundings relaxed dynamics by construction.
     """
-    if cache is None:
-        cache = build_iteration_cache(it, noises, cfg)
     lo, hi = np.zeros(cfg.T), np.ones(cfg.T)
     U, best, evals = minimize(
         lambda U: component_subproblem_objective(U, it, noises, cfg, cache),
@@ -398,8 +393,7 @@ def _own_cost_gradient(X, sigma_others, alpha, cfg: SystemConfig
 
 
 def component_multiplier_backward(X, U, it: Iterate, noises,
-                                  cfg: SystemConfig,
-                                  cache: IterationCache | None = None
+                                  cfg: SystemConfig, cache: IterationCache
                                   ) -> np.ndarray:
     """Adjoint multipliers of every component's dynamics, per scenario.
 
@@ -410,8 +404,6 @@ def component_multiplier_backward(X, U, it: Iterate, noises,
     controls ``U``.  One fleet-wide partials call per time step; returns
     (n, T+1, D+2, Q).
     """
-    if cache is None:
-        cache = build_iteration_cache(it, noises, cfg)
     T = cfg.T
     g = _own_cost_gradient(X, cache.sigma_others, it.alpha, cfg)
     Lam = np.empty_like(X)
@@ -453,13 +445,10 @@ def stock_multiplier_backward(S_new, X_new, u_new, Lam_new, S_bar, noises,
 
 
 def component_stationarity_residual(X, U, Lam, it: Iterate, noises,
-                                    cfg: SystemConfig,
-                                    cache: IterationCache | None = None
+                                    cfg: SystemConfig, cache: IterationCache
                                     ) -> np.ndarray:
     """Per component, max abs value of the Lagrangian state gradient at
     (X, Lam), shape (n,)."""
-    if cache is None:
-        cache = build_iteration_cache(it, noises, cfg)
     T = cfg.T
     r = (_own_cost_gradient(X, cache.sigma_others, it.alpha, cfg)
          + it.gamma_x * (X - it.X) + Lam)
@@ -490,15 +479,13 @@ def stock_stationarity_residual(S_new, X_new, u_new, Lam_new, LamS, S_bar,
 
 
 def reduced_gradient(U, it: Iterate, noises, cfg: SystemConfig,
-                     cache: IterationCache | None = None) -> np.ndarray:
+                     cache: IterationCache) -> np.ndarray:
     """Gradient of each subproblem objective in U[i] via the adjoint state.
 
     Valid at any control point (not only at a minimizer): the adjoint
     recursion is run along the trajectories of ``U`` itself.  Returns
     (n, T).
     """
-    if cache is None:
-        cache = build_iteration_cache(it, noises, cfg)
     T = cfg.T
     X = component_trajectories(U, it, noises, cfg, cache)
     Lam = component_multiplier_backward(X, U, it, noises, cfg, cache)

@@ -174,7 +174,7 @@ def _tune_one(payload):
     idx, cfg, p, noises, val, seed = payload
     strat, _ = ad.app_fixed_point(cfg, p, noises, seed=seed)
     projected = ev.project_strategy(strat, cfg.nu)
-    cost = ev.saa_objective(projected, val, cfg, mode="exact")
+    cost = ev.saa_objective(projected, val, cfg)
     return idx, cost
 
 
@@ -256,22 +256,28 @@ def _run_optimize_app(manifest, cfg, out: Path):
     print(f"optimize-app: wrote {out / 'strategy.csv'}")
 
 
+def optimize_direct(cfg: SystemConfig, noises, budget: int, seed: int):
+    """The direct-search reference arm: one search over all n*T controls on
+    the exact sample-average objective over ``noises``, started at the
+    do-nothing schedule.  Returns (Strategy, best value, evaluations)."""
+
+    def objective(flat):
+        return ev.saa_objective(flat.reshape(-1, cfg.n, cfg.T), noises, cfg)
+
+    x0 = np.zeros(cfg.n * cfg.T)
+    x, f, evals = minimize(objective, x0, (np.zeros_like(x0),
+                                           np.ones_like(x0)),
+                           SearchBudget(max_evals=budget, seed=seed))
+    return Strategy(x.reshape(cfg.n, cfg.T)), f, evals
+
+
 def _run_optimize_direct(manifest, cfg, out: Path):
     noises = ev.generate_scenarios(cfg.n, cfg.T, manifest.scenarios,
                                    manifest.seed)
     budget = manifest.budget if manifest.budget is not None else 1000
     print(f"optimize-direct: exact dynamics, budget {budget}, "
           f"{manifest.scenarios} scenarios")
-
-    def objective(flat):
-        return ev.saa_objective(flat.reshape(-1, cfg.n, cfg.T), noises, cfg)
-
-    x0 = np.zeros(cfg.n * cfg.T)
-    lo, hi = np.zeros_like(x0), np.ones_like(x0)
-    x, f, evals = minimize(objective, x0, (lo, hi),
-                           SearchBudget(max_evals=budget,
-                                        seed=manifest.seed))
-    strat = Strategy(x.reshape(cfg.n, cfg.T))
+    strat, f, evals = optimize_direct(cfg, noises, budget, manifest.seed)
     save_strategy(strat, cfg, out / "strategy.csv")
     save_strategy(ev.project_strategy(strat, cfg.nu), cfg,
                   out / "strategy_projected.csv")
@@ -379,16 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    manifest = RunManifest(
-        mode=args.mode, config=args.config, seed=args.seed, out=args.out,
-        iterations=args.iterations, budget=args.budget,
-        scenarios=args.scenarios,
-        validation_scenarios=args.validation_scenarios,
-        params=args.params, strategy=args.strategy,
-        lhs_count=args.lhs_count, lhs_restarts=args.lhs_restarts,
-        threads=args.threads)
-    return run(manifest)
+    return run(RunManifest(**vars(build_parser().parse_args(argv))))
 
 
 if __name__ == "__main__":

@@ -43,7 +43,6 @@ class SystemConfig:
     dt: float = 1.0
     tau: float = 0.08
     nu: float = 0.9
-    Q: int = 100
     delta_default: float = -1.0
 
     def __post_init__(self):
@@ -74,8 +73,6 @@ class SystemConfig:
             raise ConfigError("costs must be nonnegative")
         if np.any(self.weibull_shape <= 0) or np.any(self.weibull_scale <= 0):
             raise ConfigError("Weibull parameters must be positive")
-        if self.Q < 1:
-            raise ConfigError("scenario count Q must be >= 1")
 
     def discount(self, t) -> np.ndarray | float:
         """Discount factor (1 + tau)^(-t)."""
@@ -112,7 +109,7 @@ def load_config(path: str | Path) -> SystemConfig:
         raise ConfigError("config is missing the 'components' block")
     raw = dict(raw)
     comps = _component_arrays(raw.pop("components"), int(raw.get("n", 0)))
-    allowed = {"n", "T", "D", "s_init", "C_F", "dt", "tau", "nu", "Q",
+    allowed = {"n", "T", "D", "s_init", "C_F", "dt", "tau", "nu",
                "delta_default"}
     unknown = set(raw) - allowed
     if unknown:
@@ -122,7 +119,7 @@ def load_config(path: str | Path) -> SystemConfig:
             n=int(raw["n"]), T=int(raw["T"]), D=int(raw["D"]),
             s_init=int(raw["s_init"]), C_F=float(raw["C_F"]),
             dt=float(raw.get("dt", 1.0)), tau=float(raw.get("tau", 0.08)),
-            nu=float(raw.get("nu", 0.9)), Q=int(raw.get("Q", 100)),
+            nu=float(raw.get("nu", 0.9)),
             delta_default=float(raw.get("delta_default", -1.0)),
             **comps,
         )
@@ -145,19 +142,19 @@ def save_config(cfg: SystemConfig, path: str | Path):
     doc = {
         "n": cfg.n, "T": cfg.T, "dt": cfg.dt, "D": cfg.D,
         "s_init": cfg.s_init, "tau": cfg.tau, "nu": cfg.nu,
-        "C_F": cfg.C_F, "Q": cfg.Q, "delta_default": cfg.delta_default,
+        "C_F": cfg.C_F, "delta_default": cfg.delta_default,
         "components": comps,
     }
     Path(path).write_text(yaml.safe_dump(doc, sort_keys=False))
 
 
-def case1_config(n: int = 80, s_init: int = 16, Q: int = 100) -> SystemConfig:
+def case1_config(n: int = 80, s_init: int = 16) -> SystemConfig:
     """Reference test-case parameters (short-lived components)."""
     return SystemConfig(n=n, T=40, D=2, s_init=s_init, C_F=10000.0,
                         C_P=50.0, C_C=200.0, weibull_shape=3.0,
-                        weibull_scale=10.0, Q=Q)
+                        weibull_scale=10.0)
 
 
-def small_system_config(Q: int = 100) -> SystemConfig:
+def small_system_config() -> SystemConfig:
     """Downscaled tuning system: 10 components, 2 spares."""
-    return case1_config(n=10, s_init=2, Q=Q)
+    return case1_config(n=10, s_init=2)

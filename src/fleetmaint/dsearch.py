@@ -27,10 +27,11 @@ as an (m, K, d) stack, and gets (m, K) values back.  Every row keeps its
 own generator, basis, poll order, mesh, incumbent, budget and chunk size:
 it is the single-start search, suspended while the other rows' trials are
 evaluated, so its draws, iterates and charges are exactly those of a
-separate call.  A row's chunks double 1, 2, 4, ... within a poll up to the
-caller's cap; K is the longest chunk among the live rows, a shorter chunk
-is padded with copies of its last trial and a row that has stopped with
-its incumbent, and padded values are discarded and not charged.  The cap
+separate call; a single start runs as the lockstep of one row.  A row's
+chunks double 1, 2, 4, ... within a poll up to the caller's cap; K is the
+longest chunk among the live rows, a shorter chunk is padded with copies
+of its last trial and a row that has stopped with its incumbent, and
+padded values are discarded and not charged.  The cap
 lets the caller size a round by the work per trial.  The decomposition's
 component subproblems (``appdecomp``) are dispatch-bound on the
 10-component system with 20 scenarios: a round with K trials per row
@@ -86,15 +87,10 @@ def minimize(objective, x0, bounds, budget, max_chunk=None):
     if x0.ndim != 1:
         raise ValueError(f"start must have shape (d,) or (m, d), "
                          f"got {x0.shape}")
-    lo, hi = _box(bounds, x0.shape)
-    search = _search(x0, lo, hi, budget, max_chunk)
-    chunk = next(search)
-    while True:
-        try:
-            chunk = search.send(_values(objective, chunk))
-        except StopIteration as stop:
-            x, f, evals = stop.value
-            return x, float(f), evals
+    # the one-row view of the lockstep
+    x, f, evals = _lockstep(lambda X: _values(objective, X[0])[None],
+                            x0[None], bounds, [budget], max_chunk)
+    return x[0], float(f[0]), evals
 
 
 def _box(bounds, shape):

@@ -20,7 +20,6 @@ import numpy as np
 
 from .config import SystemConfig
 from .sysmodel import Strategy, simulate_batch
-from . import relax as rx
 
 
 QUANTILE_LEVELS = (1, 5, 25, 50, 75, 95, 99)
@@ -52,24 +51,15 @@ def generate_scenarios(n: int, T: int, count: int, seed: int) -> np.ndarray:
     return out
 
 
-def saa_objective(strategy, scenarios, cfg: SystemConfig,
-                  mode: str = "exact", alpha: float | None = None):
-    """Mean total discounted cost of ``strategy`` over the scenario set.
+def saa_objective(strategy, scenarios, cfg: SystemConfig):
+    """Mean total discounted cost of ``strategy`` over the scenario set, on
+    the exact dynamics.
 
-    ``mode`` selects the dynamics: "exact" or "relaxed" (the latter needs
-    the sharpness parameter ``alpha``).  A Strategy gives a float; an
-    exact-mode (K, n, T) stack of candidate controls gives their K values,
-    from one batch run, each bit-identical to the candidate's own value.
+    A Strategy gives a float; a (K, n, T) stack of candidate controls gives
+    their K values, from one batch run, each bit-identical to the
+    candidate's own value.
     """
-    scenarios = np.asarray(scenarios, dtype=float)
-    if mode == "exact":
-        stats = simulate_batch(strategy, scenarios, cfg)
-    elif mode == "relaxed":
-        if alpha is None:
-            raise ValueError("relaxed mode needs alpha")
-        stats = rx.simulate_relaxed_batch(strategy, scenarios, alpha, cfg)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    stats = simulate_batch(strategy, np.asarray(scenarios, dtype=float), cfg)
     if isinstance(strategy, Strategy):
         return float(np.mean(stats.total_cost))
     return np.mean(stats.total_cost, axis=1)

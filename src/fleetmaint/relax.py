@@ -23,11 +23,9 @@ count of broken components with a lower index.  The step reads ``S`` and
 ``-d_S`` and in a lower regime E_j it is ``-d_S * d1{0}(E_j)``.  The whole
 fleet steps, and is differentiated, in one vectorized call per time step.
 
-Derivatives are taken to be exactly zero at the kinks.  A probe passed to
-the surrogates reports which arguments fell strictly inside a ramp (band
-hits) and, unless it is a band-only probe as in the relaxed batch, how far
-every argument was from the nearest kink, which the tests use to filter
-scenarios and validation points.
+Derivatives are taken to be exactly zero at the kinks.  The relaxed batch
+passes the surrogates a band probe, which records the scenarios where some
+argument fell strictly inside a ramp (band hits).
 """
 from __future__ import annotations
 
@@ -91,24 +89,6 @@ def _dind_strict_pos(x, alpha):
     return np.where((x > 0.0) & (x < half), 2.0 * alpha, 0.0)
 
 
-def _kinks_singleton(a, x, alpha):
-    d = np.abs(np.asarray(x, dtype=float) - a)
-    half = 0.5 / alpha
-    return np.minimum(d, np.abs(d - half))
-
-
-def _kinks_nonneg(x, alpha):
-    x = np.asarray(x, dtype=float)
-    half = 0.5 / alpha
-    return np.minimum(np.abs(x), np.abs(x + half))
-
-
-def _kinks_strict_pos(x, alpha):
-    x = np.asarray(x, dtype=float)
-    half = 0.5 / alpha
-    return np.minimum(np.abs(x), np.abs(x - half))
-
-
 class _BandProbe:
     """Collects band hits across indicator evaluations.
 
@@ -117,58 +97,25 @@ class _BandProbe:
     evaluated strictly inside its ramp.
     """
 
-    records_kinks = False
-
     def __init__(self, shape=()):
         self.band = np.zeros(shape, dtype=bool)
 
-    def _reduce(self, values, op):
-        while np.ndim(values) > self.band.ndim:
-            values = op(values, axis=0)
-        return values
-
-    def add(self, value, dist=None):
-        self.band = self.band | self._reduce((value > 0.0) & (value < 1.0),
-                                             np.any)
-
-
-class _Probe(_BandProbe):
-    """Band hits, and kink distances: ``kink`` is the distance from each
-    surrogate argument to the nearest nondifferentiable point,
-    min-accumulated the same way."""
-
-    records_kinks = True
-
-    def __init__(self, shape=()):
-        super().__init__(shape)
-        self.kink = np.full(shape, np.inf)
-
-    def add(self, value, dist):
-        super().add(value)
-        self.kink = np.minimum(self.kink, self._reduce(dist, np.min))
-
-    def add_tie(self, dist):
-        """Record a kink coming from a min-operator tie (no band notion)."""
-        self.kink = np.minimum(self.kink, self._reduce(np.abs(dist), np.min))
-
-
-def _seen(probe, value, kinks, *args):
-    """Report surrogate ``value`` to ``probe``, with the kink distances
-    ``kinks(*args)`` when the probe records them."""
-    if probe is not None:
-        probe.add(value, kinks(*args) if probe.records_kinks else None)
-    return value
+    def add(self, value):
+        """Record the band hits of surrogate ``value``; returns it."""
+        hit = (value > 0.0) & (value < 1.0)
+        while np.ndim(hit) > self.band.ndim:
+            hit = np.any(hit, axis=0)
+        self.band = self.band | hit
+        return value
 
 
 def _ramps(alpha, probe: _BandProbe | None = None) -> sm.Indicators:
     """The surrogates at sharpness ``alpha``, reporting to ``probe``."""
+    seen = (lambda value: value) if probe is None else probe.add
     return sm.Indicators(
-        lambda a, x: _seen(probe, _ind_singleton(a, x, alpha),
-                           _kinks_singleton, a, x, alpha),
-        lambda x: _seen(probe, _ind_nonneg(x, alpha), _kinks_nonneg, x,
-                        alpha),
-        lambda x: _seen(probe, _ind_strict_pos(x, alpha), _kinks_strict_pos,
-                        x, alpha))
+        lambda a, x: seen(_ind_singleton(a, x, alpha)),
+        lambda x: seen(_ind_nonneg(x, alpha)),
+        lambda x: seen(_ind_strict_pos(x, alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +148,11 @@ class StockStepPartials:
 
 
 def component_step_partials(E, A, P, S, b_prev, u, w, alpha, shape, scale,
-                            cfg: SystemConfig, probe: _Probe | None = None
-                            ) -> ComponentStepPartials:
+                            cfg: SystemConfig) -> ComponentStepPartials:
     """Analytic Jacobians of the relaxed component step.
 
     Takes the arguments of ``sysmodel.component_step_core``, with the
-    sharpness ``alpha`` and a probe in place of the indicators, and
+    sharpness ``alpha`` in place of the indicators, and
     broadcasts them the same way, so one call covers a whole fleet.
     Derivatives are 0 exactly at every kink.
     """
@@ -214,7 +160,7 @@ def component_step_partials(E, A, P, S, b_prev, u, w, alpha, shape, scale,
     delta = cfg.delta_default
     D = cfg.D
     f = sm._component_forward(E, A, P, S, b_prev, u, w, shape, scale, cfg,
-                              _ramps(alpha, probe))
+                              _ramps(alpha))
     g, V, Vp, m, nf, c = f.g, f.V, f.Vp, f.m, f.nf, f.c
     batch = np.broadcast_shapes(f.E_new.shape, f.A_new.shape,
                                 f.P_new.shape[1:])
@@ -291,8 +237,8 @@ def component_step_partials(E, A, P, S, b_prev, u, w, alpha, shape, scale,
     return ComponentStepPartials(new_state, d_own, d_S, d_u)
 
 
-def stock_step_partials(E_all, P_all, S, alpha, cfg: SystemConfig,
-                        probe: _Probe | None = None) -> StockStepPartials:
+def stock_step_partials(E_all, P_all, S, alpha,
+                        cfg: SystemConfig) -> StockStepPartials:
     """Analytic partials of the relaxed stock step.
 
     The min operator is differentiated with the left-branch convention: at
@@ -303,12 +249,9 @@ def stock_step_partials(E_all, P_all, S, alpha, cfg: SystemConfig,
     E_all = np.asarray(E_all, dtype=float)
     P_all = np.asarray(P_all, dtype=float)
     S = np.asarray(S, dtype=float)
-    ind = _ramps(alpha, probe)
-    i0 = ind.singleton(0.0, E_all)
-    arrivals = ind.singleton(cfg.D - 1.0, P_all)
+    i0 = _ind_singleton(0.0, E_all, alpha)
+    arrivals = _ind_singleton(cfg.D - 1.0, P_all, alpha)
     B = np.sum(i0, axis=0)
-    if probe is not None:
-        probe.add_tie(S - B)
     new_stock = S + np.sum(arrivals, axis=(0, 1)) - np.minimum(S, B)
     s_branch = np.where(S <= B, 1.0, 0.0)       # tie goes to the S branch
     d_S = 1.0 - s_branch

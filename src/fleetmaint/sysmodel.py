@@ -118,11 +118,6 @@ class Trajectory:
 # failure law
 
 
-def weibull_cdf(shape, scale, x):
-    x = np.asarray(x, dtype=float)
-    return -np.expm1(-np.power(np.maximum(x, 0.0) / scale, shape))
-
-
 def failure_probability(shape, scale, age, dt):
     """Conditional probability of failing within the next dt given age.
 

@@ -3,14 +3,93 @@ subproblem trajectories, for the finite-difference tests.
 
 A point is a list of ``ComponentState`` for components 1..i (the stepped
 component is the last; the lower ones enter through ``b_prev``), a stock
-level, a control and a noise.  Every helper calls the kernel, the partials
-or a probe of the package directly.
+level, a control and a noise.  Every helper calls the kernel or the
+partials of the package directly.
+
+The relaxed dynamics has kinks where a surrogate's ramp starts or ends and
+where the min operators tie; derivatives are taken to be 0 there, so a
+finite difference is trusted only away from them.  :class:`KinkProbe`
+records how far the arguments of every surrogate evaluation were from the
+nearest kink, through indicators built by :func:`kink_indicators`.
 """
 import numpy as np
 
 from fleetmaint import appdecomp as ad
 from fleetmaint import relax as rx
 from fleetmaint import sysmodel as sm
+
+
+def kinks_singleton(a, x, alpha):
+    d = np.abs(np.asarray(x, dtype=float) - a)
+    half = 0.5 / alpha
+    return np.minimum(d, np.abs(d - half))
+
+
+def kinks_nonneg(x, alpha):
+    x = np.asarray(x, dtype=float)
+    half = 0.5 / alpha
+    return np.minimum(np.abs(x), np.abs(x + half))
+
+
+def kinks_strict_pos(x, alpha):
+    x = np.asarray(x, dtype=float)
+    half = 0.5 / alpha
+    return np.minimum(np.abs(x), np.abs(x - half))
+
+
+class KinkProbe:
+    """Distance to the nearest kink, min-accumulated over evaluations.
+
+    ``kink`` has the probe's shape; a distance array with more axes is
+    reduced over its leading ones first.  An ``interior`` probe ignores
+    arguments sitting exactly on a kink: off the indicator bands the
+    surrogate dynamics is locally constant, so states on the binary/integer
+    lattice land exactly on singleton peaks without ever being pushed
+    across them by a small control perturbation.  Only strictly positive
+    small distances signal that a finite-difference step could cross a kink.
+    """
+
+    def __init__(self, shape=(), interior=False):
+        self.kink = np.full(shape, np.inf)
+        self.interior = interior
+
+    def add(self, dist):
+        dist = np.asarray(dist, dtype=float)
+        if self.interior:
+            dist = np.where(dist == 0.0, np.inf, dist)
+        while dist.ndim > self.kink.ndim:
+            dist = np.min(dist, axis=0)
+        self.kink = np.minimum(self.kink, dist)
+
+    def add_tie(self, dist):
+        """Record a kink coming from a min-operator tie."""
+        self.add(np.abs(dist))
+
+
+def kink_indicators(alpha, probe: KinkProbe) -> sm.Indicators:
+    """The surrogates of ``relax`` at sharpness ``alpha``, recording the
+    kink distance of every argument in ``probe``."""
+
+    def singleton(a, x):
+        probe.add(kinks_singleton(a, x, alpha))
+        return rx._ind_singleton(a, x, alpha)
+
+    def nonneg(x):
+        probe.add(kinks_nonneg(x, alpha))
+        return rx._ind_nonneg(x, alpha)
+
+    def strict_pos(x):
+        probe.add(kinks_strict_pos(x, alpha))
+        return rx._ind_strict_pos(x, alpha)
+
+    return sm.Indicators(singleton, nonneg, strict_pos)
+
+
+def stock_kinks(E_all, P_all, S, alpha, cfg, probe: KinkProbe):
+    """Record the kinks of the relaxed stock step: its indicators, and the
+    tie of its min operator between the stock and the broken count."""
+    sm.stock_step_core(E_all, P_all, S, cfg, kink_indicators(alpha, probe))
+    probe.add_tie(S - np.sum(rx._ind_singleton(0.0, E_all, alpha), axis=0))
 
 
 def _arrays(states):
@@ -46,41 +125,22 @@ def partials_at(states, stock, u, w, alpha, cfg):
     """Component and stock partials at the point, and its distance to the
     nearest kink of any surrogate that the step or the stage cost reads."""
     E, A, P = _arrays(states)
-    probe = rx._Probe()
     args = _last(states, stock, u, w, alpha, cfg)
-    comp = rx.component_step_partials(*args[:7], alpha, *args[7:],
-                                      probe=probe)
-    sto = rx.stock_step_partials(E, P, stock, alpha, cfg, probe=probe)
+    comp = rx.component_step_partials(*args[:7], alpha, *args[7:])
+    sto = rx.stock_step_partials(E, P, stock, alpha, cfg)
+    probe = KinkProbe()
+    sm._component_forward(*args, kink_indicators(alpha, probe))
+    stock_kinks(E, P, stock, alpha, cfg, probe)
     i0 = rx._ind_singleton(0.0, E, alpha)
     ipos = rx._ind_strict_pos(A, alpha)
     probe.add_tie(np.sum(i0 * ipos) - 1.0)
-    probe.add(i0, rx._kinks_singleton(0.0, E, alpha))
-    probe.add(ipos, rx._kinks_strict_pos(A, alpha))
-    probe.add(rx._ind_singleton(0.0, A, alpha),
-              rx._kinks_singleton(0.0, A, alpha))
+    probe.add(kinks_singleton(0.0, E, alpha))
+    probe.add(kinks_strict_pos(A, alpha))
+    probe.add(kinks_singleton(0.0, A, alpha))
     return comp, sto, float(probe.kink)
 
 
-class _InteriorKinkProbe(rx._Probe):
-    """Kink probe that ignores arguments sitting exactly on a kink.
-
-    Off the indicator bands the surrogate dynamics is locally constant, so
-    states on the binary/integer lattice land exactly on singleton peaks
-    without ever being pushed across them by a small control perturbation.
-    Only strictly positive small distances signal that a finite-difference
-    step could cross a kink.
-    """
-
-    def add(self, value, dist):
-        dist = np.where(np.asarray(dist, dtype=float) == 0.0, np.inf, dist)
-        super().add(value, dist)
-
-    def add_tie(self, dist):
-        dist = np.abs(np.asarray(dist, dtype=float))
-        super().add_tie(np.where(dist == 0.0, np.inf, dist))
-
-
-def subproblem_kink_distance(U, it, noises, cfg, cache=None):
+def subproblem_kink_distance(U, it, noises, cfg, cache):
     """Distance to the nearest surrogate kink along each trajectory of U.
 
     Per component, minimized over time steps and scenarios; covers the
@@ -88,18 +148,22 @@ def subproblem_kink_distance(U, it, noises, cfg, cache=None):
     finite differences of the subproblem objective are trustworthy.
     Returns (n,).
     """
-    if cache is None:
-        cache = ad.build_iteration_cache(it, noises, cfg)
-    probe = _InteriorKinkProbe((cfg.n, noises.shape[0]))
-    X = ad.component_trajectories(U, it, noises, cfg, cache, probe)
+    probe = KinkProbe((cfg.n, noises.shape[0]), interior=True)
+    X = ad.component_trajectories(U, it, noises, cfg, cache)
     alpha = it.alpha
+    ind = kink_indicators(alpha, probe)
+    # every step again, at the states, stock, broken-below counts, controls
+    # and noises the trajectories' steps saw
+    for t in range(cfg.T):
+        sm._component_forward(
+            X[:, t, 0], X[:, t, 1], X[:, t, 2:].transpose(1, 0, 2), it.S[t],
+            cache.bprev[:, t], U[:, t, None], noises[:, :, t].T,
+            cfg.weibull_shape[:, None], cfg.weibull_scale[:, None], cfg, ind)
     # time first, so that the probe reduces it away
     E, A = X[:, :, 0].transpose(1, 0, 2), X[:, :, 1].transpose(1, 0, 2)
-    probe.add(rx._ind_singleton(0.0, E, alpha),
-              rx._kinks_singleton(0.0, E, alpha))
-    probe.add(rx._ind_singleton(0.0, A, alpha),
-              rx._kinks_singleton(0.0, A, alpha))
-    probe.add(rx._ind_strict_pos(A, alpha), rx._kinks_strict_pos(A, alpha))
+    probe.add(kinks_singleton(0.0, E, alpha))
+    probe.add(kinks_singleton(0.0, A, alpha))
+    probe.add(kinks_strict_pos(A, alpha))
     sigma = cache.sigma_others.transpose(1, 0, 2) + (
         rx._ind_singleton(0.0, E, alpha) * rx._ind_strict_pos(A, alpha))
     probe.add_tie(sigma - 1.0)

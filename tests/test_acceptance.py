@@ -265,14 +265,8 @@ def test_criterion_7_decomposition_vs_direct_reference():
     app_strat, _ = ad.app_fixed_point(cfg, p, noises, seed=7)
 
     total_evals = 20 * cfg.n * 500
-
-    def objective(flat):
-        return ev.saa_objective(flat.reshape(-1, cfg.n, cfg.T), noises, cfg)
-
-    x, _, _ = minimize(objective, np.zeros(cfg.n * cfg.T),
-                       (np.zeros(cfg.n * cfg.T), np.ones(cfg.n * cfg.T)),
-                       SearchBudget(max_evals=total_evals, seed=7))
-    direct_strat = sm.Strategy(x.reshape(cfg.n, cfg.T))
+    direct_strat, direct_best, _ = cli.optimize_direct(cfg, noises,
+                                                       total_evals, seed=7)
 
     costs = {}
     for name, strat in (("app", app_strat), ("direct", direct_strat)):
@@ -288,7 +282,7 @@ def test_criterion_7_decomposition_vs_direct_reference():
     _verdict(7, "decomposition beats or ties equal-budget direct search",
              ok, f"app {costs['app']:.1f} vs direct {costs['direct']:.1f} "
                  f"(ratio {costs['app'] / costs['direct']:.3f}), "
-                 f"{elapsed:.0f}s")
+                 f"direct training best {direct_best!r}, {elapsed:.0f}s")
 
 
 def test_criterion_8_schedules_and_tuner():
@@ -359,27 +353,24 @@ def test_criterion_9_byte_identical_reproducibility(tmp_path):
         if outs[0] != outs[1]:
             ok = False
             details.append(f"{label} differs across runs")
-    # worker-count independence of the decomposition
-    out1 = tmp_path / "app-w1"
-    out2 = tmp_path / "app-w2"
-    for out, threads in ((out1, 1), (out2, 2)):
-        rc = cli.run(cli.RunManifest(mode="optimize-app",
-                                     config=str(cfg_path), seed=17,
-                                     out=str(out), iterations=2, budget=15,
-                                     scenarios=4, threads=threads))
-        assert rc == 0
-    s1 = (out1 / "strategy.csv").read_bytes()
-    s2 = (out2 / "strategy.csv").read_bytes()
-    if s1 != s2:
+    # worker-count independence of tune, the one mode with a worker pool:
+    # two workers against the one of the repeats above
+    rc = cli.run(cli.RunManifest(config=str(cfg_path), seed=17,
+                                 out=str(tmp_path / "tune-w2"), threads=2,
+                                 **runs["tune"]))
+    assert rc == 0
+    if any((tmp_path / "tune-a" / name).read_bytes()
+           != (tmp_path / "tune-w2" / name).read_bytes()
+           for name in ("leaderboard.csv", "best_params.yaml")):
         ok = False
         details.append("worker counts disagree")
     # evaluate mode on the strategy produced above
     for rep in ("a", "b"):
         out = tmp_path / f"evaluate-{rep}"
-        rc = cli.run(cli.RunManifest(mode="evaluate", config=str(cfg_path),
-                                     seed=18, out=str(out),
-                                     strategy=str(out1 / "strategy.csv"),
-                                     validation_scenarios=50))
+        rc = cli.run(cli.RunManifest(
+            mode="evaluate", config=str(cfg_path), seed=18, out=str(out),
+            strategy=str(tmp_path / "optimize-app-a" / "strategy.csv"),
+            validation_scenarios=50))
         assert rc == 0
     ea = {f.name: f.read_bytes()
           for f in sorted((tmp_path / "evaluate-a").iterdir())}

@@ -7,7 +7,8 @@ from fleetmaint.dsearch import SearchBudget
 from fleetmaint import appdecomp as ad
 from fleetmaint import relax as rx
 from fleetmaint import sysmodel as sm
-from scalar_points import subproblem_kink_distance
+from scalar_points import (KinkProbe, kink_indicators, stock_kinks,
+                           subproblem_kink_distance)
 
 
 def make_cfg(n=2, T=3, D=2, s_init=1, **kw):
@@ -72,7 +73,8 @@ def test_objective_at_bar_with_zero_multipliers():
     stats = rx.simulate_relaxed_batch(sm.Strategy(it.u), noises, it.alpha,
                                       cfg, record_states=True)
     beta = cfg.discount(np.arange(cfg.T + 1))
-    got = ad.component_subproblem_objective(it.u, it, noises, cfg)
+    cache = ad.build_iteration_cache(it, noises, cfg)
+    got = ad.component_subproblem_objective(it.u, it, noises, cfg, cache)
     for i in range(2):
         E, A = stats.regimes[:, i, :], stats.ages[:, i, :]
         cm = np.sum(beta[:, None] * cfg.C_C[i]
@@ -86,9 +88,12 @@ def test_objective_proximal_terms():
     cfg = make_cfg(n=1, T=3)
     noises = np.ones((2, 1, 3))      # no failures
     it = make_iterate(cfg, noises, gamma_x=0.0, gamma_u=4.0)
-    base = ad.component_subproblem_objective(it.u, it, noises, cfg)[0]
+    cache = ad.build_iteration_cache(it, noises, cfg)
+    base = ad.component_subproblem_objective(it.u, it, noises, cfg,
+                                             cache)[0]
     shifted = it.u + 0.1
-    got = ad.component_subproblem_objective(shifted, it, noises, cfg)[0]
+    got = ad.component_subproblem_objective(shifted, it, noises, cfg,
+                                            cache)[0]
     beta = cfg.discount(np.arange(3))
     pm = float(np.sum(beta * cfg.C_P[0] * shifted[0] ** 2))
     assert got == pytest.approx(base + pm + 0.5 * 4.0 * 3 * 0.1 ** 2,
@@ -99,10 +104,11 @@ def test_objective_dimension_check():
     cfg = make_cfg()
     noises = np.ones((2, 2, 3))
     it = make_iterate(cfg, noises)
+    cache = ad.build_iteration_cache(it, noises, cfg)
     for shape in ((3,), (2, 5), (1, 3)):
         with pytest.raises(sm.DimensionError):
             ad.component_subproblem_objective(np.zeros(shape), it, noises,
-                                              cfg)
+                                              cfg, cache)
 
 
 def test_objective_is_deterministic():
@@ -111,8 +117,9 @@ def test_objective_is_deterministic():
     noises = rng.random((4, 2, 4))
     it = make_iterate(cfg, noises)
     u = rng.random((2, 4))
-    a = ad.component_subproblem_objective(u, it, noises, cfg)
-    b = ad.component_subproblem_objective(u, it, noises, cfg)
+    cache = ad.build_iteration_cache(it, noises, cfg)
+    a = ad.component_subproblem_objective(u, it, noises, cfg, cache)
+    b = ad.component_subproblem_objective(u, it, noises, cfg, cache)
     assert np.array_equal(a, b)
 
 
@@ -197,10 +204,11 @@ def test_stacked_objective_dimension_check():
     cfg = make_cfg()
     noises = np.ones((2, 2, 3))
     it = make_iterate(cfg, noises)
+    cache = ad.build_iteration_cache(it, noises, cfg)
     for shape in ((2, 0, 3), (3, 2, 3), (2, 2, 4), (2, 1, 1, 3)):
         with pytest.raises(sm.DimensionError):
             ad.component_subproblem_objective(np.zeros(shape), it, noises,
-                                              cfg)
+                                              cfg, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -412,16 +420,15 @@ def test_coupling_coefficients_match_fd():
         assert np.allclose(cache.bprev,
                            [np.sum(i0[:i], axis=0) for i in range(n)])
         for t in range(T):
-            probe = rx._Probe((Q,))
-            ind = rx._ramps(alpha, probe)
+            probe = KinkProbe((Q,))
             E, P = X[:, t, 0], X[:, t, 2:]
             sm.component_step_core(
                 E, X[:, t, 1], P.transpose(1, 0, 2), it.S[t],
                 sm.exclusive_cumsum(rx._ind_singleton(0.0, E, alpha)),
                 it.u[:, t, None], noises[:, :, t].T,
                 cfg.weibull_shape[:, None], cfg.weibull_scale[:, None], cfg,
-                ind)
-            rx.stock_step_partials(E, P, it.S[t], alpha, cfg, probe)
+                kink_indicators(alpha, probe))
+            stock_kinks(E, P, it.S[t], alpha, cfg, probe)
             ok = probe.kink > 1e-3
             for p in range(n):
                 for c in range(cfg.D + 2):

@@ -1,4 +1,10 @@
 """Command-line front end: files, sampling, tuning, mode dispatch."""
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -281,6 +287,18 @@ def test_bad_config_exit_code(tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
+def test_config_with_scenario_count_exit_code(tmp_path, capsys):
+    # the scenario count is a run flag, not a config key
+    cfg_path = write_cfg(tmp_path, small_cfg())
+    with open(cfg_path, "a") as fh:
+        fh.write("Q: 7\n")
+    rc = cli.run(cli.RunManifest(mode="optimize-app", config=cfg_path,
+                                 seed=0, out=str(tmp_path / "o"),
+                                 iterations=1, budget=2, scenarios=2))
+    assert rc == cli.EXIT_CONFIG
+    assert "unknown config keys: ['Q']" in capsys.readouterr().err
+
+
 def test_unwritable_output_exit_code(tmp_path):
     cfg_path = write_cfg(tmp_path, small_cfg())
     blocker = tmp_path / "blocked"
@@ -305,3 +323,33 @@ def test_main_entry(tmp_path):
 def test_default_config_is_small_system():
     cfg = small_system_config()
     assert cfg.n == 10 and cfg.s_init == 2
+
+
+def test_compare_arms_direct_arm_is_optimize_direct(tmp_path):
+    # scripts/compare_arms.py gives its direct arm the total budget of the
+    # decomposition arm: iterations * n * budget evaluations.  A PM
+    # threshold of 0.01 lets the search's first polls reach it, so the
+    # strategy moves off the do-nothing start.
+    import fleetmaint
+    cfg = dataclasses.replace(small_system_config(), nu=0.01)
+    cfg_path = write_cfg(tmp_path, cfg)
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(fleetmaint.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    subprocess.run([sys.executable, str(root / "scripts" / "compare_arms.py"),
+                    "--config", cfg_path, "--seed", "5",
+                    "--out", str(tmp_path / "compare"), "--iterations", "1",
+                    "--budget", "3", "--scenarios", "2",
+                    "--validation-scenarios", "10"],
+                   check=True, env=env, capture_output=True)
+    rc = cli.run(cli.RunManifest(mode="optimize-direct", config=cfg_path,
+                                 seed=5, out=str(tmp_path / "direct"),
+                                 budget=1 * cfg.n * 3, scenarios=2))
+    assert rc == 0
+    direct = (tmp_path / "direct" / "strategy.csv").read_bytes()
+    assert (tmp_path / "compare" / "direct_strategy.csv").read_bytes() \
+        == direct
+    assert cli.load_strategy(tmp_path / "direct" / "strategy.csv",
+                             cfg).controls.any()

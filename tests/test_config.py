@@ -1,10 +1,14 @@
 """System configuration: validation of the fields."""
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fleetmaint.config import ConfigError, SystemConfig
+from fleetmaint.config import (ConfigError, SystemConfig, case1_config,
+                               load_config)
 from fleetmaint.sysmodel import Strategy
 
 
@@ -47,3 +51,15 @@ def test_strategy_rejects_nan():
     u[1, 2] = np.nan
     with pytest.raises(ValueError):
         Strategy(u)
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.yaml"
+    path.write_text(blocks[0])
+    cfg, ref = load_config(path), case1_config()
+    for field in dataclasses.fields(SystemConfig):
+        assert np.array_equal(getattr(cfg, field.name),
+                              getattr(ref, field.name)), field.name

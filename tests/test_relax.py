@@ -7,7 +7,8 @@ from fleetmaint.config import SystemConfig
 from fleetmaint import appdecomp as ad
 from fleetmaint import relax as rx
 from fleetmaint import sysmodel as sm
-from scalar_points import partials_at, step_last, step_stock
+from scalar_points import (kinks_singleton, kinks_strict_pos, partials_at,
+                           step_last, step_stock)
 
 
 def make_cfg(n=1, T=4, D=2, s_init=1, **kw):
@@ -307,9 +308,9 @@ def test_cost_gradients_match_fd():
         A = rng.uniform(0.0, 8.0, 3)
         rng.uniform(0, 1, 3)            # controls: the PM term is not here
         t = int(rng.integers(0, 5))
-        dists = [rx._kinks_singleton(0.0, E, alpha),
-                 rx._kinks_singleton(0.0, A, alpha),
-                 rx._kinks_strict_pos(A, alpha)]
+        dists = [kinks_singleton(0.0, E, alpha),
+                 kinks_singleton(0.0, A, alpha),
+                 kinks_strict_pos(A, alpha)]
         waiting = rx._ind_singleton(0.0, E, alpha) \
             * rx._ind_strict_pos(A, alpha)
         if min(np.min(d) for d in dists) < 1e-2 \

@@ -187,13 +187,28 @@ def test_failure_insert_uses_first_free_slot():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1))
-def test_batch_matches_scalar_simulation(seed):
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 30), st.integers(0, 3),
+       st.sampled_from([1, 2, 3]))
+def test_batch_matches_scalar_simulation(seed, n, s_init, D):
+    # a random heterogeneous fleet: per-component failure laws and costs
     rng = np.random.default_rng(seed)
-    cfg = make_cfg(n=4, T=8, s_init=rng.integers(0, 3), D=int(rng.integers(1, 4)))
-    u = sm.Strategy(rng.random((4, 8)))
-    noises = rng.random((3, 4, 8))
+    cfg = make_cfg(n=n, T=8, s_init=s_init, D=D,
+                   weibull_shape=rng.uniform(1.0, 4.5, n),
+                   weibull_scale=rng.uniform(3.0, 15.0, n),
+                   C_P=rng.uniform(0.0, 100.0, n),
+                   C_C=rng.uniform(0.0, 400.0, n))
+    u = sm.Strategy(rng.random((n, 8)))
+    noises = rng.random((3, n, 8))
     stats = sm.simulate_batch(u, noises, cfg, record_states=True)
+    again = sm.simulate_batch(u, noises, cfg, record_states=True)
+    for field in dataclasses.fields(stats):
+        assert np.array_equal(getattr(stats, field.name),
+                              getattr(again, field.name)), field.name
+    # spare-parts conservation: stock + parts on order - broken components
+    broken = np.sum(stats.regimes == 0.0, axis=1)
+    on_order = np.sum((stats.last_failures >= 0)
+                      & (stats.last_failures <= D - 1), axis=(1, 2))
+    assert np.all(stats.stock + on_order - broken == s_init)
     for q in range(3):
         traj = sm.simulate(u, sm.Scenario(noises[q]), cfg)
         cost = sm.total_cost(traj, u, cfg)
