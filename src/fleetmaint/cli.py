@@ -2,7 +2,8 @@
 
 Five subcommand-style modes share one flag set:
 
-* ``simulate``        one exact trajectory, written as CSV;
+* ``simulate``        one scenario on the exact batch engine, its states
+                      and the events read off them written as CSV;
 * ``optimize-app``    decomposition fixed point, strategy + history files;
 * ``optimize-direct`` direct-search on the full exact sample-average
                       objective (the gradient-free reference arm);
@@ -12,7 +13,8 @@ Five subcommand-style modes share one flag set:
 
 Every mode is a deterministic function of (config, seed, flags).  Errors
 map to distinct exit codes so scripts can tell a bad config from a bad
-output directory.
+output directory: 2 for a flag out of range, 3 for a bad config, strategy
+or parameter file, 4 for a dimension mismatch, 5 for an output failure.
 """
 from __future__ import annotations
 
@@ -26,8 +28,7 @@ import numpy as np
 import yaml
 
 from .config import SystemConfig, ConfigError, load_config, small_system_config
-from .sysmodel import (Strategy, Scenario, DimensionError, simulate,
-                       trajectory_to_csv)
+from .sysmodel import BatchStats, DimensionError, Strategy, simulate_batch
 from .dsearch import SearchBudget, minimize
 from . import appdecomp as ad
 from . import evalharness as ev
@@ -64,6 +65,17 @@ class RunManifest:
     def __post_init__(self):
         if self.mode not in self.MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"--seed must lie in [0, 2**64), got {self.seed}")
+        for name in ("scenarios", "validation_scenarios", "lhs_count",
+                     "lhs_restarts", "threads", "budget"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"--{name.replace('_', '-')} must be >= 1, "
+                                 f"got {value}")
+        if self.iterations is not None and self.iterations < 0:
+            raise ValueError(
+                f"--iterations must be >= 0, got {self.iterations}")
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +115,42 @@ def load_strategy(path, cfg: SystemConfig) -> Strategy:
         return Strategy(np.array(rows).T.copy())
     except ValueError as exc:          # entries outside [0, 1], or no rows
         raise ConfigError(f"bad strategy file {path}: {exc}") from exc
+
+
+def trajectory_to_csv(stats: BatchStats, strategy: Strategy,
+                      cfg: SystemConfig, path):
+    """Write scenario 0 of an exact run, one row per time step: the stock,
+    each component's regime, age and events, and the forced-outage flag.
+
+    ``stats`` comes from :func:`simulate_batch` with ``record_states``.  The
+    events are read off the recorded states: a PM at step t is a healthy
+    component with a control of at least nu, a failure a component broken
+    at age 0, a repair a broken component healthy at the next step, and a
+    forced outage a step where some component is broken at an age above 0,
+    i.e. still waiting for a spare.
+    """
+    E, A, S = stats.regimes[..., 0], stats.ages[..., 0], stats.stock[:, 0]
+    T = cfg.T
+    pm = np.zeros((T + 1, cfg.n), dtype=int)
+    cm = np.zeros((T + 1, cfg.n), dtype=int)
+    pm[:T] = (E[:T] == 1.0) & (strategy.controls.T >= cfg.nu)
+    cm[:T] = (E[:T] == 0.0) & (E[1:] == 1.0)
+    failure = ((E == 0.0) & (A == 0.0)).astype(int)
+    forced_outage = np.any((E == 0.0) & (A > 0.0), axis=1).astype(int)
+    header = ["t", "stock"]
+    for i in range(1, cfg.n + 1):
+        header += [f"regime_{i}", f"age_{i}", f"pm_{i}", f"failure_{i}",
+                   f"cm_{i}"]
+    header.append("forced_outage")
+    lines = [",".join(header)]
+    for t in range(T + 1):
+        row = [str(t), f"{S[t]:.17g}"]
+        for i in range(cfg.n):
+            row += [f"{E[t, i]:.17g}", f"{A[t, i]:.17g}", str(pm[t, i]),
+                    str(failure[t, i]), str(cm[t, i])]
+        row.append(str(forced_outage[t]))
+        lines.append(",".join(row))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 _PARAM_KEYS = ("gamma_u0", "r_x", "r_s", "d_gamma", "alpha0", "d_alpha")
@@ -237,8 +285,8 @@ def _run_simulate(manifest, cfg, out: Path):
     noises = ev.generate_scenarios(cfg.n, cfg.T, 1, manifest.seed)
     strategy = (load_strategy(manifest.strategy, cfg) if manifest.strategy
                 else Strategy(np.zeros((cfg.n, cfg.T))))
-    traj = simulate(strategy, Scenario(noises[0]), cfg)
-    trajectory_to_csv(traj, cfg, out / "trajectory.csv")
+    stats = simulate_batch(strategy, noises, cfg, record_states=True)
+    trajectory_to_csv(stats, strategy, cfg, out / "trajectory.csv")
     print(f"simulate: wrote {out / 'trajectory.csv'}")
 
 
@@ -385,7 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    return run(RunManifest(**vars(build_parser().parse_args(argv))))
+    parser = build_parser()
+    try:
+        manifest = RunManifest(**vars(parser.parse_args(argv)))
+    except ValueError as exc:
+        # parser.error would print the whole usage first; one line will do
+        parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")
+    return run(manifest)
 
 
 if __name__ == "__main__":

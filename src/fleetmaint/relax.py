@@ -141,7 +141,6 @@ class ComponentStepPartials:
 
 @dataclass
 class StockStepPartials:
-    new_stock: np.ndarray          # (...)
     d_S: np.ndarray                # (...)
     d_E: np.ndarray                # (n, ...)
     d_P: np.ndarray                # (n, D, ...)
@@ -249,15 +248,12 @@ def stock_step_partials(E_all, P_all, S, alpha,
     E_all = np.asarray(E_all, dtype=float)
     P_all = np.asarray(P_all, dtype=float)
     S = np.asarray(S, dtype=float)
-    i0 = _ind_singleton(0.0, E_all, alpha)
-    arrivals = _ind_singleton(cfg.D - 1.0, P_all, alpha)
-    B = np.sum(i0, axis=0)
-    new_stock = S + np.sum(arrivals, axis=(0, 1)) - np.minimum(S, B)
+    B = np.sum(_ind_singleton(0.0, E_all, alpha), axis=0)
     s_branch = np.where(S <= B, 1.0, 0.0)       # tie goes to the S branch
     d_S = 1.0 - s_branch
     d_E = -(1.0 - s_branch)[None] * _dind_singleton(0.0, E_all, alpha)
     d_P = _dind_singleton(cfg.D - 1.0, P_all, alpha)
-    return StockStepPartials(new_stock, d_S, d_E, d_P)
+    return StockStepPartials(d_S, d_E, d_P)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Scalar points of the relaxed fleet step, and kink distances along the
 subproblem trajectories, for the finite-difference tests.
 
-A point is a list of ``ComponentState`` for components 1..i (the stepped
-component is the last; the lower ones enter through ``b_prev``), a stock
-level, a control and a noise.  Every helper calls the kernel or the
-partials of the package directly.
+A point is a list of ``scalar_reference.ComponentState`` for components
+1..i (the stepped component is the last; the lower ones enter through
+``b_prev``), a stock level, a control and a noise.  Every helper calls
+the kernel or the partials of the package directly.
 
 The relaxed dynamics has kinks where a surrogate's ramp starts or ends and
 where the min operators tie; derivatives are taken to be 0 there, so a

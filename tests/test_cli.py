@@ -313,6 +313,23 @@ def test_unknown_mode_rejected():
         cli.RunManifest(mode="explode", config=None, seed=0, out="x")
 
 
+@pytest.mark.parametrize("mode, flag, value", [
+    ("optimize-direct", "--scenarios", "0"),
+    ("optimize-app", "--budget", "0"),
+    ("simulate", "--seed", "-1"),
+    ("tune", "--lhs-count", "0"),
+])
+def test_out_of_range_flag_is_usage_error(tmp_path, capsys, mode, flag,
+                                          value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--mode", mode, flag, value, "--out", str(tmp_path / "o")])
+    assert exc.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and flag in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_main_entry(tmp_path):
     cfg_path = write_cfg(tmp_path, small_cfg())
     rc = cli.main(["--mode", "simulate", "--config", cfg_path,

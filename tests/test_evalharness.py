@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from fleetmaint.config import SystemConfig
 from fleetmaint import evalharness as ev
 from fleetmaint import sysmodel as sm
+import scalar_reference as ref
 
 
 def make_cfg(**kw):
@@ -78,9 +79,9 @@ def test_saa_single_scenario_matches_total_cost():
     rng = np.random.default_rng(0)
     scen = rng.random((1, 2, 3))
     strat = sm.Strategy(np.ones((2, 3)))
-    traj = sm.simulate(strat, sm.Scenario(scen[0]), cfg)
+    traj = ref.simulate(strat, ref.Scenario(scen[0]), cfg)
     got = ev.saa_objective(strat, scen, cfg)
-    assert got == pytest.approx(sm.total_cost(traj, strat, cfg)["total"],
+    assert got == pytest.approx(ref.total_cost(traj, strat, cfg)["total"],
                                 rel=1e-12)
 
 

@@ -7,6 +7,7 @@ from fleetmaint.config import SystemConfig
 from fleetmaint import appdecomp as ad
 from fleetmaint import relax as rx
 from fleetmaint import sysmodel as sm
+import scalar_reference as ref
 from scalar_points import (kinks_singleton, kinks_strict_pos, partials_at,
                            step_last, step_stock)
 
@@ -96,7 +97,7 @@ def _random_integer_system(rng, cfg):
             dates = np.sort(rng.choice(np.arange(0, 15), nrec,
                                        replace=False))[::-1]
             P[:nrec] = dates.astype(float)
-        states.append(sm.ComponentState(regime, age, P))
+        states.append(ref.ComponentState(regime, age, P))
     return states, float(rng.integers(0, 4))
 
 
@@ -113,13 +114,13 @@ def test_relaxed_step_matches_exact_on_integers(seed):
     p = sm.failure_probability(3, 10, states[i - 1].age, 1.0)
     if abs(w - p) < 0.5 / alpha:
         w = min(w + 1e-3, 1.0)
-    exact = sm.step_component(states[:i], stock, u, w, cfg)
+    exact = ref.step_component(states[:i], stock, u, w, cfg)
     relaxed = step_last(states[:i], stock, u, w, alpha, cfg)
     assert relaxed[0] == exact.regime
     assert relaxed[1] == exact.age
     assert np.array_equal(relaxed[2:], exact.last_failures)
     assert step_stock(states, stock, alpha, cfg) == \
-        sm.step_stock(states, stock, cfg)
+        ref.step_stock(states, stock, cfg)
 
 
 @settings(max_examples=20, deadline=None)
@@ -157,14 +158,14 @@ def test_band_hit_is_flagged():
 def test_pm_branch_weight_on_fractional_regime():
     # regime 0.5 at alpha=2: broken weight is 0, so a full PM keeps it up
     cfg = make_cfg()
-    state = sm.ComponentState(0.5, 2.0, np.full(2, -1.0))
+    state = ref.ComponentState(0.5, 2.0, np.full(2, -1.0))
     out = step_last([state], 1.0, 1.0, 0.5, 2.0, cfg)
     assert out[0] == pytest.approx(1.0)
 
 
 def test_relaxed_stock_fractional_regime():
     cfg = make_cfg(n=1)
-    state = sm.ComponentState(0.9, 1.0, np.full(2, -1.0))
+    state = ref.ComponentState(0.9, 1.0, np.full(2, -1.0))
     # broken count = relaxed 1{0}(0.9) = 0 at alpha=2, so stock is unchanged
     assert step_stock([state], 3.0, 2.0, cfg) == 3.0
 
@@ -196,7 +197,7 @@ def _random_relaxed_point(rng, cfg, i):
         age = rng.uniform(0.0, 12.0)
         P = np.where(rng.random(cfg.D) < 0.4, cfg.delta_default,
                      rng.uniform(-1.5, cfg.D + 1.0, cfg.D))
-        states.append(sm.ComponentState(regime, age, P))
+        states.append(ref.ComponentState(regime, age, P))
     stock = rng.uniform(-1.0, 4.0)
     u = rng.uniform(0.0, 1.0)
     w = rng.uniform(0.0, 1.0)
@@ -363,8 +364,8 @@ def test_cost_gradients_match_fd():
 
 def test_partials_vanish_far_from_bands():
     cfg = make_cfg(n=2)
-    states = [sm.ComponentState(1.0, 3.0, np.full(2, -1.0)),
-              sm.ComponentState(1.0, 5.0, np.array([4.0, -1.0]))]
+    states = [ref.ComponentState(1.0, 3.0, np.full(2, -1.0)),
+              ref.ComponentState(1.0, 5.0, np.array([4.0, -1.0]))]
     comp, _, _ = partials_at(states, 3.0, 0.0, 0.99, 10.0, cfg)
     # healthy ageing far from every band: the only surviving partial is the
     # structural age carry and failure-record shift
@@ -396,8 +397,8 @@ def test_component_partials_batch_shape():
     assert out.d_S.shape == (4, Q)
     # batch results agree with the scalar path
     for q in range(Q):
-        states = [sm.ComponentState(E_prev[0, q], 1.0, np.full(2, -1.0)),
-                  sm.ComponentState(E[q], A[q], P[:, q])]
+        states = [ref.ComponentState(E_prev[0, q], 1.0, np.full(2, -1.0)),
+                  ref.ComponentState(E[q], A[q], P[:, q])]
         scal, _, _ = partials_at(states, S[q], u[q], w[q], 4.0, cfg)
         assert np.allclose(scal.d_own, out.d_own[..., q])
         assert np.allclose(scal.d_S, out.d_S[..., q])

@@ -1,15 +1,19 @@
 """Tests for the exact dynamics, hand-traced oracles and invariants."""
+import csv
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fleetmaint.config import SystemConfig, case1_config, small_system_config
+from fleetmaint import cli
 from fleetmaint import evalharness as ev
 from fleetmaint import relax as rx
 from fleetmaint import sysmodel as sm
+import scalar_reference as ref
 
 
 def make_cfg(n=1, T=4, D=2, s_init=1, **kw):
@@ -58,127 +62,197 @@ def test_failure_probability_derivative_matches_fd():
 
 
 def test_weibull_mttf_closed_form():
-    assert sm.weibull_mttf(3, 10) == pytest.approx(10 * math.gamma(4 / 3),
-                                                   rel=1e-12)
+    assert ref.weibull_mttf(3, 10) == pytest.approx(10 * math.gamma(4 / 3),
+                                                    rel=1e-12)
     # reference value for the short-lived component law
-    assert sm.weibull_mttf(3, 10) == pytest.approx(8.9298, abs=1e-4)
+    assert ref.weibull_mttf(3, 10) == pytest.approx(8.9298, abs=1e-4)
 
 
 def test_sampled_mttf_matches_closed_form():
-    times = sm.sample_time_to_first_failure(3, 10, draws=200_000, seed=7)
-    assert times.mean() == pytest.approx(sm.weibull_mttf(3, 10), abs=0.05)
+    times = ref.sample_time_to_first_failure(3, 10, draws=200_000, seed=7)
+    assert times.mean() == pytest.approx(ref.weibull_mttf(3, 10), abs=0.05)
 
 
 # ---------------------------------------------------------------------------
-# hand-traced trajectories
+# hand-traced trajectories, on the reference simulator and on the product
+# path (the batch engine and the trajectory file of ``--mode simulate``)
 
 
-def test_failure_then_repair_trace():
+class Run(NamedTuple):
+    """One trajectory as either engine reports it."""
+
+    regime: np.ndarray          # (T+1, n)
+    age: np.ndarray             # (T+1, n)
+    last_failures: np.ndarray   # (T+1, n, D)
+    stock: np.ndarray           # (T+1,)
+    pm: np.ndarray              # (n, T) bool
+    failure: np.ndarray         # (n, T+1) bool
+    cm: np.ndarray              # (n, T) bool
+    forced_outage: np.ndarray   # (T+1,) bool
+    cost: dict
+
+
+def reference_run(traj: ref.Trajectory, strategy, cfg) -> Run:
+    comps = [s.components for s in traj.states]
+    return Run(np.array([[c.regime for c in cs] for cs in comps]),
+               np.array([[c.age for c in cs] for cs in comps]),
+               np.array([[c.last_failures for c in cs] for cs in comps]),
+               traj.stock_series(), traj.pm_performed, traj.failure,
+               traj.cm_performed, traj.forced_outage,
+               ref.total_cost(traj, strategy, cfg))
+
+
+def read_trajectory_csv(path, cfg):
+    """The columns of a trajectory file: stock (T+1,), then regime, age,
+    pm, failure and cm as (T+1, n), and forced_outage (T+1,)."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["t"]) for r in rows] == list(range(cfg.T + 1))
+
+    def per_component(name):
+        return np.array([[float(r[f"{name}_{i}"]) for i in
+                          range(1, cfg.n + 1)] for r in rows])
+
+    cols = {"stock": np.array([float(r["stock"]) for r in rows]),
+            "forced_outage": np.array([int(r["forced_outage"])
+                                       for r in rows])}
+    for name in ("regime", "age", "pm", "failure", "cm"):
+        cols[name] = per_component(name)
+    # PMs and repairs are decisions of a step, and the last row has none
+    assert not cols["pm"][-1].any() and not cols["cm"][-1].any()
+    return cols
+
+
+def product_run(stats: sm.BatchStats, strategy, cfg, path) -> Run:
+    """Scenario 0 of a recorded exact batch run, states and events read from
+    the trajectory file that ``--mode simulate`` writes."""
+    cli.trajectory_to_csv(stats, strategy, cfg, path)
+    cols = read_trajectory_csv(path, cfg)
+    return Run(cols["regime"], cols["age"], stats.last_failures[..., 0],
+               cols["stock"], cols["pm"][:-1].T == 1,
+               cols["failure"].T == 1, cols["cm"][:-1].T == 1,
+               cols["forced_outage"] == 1,
+               {"pm": stats.pm_cost[0], "cm": stats.cm_cost[0],
+                "fo": stats.fo_cost[0], "total": stats.total_cost[0]})
+
+
+@pytest.fixture
+def both_engines(tmp_path):
+    """Run one (n, T) noise panel under a strategy on the reference
+    simulator and on the product path; returns the two Runs.  A hand trace
+    loops over them, so that each trace keeps one test id."""
+
+    def runs(strategy, noises, cfg) -> list[Run]:
+        traj = ref.simulate(strategy, ref.Scenario(noises), cfg)
+        stats = sm.simulate_batch(strategy, np.asarray(noises)[None], cfg,
+                                  record_states=True)
+        return [reference_run(traj, strategy, cfg),
+                product_run(stats, strategy, cfg, tmp_path / "traj.csv")]
+
+    return runs
+
+
+def test_failure_then_repair_trace(both_engines):
     cfg = make_cfg()
     u = sm.Strategy(np.zeros((1, 4)))
-    w = sm.Scenario(np.array([[0.0, 1.0, 1.0, 1.0]]))
-    traj = sm.simulate(u, w, cfg)
+    for run in both_engines(u, np.array([[0.0, 1.0, 1.0, 1.0]]), cfg):
+        comp = [(run.regime[t, 0], run.age[t, 0],
+                 tuple(run.last_failures[t, 0])) for t in range(5)]
+        assert comp[0] == (1.0, 0.0, (-1.0, -1.0))
+        assert comp[1] == (0.0, 0.0, (0.0, -1.0))   # failed, order placed
+        assert comp[2] == (1.0, 1.0, (1.0, -1.0))   # repaired from stock
+        assert comp[3] == (1.0, 2.0, (2.0, -1.0))
+        assert comp[4] == (1.0, 3.0, (3.0, -1.0))
+        assert run.stock.tolist() == [1.0, 1.0, 0.0, 1.0, 1.0]
+        assert run.failure[0].tolist() == [False, True, False, False, False]
+        assert run.cm[0].tolist() == [False, True, False, False]
+        assert not run.forced_outage.any()
 
-    def comp(t):
-        c = traj.states[t].components[0]
-        return (c.regime, c.age, tuple(c.last_failures))
-
-    assert comp(0) == (1.0, 0.0, (-1.0, -1.0))
-    assert comp(1) == (0.0, 0.0, (0.0, -1.0))   # failed, order placed
-    assert comp(2) == (1.0, 1.0, (1.0, -1.0))   # repaired from stock
-    assert comp(3) == (1.0, 2.0, (2.0, -1.0))
-    assert comp(4) == (1.0, 3.0, (3.0, -1.0))
-    assert traj.stock_series().tolist() == [1.0, 1.0, 0.0, 1.0, 1.0]
-    assert traj.failure[0].tolist() == [False, True, False, False, False]
-    assert traj.cm_performed[0].tolist() == [False, True, False, False]
-    assert not traj.forced_outage.any()
-
-    cost = sm.total_cost(traj, u, cfg)
-    assert cost["pm"] == 0.0
-    assert cost["cm"] == pytest.approx(200.0 / 1.08, rel=1e-12)
-    assert cost["fo"] == 0.0
-    assert cost["total"] == cost["cm"]
+        cost = run.cost
+        assert cost["pm"] == 0.0
+        assert cost["cm"] == pytest.approx(200.0 / 1.08, rel=1e-12)
+        assert cost["fo"] == 0.0
+        assert cost["total"] == cost["cm"]
 
 
-def test_pm_cost_and_age_reset():
+def test_pm_cost_and_age_reset(both_engines):
     cfg = make_cfg()
     controls = np.zeros((1, 4))
     controls[0, 1] = 1.0
     u = sm.Strategy(controls)
-    w = sm.Scenario(np.ones((1, 4)))
-    traj = sm.simulate(u, w, cfg)
-    ages = [traj.states[t].components[0].age for t in range(5)]
-    assert ages == [0.0, 1.0, 1.0, 2.0, 3.0]    # full PM resets the age
-    cost = sm.total_cost(traj, u, cfg)
-    assert cost["pm"] == pytest.approx(50.0 / 1.08, rel=1e-12)
-    assert cost["total"] == cost["pm"]
-    assert traj.pm_performed[0].tolist() == [False, True, False, False]
+    for run in both_engines(u, np.ones((1, 4)), cfg):
+        # a full PM resets the age
+        assert run.age[:, 0].tolist() == [0.0, 1.0, 1.0, 2.0, 3.0]
+        cost = run.cost
+        assert cost["pm"] == pytest.approx(50.0 / 1.08, rel=1e-12)
+        assert cost["total"] == cost["pm"]
+        assert run.pm[0].tolist() == [False, True, False, False]
 
 
-def test_partial_pm_rejuvenates():
+def test_partial_pm_rejuvenates(both_engines):
     cfg = make_cfg(T=3)
     controls = np.zeros((1, 3))
     controls[0, 2] = 0.9
-    traj = sm.simulate(sm.Strategy(controls), sm.Scenario(np.ones((1, 3))), cfg)
-    # age 2 before the PM, (1 - 0.9) * 2 + 1 = 1.2 after
-    assert traj.states[3].components[0].age == pytest.approx(1.2)
+    for run in both_engines(sm.Strategy(controls), np.ones((1, 3)), cfg):
+        # age 2 before the PM, (1 - 0.9) * 2 + 1 = 1.2 after
+        assert run.age[3, 0] == pytest.approx(1.2)
 
 
-def test_pm_threshold_is_inclusive():
+def test_pm_threshold_is_inclusive(both_engines):
     cfg = make_cfg(T=1)
     controls = np.full((1, 1), cfg.nu)
-    w = sm.Scenario(np.zeros((1, 1)))    # would fail without the PM
-    traj = sm.simulate(sm.Strategy(controls), w, cfg)
-    assert traj.pm_performed[0, 0]
-    assert traj.states[1].components[0].regime == 1.0
+    # the noise would fail the component without the PM
+    for run in both_engines(sm.Strategy(controls), np.zeros((1, 1)), cfg):
+        assert run.pm[0, 0]
+        assert run.regime[1, 0] == 1.0
 
 
-def test_noise_equal_to_hazard_means_no_failure():
+def test_noise_equal_to_hazard_means_no_failure(both_engines):
     cfg = make_cfg(T=1)
     p = sm.failure_probability(3, 10, 0.0, cfg.dt)
-    traj = sm.simulate(sm.Strategy(np.zeros((1, 1))),
-                       sm.Scenario(np.array([[p]])), cfg)
-    assert traj.states[1].components[0].regime == 1.0
+    for run in both_engines(sm.Strategy(np.zeros((1, 1))), np.array([[p]]),
+                            cfg):
+        assert run.regime[1, 0] == 1.0
 
 
-def test_forced_outage_when_no_spares():
+def test_forced_outage_when_no_spares(both_engines):
     cfg = make_cfg(n=2, T=3, s_init=0)
     u = sm.Strategy(np.zeros((2, 3)))
-    w = sm.Scenario(np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]))
-    traj = sm.simulate(u, w, cfg)
-    assert traj.forced_outage.tolist() == [False, False, True, True]
-    assert traj.stock_series().tolist() == [0.0, 0.0, 0.0, 2.0]
-    cost = sm.total_cost(traj, u, cfg)
     beta = cfg.discount(np.arange(4))
-    assert cost["cm"] == pytest.approx(2 * 200.0 * beta[1], rel=1e-12)
-    # one lump penalty per step with any component waiting, not per component
-    assert cost["fo"] == pytest.approx(10000.0 * (beta[2] + beta[3]),
-                                       rel=1e-12)
+    for run in both_engines(u, np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]),
+                            cfg):
+        assert run.forced_outage.tolist() == [False, False, True, True]
+        assert run.stock.tolist() == [0.0, 0.0, 0.0, 2.0]
+        cost = run.cost
+        assert cost["cm"] == pytest.approx(2 * 200.0 * beta[1], rel=1e-12)
+        # one lump penalty per step with any component waiting, not per
+        # component
+        assert cost["fo"] == pytest.approx(10000.0 * (beta[2] + beta[3]),
+                                           rel=1e-12)
 
 
-def test_spares_served_in_index_order():
+def test_spares_served_in_index_order(both_engines):
     # one spare, both components broken: only the lower index is repaired
     cfg = make_cfg(n=2, T=2, s_init=1)
-    w = sm.Scenario(np.array([[0.0, 1.0], [0.0, 1.0]]))
-    traj = sm.simulate(sm.Strategy(np.zeros((2, 2))), w, cfg)
-    c1, c2 = traj.states[2].components
-    assert (c1.regime, c1.age) == (1.0, 1.0)
-    assert (c2.regime, c2.age) == (0.0, 1.0)
+    for run in both_engines(sm.Strategy(np.zeros((2, 2))),
+                            np.array([[0.0, 1.0], [0.0, 1.0]]), cfg):
+        assert (run.regime[2, 0], run.age[2, 0]) == (1.0, 1.0)
+        assert (run.regime[2, 1], run.age[2, 1]) == (0.0, 1.0)
 
 
 def test_full_failure_record_discards_oldest():
     cfg = make_cfg(T=3, s_init=0, D=2)
     # fail every step; with no spares the component stays broken, so force
     # repeated failures via a fresh state instead
-    st0 = [sm.ComponentState(1.0, 0.0, np.array([1.0, 3.0]))]
-    nxt = sm.step_component(st0, 0.0, 0.0, 0.0, cfg)
+    st0 = [ref.ComponentState(1.0, 0.0, np.array([1.0, 3.0]))]
+    nxt = ref.step_component(st0, 0.0, 0.0, 0.0, cfg)
     assert nxt.last_failures.tolist() == [4.0, 0.0]
 
 
 def test_failure_insert_uses_first_free_slot():
     cfg = make_cfg(D=3)
-    st0 = [sm.ComponentState(1.0, 5.0, np.array([2.0, -1.0, -1.0]))]
-    nxt = sm.step_component(st0, 0.0, 0.0, 0.0, cfg)
+    st0 = [ref.ComponentState(1.0, 5.0, np.array([2.0, -1.0, -1.0]))]
+    nxt = ref.step_component(st0, 0.0, 0.0, 0.0, cfg)
     assert nxt.last_failures.tolist() == [3.0, 0.0, -1.0]
 
 
@@ -189,7 +263,8 @@ def test_failure_insert_uses_first_free_slot():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 30), st.integers(0, 3),
        st.sampled_from([1, 2, 3]))
-def test_batch_matches_scalar_simulation(seed, n, s_init, D):
+def test_batch_matches_scalar_simulation(tmp_path_factory, seed, n, s_init,
+                                         D):
     # a random heterogeneous fleet: per-component failure laws and costs
     rng = np.random.default_rng(seed)
     cfg = make_cfg(n=n, T=8, s_init=s_init, D=D,
@@ -210,8 +285,8 @@ def test_batch_matches_scalar_simulation(seed, n, s_init, D):
                       & (stats.last_failures <= D - 1), axis=(1, 2))
     assert np.all(stats.stock + on_order - broken == s_init)
     for q in range(3):
-        traj = sm.simulate(u, sm.Scenario(noises[q]), cfg)
-        cost = sm.total_cost(traj, u, cfg)
+        traj = ref.simulate(u, ref.Scenario(noises[q]), cfg)
+        cost = ref.total_cost(traj, u, cfg)
         assert stats.total_cost[q] == pytest.approx(cost["total"], rel=1e-12)
         assert stats.pm_cost[q] == pytest.approx(cost["pm"], rel=1e-12)
         assert stats.cm_cost[q] == pytest.approx(cost["cm"], rel=1e-12)
@@ -224,6 +299,15 @@ def test_batch_matches_scalar_simulation(seed, n, s_init, D):
                 assert stats.ages[t, i, q] == c.age
                 assert stats.last_failures[t, i, :, q].tolist() == \
                     c.last_failures.tolist()
+        if q == 0:
+            # the trajectory file carries the same states and events
+            path = tmp_path_factory.mktemp("traj") / "trajectory.csv"
+            product = product_run(stats, u, cfg, path)
+            expected = reference_run(traj, u, cfg)
+            for name in ("regime", "age", "stock", "pm", "failure", "cm",
+                         "forced_outage"):
+                assert np.array_equal(getattr(product, name),
+                                      getattr(expected, name)), name
 
 
 def test_blocked_batch_matches_scalar_and_slices():
@@ -237,8 +321,8 @@ def test_blocked_batch_matches_scalar_and_slices():
     picks = [0, 5, sm.BLOCK - 1, sm.BLOCK, sm.BLOCK + 11, 2 * sm.BLOCK,
              Q - 1]
     for q in picks:
-        traj = sm.simulate(u, sm.Scenario(noises[q]), cfg)
-        cost = sm.total_cost(traj, u, cfg)
+        traj = ref.simulate(u, ref.Scenario(noises[q]), cfg)
+        cost = ref.total_cost(traj, u, cfg)
         assert stats.total_cost[q] == pytest.approx(cost["total"], rel=1e-12)
         for t in range(cfg.T + 1):
             stq = traj.states[t]
@@ -368,7 +452,7 @@ def test_conservation_of_parts(seed):
     cfg = make_cfg(n=5, T=12, s_init=int(rng.integers(0, 4)),
                    D=int(rng.integers(1, 4)))
     u = sm.Strategy((rng.random((5, 12)) > 0.8) * 1.0)
-    traj = sm.simulate(u, sm.Scenario(rng.random((5, 12))), cfg)
+    traj = ref.simulate(u, ref.Scenario(rng.random((5, 12))), cfg)
     for t, state in enumerate(traj.states):
         broken = sum(1 for c in state.components if c.regime == 0.0)
         # orders placed but not yet arrived: entries with 0 <= P^d <= D-1
@@ -385,7 +469,7 @@ def test_state_invariants(seed):
     rng = np.random.default_rng(seed)
     cfg = make_cfg(n=3, T=10, s_init=2)
     u = sm.Strategy(rng.random((3, 10)))
-    traj = sm.simulate(u, sm.Scenario(rng.random((3, 10))), cfg)
+    traj = ref.simulate(u, ref.Scenario(rng.random((3, 10))), cfg)
     for state in traj.states:
         assert state.stock >= 0
         for c in state.components:
@@ -410,8 +494,8 @@ def test_simulate_is_deterministic():
 def test_dimension_mismatch_raises():
     cfg = make_cfg()
     with pytest.raises(sm.DimensionError):
-        sm.simulate(sm.Strategy(np.zeros((2, 4))),
-                    sm.Scenario(np.zeros((1, 4))), cfg)
+        ref.simulate(sm.Strategy(np.zeros((2, 4))),
+                     ref.Scenario(np.zeros((1, 4))), cfg)
     with pytest.raises(sm.DimensionError):
         sm.simulate_batch(sm.Strategy(np.zeros((1, 4))),
                           np.zeros((3, 1, 5)), cfg)
@@ -420,10 +504,11 @@ def test_dimension_mismatch_raises():
 def test_trajectory_csv_roundtrip(tmp_path):
     cfg = make_cfg(n=2, T=3, s_init=1)
     rng = np.random.default_rng(3)
-    traj = sm.simulate(sm.Strategy(rng.random((2, 3))),
-                       sm.Scenario(rng.random((2, 3))), cfg)
+    strategy = sm.Strategy(rng.random((2, 3)))
+    stats = sm.simulate_batch(strategy, rng.random((1, 2, 3)), cfg,
+                              record_states=True)
     path = tmp_path / "traj.csv"
-    sm.trajectory_to_csv(traj, cfg, path)
+    cli.trajectory_to_csv(stats, strategy, cfg, path)
     lines = path.read_text().strip().split("\n")
     assert len(lines) == cfg.T + 2
     header = lines[0].split(",")
