@@ -33,7 +33,7 @@ def main():
     noises = ev.generate_scenarios(cfg.n, cfg.T, args.scenarios, args.seed)
     validation = ev.generate_scenarios(cfg.n, cfg.T,
                                        args.validation_scenarios,
-                                       args.seed + 1)
+                                       (args.seed + 1) % (1 << 64))
 
     p = ad.tuned_params(iterations=args.iterations,
                         subproblem_budget=args.budget)

@@ -35,8 +35,7 @@ the identity.
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -74,17 +73,14 @@ class APPParams:
     subproblem_budget: int = 1000
 
     def __post_init__(self):
+        if not np.all(np.isfinite(astuple(self)[:6])):
+            raise ValueError("the six decomposition parameters must be finite")
         if min(self.gamma_u0, self.r_x, self.r_s, self.alpha0) <= 0:
             raise ValueError("gamma_u0, r_x, r_s and alpha0 must be positive")
         if self.d_gamma < 0 or self.d_alpha < 0:
             raise ValueError("schedule increments must be nonnegative")
         if self.iterations < 0 or self.subproblem_budget < 1:
             raise ValueError("invalid iteration or budget count")
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.gamma_u0, self.r_x, self.r_s,
-                         self.d_gamma, self.alpha0, self.d_alpha])
 
 
 def tuned_params(iterations: int = 50,
@@ -119,7 +115,6 @@ class Iterate:
     u: np.ndarray
     Lam: np.ndarray
     LamS: np.ndarray
-    k: int
     gamma_x: float
     gamma_s: float
     gamma_u: float
@@ -134,7 +129,7 @@ def initial_iterate(cfg: SystemConfig, p: APPParams, noises) -> Iterate:
     gamma_x, gamma_s, gamma_u, alpha = update_schedules(0, p)
     X, S = _relaxed_system_arrays(Strategy(u), noises, alpha, cfg)
     return Iterate(X=X, S=S, u=u, Lam=np.zeros_like(X),
-                   LamS=np.zeros_like(S), k=0, gamma_x=gamma_x,
+                   LamS=np.zeros_like(S), gamma_x=gamma_x,
                    gamma_s=gamma_s, gamma_u=gamma_u, alpha=alpha)
 
 
@@ -441,65 +436,6 @@ def stock_multiplier_backward(S_new, X_new, u_new, Lam_new, S_bar, noises,
 
 
 # ---------------------------------------------------------------------------
-# stationarity diagnostics and reduced gradient
-
-
-def component_stationarity_residual(X, U, Lam, it: Iterate, noises,
-                                    cfg: SystemConfig, cache: IterationCache
-                                    ) -> np.ndarray:
-    """Per component, max abs value of the Lagrangian state gradient at
-    (X, Lam), shape (n,)."""
-    T = cfg.T
-    r = (_own_cost_gradient(X, cache.sigma_others, it.alpha, cfg)
-         + it.gamma_x * (X - it.X) + Lam)
-    for t in range(T):
-        cp = _fleet_partials(X, U, t, it.S[t], cache.bprev[:, t], noises,
-                             it.alpha, cfg)
-        r[:, t] += cache.coord[:, t] \
-            - np.einsum("ocjq,joq->jcq", cp.d_own, Lam[:, t + 1])
-    return np.max(np.abs(r), axis=(1, 2, 3))
-
-
-def stock_stationarity_residual(S_new, X_new, u_new, Lam_new, LamS, S_bar,
-                                noises, cfg: SystemConfig, alpha, gamma_s
-                                ) -> float:
-    """Max abs value of the Lagrangian stock gradient at (S_new, LamS)."""
-    T = cfg.T
-    E, P = X_new[:, :, 0, :], X_new[:, :, 2:, :]
-    worst = float(np.max(np.abs(gamma_s * (S_new[T] - S_bar[T]) + LamS[T])))
-    for t in range(T - 1, -1, -1):
-        acc = np.sum(_stock_sensitivity(X_new, u_new, t, S_bar[t], noises,
-                                        Lam_new[:, t + 1], alpha, cfg),
-                     axis=0)
-        sp = rx.stock_step_partials(E[:, t], P[:, t], S_new[t], alpha, cfg)
-        r = (gamma_s * (S_new[t] - S_bar[t]) - acc
-             - sp.d_S * LamS[t + 1] + LamS[t])
-        worst = max(worst, float(np.max(np.abs(r))))
-    return worst
-
-
-def reduced_gradient(U, it: Iterate, noises, cfg: SystemConfig,
-                     cache: IterationCache) -> np.ndarray:
-    """Gradient of each subproblem objective in U[i] via the adjoint state.
-
-    Valid at any control point (not only at a minimizer): the adjoint
-    recursion is run along the trajectories of ``U`` itself.  Returns
-    (n, T).
-    """
-    T = cfg.T
-    X = component_trajectories(U, it, noises, cfg, cache)
-    Lam = component_multiplier_backward(X, U, it, noises, cfg, cache)
-    beta = cfg.discount(np.arange(T))
-    grad = 2.0 * beta * cfg.C_P[:, None] * U + it.gamma_u * (U - it.u)
-    for t in range(T):
-        cp = _fleet_partials(X, U, t, it.S[t], cache.bprev[:, t], noises,
-                             it.alpha, cfg)
-        grad[:, t] -= np.mean(np.einsum("ojq,joq->jq", cp.d_u, Lam[:, t + 1]),
-                              axis=1)
-    return grad
-
-
-# ---------------------------------------------------------------------------
 # fixed-point driver
 
 
@@ -507,15 +443,13 @@ def _subproblem_seed(seed: int, k: int, i: int) -> int:
     return int(np.random.SeedSequence([seed, k, i]).generate_state(1)[0])
 
 
-def app_fixed_point(cfg: SystemConfig, p: APPParams, noises, seed: int,
-                    progress=None):
+def app_fixed_point(cfg: SystemConfig, p: APPParams, noises, seed: int):
     """Run the mixed parallel/sequential fixed-point loop.
 
     ``noises`` has shape (Q, n, T).  Returns (Strategy, history) where the
     history holds one record per iteration with schedule values, the mean
-    relaxed sample cost of the fresh controls, per-subproblem best values
-    and the wall time.  Output is a deterministic function of (cfg, p,
-    noises, seed).
+    relaxed sample cost of the fresh controls and per-subproblem best
+    values.  Output is a deterministic function of (cfg, p, noises, seed).
     """
     noises = np.asarray(noises, dtype=float)
     if noises.ndim != 3 or noises.shape[1:] != (cfg.n, cfg.T):
@@ -524,9 +458,8 @@ def app_fixed_point(cfg: SystemConfig, p: APPParams, noises, seed: int,
     it = initial_iterate(cfg, p, noises)
     history = []
     for k in range(p.iterations):
-        tic = time.perf_counter()
         gamma_x, gamma_s, gamma_u, alpha = update_schedules(k, p)
-        it.k, it.alpha = k, alpha
+        it.alpha = alpha
         it.gamma_x, it.gamma_s, it.gamma_u = gamma_x, gamma_s, gamma_u
         cache = build_iteration_cache(it, noises, cfg)
         budgets = [SearchBudget(max_evals=p.subproblem_budget,
@@ -544,21 +477,16 @@ def app_fixed_point(cfg: SystemConfig, p: APPParams, noises, seed: int,
 
         relaxed = rx.simulate_relaxed_batch(Strategy(u_new), noises, alpha,
                                             cfg)
-        record = {
+        history.append({
             "k": k, "alpha": alpha, "gamma_u": gamma_u,
             "gamma_x": gamma_x, "gamma_s": gamma_s,
             "saa_relaxed": float(np.mean(relaxed.total_cost)),
             "subproblem_best": bests.tolist(),
-            "wall_time": time.perf_counter() - tic,
-        }
-        history.append(record)
-        if progress is not None:
-            progress(record)
+        })
     return Strategy(it.u.copy()), history
 
 
 def history_to_csv(history, path, n: int):
-    # wall_time stays out of the file so outputs are byte-reproducible
     cols = ["k", "alpha", "gamma_u", "gamma_x", "gamma_s", "saa_relaxed"] \
         + [f"best_{i + 1}" for i in range(n)]
     lines = [",".join(cols)]

@@ -338,7 +338,8 @@ def _run_evaluate(manifest, cfg, out: Path):
     strategy = load_strategy(manifest.strategy, cfg)
     scen = ev.generate_scenarios(cfg.n, cfg.T, manifest.validation_scenarios,
                                  manifest.seed)
-    report = ev.evaluate_strategy(strategy, scen, cfg, project=True)
+    report = ev.evaluate_strategy(ev.project_strategy(strategy, cfg.nu),
+                                  scen, cfg)
     ev.report_to_csv(report, out / "report.csv")
     (out / "report.txt").write_text(ev.report_to_text(report))
     ev.curves_to_csv(report, out / "pm_cumulative.csv",
@@ -357,7 +358,7 @@ def _run_tune(manifest, cfg, out: Path):
                                    manifest.seed)
     validation = ev.generate_scenarios(cfg.n, cfg.T,
                                        manifest.validation_scenarios,
-                                       manifest.seed + 1)
+                                       (manifest.seed + 1) % (1 << 64))
     best, leaderboard = tune(cfg, samples, noises, validation,
                              seed=manifest.seed, threads=manifest.threads)
     leaderboard_to_csv(leaderboard, out / "leaderboard.csv")

@@ -115,15 +115,13 @@ def _nearest_rank(sorted_values: np.ndarray, level: float) -> float:
     return float(sorted_values[max(rank, 1) - 1])
 
 
-def evaluate_strategy(strategy: Strategy, scenarios, cfg: SystemConfig,
-                      project: bool = False) -> EvaluationReport:
+def evaluate_strategy(strategy: Strategy, scenarios,
+                      cfg: SystemConfig) -> EvaluationReport:
     """Score a strategy on the exact dynamics over validation scenarios.
 
-    The caller is expected to pass a binary (projected) strategy; set
-    ``project`` to apply the threshold projection here instead.
+    The caller is expected to pass a binary (projected) strategy, see
+    :func:`project_strategy`.
     """
-    if project:
-        strategy = project_strategy(strategy, cfg.nu)
     stats = simulate_batch(strategy, scenarios, cfg)
     Q = stats.total_cost.size
     totals = np.sort(stats.total_cost, kind="stable")

@@ -124,7 +124,8 @@ def _ramps(alpha, probe: _BandProbe | None = None) -> sm.Indicators:
 
 @dataclass
 class ComponentStepPartials:
-    """Jacobian blocks of one relaxed component step (or a fleet's).
+    """Jacobian blocks of one relaxed component step (or a fleet's) in its
+    own state and in the stock, the blocks the adjoint recursions read.
 
     State coordinates are ordered (E, A, P^1..P^D), so every block carries
     a leading axis of size D+2 for the output coordinate.  Lower components
@@ -133,10 +134,8 @@ class ComponentStepPartials:
     lower component's regime E_j is ``-d_S * d1{0}(E_j)``.
     """
 
-    new_state: np.ndarray          # (D+2, ...)
     d_own: np.ndarray              # (D+2, D+2, ...)
     d_S: np.ndarray                # (D+2, ...)
-    d_u: np.ndarray                # (D+2, ...)
 
 
 @dataclass
@@ -167,7 +166,6 @@ def component_step_partials(E, A, P, S, b_prev, u, w, alpha, shape, scale,
     dg = _dind_singleton(0.0, E, alpha)
     dV = _dind_nonneg(S - f.b, alpha)
     dVp = _dind_strict_pos(f.b - S, alpha)
-    dm = _dind_nonneg(u - cfg.nu, alpha)
     dp = failure_probability_derivative(shape, scale, A, cfg.dt)
     dnf = _dind_nonneg(w - f.p, alpha)
     nf_A = -dnf * dp
@@ -177,7 +175,6 @@ def component_step_partials(E, A, P, S, b_prev, u, w, alpha, shape, scale,
     fE_E = V * dg - dV * dg * g - (m + nf * (1.0 - m)) * dg
     fE_A = nf_A * (1.0 - m) * one_g
     fE_S = dV * g
-    fE_u = dm * (1.0 - nf) * one_g
 
     # age row
     brk = Vp * g + nf * (1.0 - m) * one_g
@@ -187,8 +184,6 @@ def component_step_partials(E, A, P, S, b_prev, u, w, alpha, shape, scale,
     fA_A = (brk + (A + 1.0) * nf_A * (1.0 - m) * one_g
             + (1.0 - u) * m * one_g)
     fA_S = -A * g * dVp
-    fA_u = one_g * (-(A + 1.0) * nf * dm
-                    + ((1.0 - u) * A + 1.0) * dm - A * m)
 
     # failure-record rows: switch c = 1{1}(E) * 1{0}(E_new)
     dI1 = _dind_singleton(1.0, E, alpha)
@@ -197,7 +192,6 @@ def component_step_partials(E, A, P, S, b_prev, u, w, alpha, shape, scale,
     c_E = dI1 * f.I0n + chain * fE_E
     c_A = chain * fE_A
     c_S = chain * fE_S
-    c_u = chain * fE_u
 
     Idel, IdelD = f.Idel, f.Idel[-1]
     dIdel = _dind_singleton(delta, P, alpha)
@@ -218,7 +212,6 @@ def component_step_partials(E, A, P, S, b_prev, u, w, alpha, shape, scale,
 
     # assemble blocks
     dim = D + 2
-    new_state = np.concatenate([f.E_new[None], f.A_new[None], f.P_new])
     d_own = np.zeros((dim, dim) + batch)
     d_own[0, 0], d_own[0, 1] = fE_E, fE_A
     d_own[1, 0], d_own[1, 1] = fA_E, fA_A
@@ -230,10 +223,7 @@ def component_step_partials(E, A, P, S, b_prev, u, w, alpha, shape, scale,
     d_S = np.zeros((dim,) + batch)
     d_S[0], d_S[1] = fE_S, fA_S
     d_S[2:] = gap * c_S[None]
-    d_u = np.zeros((dim,) + batch)
-    d_u[0], d_u[1] = fE_u, fA_u
-    d_u[2:] = gap * c_u[None]
-    return ComponentStepPartials(new_state, d_own, d_S, d_u)
+    return ComponentStepPartials(d_own, d_S)
 
 
 def stock_step_partials(E_all, P_all, S, alpha,

@@ -4,7 +4,8 @@ subproblem trajectories, for the finite-difference tests.
 A point is a list of ``scalar_reference.ComponentState`` for components
 1..i (the stepped component is the last; the lower ones enter through
 ``b_prev``), a stock level, a control and a noise.  Every helper calls
-the kernel or the partials of the package directly.
+the kernel or the partials of the package directly; only the control
+block of the component partials comes from ``adjoint_reference``.
 
 The relaxed dynamics has kinks where a surrogate's ramp starts or ends and
 where the min operators tie; derivatives are taken to be 0 there, so a
@@ -17,6 +18,7 @@ import numpy as np
 from fleetmaint import appdecomp as ad
 from fleetmaint import relax as rx
 from fleetmaint import sysmodel as sm
+from adjoint_reference import step_partials
 
 
 def kinks_singleton(a, x, alpha):
@@ -122,11 +124,12 @@ def step_stock(states, stock, alpha, cfg):
 
 
 def partials_at(states, stock, u, w, alpha, cfg):
-    """Component and stock partials at the point, and its distance to the
-    nearest kink of any surrogate that the step or the stage cost reads."""
+    """Component partials (with the control block) and stock partials at
+    the point, and its distance to the nearest kink of any surrogate that
+    the step or the stage cost reads."""
     E, A, P = _arrays(states)
     args = _last(states, stock, u, w, alpha, cfg)
-    comp = rx.component_step_partials(*args[:7], alpha, *args[7:])
+    comp = step_partials(*args[:7], alpha, *args[7:])
     sto = rx.stock_step_partials(E, P, stock, alpha, cfg)
     probe = KinkProbe()
     sm._component_forward(*args, kink_indicators(alpha, probe))

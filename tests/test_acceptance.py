@@ -18,6 +18,8 @@ from fleetmaint import evalharness as ev
 from fleetmaint import relax as rx
 from fleetmaint import sysmodel as sm
 import scalar_reference as ref
+from adjoint_reference import (component_stationarity_residual,
+                               reduced_gradient, stock_stationarity_residual)
 from scalar_points import (partials_at, step_last, step_stock,
                            subproblem_kink_distance)
 
@@ -130,9 +132,9 @@ def test_criterion_4_adjoint_correctness():
             continue
         X = ad.component_trajectories(U, it, noises, cfg, cache)
         Lam = ad.component_multiplier_backward(X, U, it, noises, cfg, cache)
-        worst_res = max(worst_res, ad.component_stationarity_residual(
+        worst_res = max(worst_res, component_stationarity_residual(
             X, U, Lam, it, noises, cfg, cache)[i])
-        grad = ad.reduced_gradient(U, it, noises, cfg, cache)[i]
+        grad = reduced_gradient(U, it, noises, cfg, cache)[i]
         for t in range(cfg.T):
             up, um = U.copy(), U.copy()
             up[i, t] += h
@@ -148,7 +150,7 @@ def test_criterion_4_adjoint_correctness():
         LamS = ad.stock_multiplier_backward(S, it.X, it.u, it.Lam, it.S,
                                             noises, cfg, it.alpha,
                                             it.gamma_s)
-        worst_res = max(worst_res, ad.stock_stationarity_residual(
+        worst_res = max(worst_res, stock_stationarity_residual(
             S, it.X, it.u, it.Lam, LamS, it.S, noises, cfg, it.alpha,
             it.gamma_s))
         checked += 1
@@ -301,7 +303,8 @@ def test_criterion_8_schedules_and_tuner():
         count = int(rng.integers(1, 9))
         samples = cli.lhs_sample(list(zip(lo, hi)), count,
                                  int(rng.integers(0, 2 ** 31)), restarts=2)
-        arr = np.array([s.vector for s in samples])
+        arr = np.array([[getattr(s, k) for k in cli._PARAM_KEYS]
+                        for s in samples])
         for j in range(d):
             strata = np.floor((arr[:, j] - lo[j]) / (hi[j] - lo[j])
                               * count).astype(int)

@@ -7,6 +7,8 @@ from fleetmaint.dsearch import SearchBudget
 from fleetmaint import appdecomp as ad
 from fleetmaint import relax as rx
 from fleetmaint import sysmodel as sm
+from adjoint_reference import (component_stationarity_residual,
+                               reduced_gradient, stock_stationarity_residual)
 from scalar_points import (KinkProbe, kink_indicators, stock_kinks,
                            subproblem_kink_distance)
 
@@ -317,8 +319,8 @@ def test_component_multiplier_stationarity():
     U = rng.random((2, 3))
     X = ad.component_trajectories(U, it, noises, cfg, cache)
     Lam = ad.component_multiplier_backward(X, U, it, noises, cfg, cache)
-    res = ad.component_stationarity_residual(X, U, Lam, it, noises, cfg,
-                                             cache)
+    res = component_stationarity_residual(X, U, Lam, it, noises, cfg,
+                                          cache)
     assert res.shape == (2,) and np.all(res < 1e-10)
 
 
@@ -332,9 +334,9 @@ def test_stock_multiplier_stationarity():
     S_new = ad.solve_stock_subproblem(X_new, noises, it.alpha, cfg)
     LamS = ad.stock_multiplier_backward(S_new, X_new, u_new, Lam_new, it.S,
                                         noises, cfg, it.alpha, it.gamma_s)
-    res = ad.stock_stationarity_residual(S_new, X_new, u_new, Lam_new, LamS,
-                                         it.S, noises, cfg, it.alpha,
-                                         it.gamma_s)
+    res = stock_stationarity_residual(S_new, X_new, u_new, Lam_new, LamS,
+                                      it.S, noises, cfg, it.alpha,
+                                      it.gamma_s)
     assert res < 1e-10
 
 
@@ -413,7 +415,7 @@ def test_coupling_coefficients_match_fd():
         it = ad.Iterate(X=X, S=rng.uniform(0.0, n, (T + 1, Q)),
                         u=rng.random((n, T)),
                         Lam=rng.normal(0.0, 2.0, X.shape),
-                        LamS=rng.normal(0.0, 2.0, (T + 1, Q)), k=0,
+                        LamS=rng.normal(0.0, 2.0, (T + 1, Q)),
                         gamma_x=0.0, gamma_s=0.0, gamma_u=0.0, alpha=alpha)
         cache = ad.build_iteration_cache(it, noises, cfg)
         i0 = rx._ind_singleton(0.0, X[:, :T, 0], alpha)
@@ -471,7 +473,7 @@ def test_reduced_gradient_matches_fd():
         U[i] = rng.uniform(0.05, 0.95, T)
         if subproblem_kink_distance(U, it, noises, cfg, cache)[i] < 1e-2:
             continue
-        grad = ad.reduced_gradient(U, it, noises, cfg, cache)[i]
+        grad = reduced_gradient(U, it, noises, cfg, cache)[i]
         h = 1e-5
         for t in range(T):
             up, um = U.copy(), U.copy()

@@ -22,6 +22,11 @@ def small_cfg(**kw):
     return SystemConfig(**base)
 
 
+def param_vector(p):
+    """The six decomposition parameters of ``p``, in file order."""
+    return np.array([getattr(p, k) for k in cli._PARAM_KEYS])
+
+
 # ---------------------------------------------------------------------------
 # file round-trips
 
@@ -66,7 +71,7 @@ def test_params_file_rejects_garbage(tmp_path):
 def test_lhs_stratification():
     bounds = [(0.0, 1.0)] * 6
     samples = cli.lhs_sample(bounds, 4, seed=1, restarts=3)
-    arr = np.array([p.vector for p in samples])
+    arr = np.array([param_vector(p) for p in samples])
     assert arr.shape == (4, 6)
     for j in range(6):
         strata = np.sort(np.floor(arr[:, j] * 4).astype(int))
@@ -76,21 +81,22 @@ def test_lhs_stratification():
 def test_lhs_respects_bounds():
     samples = cli.lhs_sample(ad.PARAM_BOUNDS, 10, seed=2)
     for p in samples:
-        for val, (lo, hi) in zip(p.vector, ad.PARAM_BOUNDS):
+        for val, (lo, hi) in zip(param_vector(p), ad.PARAM_BOUNDS):
             assert lo <= val <= hi
 
 
 def test_lhs_deterministic():
     a = cli.lhs_sample(ad.PARAM_BOUNDS, 5, seed=9)
     b = cli.lhs_sample(ad.PARAM_BOUNDS, 5, seed=9)
-    assert all(np.array_equal(x.vector, y.vector) for x, y in zip(a, b))
+    assert all(np.array_equal(param_vector(x), param_vector(y))
+               for x, y in zip(a, b))
 
 
 def test_lhs_maximin_improves_separation():
     bounds = [(0.0, 1.0)] * 6
 
     def min_sep(samples):
-        arr = np.array([p.vector for p in samples])
+        arr = np.array([param_vector(p) for p in samples])
         d = np.sqrt(((arr[:, None] - arr[None, :]) ** 2).sum(-1))
         iu = np.triu_indices(len(samples), k=1)
         return d[iu].min()
@@ -207,6 +213,19 @@ def test_evaluate_mode(tmp_path):
     for name in ("report.csv", "report.txt", "pm_cumulative.csv",
                  "empty_stock.csv"):
         assert (out / name).exists()
+    # fractional controls score as the binary schedule they stand for
+    frac = Strategy(np.array([[0.95, 0.5, 0.0], [0.9, 0.2, 1.0]]))
+    reports = []
+    for name, strat in (("frac", frac),
+                        ("bin", ev.project_strategy(frac, cfg.nu))):
+        cli.save_strategy(strat, cfg, tmp_path / f"{name}.csv")
+        rc = cli.run(cli.RunManifest(mode="evaluate", config=cfg_path,
+                                     seed=2, out=str(tmp_path / name),
+                                     strategy=str(tmp_path / f"{name}.csv"),
+                                     validation_scenarios=30))
+        assert rc == 0
+        reports.append((tmp_path / name / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_evaluate_wrong_size_strategy_exit_code(tmp_path):
@@ -277,6 +296,34 @@ def test_tune_mode(tmp_path):
     assert len(board.split("\n")) == 3
     best = cli.load_params(tmp_path / "o" / "best_params.yaml")
     assert isinstance(best, ad.APPParams)
+
+
+def test_tune_largest_seed(tmp_path):
+    # the validation scenarios use the next seed, which wraps round to 0
+    out = tmp_path / "o"
+    rc = cli.main(["--mode", "tune", "--seed", str((1 << 64) - 1),
+                   "--lhs-count", "1", "--iterations", "0", "--budget", "1",
+                   "--scenarios", "1", "--validation-scenarios", "1",
+                   "--out", str(out)])
+    assert rc == 0
+    assert (out / "leaderboard.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("gamma_u0", ".nan"),
+                                        ("alpha0", ".inf")])
+def test_non_finite_params_exit_code(tmp_path, capsys, key, value):
+    p = ad.tuned_params()
+    path = tmp_path / "params.yaml"
+    path.write_text("".join(f"{k}: {value if k == key else getattr(p, k)}\n"
+                            for k in cli._PARAM_KEYS))
+    rc = cli.main(["--mode", "optimize-app", "--params", str(path),
+                   "--iterations", "1", "--budget", "1", "--scenarios", "1",
+                   "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "finite" in err
+    assert not (tmp_path / "o" / "history.csv").exists()
 
 
 def test_bad_config_exit_code(tmp_path):

