@@ -43,7 +43,7 @@ from .config import SystemConfig
 from .sysmodel import Strategy, DimensionError
 from . import relax as rx
 from . import sysmodel as sm
-from .dsearch import SearchBudget, minimize
+from .dsearch import minimize
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +233,18 @@ def component_trajectories(U, it: Iterate, noises, cfg: SystemConfig,
                            cache: IterationCache) -> np.ndarray:
     """Relaxed trajectories of all components against frozen surroundings.
 
-    Row i of the (n, T) controls ``U`` drives component i, which sees the
-    bar stock and its bar broken-below count; rows never mix.  One fleet
-    step call per time step; returns states (n, T+1, D+2, Q).  An (n, K, T)
-    stack of K candidate controls per component is stepped together on
-    K*Q scenario columns, candidate-major, and gives states
-    (n, K, T+1, D+2, Q), each candidate's those of its own call.
+    Row i of the (n, K, T) stack ``U`` holds K candidate controls of
+    component i, which sees the bar stock and its bar broken-below count;
+    rows never mix.  The candidates are stepped together on K*Q scenario
+    columns, candidate-major, one fleet step call per time step, and give
+    states (n, K, T+1, D+2, Q), each candidate's those of a stack of one.
     """
     T, D = cfg.T, cfg.D
     U = np.asarray(U, dtype=float)
-    stacked = U.ndim == 3
-    if (U.ndim not in (2, 3) or U.shape[0] != cfg.n or U.shape[-1] != T
-            or U.size == 0):
-        raise DimensionError(f"controls must have shape {(cfg.n, T)} or "
-                             f"{(cfg.n, 'K', T)}, got {U.shape}")
-    Uc = U.transpose(1, 0, 2) if stacked else U[None]   # (K, n, T)
+    if U.ndim != 3 or U.shape[0] != cfg.n or U.shape[-1] != T or U.size == 0:
+        raise DimensionError(f"controls must have shape {(cfg.n, 'K', T)}, "
+                             f"got {U.shape}")
+    Uc = U.transpose(1, 0, 2)                 # (K, n, T)
     K, Q = len(Uc), noises.shape[0]
     # candidate k's states are the contiguous block X[k]
     X = np.empty((K, cfg.n, T + 1, D + 2, Q))
@@ -263,22 +260,19 @@ def component_trajectories(U, it: Iterate, noises, cfg: SystemConfig,
             E, A, P = sm.component_step_core(
                 E, A, P, it.S[t], cache.bprev[:, t], Uc[:, :, t, None],
                 noises[:, :, t].T, shape, scale, cfg, ind)
-    return X.transpose(1, 0, 2, 3, 4) if stacked else X[0]
+    return X.transpose(1, 0, 2, 3, 4)
 
 
 def component_subproblem_objective(U, it: Iterate, noises, cfg: SystemConfig,
                                    cache: IterationCache) -> np.ndarray:
-    """Auxiliary objective of every component i at candidate controls U[i].
+    """Auxiliary objective of every component i at its K candidate controls.
 
-    ``U`` has shape (n, T) and gives the n values, or (n, K, T) and gives
-    (n, K).  Every row and every candidate is reduced on its own, on its
-    own Q scenario columns, so each value is the one a single-component,
-    single-candidate evaluation gives.
+    ``U`` has shape (n, K, T) and gives (n, K) values.  Every row and every
+    candidate is reduced on its own, on its own Q scenario columns, so each
+    value is the one a single-component, single-candidate evaluation gives.
     """
     X = component_trajectories(U, it, noises, cfg, cache)
     U = np.asarray(U, dtype=float)
-    if U.ndim == 2:
-        return _subproblem_values(U, X, it, cfg, cache)
     return np.stack([_subproblem_values(U[:, k], X[:, k], it, cfg, cache)
                      for k in range(U.shape[1])], axis=1)
 
@@ -313,11 +307,13 @@ LOCKSTEP_COLUMNS = sm.BLOCK
 
 
 def solve_component_subproblems(it: Iterate, noises, cfg: SystemConfig,
-                                budgets, cache: IterationCache):
+                                max_evals: int, seeds,
+                                cache: IterationCache):
     """Minimize every component's auxiliary objective over its controls.
 
     One row-wise lockstep search, row i warm-started at the bar controls of
-    component i with ``budgets[i]``; each round steps a chunk of up to
+    component i with ``max_evals`` evaluations and generator seed
+    ``seeds[i]``; each round steps a chunk of up to
     max(1, LOCKSTEP_COLUMNS // (n Q)) candidates per row.  Returns (X, U,
     best values (n,), evaluations used over all rows); the trajectories
     satisfy the frozen-surroundings relaxed dynamics by construction.
@@ -325,9 +321,9 @@ def solve_component_subproblems(it: Iterate, noises, cfg: SystemConfig,
     lo, hi = np.zeros(cfg.T), np.ones(cfg.T)
     U, best, evals = minimize(
         lambda U: component_subproblem_objective(U, it, noises, cfg, cache),
-        it.u.copy(), (lo, hi), budgets,
+        it.u.copy(), (lo, hi), max_evals, seeds,
         max_chunk=max(1, LOCKSTEP_COLUMNS // (cfg.n * noises.shape[0])))
-    X = component_trajectories(U, it, noises, cfg, cache)
+    X = component_trajectories(U[:, None], it, noises, cfg, cache)[:, 0]
     return X, U, best, evals
 
 
@@ -462,11 +458,9 @@ def app_fixed_point(cfg: SystemConfig, p: APPParams, noises, seed: int):
         it.alpha = alpha
         it.gamma_x, it.gamma_s, it.gamma_u = gamma_x, gamma_s, gamma_u
         cache = build_iteration_cache(it, noises, cfg)
-        budgets = [SearchBudget(max_evals=p.subproblem_budget,
-                                seed=_subproblem_seed(seed, k, i))
-                   for i in range(cfg.n)]
+        seeds = [_subproblem_seed(seed, k, i) for i in range(cfg.n)]
         X_new, u_new, bests, _ = solve_component_subproblems(
-            it, noises, cfg, budgets, cache)
+            it, noises, cfg, p.subproblem_budget, seeds, cache)
         Lam_new = component_multiplier_backward(X_new, u_new, it, noises,
                                                 cfg, cache)
         S_new = solve_stock_subproblem(X_new, noises, alpha, cfg)

@@ -29,7 +29,7 @@ import yaml
 
 from .config import SystemConfig, ConfigError, load_config, small_system_config
 from .sysmodel import BatchStats, DimensionError, Strategy, simulate_batch
-from .dsearch import SearchBudget, minimize
+from .dsearch import minimize
 from . import appdecomp as ad
 from . import evalharness as ev
 
@@ -96,8 +96,8 @@ def load_strategy(path, cfg: SystemConfig) -> Strategy:
     """Read a strategy file: ConfigError when it is malformed or was
     written for another PM threshold than ``cfg.nu``, DimensionError when
     its rows do not match its header."""
-    lines = Path(path).read_text().strip().split("\n")
     try:
+        lines = Path(path).read_text().strip().split("\n")
         header = dict(kv.split("=") for kv in lines[0].split(","))
         n, T, nu = int(header["n"]), int(header["T"]), float(header["nu"])
         rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
@@ -164,13 +164,13 @@ def save_params(p: ad.APPParams, path):
 
 
 def load_params(path) -> ad.APPParams:
-    data = yaml.safe_load(Path(path).read_text())
     try:
+        data = yaml.safe_load(Path(path).read_text())
         return ad.APPParams(**{k: data[k] for k in _PARAM_KEYS},
                             iterations=int(data.get("iterations", 50)),
                             subproblem_budget=int(
                                 data.get("subproblem_budget", 1000)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, yaml.YAMLError) as exc:
         raise ConfigError(f"bad parameter file {path}: {exc}") from exc
 
 
@@ -309,14 +309,15 @@ def optimize_direct(cfg: SystemConfig, noises, budget: int, seed: int):
     the exact sample-average objective over ``noises``, started at the
     do-nothing schedule.  Returns (Strategy, best value, evaluations)."""
 
-    def objective(flat):
-        return ev.saa_objective(flat.reshape(-1, cfg.n, cfg.T), noises, cfg)
+    def objective(flat):                      # (1, K, n*T) -> (1, K)
+        return ev.saa_objective(flat.reshape(-1, cfg.n, cfg.T), noises,
+                                cfg)[None]
 
-    x0 = np.zeros(cfg.n * cfg.T)
+    x0 = np.zeros((1, cfg.n * cfg.T))
     x, f, evals = minimize(objective, x0, (np.zeros_like(x0),
                                            np.ones_like(x0)),
-                           SearchBudget(max_evals=budget, seed=seed))
-    return Strategy(x.reshape(cfg.n, cfg.T)), f, evals
+                           budget, [seed])
+    return Strategy(x.reshape(cfg.n, cfg.T)), float(f[0]), evals
 
 
 def _run_optimize_direct(manifest, cfg, out: Path):
@@ -378,9 +379,7 @@ def run(manifest: RunManifest) -> int:
             probe.write_text("")
             probe.unlink()
         except OSError as exc:
-            print(f"error: output directory not writable: {exc}",
-                  file=sys.stderr)
-            return EXIT_OUTPUT
+            return _fail("output directory not writable", exc, EXIT_OUTPUT)
         dispatch = {
             "simulate": _run_simulate,
             "optimize-app": _run_optimize_app,
@@ -391,14 +390,18 @@ def run(manifest: RunManifest) -> int:
         dispatch[manifest.mode](manifest, cfg, out)
         return EXIT_OK
     except ConfigError as exc:
-        print(f"error: bad configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail("bad configuration", exc, EXIT_CONFIG)
     except DimensionError as exc:
-        print(f"error: dimension mismatch: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
+        return _fail("dimension mismatch", exc, EXIT_DIMENSION)
     except OSError as exc:
-        print(f"error: i/o failure: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT
+        return _fail("i/o failure", exc, EXIT_OUTPUT)
+
+
+def _fail(what: str, exc: Exception, code: int) -> int:
+    """Report ``exc`` on one stderr line (a YAML parse error spans several,
+    with a caret drawing) and return the exit code."""
+    print(f"error: {what}: {' '.join(str(exc).split())}", file=sys.stderr)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -101,7 +101,7 @@ def load_config(path: str | Path) -> SystemConfig:
     """Load a SystemConfig from a YAML file."""
     try:
         raw = yaml.safe_load(Path(path).read_text())
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} is not a mapping")

@@ -110,7 +110,7 @@ def reduced_gradient(U, it: ad.Iterate, noises, cfg: SystemConfig,
     (n, T).
     """
     T = cfg.T
-    X = ad.component_trajectories(U, it, noises, cfg, cache)
+    X = ad.component_trajectories(U[:, None], it, noises, cfg, cache)[:, 0]
     Lam = ad.component_multiplier_backward(X, U, it, noises, cfg, cache)
     beta = cfg.discount(np.arange(T))
     grad = 2.0 * beta * cfg.C_P[:, None] * U + it.gamma_u * (U - it.u)

@@ -152,7 +152,7 @@ def subproblem_kink_distance(U, it, noises, cfg, cache):
     Returns (n,).
     """
     probe = KinkProbe((cfg.n, noises.shape[0]), interior=True)
-    X = ad.component_trajectories(U, it, noises, cfg, cache)
+    X = ad.component_trajectories(U[:, None], it, noises, cfg, cache)[:, 0]
     alpha = it.alpha
     ind = kink_indicators(alpha, probe)
     # every step again, at the states, stock, broken-below counts, controls

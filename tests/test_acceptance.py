@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fleetmaint.config import SystemConfig, small_system_config
-from fleetmaint.dsearch import SearchBudget, minimize
+from fleetmaint.dsearch import minimize
 from fleetmaint import appdecomp as ad
 from fleetmaint import cli
 from fleetmaint import evalharness as ev
@@ -130,7 +130,8 @@ def test_criterion_4_adjoint_correctness():
         if subproblem_kink_distance(U, it, noises, cfg,
                                        cache)[i] < 1e-2:
             continue
-        X = ad.component_trajectories(U, it, noises, cfg, cache)
+        X = ad.component_trajectories(U[:, None], it, noises, cfg,
+                                      cache)[:, 0]
         Lam = ad.component_multiplier_backward(X, U, it, noises, cfg, cache)
         worst_res = max(worst_res, component_stationarity_residual(
             X, U, Lam, it, noises, cfg, cache)[i])
@@ -139,10 +140,11 @@ def test_criterion_4_adjoint_correctness():
             up, um = U.copy(), U.copy()
             up[i, t] += h
             um[i, t] -= h
-            fd = (ad.component_subproblem_objective(up, it, noises, cfg,
-                                                    cache)[i]
-                  - ad.component_subproblem_objective(um, it, noises,
-                                                      cfg, cache)[i]) / (2 * h)
+            fd = (ad.component_subproblem_objective(up[:, None], it, noises,
+                                                    cfg, cache)[i, 0]
+                  - ad.component_subproblem_objective(um[:, None], it, noises,
+                                                      cfg, cache)[i, 0]
+                  ) / (2 * h)
             rel = abs(grad[t] - fd) / max(abs(fd), 1e-7)
             worst_rel = max(worst_rel, rel)
         # stock multiplier consistency on the same instance
@@ -244,18 +246,19 @@ def test_criterion_5_step_jacobians_match_finite_differences():
 
 def test_criterion_6_direct_search_sphere():
     rng = np.random.default_rng(606)
-    x0 = rng.uniform(-1, 1, 40)
+    x0 = rng.uniform(-1, 1, (1, 40))
     box = (-np.ones(40), np.ones(40))
 
     def sphere(X):
-        return np.sum(X * X, axis=1)
+        return np.sum(X * X, axis=-1)
 
-    out1 = minimize(sphere, x0, box, SearchBudget(max_evals=10_000, seed=6))
-    out2 = minimize(sphere, x0, box, SearchBudget(max_evals=10_000, seed=6))
-    ok = out1[1] <= 1e-3 and np.array_equal(out1[0], out2[0]) \
-        and out1[1] == out2[1]
+    out1 = minimize(sphere, x0, box, 10_000, [6])
+    out2 = minimize(sphere, x0, box, 10_000, [6])
+    ok = out1[1][0] <= 1e-3 and np.array_equal(out1[0], out2[0]) \
+        and out1[1][0] == out2[1][0]
     _verdict(6, "direct search solves the 40-d sphere", ok,
-             f"value {out1[1]:.2e} in {out1[2]} evaluations, deterministic")
+             f"value {out1[1][0]:.2e} in {out1[2]} evaluations, "
+             f"deterministic")
 
 
 @pytest.mark.slow

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from fleetmaint.config import SystemConfig
-from fleetmaint.dsearch import SearchBudget
 from fleetmaint import appdecomp as ad
 from fleetmaint import relax as rx
 from fleetmaint import sysmodel as sm
@@ -76,7 +75,8 @@ def test_objective_at_bar_with_zero_multipliers():
                                       cfg, record_states=True)
     beta = cfg.discount(np.arange(cfg.T + 1))
     cache = ad.build_iteration_cache(it, noises, cfg)
-    got = ad.component_subproblem_objective(it.u, it, noises, cfg, cache)
+    got = ad.component_subproblem_objective(it.u[:, None], it, noises, cfg,
+                                            cache)[:, 0]
     for i in range(2):
         E, A = stats.regimes[:, i, :], stats.ages[:, i, :]
         cm = np.sum(beta[:, None] * cfg.C_C[i]
@@ -91,11 +91,11 @@ def test_objective_proximal_terms():
     noises = np.ones((2, 1, 3))      # no failures
     it = make_iterate(cfg, noises, gamma_x=0.0, gamma_u=4.0)
     cache = ad.build_iteration_cache(it, noises, cfg)
-    base = ad.component_subproblem_objective(it.u, it, noises, cfg,
-                                             cache)[0]
+    base = ad.component_subproblem_objective(it.u[:, None], it, noises, cfg,
+                                             cache)[0, 0]
     shifted = it.u + 0.1
-    got = ad.component_subproblem_objective(shifted, it, noises, cfg,
-                                            cache)[0]
+    got = ad.component_subproblem_objective(shifted[:, None], it, noises, cfg,
+                                            cache)[0, 0]
     beta = cfg.discount(np.arange(3))
     pm = float(np.sum(beta * cfg.C_P[0] * shifted[0] ** 2))
     assert got == pytest.approx(base + pm + 0.5 * 4.0 * 3 * 0.1 ** 2,
@@ -107,7 +107,8 @@ def test_objective_dimension_check():
     noises = np.ones((2, 2, 3))
     it = make_iterate(cfg, noises)
     cache = ad.build_iteration_cache(it, noises, cfg)
-    for shape in ((3,), (2, 5), (1, 3)):
+    # controls are an (n, K, T) stack: one (n, T) matrix is rejected too
+    for shape in ((3,), (2, 3), (2, 5), (1, 3)):
         with pytest.raises(sm.DimensionError):
             ad.component_subproblem_objective(np.zeros(shape), it, noises,
                                               cfg, cache)
@@ -118,7 +119,7 @@ def test_objective_is_deterministic():
     rng = np.random.default_rng(3)
     noises = rng.random((4, 2, 4))
     it = make_iterate(cfg, noises)
-    u = rng.random((2, 4))
+    u = rng.random((2, 4))[:, None]
     cache = ad.build_iteration_cache(it, noises, cfg)
     a = ad.component_subproblem_objective(u, it, noises, cfg, cache)
     b = ad.component_subproblem_objective(u, it, noises, cfg, cache)
@@ -141,7 +142,8 @@ def test_subproblem_trajectories_at_bar_equal_relaxed_batch():
     it.X, it.S = ad._relaxed_system_arrays(sm.Strategy(it.u), noises,
                                            it.alpha, cfg)
     cache = ad.build_iteration_cache(it, noises, cfg)
-    X = ad.component_trajectories(it.u, it, noises, cfg, cache)
+    X = ad.component_trajectories(it.u[:, None], it, noises, cfg,
+                                  cache)[:, 0]
     assert np.array_equal(X[:, :, 0], stats.regimes.transpose(1, 0, 2))
     assert np.array_equal(X[:, :, 1], stats.ages.transpose(1, 0, 2))
     assert np.array_equal(X[:, :, 2:],
@@ -149,10 +151,12 @@ def test_subproblem_trajectories_at_bar_equal_relaxed_batch():
     # rows never mix: other rows' controls leave row 0 unchanged
     U = it.u.copy()
     U[1:] = rng.random((4, 8))
-    assert np.array_equal(ad.component_trajectories(U, it, noises, cfg,
-                                                    cache)[0], X[0])
-    assert ad.component_subproblem_objective(U, it, noises, cfg, cache)[0] \
-        == ad.component_subproblem_objective(it.u, it, noises, cfg, cache)[0]
+    assert np.array_equal(ad.component_trajectories(
+        U[:, None], it, noises, cfg, cache)[0, 0], X[0])
+    assert ad.component_subproblem_objective(
+        U[:, None], it, noises, cfg, cache)[0, 0] \
+        == ad.component_subproblem_objective(
+            it.u[:, None], it, noises, cfg, cache)[0, 0]
 
 
 def _stacked_case(cfg, Q, K, seed):
@@ -191,15 +195,13 @@ def test_stacked_candidates_equal_separate_calls(case):
     F = ad.component_subproblem_objective(U, it, noises, cfg, cache)
     assert X.shape == (cfg.n, K, cfg.T + 1, cfg.D + 2, Q)
     assert F.shape == (cfg.n, K)
+    # candidate k of the stack is the stack of candidate k alone
     for k in range(K):
-        Xk = ad.component_trajectories(U[:, k], it, noises, cfg, cache)
-        assert np.array_equal(X[:, k], Xk), k
-        fk = ad.component_subproblem_objective(U[:, k], it, noises, cfg,
+        Xk = ad.component_trajectories(U[:, k:k + 1], it, noises, cfg, cache)
+        assert np.array_equal(X[:, k], Xk[:, 0]), k
+        fk = ad.component_subproblem_objective(U[:, k:k + 1], it, noises, cfg,
                                                cache)
-        assert np.array_equal(F[:, k], fk), k
-    # a stack of one is the single call
-    assert np.array_equal(ad.component_subproblem_objective(
-        U[:, :1], it, noises, cfg, cache)[:, 0], F[:, 0])
+        assert np.array_equal(F[:, k], fk[:, 0]), k
 
 
 def test_stacked_objective_dimension_check():
@@ -224,12 +226,11 @@ def test_budget_one_returns_warm_start():
     it = make_iterate(cfg, noises)
     cache = ad.build_iteration_cache(it, noises, cfg)
     X, u, best, evals = ad.solve_component_subproblems(
-        it, noises, cfg, [SearchBudget(max_evals=1, seed=i) for i in range(2)],
-        cache)
+        it, noises, cfg, 1, range(2), cache)
     assert np.array_equal(u, it.u)
     assert evals == 2
     assert np.array_equal(best, ad.component_subproblem_objective(
-        it.u, it, noises, cfg, cache))
+        it.u[:, None], it, noises, cfg, cache)[:, 0])
 
 
 def test_subproblem_never_worse_than_warm_start():
@@ -241,10 +242,10 @@ def test_subproblem_never_worse_than_warm_start():
     it.X, it.S = ad._relaxed_system_arrays(sm.Strategy(it.u), noises,
                                            it.alpha, cfg)
     cache = ad.build_iteration_cache(it, noises, cfg)
-    ref = ad.component_subproblem_objective(it.u, it, noises, cfg, cache)
+    ref = ad.component_subproblem_objective(it.u[:, None], it, noises, cfg,
+                                            cache)[:, 0]
     _, _, best, _ = ad.solve_component_subproblems(
-        it, noises, cfg, [SearchBudget(max_evals=120, seed=i) for i in range(2)],
-        cache)
+        it, noises, cfg, 120, range(2), cache)
     assert np.all(best <= ref + 1e-12)
 
 
@@ -259,13 +260,13 @@ def test_subproblem_solution_independent_of_round_size(monkeypatch):
     it.X, it.S = ad._relaxed_system_arrays(sm.Strategy(it.u), noises,
                                            it.alpha, cfg)
     cache = ad.build_iteration_cache(it, noises, cfg)
-    ref = ad.component_subproblem_objective(it.u, it, noises, cfg, cache)
+    ref = ad.component_subproblem_objective(it.u[:, None], it, noises, cfg,
+                                            cache)[:, 0]
     outs = []
     for columns in (1, 3 * 18, 10 ** 6):
         monkeypatch.setattr(ad, "LOCKSTEP_COLUMNS", columns)
         outs.append(ad.solve_component_subproblems(
-            it, noises, cfg, [SearchBudget(max_evals=90, seed=i)
-                              for i in range(3)], cache))
+            it, noises, cfg, 90, range(3), cache))
     for out in outs[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(out[:3], outs[0]))
         assert out[3] == outs[0][3] == 270
@@ -300,8 +301,7 @@ def test_stock_subproblem_matches_exact_trace():
 def _fresh_solution(cfg, noises, it, budget=60):
     cache = ad.build_iteration_cache(it, noises, cfg)
     X_new, u_new, _, _ = ad.solve_component_subproblems(
-        it, noises, cfg,
-        [SearchBudget(max_evals=budget, seed=i) for i in range(cfg.n)], cache)
+        it, noises, cfg, budget, range(cfg.n), cache)
     Lam_new = ad.component_multiplier_backward(X_new, u_new, it, noises, cfg,
                                                cache)
     return cache, X_new, u_new, Lam_new
@@ -317,7 +317,7 @@ def test_component_multiplier_stationarity():
     it.LamS = rng.normal(0, 5.0, it.LamS.shape)
     cache = ad.build_iteration_cache(it, noises, cfg)
     U = rng.random((2, 3))
-    X = ad.component_trajectories(U, it, noises, cfg, cache)
+    X = ad.component_trajectories(U[:, None], it, noises, cfg, cache)[:, 0]
     Lam = ad.component_multiplier_backward(X, U, it, noises, cfg, cache)
     res = component_stationarity_residual(X, U, Lam, it, noises, cfg,
                                           cache)
@@ -345,7 +345,8 @@ def test_multiplier_trivial_cases():
     noises = np.ones((2, 1, 2))
     it = make_iterate(cfg, noises, gamma_x=0.0)
     cache = ad.build_iteration_cache(it, noises, cfg)
-    X = ad.component_trajectories(it.u, it, noises, cfg, cache)
+    X = ad.component_trajectories(it.u[:, None], it, noises, cfg,
+                                  cache)[:, 0]
     Lam = ad.component_multiplier_backward(X, it.u, it, noises, cfg, cache)
     assert np.all(Lam[:, cfg.T] == 0.0)
     # stock multiplier vanishes when S matches the bar and bars carry no
@@ -479,10 +480,11 @@ def test_reduced_gradient_matches_fd():
             up, um = U.copy(), U.copy()
             up[i, t] += h
             um[i, t] -= h
-            fd = (ad.component_subproblem_objective(up, it, noises, cfg,
-                                                    cache)[i]
-                  - ad.component_subproblem_objective(um, it, noises,
-                                                      cfg, cache)[i]) / (2 * h)
+            fd = (ad.component_subproblem_objective(up[:, None], it, noises,
+                                                    cfg, cache)[i, 0]
+                  - ad.component_subproblem_objective(um[:, None], it, noises,
+                                                      cfg, cache)[i, 0]
+                  ) / (2 * h)
             assert grad[t] == pytest.approx(fd, rel=1e-4, abs=1e-7), \
                 f"t={t} analytic {grad[t]} fd {fd}"
         checked += 1

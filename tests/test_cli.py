@@ -326,6 +326,28 @@ def test_non_finite_params_exit_code(tmp_path, capsys, key, value):
     assert not (tmp_path / "o" / "history.csv").exists()
 
 
+@pytest.mark.parametrize("flag, content", [
+    ("--config", b"\xff\xfe\x00bad"),
+    ("--strategy", b"\xff\xfe\x00bad"),
+    ("--params", b"\xff\xfe\x00bad"),
+    ("--params", b"gamma_u0: [1\n"),
+], ids=["binary-config", "binary-strategy", "binary-params", "yaml-params"])
+def test_unreadable_input_file_exit_code(tmp_path, capsys, flag, content):
+    # a file that is not UTF-8, or not YAML, is a bad input file: exit 3
+    # with one line on stderr
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    mode = "evaluate" if flag == "--strategy" else "optimize-app"
+    rc = cli.main(["--mode", mode, flag, str(path), "--iterations", "1",
+                   "--budget", "1", "--scenarios", "1",
+                   "--validation-scenarios", "1",
+                   "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: bad config")
+
+
 def test_bad_config_exit_code(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("n: -5\n")

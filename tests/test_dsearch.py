@@ -3,12 +3,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fleetmaint.dsearch import SearchBudget, minimize
+from fleetmaint import dsearch
+from fleetmaint.dsearch import minimize
 
 
 def sphere(X):
-    """Batch objective: one squared norm per row of X."""
-    return np.sum(X * X, axis=1)
+    """Lockstep objective: one squared norm per row and trial of X."""
+    return np.sum(X * X, axis=-1)
 
 
 def _replay(chunks):
@@ -27,49 +28,50 @@ def _replay(chunks):
 
 
 def test_budget_validation():
+    x0 = np.zeros((2, 3))
+    box = (-np.ones(3), np.ones(3))
     with pytest.raises(ValueError):
-        SearchBudget(max_evals=0, seed=1)
-    with pytest.raises(ValueError):
-        SearchBudget(max_evals=10, seed=1, initial_mesh=0.1, min_mesh=0.2)
+        minimize(sphere, x0, box, 0, [1, 2])
+    for seeds in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError):
+            minimize(sphere, x0, box, 10, seeds)
 
 
 def test_single_eval_returns_start():
-    x0 = np.array([0.4, -0.3])
-    x, f, used = minimize(sphere, x0, (-np.ones(2), np.ones(2)),
-                          SearchBudget(max_evals=1, seed=0))
+    x0 = np.array([[0.4, -0.3]])
+    x, f, used = minimize(sphere, x0, (-np.ones(2), np.ones(2)), 1, [0])
     assert np.array_equal(x, x0)
-    assert f == sphere(x0[None])[0]
+    assert np.array_equal(f, sphere(x0))
     assert used == 1
 
 
 def test_start_out_of_bounds_rejected():
     with pytest.raises(ValueError):
-        minimize(sphere, np.array([2.0]), (np.array([-1.0]), np.array([1.0])),
-                 SearchBudget(max_evals=10, seed=0))
+        minimize(sphere, np.array([[2.0]]),
+                 (np.array([-1.0]), np.array([1.0])), 10, [0])
     with pytest.raises(ValueError):
-        minimize(sphere, np.array([0.0]), (np.array([1.0]), np.array([-1.0])),
-                 SearchBudget(max_evals=10, seed=0))
+        minimize(sphere, np.array([[0.0]]),
+                 (np.array([1.0]), np.array([-1.0])), 10, [0])
 
 
 def test_sphere_40d_within_budget():
     rng = np.random.default_rng(123)
-    x0 = rng.uniform(-1, 1, 40)
+    x0 = rng.uniform(-1, 1, (1, 40))
     lo, hi = -np.ones(40), np.ones(40)
-    x, f, used = minimize(sphere, x0, (lo, hi),
-                          SearchBudget(max_evals=10_000, seed=7))
+    x, f, used = minimize(sphere, x0, (lo, hi), 10_000, [7])
     assert used <= 10_000
-    assert f <= 1e-3
+    assert f[0] <= 1e-3
     assert np.all((x >= lo) & (x <= hi))
 
 
 def test_deterministic_given_seed():
     rng = np.random.default_rng(5)
-    x0 = rng.uniform(-1, 1, 10)
-    args = (sphere, x0, (-np.ones(10), np.ones(10)))
-    out1 = minimize(*args, SearchBudget(max_evals=500, seed=99))
-    out2 = minimize(*args, SearchBudget(max_evals=500, seed=99))
+    x0 = rng.uniform(-1, 1, (1, 10))
+    args = (sphere, x0, (-np.ones(10), np.ones(10)), 500, [99])
+    out1 = minimize(*args)
+    out2 = minimize(*args)
     assert np.array_equal(out1[0], out2[0])
-    assert out1[1] == out2[1] and out1[2] == out2[2]
+    assert np.array_equal(out1[1], out2[1]) and out1[2] == out2[2]
 
 
 def test_monotone_incumbent():
@@ -77,28 +79,26 @@ def test_monotone_incumbent():
 
     def tracked(X):
         f = sphere(X)
-        chunks.append(f)
+        chunks.append(f[0])
         return f
 
-    x0 = np.full(5, 0.8)
-    _, f, used = minimize(tracked, x0, (-np.ones(5), np.ones(5)),
-                          SearchBudget(max_evals=300, seed=3))
+    x0 = np.full((1, 5), 0.8)
+    _, f, used = minimize(tracked, x0, (-np.ones(5), np.ones(5)), 300, [3])
     charged, best, _ = _replay(chunks)
-    assert f <= chunks[0][0]
+    assert f[0] <= chunks[0][0]
     assert used == len(charged) == 300
-    assert f == best == min(charged)
+    assert f[0] == best == min(charged)
 
 
 def test_all_trials_stay_in_box():
     seen = []
 
     def tracked(X):
-        seen.extend(X.copy())
+        seen.extend(X[0].copy())
         return sphere(X - 2.0)     # optimum outside the box
 
     lo, hi = -np.ones(3), np.ones(3)
-    x, _, _ = minimize(tracked, np.zeros(3), (lo, hi),
-                       SearchBudget(max_evals=400, seed=1))
+    x, _, _ = minimize(tracked, np.zeros((1, 3)), (lo, hi), 400, [1])
     for pt in seen:
         assert np.all((pt >= lo) & (pt <= hi))
     # should push against the active bound
@@ -110,14 +110,13 @@ def test_all_trials_stay_in_box():
 def test_never_worse_than_start(seed):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 8))
-    x0 = rng.uniform(-1, 1, d)
+    x0 = rng.uniform(-1, 1, (1, d))
 
     def bumpy(X):
-        return np.sum(X ** 2, axis=1) + 0.3 * np.sum(np.sin(5 * X), axis=1)
+        return np.sum(X ** 2, axis=-1) + 0.3 * np.sum(np.sin(5 * X), axis=-1)
 
-    _, f, used = minimize(bumpy, x0, (-np.ones(d), np.ones(d)),
-                          SearchBudget(max_evals=200, seed=seed))
-    assert f <= bumpy(x0[None])[0]
+    _, f, used = minimize(bumpy, x0, (-np.ones(d), np.ones(d)), 200, [seed])
+    assert f[0] <= bumpy(x0)[0]
     assert used <= 200
 
 
@@ -125,20 +124,19 @@ def test_never_worse_than_start(seed):
 # row-wise lockstep
 
 
-def _reference_search(objective, x0, lo, hi, budget):
+def _reference_search(objective, x0, lo, hi, max_evals, seed):
     """The poll loop written out plainly, one scalar evaluation per trial:
-    the reference every chunked single-start search and every lockstep
-    row is checked against."""
+    the reference every lockstep row is checked against."""
     d = x0.size
     scale = hi - lo
-    rng = np.random.default_rng(budget.seed)
+    rng = np.random.default_rng(seed)
     best_x, best_f, evals = x0.copy(), float(objective(x0)), 1
-    mesh = budget.initial_mesh
-    while evals < budget.max_evals and mesh >= budget.min_mesh:
+    mesh = dsearch.INITIAL_MESH
+    while evals < max_evals and mesh >= dsearch.MIN_MESH:
         basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
         success = False
         for k in rng.permutation(2 * d):
-            if evals >= budget.max_evals:
+            if evals >= max_evals:
                 break
             direction = basis[:, k % d] * (1.0 if k < d else -1.0)
             trial = np.clip(best_x + mesh * scale * direction, lo, hi)
@@ -152,31 +150,34 @@ def _reference_search(objective, x0, lo, hi, budget):
     return best_x, best_f, evals
 
 
-def _bumpy_bowls(centres):
-    """Row r of a lockstep stack (m, K, d) is scored against centres[r]
-    (a single start's (K, d) trials against centres[0]); each trial is
-    reduced on its own, so it gets the value of the single-row function."""
+def _bumpy_bowls(centres, flat):
+    """Row r of a lockstep stack (m, K, d) is scored against centres[r],
+    and a row in ``flat`` by the constant 1; each trial is reduced on its
+    own, so it gets the value of the single-row function."""
     def stack(X):
-        c = centres[:, None] if X.ndim == 3 else centres[0]
-        return (np.sum((X - c) ** 2, axis=-1)
-                + 0.3 * np.sum(np.sin(5 * X), axis=-1))
+        f = (np.sum((X - centres[:, None]) ** 2, axis=-1)
+             + 0.3 * np.sum(np.sin(5 * X), axis=-1))
+        f[list(flat)] = 1.0
+        return f
 
     def row(r):
+        if r in flat:
+            return lambda x: 1.0
         return lambda x: float(np.sum((x - centres[r]) ** 2)
                                + 0.3 * np.sum(np.sin(5 * x)))
     return stack, row
 
 
 def _logged(scalar):
-    """Batch objective evaluating ``scalar`` trial by trial, so its values
-    are those the reference sees; records the chunks of trials it is
-    handed and the values it returns."""
+    """One-row lockstep objective evaluating ``scalar`` trial by trial, so
+    its values are those the reference sees; records the chunks of trials
+    it is handed and the values it returns."""
     trials, values = [], []
 
     def batch(X):
-        trials.append(X.copy())
-        values.append(np.array([scalar(x) for x in X]))
-        return values[-1]
+        trials.append(X[0].copy())
+        values.append(np.array([scalar(x) for x in X[0]]))
+        return values[-1][None]
     return batch, trials, values
 
 
@@ -186,11 +187,10 @@ def test_lockstep_rows_equal_separate_searches():
     centres = rng.uniform(-1, 1, (5, d))
     x0 = rng.uniform(-1, 1, (5, d))
     lo, hi = -np.ones(d), np.ones(d)
-    # budgets run out in different polls; row 3 never polls; row 4 stops
-    # when its mesh falls below min_mesh
-    budgets = [SearchBudget(7, 1), SearchBudget(40, 2), SearchBudget(150, 3),
-               SearchBudget(1, 4), SearchBudget(500, 5, min_mesh=0.05)]
-    stack, row = _bumpy_bowls(centres)
+    # the flat row 3 never improves and stops when its mesh falls below
+    # MIN_MESH, after 28 polls of 6 trials; the other rows spend the budget
+    budget, seeds, flat = 300, [1, 2, 3, 4, 5], (3,)
+    stack, row = _bumpy_bowls(centres, flat)
     for cap in (1, 3, 10):
         rounds = []
 
@@ -198,18 +198,20 @@ def test_lockstep_rows_equal_separate_searches():
             rounds.append(X.copy())
             return stack(X)
 
-        X, F, total = minimize(tracked, x0, (lo, hi), budgets, max_chunk=cap)
+        X, F, total = minimize(tracked, x0, (lo, hi), budget, seeds,
+                               max_chunk=cap)
         assert all(R.shape[::2] == (5, d) and R.shape[1] <= cap
                    for R in rounds)
         used, own, padded, cut = [], [], False, False
-        for r, budget in enumerate(budgets):
-            x, f, evals = _reference_search(row(r), x0[r], lo, hi, budget)
+        for r, seed in enumerate(seeds):
+            x, f, evals = _reference_search(row(r), x0[r], lo, hi, budget,
+                                            seed)
             assert np.array_equal(X[r], x) and F[r] == f, (cap, r)
             used.append(evals)
             # the row is handed the chunks of its own capped search, padded
             # with copies of the last trial, then its final incumbent
             batch, chunks, values = _logged(row(r))
-            assert minimize(batch, x0[r], (lo, hi), budget,
+            assert minimize(batch, x0[r:r + 1], (lo, hi), budget, [seed],
                             max_chunk=cap)[2] == evals
             for j, R in enumerate(rounds):
                 if j < len(chunks):
@@ -222,7 +224,7 @@ def test_lockstep_rows_equal_separate_searches():
             own.append([len(c) for c in chunks])
             _, _, stops = _replay(values)
             cut |= any(stop < len(f) for f, stop in zip(values, stops))
-        assert used[:4] == [7, 40, 150, 1] and used[4] < 500
+        assert used == [300, 300, 300, 1 + 28 * 2 * d, 300]
         assert total == sum(used) and type(total) is int
         # a round is as wide as the longest chunk of a live row
         assert len(rounds) == max(map(len, own))
@@ -237,44 +239,24 @@ def test_lockstep_rows_equal_separate_searches():
             assert padded and cut
 
 
-def test_single_start_is_the_one_row_view():
-    rng = np.random.default_rng(12)
-    d = 6
-    centres = rng.uniform(-1, 1, (1, d))
-    x0 = rng.uniform(-1, 1, d)
-    lo, hi = -np.ones(d), np.ones(d)
-    stack, row = _bumpy_bowls(centres)
-    budget = SearchBudget(max_evals=300, seed=21)
-    x, f, evals = minimize(stack, x0, (lo, hi), budget)
-    ref = _reference_search(row(0), x0, lo, hi, budget)
-    assert np.array_equal(x, ref[0]) and f == ref[1] and evals == ref[2]
-    assert type(f) is float and type(evals) is int
-    X, F, total = minimize(stack, x0[None], (lo, hi), [budget])
-    assert np.array_equal(X[0], x) and F[0] == f and total == evals
-
-
 def test_lockstep_shape_checks():
     x0 = np.zeros((2, 3))
     box = (-np.ones(3), np.ones(3))
+    # starts are an (m, d) stack: a single (d,) start is rejected
+    for bad in (np.zeros(3), np.zeros((2, 2, 3))):
+        with pytest.raises(ValueError):
+            minimize(sphere, bad, box, 5, [0, 1])
+    # the objective returns one value per row and trial
+    for wrong in (lambda X: np.zeros(len(X)), lambda X: np.zeros(3),
+                  lambda X: np.zeros(X.shape[1:2])):
+        with pytest.raises(ValueError):
+            minimize(wrong, x0, box, 5, [0, 1])
     with pytest.raises(ValueError):
-        minimize(lambda X: np.zeros(2), x0, box, [SearchBudget(5, 0)])
-    with pytest.raises(ValueError):
-        minimize(lambda X: np.zeros(3), x0, box,
-                 [SearchBudget(5, 0), SearchBudget(5, 1)])
-    with pytest.raises(ValueError):
-        minimize(sphere, np.zeros((2, 2, 2)), box, SearchBudget(5, 0))
-    with pytest.raises(ValueError):
-        minimize(lambda X: np.zeros(2), np.zeros(3), box, SearchBudget(5, 0))
-    # a lockstep objective returns one value per row and trial
-    with pytest.raises(ValueError):
-        minimize(lambda X: np.zeros(len(X)), x0, box,
-                 [SearchBudget(5, 0), SearchBudget(5, 1)])
-    with pytest.raises(ValueError):
-        minimize(sphere, np.zeros(3), box, SearchBudget(5, 0), max_chunk=0)
+        minimize(sphere, x0, box, 5, [0, 1], max_chunk=0)
 
 
 # ---------------------------------------------------------------------------
-# chunked single-start poll
+# chunked poll of one row
 
 
 def _bumpy(centre):
@@ -282,42 +264,42 @@ def _bumpy(centre):
                            + 0.3 * np.sum(np.sin(5 * x)))
 
 
-def _check_against_reference(scalar, x0, lo, hi, budget, max_chunk=None):
+def _check_against_reference(scalar, x0, lo, hi, max_evals, seed,
+                             max_chunk=None):
+    """Run a one-row search from the start ``x0`` (d,), check it against
+    the reference, and return the value chunks it was handed."""
     batch, _, chunks = _logged(scalar)
-    x, f, evals = minimize(batch, x0, (lo, hi), budget, max_chunk=max_chunk)
-    ref = _reference_search(scalar, x0, lo, hi, budget)
-    assert np.array_equal(x, ref[0]) and f == ref[1] and evals == ref[2]
-    assert type(f) is float and type(evals) is int
+    x, f, evals = minimize(batch, x0[None], (lo, hi), max_evals, [seed],
+                           max_chunk=max_chunk)
+    ref = _reference_search(scalar, x0, lo, hi, max_evals, seed)
+    assert np.array_equal(x[0], ref[0]) and f[0] == ref[1]
+    assert evals == ref[2] and type(evals) is int
     charged, best, stops = _replay(chunks)
-    assert len(charged) == evals and best == f
+    assert len(charged) == evals and best == f[0]
     # no chunk is longer than the budget left, nor than a poll or the cap
     for k in range(1, len(chunks)):
-        assert len(chunks[k]) <= min(budget.max_evals - sum(stops[:k]),
+        assert len(chunks[k]) <= min(max_evals - sum(stops[:k]),
                                      2 * x0.size, max_chunk or np.inf)
     return chunks
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 9),
-       st.integers(1, 400), st.sampled_from([1e-9, 1e-3, 0.05]),
-       st.sampled_from([None, 1, 3, 10]))
-def test_chunked_search_equals_reference(seed, d, max_evals, min_mesh,
-                                         max_chunk):
+       st.integers(1, 400), st.sampled_from([None, 1, 3, 10]))
+def test_chunked_search_equals_reference(seed, d, max_evals, max_chunk):
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(-1, 1, d)
     lo, hi = -np.ones(d), np.ones(d)
     _check_against_reference(_bumpy(rng.uniform(-1, 1, d)), x0, lo, hi,
-                             SearchBudget(max_evals, seed, min_mesh=min_mesh),
-                             max_chunk)
+                             max_evals, seed, max_chunk)
 
 
 def test_chunked_search_mid_chunk_success_and_budget_end():
     rng = np.random.default_rng(31)
     d = 8
     x0 = rng.uniform(-1, 1, d)
-    budget = SearchBudget(max_evals=157, seed=4)
     chunks = _check_against_reference(_bumpy(rng.uniform(-1, 1, d)), x0,
-                                      -np.ones(d), np.ones(d), budget)
+                                      -np.ones(d), np.ones(d), 157, 4)
     charged, _, stops = _replay(chunks)
     # some chunk was cut by a success before its last trial, whose value
     # was discarded
@@ -333,21 +315,21 @@ def test_chunk_sizes_double_within_a_poll():
 
     box = (-np.ones(3), np.ones(3))
     for budget, sizes in (
-            (SearchBudget(30, 0), [1] + [1, 2, 3] * 4 + [1, 2, 2]),
-            (SearchBudget(1, 0), [1]),
-            (SearchBudget(2, 0), [1, 1]),
-            # the mesh falls below min_mesh after three polls
-            (SearchBudget(100, 0, min_mesh=0.05), [1] + [1, 2, 3] * 3)):
-        chunks = _check_against_reference(flat, np.zeros(3), *box, budget)
+            (30, [1] + [1, 2, 3] * 4 + [1, 2, 2]),
+            (1, [1]),
+            (2, [1, 1]),
+            # the mesh falls below MIN_MESH after 28 polls, 169 trials
+            (200, [1] + [1, 2, 3] * 28)):
+        chunks = _check_against_reference(flat, np.zeros(3), *box, budget, 0)
         assert [len(f) for f in chunks] == sizes
     # a poll of 800 trials against a budget of 500: ten objective calls
     chunks = _check_against_reference(flat, np.zeros(400), np.zeros(400),
-                                      np.ones(400), SearchBudget(500, 1))
+                                      np.ones(400), 500, 1)
     assert [len(f) for f in chunks] == [1, 1, 2, 4, 8, 16, 32, 64, 128, 244]
     # a cap stops the doubling, and a cap of one polls trial by trial
     for cap, sizes in ((3, [1] + [1, 2, 3] * 4 + [1, 2, 2]),
                        (2, [1] + [1, 2, 2, 1] * 4 + [1, 2, 2]),
                        (1, [1] * 30)):
-        chunks = _check_against_reference(flat, np.zeros(3), *box,
-                                          SearchBudget(30, 0), cap)
+        chunks = _check_against_reference(flat, np.zeros(3), *box, 30, 0,
+                                          cap)
         assert [len(f) for f in chunks] == sizes

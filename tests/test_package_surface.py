@@ -1,10 +1,12 @@
-"""Every public function of the numerical layers has a caller outside the
-tests: a helper only the tests use belongs in ``tests/``."""
+"""Every public function of the numerical layers, the evaluation harness
+and the config module has a caller outside the tests: a helper only the
+tests use belongs in ``tests/``."""
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = ("sysmodel", "relax", "dsearch", "appdecomp")
+MODULES = ("sysmodel", "relax", "dsearch", "appdecomp", "evalharness",
+           "config")
 #: the package, the scripts and the benchmark: everything but the tests
 USER_DIRS = ("src", "scripts", "perfbench")
 
