@@ -83,10 +83,10 @@ class APPParams:
             raise ValueError("invalid iteration or budget count")
 
 
-def tuned_params(iterations: int = 50,
-                 subproblem_budget: int = 1000) -> APPParams:
-    return APPParams(*TUNED_PARAMS, iterations=iterations,
-                     subproblem_budget=subproblem_budget)
+def tuned_params(**counts) -> APPParams:
+    """:data:`TUNED_PARAMS`, with ``iterations`` and ``subproblem_budget``
+    as given or at their defaults."""
+    return APPParams(*TUNED_PARAMS, **counts)
 
 
 def update_schedules(k: int, p: APPParams):

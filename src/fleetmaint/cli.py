@@ -1,6 +1,6 @@
 """Command-line front end: simulation, optimization, evaluation, tuning.
 
-Five subcommand-style modes share one flag set:
+Five subcommand-style modes (:data:`MODES`) share one flag set:
 
 * ``simulate``        one scenario on the exact batch engine, its states
                       and the events read off them written as CSV;
@@ -11,7 +11,10 @@ Five subcommand-style modes share one flag set:
 * ``tune``            Latin-hypercube search over the six decomposition
                       parameters on a small system.
 
-Every mode is a deterministic function of (config, seed, flags).  Errors
+Every mode is a deterministic function of (config, seed, flags).  The
+parser declares the flags and their defaults and :func:`main` checks their
+ranges; the config and parameter files take their keys, types and defaults
+from ``SystemConfig`` and ``APPParams`` (``config.typed_fields``).  Errors
 map to distinct exit codes so scripts can tell a bad config from a bad
 output directory: 2 for a flag out of range, 3 for a bad config, strategy
 or parameter file, 4 for a dimension mismatch, 5 for an output failure.
@@ -21,13 +24,14 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .config import SystemConfig, ConfigError, load_config, small_system_config
+from .config import (SystemConfig, ConfigError, load_config,
+                     small_system_config, typed_fields)
 from .sysmodel import BatchStats, DimensionError, Strategy, simulate_batch
 from .dsearch import minimize
 from . import appdecomp as ad
@@ -41,41 +45,7 @@ EXIT_DIMENSION = 4
 EXIT_OUTPUT = 5
 
 
-@dataclass
-class RunManifest:
-    """Everything one run needs, resolved from flags."""
-
-    mode: str
-    config: str | None
-    seed: int
-    out: str
-    iterations: int | None = None
-    budget: int | None = None
-    scenarios: int = 100
-    validation_scenarios: int = 1000
-    params: str | None = None
-    strategy: str | None = None
-    lhs_count: int = 8
-    lhs_restarts: int = 20
-    threads: int = 1
-
-    MODES = ("simulate", "optimize-app", "optimize-direct", "evaluate",
-             "tune")
-
-    def __post_init__(self):
-        if self.mode not in self.MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"--seed must lie in [0, 2**64), got {self.seed}")
-        for name in ("scenarios", "validation_scenarios", "lhs_count",
-                     "lhs_restarts", "threads", "budget"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"--{name.replace('_', '-')} must be >= 1, "
-                                 f"got {value}")
-        if self.iterations is not None and self.iterations < 0:
-            raise ValueError(
-                f"--iterations must be >= 0, got {self.iterations}")
+MODES = ("simulate", "optimize-app", "optimize-direct", "evaluate", "tune")
 
 
 # ---------------------------------------------------------------------------
@@ -153,24 +123,22 @@ def trajectory_to_csv(stats: BatchStats, strategy: Strategy,
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-_PARAM_KEYS = ("gamma_u0", "r_x", "r_s", "d_gamma", "alpha0", "d_alpha")
+#: the six decomposition parameters: the float fields of APPParams
+_PARAM_KEYS = tuple(f.name for f in fields(ad.APPParams) if f.type == "float")
 
 
 def save_params(p: ad.APPParams, path):
-    data = {k: float(getattr(p, k)) for k in _PARAM_KEYS}
-    data["iterations"] = p.iterations
-    data["subproblem_budget"] = p.subproblem_budget
+    data = typed_fields(ad.APPParams, vars(p), "parameter")
     Path(path).write_text(yaml.safe_dump(data, sort_keys=False))
 
 
 def load_params(path) -> ad.APPParams:
+    """Read a parameter file: the fields of APPParams, the six
+    decomposition parameters required and the two counts optional."""
     try:
         data = yaml.safe_load(Path(path).read_text())
-        return ad.APPParams(**{k: data[k] for k in _PARAM_KEYS},
-                            iterations=int(data.get("iterations", 50)),
-                            subproblem_budget=int(
-                                data.get("subproblem_budget", 1000)))
-    except (KeyError, TypeError, ValueError, yaml.YAMLError) as exc:
+        return ad.APPParams(**typed_fields(ad.APPParams, data, "parameter"))
+    except (ValueError, yaml.YAMLError) as exc:
         raise ConfigError(f"bad parameter file {path}: {exc}") from exc
 
 
@@ -264,39 +232,35 @@ def leaderboard_to_csv(leaderboard, path):
 # modes
 
 
-def _resolve_config(manifest: RunManifest) -> SystemConfig:
-    if manifest.config is None:
+def _resolve_config(args) -> SystemConfig:
+    if args.config is None:
         return small_system_config()
-    return load_config(manifest.config)
+    return load_config(args.config)
 
 
-def _resolve_params(manifest: RunManifest) -> ad.APPParams:
-    p = (load_params(manifest.params) if manifest.params
-         else ad.tuned_params())
-    if manifest.iterations is not None:
-        p.iterations = manifest.iterations
-    if manifest.budget is not None:
-        p.subproblem_budget = manifest.budget
-    p.__post_init__()
-    return p
+def _resolve_params(args) -> ad.APPParams:
+    """The parameter file, or the tuned parameters, with the counts that
+    ``--iterations`` and ``--budget`` override."""
+    p = load_params(args.params) if args.params else ad.tuned_params()
+    counts = {"iterations": args.iterations, "subproblem_budget": args.budget}
+    return replace(p, **{k: v for k, v in counts.items() if v is not None})
 
 
-def _run_simulate(manifest, cfg, out: Path):
-    noises = ev.generate_scenarios(cfg.n, cfg.T, 1, manifest.seed)
-    strategy = (load_strategy(manifest.strategy, cfg) if manifest.strategy
+def _run_simulate(args, cfg, out: Path):
+    noises = ev.generate_scenarios(cfg.n, cfg.T, 1, args.seed)
+    strategy = (load_strategy(args.strategy, cfg) if args.strategy
                 else Strategy(np.zeros((cfg.n, cfg.T))))
     stats = simulate_batch(strategy, noises, cfg, record_states=True)
     trajectory_to_csv(stats, strategy, cfg, out / "trajectory.csv")
     print(f"simulate: wrote {out / 'trajectory.csv'}")
 
 
-def _run_optimize_app(manifest, cfg, out: Path):
-    p = _resolve_params(manifest)
-    noises = ev.generate_scenarios(cfg.n, cfg.T, manifest.scenarios,
-                                   manifest.seed)
+def _run_optimize_app(args, cfg, out: Path):
+    p = _resolve_params(args)
+    noises = ev.generate_scenarios(cfg.n, cfg.T, args.scenarios, args.seed)
     print(f"optimize-app: surrogate dynamics, {p.iterations} iterations, "
-          f"{manifest.scenarios} scenarios")
-    strat, history = ad.app_fixed_point(cfg, p, noises, seed=manifest.seed)
+          f"{args.scenarios} scenarios")
+    strat, history = ad.app_fixed_point(cfg, p, noises, seed=args.seed)
     save_strategy(strat, cfg, out / "strategy.csv")
     save_strategy(ev.project_strategy(strat, cfg.nu), cfg,
                   out / "strategy_projected.csv")
@@ -320,25 +284,24 @@ def optimize_direct(cfg: SystemConfig, noises, budget: int, seed: int):
     return Strategy(x.reshape(cfg.n, cfg.T)), float(f[0]), evals
 
 
-def _run_optimize_direct(manifest, cfg, out: Path):
-    noises = ev.generate_scenarios(cfg.n, cfg.T, manifest.scenarios,
-                                   manifest.seed)
-    budget = manifest.budget if manifest.budget is not None else 1000
+def _run_optimize_direct(args, cfg, out: Path):
+    noises = ev.generate_scenarios(cfg.n, cfg.T, args.scenarios, args.seed)
+    budget = args.budget if args.budget is not None else 1000
     print(f"optimize-direct: exact dynamics, budget {budget}, "
-          f"{manifest.scenarios} scenarios")
-    strat, f, evals = optimize_direct(cfg, noises, budget, manifest.seed)
+          f"{args.scenarios} scenarios")
+    strat, f, evals = optimize_direct(cfg, noises, budget, args.seed)
     save_strategy(strat, cfg, out / "strategy.csv")
     save_strategy(ev.project_strategy(strat, cfg.nu), cfg,
                   out / "strategy_projected.csv")
     print(f"optimize-direct: best {f:.6g} after {evals} evaluations")
 
 
-def _run_evaluate(manifest, cfg, out: Path):
-    if manifest.strategy is None:
+def _run_evaluate(args, cfg, out: Path):
+    if args.strategy is None:
         raise ConfigError("evaluate needs --strategy")
-    strategy = load_strategy(manifest.strategy, cfg)
-    scen = ev.generate_scenarios(cfg.n, cfg.T, manifest.validation_scenarios,
-                                 manifest.seed)
+    strategy = load_strategy(args.strategy, cfg)
+    scen = ev.generate_scenarios(cfg.n, cfg.T, args.validation_scenarios,
+                                 args.seed)
     report = ev.evaluate_strategy(ev.project_strategy(strategy, cfg.nu),
                                   scen, cfg)
     ev.report_to_csv(report, out / "report.csv")
@@ -348,31 +311,29 @@ def _run_evaluate(manifest, cfg, out: Path):
     print(ev.report_to_text(report), end="")
 
 
-def _run_tune(manifest, cfg, out: Path):
-    base = _resolve_params(manifest)
-    samples = lhs_sample(ad.PARAM_BOUNDS, manifest.lhs_count, manifest.seed,
-                         restarts=manifest.lhs_restarts)
-    for p in samples:
-        p.iterations = base.iterations
-        p.subproblem_budget = base.subproblem_budget
-    noises = ev.generate_scenarios(cfg.n, cfg.T, manifest.scenarios,
-                                   manifest.seed)
+def _run_tune(args, cfg, out: Path):
+    base = _resolve_params(args)
+    samples = [replace(p, iterations=base.iterations,
+                       subproblem_budget=base.subproblem_budget)
+               for p in lhs_sample(ad.PARAM_BOUNDS, args.lhs_count, args.seed,
+                                   restarts=args.lhs_restarts)]
+    noises = ev.generate_scenarios(cfg.n, cfg.T, args.scenarios, args.seed)
     validation = ev.generate_scenarios(cfg.n, cfg.T,
-                                       manifest.validation_scenarios,
-                                       (manifest.seed + 1) % (1 << 64))
+                                       args.validation_scenarios,
+                                       (args.seed + 1) % (1 << 64))
     best, leaderboard = tune(cfg, samples, noises, validation,
-                             seed=manifest.seed, threads=manifest.threads)
+                             seed=args.seed, threads=args.threads)
     leaderboard_to_csv(leaderboard, out / "leaderboard.csv")
     save_params(best, out / "best_params.yaml")
     print(f"tune: best cost {leaderboard[0]['cost']:.6g} "
           f"(sample {leaderboard[0]['index']})")
 
 
-def run(manifest: RunManifest) -> int:
-    """Execute one manifest; returns a process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one run of parsed, range-checked flags; returns an exit code."""
     try:
-        cfg = _resolve_config(manifest)
-        out = Path(manifest.out)
+        cfg = _resolve_config(args)
+        out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
             probe = out / ".write_probe"
@@ -387,7 +348,7 @@ def run(manifest: RunManifest) -> int:
             "evaluate": _run_evaluate,
             "tune": _run_tune,
         }
-        dispatch[manifest.mode](manifest, cfg, out)
+        dispatch[args.mode](args, cfg, out)
         return EXIT_OK
     except ConfigError as exc:
         return _fail("bad configuration", exc, EXIT_CONFIG)
@@ -409,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fleetmaint",
         description="Fleet preventive-maintenance scheduling toolkit")
     parser.add_argument("--mode", required=True,
-                        choices=RunManifest.MODES)
+                        choices=MODES)
     parser.add_argument("--config", default=None,
                         help="system config file (default: built-in small "
                              "10-component system)")
@@ -436,14 +397,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> str | None:
+    """The first numeric flag out of range, described, or None."""
+    if not 0 <= args.seed < 1 << 64:
+        return f"--seed must lie in [0, 2**64), got {args.seed}"
+    for name in ("scenarios", "validation_scenarios", "lhs_count",
+                 "lhs_restarts", "threads", "budget"):
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            return f"--{name.replace('_', '-')} must be >= 1, got {value}"
+    if args.iterations is not None and args.iterations < 0:
+        return f"--iterations must be >= 0, got {args.iterations}"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        manifest = RunManifest(**vars(parser.parse_args(argv)))
-    except ValueError as exc:
+    args = parser.parse_args(argv)
+    problem = _check_flags(args)
+    if problem:
         # parser.error would print the whole usage first; one line will do
-        parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")
-    return run(manifest)
+        parser.exit(EXIT_USAGE, f"{parser.prog}: error: {problem}\n")
+    return run(args)
 
 
 if __name__ == "__main__":

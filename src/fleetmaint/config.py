@@ -4,10 +4,12 @@ The on-disk format is a YAML file whose keys mirror the configuration
 fields.  Per-component characteristics (``C_P``, ``C_C``, ``weibull_shape``,
 ``weibull_scale``) live under a ``components`` block which is either a single
 mapping (broadcast to the whole fleet) or a list of ``n`` mappings.
+The other keys are the scalar fields, read by :func:`typed_fields`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,8 @@ class SystemConfig:
     delta_default: float = -1.0
 
     def __post_init__(self):
+        if self.n < 1 or self.T < 1 or self.D < 1:
+            raise ConfigError("n, T and D must all be >= 1")
         for name in _COMPONENT_KEYS:
             arr = np.broadcast_to(np.asarray(getattr(self, name), dtype=float),
                                   (self.n,)).copy()
@@ -57,8 +61,6 @@ class SystemConfig:
                 + _COMPONENT_KEYS:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ConfigError(f"{name} must be finite")
-        if self.n < 1 or self.T < 1 or self.D < 1:
-            raise ConfigError("n, T and D must all be >= 1")
         if self.s_init < 0:
             raise ConfigError("initial stock must be nonnegative")
         if not 0.0 < self.nu < 1.0:
@@ -79,6 +81,48 @@ class SystemConfig:
         return (1.0 + self.tau) ** (-np.asarray(t, dtype=float))
 
 
+def _typed(value, kind: str):
+    """``value`` as ``kind``, "int" or "float": a number or a string that
+    type parses (PyYAML reads ``1.0e3`` as a string), never a bool, and
+    for "int" never a fractional number."""
+    if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
+        raise ValueError
+    if kind == "float":
+        return float(value)
+    if not isinstance(value, str) and value % 1:      # fractional, inf, nan
+        raise ValueError
+    return int(value)
+
+
+def typed_fields(cls, raw, what: str, skip=()) -> dict:
+    """The fields of dataclass ``cls`` read from the mapping ``raw``, each
+    converted to its declared type, ``int`` or ``float``.
+
+    A missing field takes the dataclass default.  Raises ConfigError for a
+    key that is not a field, for a missing field without a default and for
+    a value of the wrong type.  Fields named in ``skip`` are left to the
+    caller and are not accepted as keys.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} is not a mapping")
+    declared = [f for f in fields(cls) if f.name not in skip]
+    unknown = set(raw) - {f.name for f in declared}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown, key=str)}")
+    out = {}
+    for f in declared:
+        if f.name not in raw:
+            if f.default is MISSING:
+                raise ConfigError(f"{what} is missing key {f.name!r}")
+            continue
+        try:
+            out[f.name] = _typed(raw[f.name], f.type)
+        except ValueError:
+            raise ConfigError(f"{what} key {f.name!r} must be {f.type}, got "
+                              f"{raw[f.name]!r}") from None
+    return out
+
+
 def _component_arrays(block, n: int) -> dict:
     if isinstance(block, dict):
         blocks = [block] * n
@@ -91,8 +135,8 @@ def _component_arrays(block, n: int) -> dict:
     out = {}
     for key in _COMPONENT_KEYS:
         try:
-            out[key] = np.array([float(b[key]) for b in blocks])
-        except (KeyError, TypeError) as exc:
+            out[key] = np.array([_typed(b[key], "float") for b in blocks])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"missing or invalid component key {key!r}") from exc
     return out
 
@@ -108,30 +152,13 @@ def load_config(path: str | Path) -> SystemConfig:
     if "components" not in raw:
         raise ConfigError("config is missing the 'components' block")
     raw = dict(raw)
-    comps = _component_arrays(raw.pop("components"), int(raw.get("n", 0)))
-    allowed = {"n", "T", "D", "s_init", "C_F", "dt", "tau", "nu",
-               "delta_default"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        return SystemConfig(
-            n=int(raw["n"]), T=int(raw["T"]), D=int(raw["D"]),
-            s_init=int(raw["s_init"]), C_F=float(raw["C_F"]),
-            dt=float(raw.get("dt", 1.0)), tau=float(raw.get("tau", 0.08)),
-            nu=float(raw.get("nu", 0.9)),
-            delta_default=float(raw.get("delta_default", -1.0)),
-            **comps,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"config is missing key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    block = raw.pop("components")
+    scalars = typed_fields(SystemConfig, raw, "config", skip=_COMPONENT_KEYS)
+    return SystemConfig(**scalars, **_component_arrays(block, scalars["n"]))
 
 
 def save_config(cfg: SystemConfig, path: str | Path):
+    """Write ``cfg`` as a YAML file that :func:`load_config` reads back."""
     homogeneous = all(np.all(getattr(cfg, k) == getattr(cfg, k)[0])
                       for k in _COMPONENT_KEYS)
     if homogeneous:
@@ -139,13 +166,11 @@ def save_config(cfg: SystemConfig, path: str | Path):
     else:
         comps = [{k: float(getattr(cfg, k)[i]) for k in _COMPONENT_KEYS}
                  for i in range(cfg.n)]
-    doc = {
-        "n": cfg.n, "T": cfg.T, "dt": cfg.dt, "D": cfg.D,
-        "s_init": cfg.s_init, "tau": cfg.tau, "nu": cfg.nu,
-        "C_F": cfg.C_F, "delta_default": cfg.delta_default,
-        "components": comps,
-    }
-    Path(path).write_text(yaml.safe_dump(doc, sort_keys=False))
+    scalars = {f.name: getattr(cfg, f.name) for f in fields(SystemConfig)
+               if f.name not in _COMPONENT_KEYS}
+    doc = typed_fields(SystemConfig, scalars, "config", skip=_COMPONENT_KEYS)
+    Path(path).write_text(yaml.safe_dump({**doc, "components": comps},
+                                         sort_keys=False))
 
 
 def case1_config(n: int = 80, s_init: int = 16) -> SystemConfig:

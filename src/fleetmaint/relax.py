@@ -166,7 +166,7 @@ def component_step_partials(E, A, P, S, b_prev, u, w, alpha, shape, scale,
     dg = _dind_singleton(0.0, E, alpha)
     dV = _dind_nonneg(S - f.b, alpha)
     dVp = _dind_strict_pos(f.b - S, alpha)
-    dp = failure_probability_derivative(shape, scale, A, cfg.dt)
+    dp = failure_probability_derivative(shape, scale, A, cfg.dt, f.p)
     dnf = _dind_nonneg(w - f.p, alpha)
     nf_A = -dnf * dp
     one_g = 1.0 - g

@@ -89,12 +89,12 @@ def failure_probability(shape, scale, age, dt):
     return float(p) if np.isscalar(age) or age_arr.ndim == 0 else p
 
 
-def failure_probability_derivative(shape, scale, age, dt):
-    """d/d(age) of failure_probability, used by the relaxed sensitivities."""
+def failure_probability_derivative(shape, scale, age, dt, p):
+    """d/d(age) of failure_probability, used by the relaxed sensitivities;
+    ``p`` is ``failure_probability(shape, scale, age, dt)``."""
     age_arr = np.asarray(age, dtype=float)
     hp0 = shape * np.power(np.maximum(age_arr, 0.0), shape - 1.0) / scale ** shape
     hp1 = shape * np.power(age_arr + dt, shape - 1.0) / scale ** shape
-    p = failure_probability(shape, scale, age, dt)
     out = (1.0 - p) * (hp1 - hp0)
     return float(out) if np.isscalar(age) or age_arr.ndim == 0 else out
 

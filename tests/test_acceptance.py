@@ -32,6 +32,12 @@ def _verdict(num, name, ok, detail=""):
     assert ok, line
 
 
+def run_cli(**flags):
+    """``cli.main`` on ``--name value`` for each keyword."""
+    return cli.main([arg for name, value in flags.items()
+                     for arg in (f"--{name.replace('_', '-')}", str(value))])
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -352,8 +358,7 @@ def test_criterion_9_byte_identical_reproducibility(tmp_path):
         outs = []
         for rep in ("a", "b"):
             out = tmp_path / f"{label}-{rep}"
-            rc = cli.run(cli.RunManifest(config=str(cfg_path), seed=17,
-                                         out=str(out), **kw))
+            rc = run_cli(config=str(cfg_path), seed=17, out=str(out), **kw)
             assert rc == 0
             outs.append({f.name: f.read_bytes()
                          for f in sorted(out.iterdir())})
@@ -362,9 +367,8 @@ def test_criterion_9_byte_identical_reproducibility(tmp_path):
             details.append(f"{label} differs across runs")
     # worker-count independence of tune, the one mode with a worker pool:
     # two workers against the one of the repeats above
-    rc = cli.run(cli.RunManifest(config=str(cfg_path), seed=17,
-                                 out=str(tmp_path / "tune-w2"), threads=2,
-                                 **runs["tune"]))
+    rc = run_cli(config=str(cfg_path), seed=17,
+                 out=str(tmp_path / "tune-w2"), threads=2, **runs["tune"])
     assert rc == 0
     if any((tmp_path / "tune-a" / name).read_bytes()
            != (tmp_path / "tune-w2" / name).read_bytes()
@@ -374,10 +378,10 @@ def test_criterion_9_byte_identical_reproducibility(tmp_path):
     # evaluate mode on the strategy produced above
     for rep in ("a", "b"):
         out = tmp_path / f"evaluate-{rep}"
-        rc = cli.run(cli.RunManifest(
+        rc = run_cli(
             mode="evaluate", config=str(cfg_path), seed=18, out=str(out),
             strategy=str(tmp_path / "optimize-app-a" / "strategy.csv"),
-            validation_scenarios=50))
+            validation_scenarios=50)
         assert rc == 0
     ea = {f.name: f.read_bytes()
           for f in sorted((tmp_path / "evaluate-a").iterdir())}

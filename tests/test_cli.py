@@ -1,14 +1,17 @@
 """Command-line front end: files, sampling, tuning, mode dispatch."""
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fleetmaint.config import SystemConfig, save_config, small_system_config
+from fleetmaint.config import (SystemConfig, load_config, save_config,
+                               small_system_config)
 from fleetmaint import appdecomp as ad
 from fleetmaint import cli
 from fleetmaint import evalharness as ev
@@ -25,6 +28,13 @@ def small_cfg(**kw):
 def param_vector(p):
     """The six decomposition parameters of ``p``, in file order."""
     return np.array([getattr(p, k) for k in cli._PARAM_KEYS])
+
+
+def run_cli(**flags):
+    """``cli.main`` on ``--name value`` for each keyword, underscores in
+    the name written as dashes."""
+    return cli.main([arg for name, value in flags.items()
+                     for arg in (f"--{name.replace('_', '-')}", str(value))])
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +65,22 @@ def test_params_roundtrip(tmp_path):
     cli.save_params(p, path)
     back = cli.load_params(path)
     assert back == p
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.integers(0, 200),
+       st.integers(1, 5000))
+def test_lhs_params_roundtrip(tmp_path_factory, seed, count, iterations,
+                              budget):
+    # Latin hypercube draws hold numpy floats; the file holds plain numbers
+    path = tmp_path_factory.mktemp("params") / "params.yaml"
+    for p in cli.lhs_sample(ad.PARAM_BOUNDS, count, seed):
+        p = dataclasses.replace(p, iterations=iterations,
+                                subproblem_budget=budget)
+        cli.save_params(p, path)
+        back = cli.load_params(path)
+        for field in dataclasses.fields(ad.APPParams):
+            assert getattr(back, field.name) == getattr(p, field.name)
 
 
 def test_params_file_rejects_garbage(tmp_path):
@@ -166,8 +192,8 @@ def write_cfg(tmp_path, cfg):
 def test_simulate_reproducible(tmp_path):
     cfg_path = write_cfg(tmp_path, small_cfg())
     for sub in ("a", "b"):
-        rc = cli.run(cli.RunManifest(mode="simulate", config=cfg_path,
-                                     seed=3, out=str(tmp_path / sub)))
+        rc = run_cli(mode="simulate", config=cfg_path,
+                     seed=3, out=str(tmp_path / sub))
         assert rc == 0
     a = (tmp_path / "a" / "trajectory.csv").read_bytes()
     b = (tmp_path / "b" / "trajectory.csv").read_bytes()
@@ -176,9 +202,9 @@ def test_simulate_reproducible(tmp_path):
 
 def test_optimize_direct_budget_one(tmp_path):
     cfg_path = write_cfg(tmp_path, small_cfg())
-    rc = cli.run(cli.RunManifest(mode="optimize-direct", config=cfg_path,
-                                 seed=1, out=str(tmp_path / "o"),
-                                 budget=1, scenarios=3))
+    rc = run_cli(mode="optimize-direct", config=cfg_path,
+                 seed=1, out=str(tmp_path / "o"),
+                 budget=1, scenarios=3)
     assert rc == 0
     strat = cli.load_strategy(tmp_path / "o" / "strategy.csv", small_cfg())
     assert np.all(strat.controls == 0.0)
@@ -186,9 +212,9 @@ def test_optimize_direct_budget_one(tmp_path):
 
 def test_optimize_app_writes_artifacts(tmp_path):
     cfg_path = write_cfg(tmp_path, small_cfg())
-    rc = cli.run(cli.RunManifest(mode="optimize-app", config=cfg_path,
-                                 seed=1, out=str(tmp_path / "o"),
-                                 iterations=2, budget=10, scenarios=3))
+    rc = run_cli(mode="optimize-app", config=cfg_path,
+                 seed=1, out=str(tmp_path / "o"),
+                 iterations=2, budget=10, scenarios=3)
     assert rc == 0
     out = tmp_path / "o"
     strat = cli.load_strategy(out / "strategy.csv", small_cfg())
@@ -204,10 +230,10 @@ def test_evaluate_mode(tmp_path):
     cfg_path = write_cfg(tmp_path, cfg)
     spath = tmp_path / "strategy.csv"
     cli.save_strategy(Strategy(np.zeros((2, 3))), cfg, spath)
-    rc = cli.run(cli.RunManifest(mode="evaluate", config=cfg_path, seed=2,
-                                 out=str(tmp_path / "o"),
-                                 strategy=str(spath),
-                                 validation_scenarios=30))
+    rc = run_cli(mode="evaluate", config=cfg_path, seed=2,
+                 out=str(tmp_path / "o"),
+                 strategy=str(spath),
+                 validation_scenarios=30)
     assert rc == 0
     out = tmp_path / "o"
     for name in ("report.csv", "report.txt", "pm_cumulative.csv",
@@ -219,10 +245,10 @@ def test_evaluate_mode(tmp_path):
     for name, strat in (("frac", frac),
                         ("bin", ev.project_strategy(frac, cfg.nu))):
         cli.save_strategy(strat, cfg, tmp_path / f"{name}.csv")
-        rc = cli.run(cli.RunManifest(mode="evaluate", config=cfg_path,
-                                     seed=2, out=str(tmp_path / name),
-                                     strategy=str(tmp_path / f"{name}.csv"),
-                                     validation_scenarios=30))
+        rc = run_cli(mode="evaluate", config=cfg_path,
+                     seed=2, out=str(tmp_path / name),
+                     strategy=str(tmp_path / f"{name}.csv"),
+                     validation_scenarios=30)
         assert rc == 0
         reports.append((tmp_path / name / "report.csv").read_bytes())
     assert reports[0] == reports[1]
@@ -232,10 +258,10 @@ def test_evaluate_wrong_size_strategy_exit_code(tmp_path):
     cfg_path = write_cfg(tmp_path, small_cfg())
     spath = tmp_path / "strategy.csv"
     cli.save_strategy(Strategy(np.zeros((1, 3))), small_cfg(), spath)
-    rc = cli.run(cli.RunManifest(mode="evaluate", config=cfg_path, seed=2,
-                                 out=str(tmp_path / "o"),
-                                 strategy=str(spath),
-                                 validation_scenarios=30))
+    rc = run_cli(mode="evaluate", config=cfg_path, seed=2,
+                 out=str(tmp_path / "o"),
+                 strategy=str(spath),
+                 validation_scenarios=30)
     assert rc == cli.EXIT_DIMENSION
 
 
@@ -251,10 +277,10 @@ def test_evaluate_malformed_strategy_exit_code(tmp_path, text):
     cfg_path = write_cfg(tmp_path, small_cfg(T=1))
     spath = tmp_path / "strategy.csv"
     spath.write_text(text)
-    rc = cli.run(cli.RunManifest(mode="evaluate", config=cfg_path, seed=2,
-                                 out=str(tmp_path / "o"),
-                                 strategy=str(spath),
-                                 validation_scenarios=30))
+    rc = run_cli(mode="evaluate", config=cfg_path, seed=2,
+                 out=str(tmp_path / "o"),
+                 strategy=str(spath),
+                 validation_scenarios=30)
     assert rc == cli.EXIT_CONFIG
 
 
@@ -265,10 +291,10 @@ def test_evaluate_strategy_for_another_nu_exit_code(tmp_path, header):
     cfg_path = write_cfg(tmp_path, small_cfg(T=1, nu=0.9))
     spath = tmp_path / "strategy.csv"
     spath.write_text(header + "\n0.5,0.5\n")
-    rc = cli.run(cli.RunManifest(mode="evaluate", config=cfg_path, seed=2,
-                                 out=str(tmp_path / "o"),
-                                 strategy=str(spath),
-                                 validation_scenarios=30))
+    rc = run_cli(mode="evaluate", config=cfg_path, seed=2,
+                 out=str(tmp_path / "o"),
+                 strategy=str(spath),
+                 validation_scenarios=30)
     assert rc == cli.EXIT_CONFIG
     with pytest.raises(cli.ConfigError):
         cli.load_strategy(spath, small_cfg(T=1, nu=0.9))
@@ -279,18 +305,18 @@ def test_evaluate_strategy_for_another_nu_exit_code(tmp_path, header):
 
 def test_evaluate_requires_strategy(tmp_path):
     cfg_path = write_cfg(tmp_path, small_cfg())
-    rc = cli.run(cli.RunManifest(mode="evaluate", config=cfg_path, seed=2,
-                                 out=str(tmp_path / "o")))
+    rc = run_cli(mode="evaluate", config=cfg_path, seed=2,
+                 out=str(tmp_path / "o"))
     assert rc == cli.EXIT_CONFIG
 
 
 def test_tune_mode(tmp_path):
     cfg_path = write_cfg(tmp_path, small_cfg())
-    rc = cli.run(cli.RunManifest(mode="tune", config=cfg_path, seed=4,
-                                 out=str(tmp_path / "o"), iterations=1,
-                                 budget=5, scenarios=3,
-                                 validation_scenarios=10, lhs_count=2,
-                                 lhs_restarts=2))
+    rc = run_cli(mode="tune", config=cfg_path, seed=4,
+                 out=str(tmp_path / "o"), iterations=1,
+                 budget=5, scenarios=3,
+                 validation_scenarios=10, lhs_count=2,
+                 lhs_restarts=2)
     assert rc == 0
     board = (tmp_path / "o" / "leaderboard.csv").read_text().strip()
     assert len(board.split("\n")) == 3
@@ -351,9 +377,67 @@ def test_unreadable_input_file_exit_code(tmp_path, capsys, flag, content):
 def test_bad_config_exit_code(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("n: -5\n")
-    rc = cli.run(cli.RunManifest(mode="simulate", config=str(bad), seed=0,
-                                 out=str(tmp_path / "o")))
+    rc = run_cli(mode="simulate", config=str(bad), seed=0,
+                 out=str(tmp_path / "o"))
     assert rc == cli.EXIT_CONFIG
+
+
+def set_key(path, key, text):
+    """Give ``key`` of the YAML file at ``path`` (top level or in its
+    components mapping) the YAML text ``text``; append the key at the top
+    level when the file has no line for it."""
+    body = path.read_text()
+    body, found = re.subn(rf"(?m)^(\s*){key}: .*$",
+                          lambda m: f"{m.group(1)}{key}: {text}", body)
+    path.write_text(body if found else body + f"{key}: {text}\n")
+
+
+@pytest.mark.parametrize("flag, key, text", [
+    ("--config", "n", "2.7"),
+    ("--config", "n", "true"),
+    ("--config", "n", "abc"),
+    ("--config", "T", '"2.5"'),
+    ("--config", "weibull_shape", "abc"),
+    ("--config", "C_F", "true"),
+    ("--params", "iterations", "1.7"),
+    ("--params", "d_alpha", "true"),
+    ("--params", "typo_key", "5"),
+])
+def test_mistyped_input_file_key_exit_code(tmp_path, capsys, flag, key,
+                                           text):
+    # counts are whole numbers, values are numbers and never booleans, and
+    # every key is a field of SystemConfig or APPParams: anything else is a
+    # bad input file, exit 3 with one stderr line naming the key
+    path = tmp_path / "input.yaml"
+    if flag == "--config":
+        save_config(small_cfg(), path)
+    else:
+        cli.save_params(ad.tuned_params(), path)
+    set_key(path, key, text)
+    mode = "simulate" if flag == "--config" else "optimize-app"
+    rc = cli.main(["--mode", mode, flag, str(path), "--iterations", "1",
+                   "--budget", "1", "--scenarios", "1",
+                   "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and f"'{key}'" in err
+
+
+@pytest.mark.parametrize("key, text", [("weibull_scale", "1.0e3"),
+                                       ("n", "10.0"), ("n", '"10"')])
+def test_numbers_written_otherwise_load(tmp_path, key, text):
+    # PyYAML reads 1.0e3 as a string; a whole-number float and a string of
+    # digits are counts
+    plain = small_cfg(n=10, weibull_scale=1000.0)
+    path = tmp_path / "config.yaml"
+    save_config(plain, path)
+    set_key(path, key, text)
+    cfg = load_config(path)
+    for field in dataclasses.fields(SystemConfig):
+        assert np.array_equal(getattr(cfg, field.name),
+                              getattr(plain, field.name)), field.name
+    assert type(cfg.n) is int
 
 
 def test_config_with_scenario_count_exit_code(tmp_path, capsys):
@@ -361,9 +445,9 @@ def test_config_with_scenario_count_exit_code(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, small_cfg())
     with open(cfg_path, "a") as fh:
         fh.write("Q: 7\n")
-    rc = cli.run(cli.RunManifest(mode="optimize-app", config=cfg_path,
-                                 seed=0, out=str(tmp_path / "o"),
-                                 iterations=1, budget=2, scenarios=2))
+    rc = run_cli(mode="optimize-app", config=cfg_path,
+                 seed=0, out=str(tmp_path / "o"),
+                 iterations=1, budget=2, scenarios=2)
     assert rc == cli.EXIT_CONFIG
     assert "unknown config keys: ['Q']" in capsys.readouterr().err
 
@@ -372,14 +456,15 @@ def test_unwritable_output_exit_code(tmp_path):
     cfg_path = write_cfg(tmp_path, small_cfg())
     blocker = tmp_path / "blocked"
     blocker.write_text("not a directory")
-    rc = cli.run(cli.RunManifest(mode="simulate", config=cfg_path, seed=0,
-                                 out=str(blocker)))
+    rc = run_cli(mode="simulate", config=cfg_path, seed=0,
+                 out=str(blocker))
     assert rc == cli.EXIT_OUTPUT
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        cli.RunManifest(mode="explode", config=None, seed=0, out="x")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--mode", "explode", "--seed", "0", "--out", "x"])
+    assert exc.value.code == cli.EXIT_USAGE
 
 
 @pytest.mark.parametrize("mode, flag, value", [
@@ -430,9 +515,9 @@ def test_compare_arms_direct_arm_is_optimize_direct(tmp_path):
                     "--budget", "3", "--scenarios", "2",
                     "--validation-scenarios", "10"],
                    check=True, env=env, capture_output=True)
-    rc = cli.run(cli.RunManifest(mode="optimize-direct", config=cfg_path,
-                                 seed=5, out=str(tmp_path / "direct"),
-                                 budget=1 * cfg.n * 3, scenarios=2))
+    rc = run_cli(mode="optimize-direct", config=cfg_path,
+                 seed=5, out=str(tmp_path / "direct"),
+                 budget=1 * cfg.n * 3, scenarios=2)
     assert rc == 0
     direct = (tmp_path / "direct" / "strategy.csv").read_bytes()
     assert (tmp_path / "compare" / "direct_strategy.csv").read_bytes() \

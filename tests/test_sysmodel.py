@@ -57,7 +57,8 @@ def test_failure_probability_derivative_matches_fd():
         h = 1e-6
         fd = (sm.failure_probability(3, 10, age + h, 1.0)
               - sm.failure_probability(3, 10, age - h, 1.0)) / (2 * h)
-        assert sm.failure_probability_derivative(3, 10, age, 1.0) == \
+        p = sm.failure_probability(3, 10, age, 1.0)
+        assert sm.failure_probability_derivative(3, 10, age, 1.0, p) == \
             pytest.approx(fd, rel=1e-6)
 
 
