@@ -3,8 +3,9 @@
 The on-disk format is a YAML file whose keys mirror the configuration
 fields.  Per-component characteristics (``C_P``, ``C_C``, ``weibull_shape``,
 ``weibull_scale``) live under a ``components`` block which is either a single
-mapping (broadcast to the whole fleet) or a list of ``n`` mappings.
-The other keys are the scalar fields, read by :func:`typed_fields`.
+mapping (broadcast to the whole fleet) or a list of ``n`` mappings; a
+mapping holding any other key is rejected.  The other keys are the scalar
+fields, read by :func:`typed_fields`.
 """
 from __future__ import annotations
 
@@ -132,6 +133,10 @@ def _component_arrays(block, n: int) -> dict:
         blocks = block
     else:
         raise ConfigError("components must be a mapping or a list of mappings")
+    unknown = {k for b in blocks if isinstance(b, dict) for k in b}
+    unknown -= set(_COMPONENT_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown component keys: {sorted(unknown, key=str)}")
     out = {}
     for key in _COMPONENT_KEYS:
         try:

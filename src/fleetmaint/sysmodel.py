@@ -23,10 +23,20 @@ and in blocks of :data:`STACK_BLOCK` columns, reading each candidate's
 noises from the shared (Q, n, T) array.  Columns never mix, so every
 candidate gets bit for bit the statistics of its own call; a direct
 search hands its poll trials over this way (:mod:`fleetmaint.dsearch`).
+
+The blocks of a single Strategy run on one thread per usable core; numpy
+releases the GIL inside its loops.  A block writes only its own columns,
+and the per-candidate sums over columns take the blocks in order, so every
+output is bit for bit the same whatever the number of threads.  The step
+kernel forms its intermediates in place, in its output arrays and one
+scratch array, with the same IEEE operations in the same order as the
+plain expressions in its comments.
 """
 from __future__ import annotations
 
+import os
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -79,13 +89,22 @@ def failure_probability(shape, scale, age, dt):
     age_arr = np.asarray(age, dtype=float)
     if np.any(age_arr < 0):
         raise ValueError("age must be nonnegative")
-    # 1 - p = exp(h(age) - h(age + dt)) with h(x) = (x / scale)^shape
-    h0 = np.power(age_arr / scale, shape)
-    h1 = np.power((age_arr + dt) / scale, shape)
+    # 1 - p = exp(h(age) - h(age + dt)) with h(x) = (x / scale)^shape,
+    # formed in p, h1 for h(age + dt) and x for the quotients.  The power
+    # and expm1 never write over their own input: np.power can then take
+    # another inner loop, whose result differs in the last bit (exponent
+    # 0.5 or 2 on a one-element array)
+    p = np.empty(np.broadcast(age_arr, shape, scale, dt).shape)
+    x, h1 = np.empty_like(p), np.empty_like(p)
+    np.power(np.divide(age_arr, scale, out=x), shape, out=p)
+    np.divide(np.add(age_arr, dt, out=x), scale, out=x)
+    np.power(x, shape, out=h1)
+    np.subtract(p, h1, out=h1)
     with np.errstate(over="ignore"):
-        p = -np.expm1(h0 - h1)
-    p = np.where(np.isfinite(p), p, 1.0)
-    p = np.clip(p, 0.0, 1.0)
+        np.expm1(h1, out=p)
+    np.negative(p, out=p)
+    np.copyto(p, 1.0, where=~np.isfinite(p))
+    np.clip(p, 0.0, 1.0, out=p)
     return float(p) if np.isscalar(age) or age_arr.ndim == 0 else p
 
 
@@ -155,23 +174,50 @@ def _component_forward(E, A, P, S, b_prev, u, w, shape, scale,
     """Indicator values and outputs of one component step (see the core).
 
     ``g`` is the broken indicator 1{0}(E) when the caller has it already.
+    Besides the returned fields, the step allocates one scratch array (and
+    ``u - nu``, of the controls' shape); the comments give each output as
+    the expression whose IEEE operations it performs, in that order up to
+    swapping the two operands of a product or a sum.
     """
     delta = cfg.delta_default
+    # arrays written in place are made with np.empty at their full shape:
+    # on 0-d inputs a ufunc returns a scalar, which takes no out=
+    shp = np.broadcast(E, A, S, b_prev, u, w, shape, scale, P[0]).shape
+    scratch = np.empty((len(P),) + shp)
+    tmp = scratch[0, ...]
     if g is None:
         g = ind.singleton(0.0, E)
     b = b_prev + g
-    V = ind.nonneg(S - b)
-    Vp = ind.strict_pos(b - S)
+    V = ind.nonneg(np.subtract(S, b, out=tmp))
+    Vp = ind.strict_pos(np.subtract(b, S, out=tmp))
     m = ind.nonneg(u - cfg.nu)
     p = failure_probability(shape, scale, A, cfg.dt)
-    nf = ind.nonneg(w - p)
+    nf = ind.nonneg(np.subtract(w, p, out=tmp))
     one_g = 1.0 - g
-    survive = nf * (1.0 - m)           # healthy, no PM, no failure
+    # survive = nf * (1 - m): healthy, no PM, no failure
+    survive = np.subtract(1.0, m, out=tmp)
+    survive *= nf
 
-    E_new = V * g + (m + survive) * one_g
-    A_new = ((A + 1.0) * (Vp * g + survive * one_g)
-             + (1.0 - Vp) * g
-             + ((1.0 - u) * A + 1.0) * m * one_g)
+    # E_new = V * g + (m + survive) * one_g
+    E_new = np.add(m, survive, out=np.empty(shp))
+    E_new *= one_g
+    A_new = np.multiply(V, g, out=np.empty(shp))
+    E_new += A_new
+    # A_new = ((A + 1) * (Vp * g + survive * one_g) + (1 - Vp) * g
+    #          + ((1 - u) * A + 1) * m * one_g)
+    survive *= one_g
+    np.multiply(Vp, g, out=A_new)
+    A_new += survive
+    A_new *= np.add(A, 1.0, out=tmp)
+    np.subtract(1.0, Vp, out=tmp)
+    tmp *= g
+    A_new += tmp
+    np.subtract(1.0, u, out=tmp)
+    tmp *= A
+    tmp += 1.0
+    tmp *= m
+    tmp *= one_g
+    A_new += tmp
 
     # failure-record update, switched by c = 1{healthy now, broken next}
     I1 = ind.singleton(1.0, E)
@@ -179,13 +225,21 @@ def _component_forward(E, A, P, S, b_prev, u, w, shape, scale,
     c = I1 * I0n
     Idel = ind.singleton(delta, P)
     IdelD = Idel[-1]
-    aged = P + 1.0
-    shifted = aged * (1.0 - Idel)
-    keep = shifted + delta * Idel
-    record = shifted * IdelD
-    record[1:] = record[1:] + delta * Idel[:-1]
-    record[:-1] = record[:-1] + aged[1:] * (1.0 - IdelD)
-    P_new = keep * (1.0 - c) + record * c
+    aged = np.add(P, 1.0, out=scratch)
+    # keep = shifted + delta * Idel with shifted = aged * (1 - Idel)
+    keep = np.subtract(1.0, Idel, out=np.empty_like(scratch))
+    keep *= aged
+    record = np.multiply(keep, IdelD, out=np.empty_like(scratch))
+    P_new = np.multiply(Idel, delta, out=np.empty_like(scratch))
+    keep += P_new
+    # record = shifted * IdelD, then record[1:] += delta * Idel[:-1] and
+    # record[:-1] += aged[1:] * (1 - IdelD)
+    record[1:] += P_new[:-1]
+    aged[1:] *= np.subtract(1.0, IdelD, out=P_new[0, ...])
+    record[:-1] += aged[1:]
+    # P_new = keep * (1 - c) + record * c
+    np.multiply(keep, np.subtract(1.0, c, out=tmp), out=P_new)
+    P_new += np.multiply(record, c, out=scratch)
     return _Forward(g, b, V, Vp, m, p, nf, one_g, E_new, A_new, I1, I0n, c,
                     Idel, keep, record, P_new)
 
@@ -251,19 +305,30 @@ class BatchStats:
     stock: np.ndarray | None = None          # (T+1, Q)
 
 
-#: scenarios stepped together by the batch driver; bounds the memory the
-#: step temporaries take on large batches
+#: scenarios stepped together for a Strategy; bounds the memory the step
+#: temporaries take on large batches.  On 100k scenarios of the small
+#: system (n=10, T=40) the engine takes 2.9-3.5 s on two threads and
+#: 4.1-4.2 s on one.  512-column blocks take 5.1-5.6 s on one thread and
+#: 6.4-6.8 s on two: at that width handing the GIL between the threads
+#: costs more than the second core gains
 BLOCK = 2048
 
-#: scenario columns stepped together for a stack of candidate controls.
-#: On the small system (n=10, T=40, 2 cores) one 2048-column block adds
-#: 6.1 MB of peak resident set, +13 % on a 500-evaluation direct search
-#: that peaks at 47 MB; 640 columns add 1.4 MB and 512 add 0.9 MB.  512 columns already amortize
-#: the per-call dispatch: that search takes 0.75 s of CPU, against 0.56 s
-#: with 2048-column blocks and 5.0 s at one candidate per call.  A single
-#: Strategy keeps BLOCK, the faster width on 100k scenarios (4.8-5.5 s of
-#: engine time, 5.9-6.4 s at 512 columns).
+#: scenario columns stepped together for a stack of candidate controls,
+#: one block after another.  On the small system one 2048-column block
+#: adds 5.6 MB of peak resident set, +12 % on a 500-evaluation direct
+#: search that peaks at 47 MB; 512 columns add 1.3 MB.  512 columns
+#: already amortize the per-call dispatch: that search takes 0.75 s of
+#: CPU, against 0.56 s with 2048-column blocks and 5.0 s at one candidate
+#: per call.
 STACK_BLOCK = 512
+
+
+def _usable_cores() -> int:
+    """CPU cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _by_candidate(x, local):
@@ -279,7 +344,8 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
     ``controls`` is a Strategy or a (K, n, T) stack of candidate controls,
     each run on all Q scenarios.  Scenario columns are candidate-major
     (column k·Q + q is candidate k on scenario q) and are walked in blocks
-    of BLOCK columns for a Strategy and STACK_BLOCK for a stack.
+    of BLOCK columns for a Strategy, on threads, and of STACK_BLOCK
+    columns for a stack, one block after another.
     ``block_indicators(width)`` returns the indicators for a block of
     ``width`` columns and the probe collecting their band hits, or None.
     Costs use fixed-order summation over t and columns never mix, so
@@ -315,7 +381,11 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
         lf = np.empty((T + 1, n, D, K * Q))
         stock_hist = np.empty((T + 1, K * Q))
 
-    for lo in range(0, K * Q, block):
+    def run_block(lo):
+        """Step the columns of the block starting at ``lo``.  Writes their
+        own columns of the per-scenario fields and returns the block's
+        rows of ``empty_stock`` and ``pm_steps``, with the row slice they
+        belong to."""
         cols = slice(lo, min(lo + block, K * Q))
         width = cols.stop - lo
         if K == 1:
@@ -324,6 +394,8 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
         else:
             cand, scen = np.divmod(np.arange(lo, cols.stop), Q)
         kept, local = slice(cand[0], cand[-1] + 1), cand - cand[0]
+        block_empty = np.zeros((local[-1] + 1, T + 1))
+        block_pm = np.zeros((local[-1] + 1, T))
         ind, probe = block_indicators(width)
         E = np.ones((n, width))
         A = np.zeros((n, width))
@@ -336,7 +408,7 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
                 lf[t, ..., cols], stock_hist[t, cols] = P, S
             # np.add.reduce is np.sum without its Python-level dispatch,
             # which on small batches costs as much as the arithmetic
-            empty_stock[kept, t] += _by_candidate(S == 0, local)
+            block_empty[:, t] = _by_candidate(S == 0, local)
             g = ind.singleton(0.0, E)
             cm_cost[cols] += np.add.reduce(
                 beta[t] * cfg.C_C[:, None] * (g * ind.singleton(0.0, A)),
@@ -356,7 +428,7 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
             S = stock_step_core(E, P, S, cfg, ind, g)
             pm = np.add.reduce(f.m * f.one_g, axis=0)
             pm_count[cols] += pm
-            pm_steps[kept, t] += _by_candidate(pm, local)
+            block_pm[:, t] = _by_candidate(pm, local)
             failure_count[cols] += np.add.reduce(f.c, axis=0)
             E, A, P = f.E_new, f.A_new, f.P_new.transpose(1, 0, 2)
             # free the step's other intermediates before the next step
@@ -365,6 +437,23 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
             del f
         if probe is not None:
             band_hit[cols] = probe.band
+        return kept, block_empty, block_pm
+
+    # blocks write disjoint columns, so a Strategy's blocks run on threads
+    # (numpy releases the GIL in its loops); a stack's 512-column blocks
+    # gain no wall time that way and cost CPU, so they stay serial
+    starts = range(0, K * Q, block)
+    workers = 1 if stacked else min(_usable_cores(), len(starts))
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(run_block, starts))
+    else:
+        parts = map(run_block, starts)
+    # the per-candidate sums take their blocks in order, as a serial
+    # run adds them
+    for kept, block_empty, block_pm in parts:
+        empty_stock[kept] += block_empty
+        pm_steps[kept] += block_pm
 
     pm_cumulative = np.cumsum(pm_steps, axis=1)
     if not stacked:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from fleetmaint.config import (SystemConfig, load_config, save_config,
@@ -385,7 +386,16 @@ def test_bad_config_exit_code(tmp_path):
 def set_key(path, key, text):
     """Give ``key`` of the YAML file at ``path`` (top level or in its
     components mapping) the YAML text ``text``; append the key at the top
-    level when the file has no line for it."""
+    level when the file has no line for it.  ``components.<key>`` adds the
+    key to the single components mapping, ``components.<i>.<key>`` to the
+    i-th mapping of a components list."""
+    if key.startswith("components."):
+        doc = yaml.safe_load(path.read_text())
+        *entry, name = key.split(".")[1:]
+        block = doc["components"]
+        (block[int(entry[0])] if entry else block)[name] = yaml.safe_load(text)
+        path.write_text(yaml.safe_dump(doc))
+        return
     body = path.read_text()
     body, found = re.subn(rf"(?m)^(\s*){key}: .*$",
                           lambda m: f"{m.group(1)}{key}: {text}", body)
@@ -399,6 +409,8 @@ def set_key(path, key, text):
     ("--config", "T", '"2.5"'),
     ("--config", "weibull_shape", "abc"),
     ("--config", "C_F", "true"),
+    ("--config", "components.weibul_scale", "99.0"),
+    ("--config", "components.1.weibul_scale", "99.0"),
     ("--params", "iterations", "1.7"),
     ("--params", "d_alpha", "true"),
     ("--params", "typo_key", "5"),
@@ -406,11 +418,14 @@ def set_key(path, key, text):
 def test_mistyped_input_file_key_exit_code(tmp_path, capsys, flag, key,
                                            text):
     # counts are whole numbers, values are numbers and never booleans, and
-    # every key is a field of SystemConfig or APPParams: anything else is a
-    # bad input file, exit 3 with one stderr line naming the key
+    # every key is a field of SystemConfig or APPParams, or a per-component
+    # key in a components mapping: anything else is a bad input file, exit
+    # 3 with one stderr line naming the key
     path = tmp_path / "input.yaml"
     if flag == "--config":
-        save_config(small_cfg(), path)
+        # two Weibull scales make save_config write a components list
+        save_config(small_cfg(weibull_scale=[10.0, 12.0] if key.count(".") == 2
+                              else 10.0), path)
     else:
         cli.save_params(ad.tuned_params(), path)
     set_key(path, key, text)
@@ -421,7 +436,7 @@ def test_mistyped_input_file_key_exit_code(tmp_path, capsys, flag, key,
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.count("\n") == 1 and f"'{key}'" in err
+    assert err.count("\n") == 1 and f"'{key.rsplit('.', 1)[-1]}'" in err
 
 
 @pytest.mark.parametrize("key, text", [("weibull_scale", "1.0e3"),

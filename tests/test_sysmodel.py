@@ -2,11 +2,12 @@
 import csv
 import dataclasses
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fleetmaint.config import SystemConfig, case1_config, small_system_config
 from fleetmaint import cli
@@ -60,6 +61,59 @@ def test_failure_probability_derivative_matches_fd():
         p = sm.failure_probability(3, 10, age, 1.0)
         assert sm.failure_probability_derivative(3, 10, age, 1.0, p) == \
             pytest.approx(fd, rel=1e-6)
+
+
+def failure_probability_oracle(shape, scale, age, dt):
+    """The failure law as plain array expressions, each step a new array:
+    the oracle of the in-place :func:`sysmodel.failure_probability`."""
+    age_arr = np.asarray(age, dtype=float)
+    if np.any(age_arr < 0):
+        raise ValueError("age must be nonnegative")
+    h0 = np.power(age_arr / scale, shape)
+    h1 = np.power((age_arr + dt) / scale, shape)
+    with np.errstate(over="ignore"):
+        p = -np.expm1(h0 - h1)
+    p = np.where(np.isfinite(p), p, 1.0)
+    p = np.clip(p, 0.0, 1.0)
+    return float(p) if np.isscalar(age) or age_arr.ndim == 0 else p
+
+
+# zero, fractional and whole ages, ages where age + dt rounds to age (p is
+# -0.0) and ages whose hazard overflows (p is 1)
+_AGES = st.one_of(st.sampled_from([0.0, 0.5, 3.0, 10.0, 1e20, 1e103, 1e300]),
+                  st.floats(0.0, 60.0), st.integers(0, 60).map(float),
+                  st.floats(0.0, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                       st.floats(0.2, 8.0)),
+       scale=st.floats(0.5, 40.0),
+       dt=st.sampled_from([1.0, 0.25, 2.0]),
+       ages=st.lists(_AGES, min_size=1, max_size=12), n=st.integers(1, 3),
+       form=st.sampled_from(["scalar", "0-d", "column", "matrix"]))
+# np.power written over its own input differs here in the last bit
+@example(shape=0.5, scale=17.666015625, dt=1.0, ages=[0.0], n=1,
+         form="column")
+def test_failure_probability_matches_oracle_bit_for_bit(shape, scale, dt,
+                                                        ages, n, form):
+    # scalar ages, and (n, 1) laws over (n, 1) or (n, w) ages as the fleet
+    # step passes them; equal bytes include the sign of zero
+    if form in ("scalar", "0-d"):
+        age = ages[0] if form == "scalar" else np.array(ages[0])
+        law = (shape, scale)
+    else:
+        w = 1 if form == "column" else len(ages)
+        age = np.resize(np.array(ages), (n, w))
+        law = (np.full((n, 1), shape),
+               np.linspace(scale, 2 * scale, n)[:, None])
+    with np.errstate(all="ignore"):
+        got = sm.failure_probability(*law, age, dt)
+        want = failure_probability_oracle(*law, age, dt)
+    assert type(got) is type(want)
+    assert type(got) is (float if form in ("scalar", "0-d") else np.ndarray)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_weibull_mttf_closed_form():
@@ -347,6 +401,57 @@ def test_blocked_batch_matches_scalar_and_slices():
     assert np.array_equal(stats.empty_stock,
                           sum(p.empty_stock for p in parts))
     assert stats.failure_count.sum() > 0 and stats.fo_steps.sum() > 0
+
+
+def _blocks_on_threads(monkeypatch, workers, run):
+    """``run()`` with the batch driver allowed ``workers`` threads, and the
+    interpreter switching threads often, so that a lost update shows."""
+    monkeypatch.setattr(sm, "_usable_cores", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        return run()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_outputs_identical_across_thread_counts(monkeypatch, tmp_path):
+    # three blocks of scenario columns, the last one partial: one thread
+    # and several give the same bytes in every field and output file
+    cfg = small_system_config()
+    rng = np.random.default_rng(12)
+    Q = 2 * sm.BLOCK + 52
+    noises = rng.random((Q, cfg.n, cfg.T))
+    strategy = sm.Strategy(rng.random((cfg.n, cfg.T)))
+    runs = {
+        "exact": lambda: sm.simulate_batch(strategy, noises, cfg,
+                                           record_states=True),
+        "relaxed": lambda: rx.simulate_relaxed_batch(strategy, noises, 1.5,
+                                                     cfg),
+    }
+    for name, run in runs.items():
+        one = _blocks_on_threads(monkeypatch, 1, run)
+        many = _blocks_on_threads(monkeypatch, 3, run)
+        for field in dataclasses.fields(sm.BatchStats):
+            a, b = getattr(one, field.name), getattr(many, field.name)
+            assert (a is None) == (b is None), (name, field.name)
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), (name, field.name)
+    assert np.any(one.band_hit)     # the relaxed run enters its ramps
+
+    spath = tmp_path / "strategy.csv"
+    cli.save_strategy(strategy, cfg, spath)
+    outputs = []
+    for workers in (1, 3):
+        out = tmp_path / f"eval-{workers}"
+        rc = _blocks_on_threads(monkeypatch, workers, lambda: cli.main([
+            "--mode", "evaluate", "--seed", "4", "--strategy", str(spath),
+            "--validation-scenarios", str(Q), "--out", str(out)]))
+        assert rc == 0
+        outputs.append({f: (out / f).read_bytes() for f in (
+            "report.csv", "pm_cumulative.csv", "empty_stock.csv")})
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("shape", [(1, 40), (10, 1), (10, 43)])
