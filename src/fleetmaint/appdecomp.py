@@ -331,7 +331,7 @@ def solve_component_subproblems(it: Iterate, noises, cfg: SystemConfig,
 # stock subproblem
 
 
-def solve_stock_subproblem(X_fresh, noises, alpha, cfg: SystemConfig
+def solve_stock_subproblem(X_fresh, alpha, cfg: SystemConfig
                            ) -> np.ndarray:
     """Relaxed stock trajectory driven by the fresh component states.
 
@@ -463,7 +463,7 @@ def app_fixed_point(cfg: SystemConfig, p: APPParams, noises, seed: int):
             it, noises, cfg, p.subproblem_budget, seeds, cache)
         Lam_new = component_multiplier_backward(X_new, u_new, it, noises,
                                                 cfg, cache)
-        S_new = solve_stock_subproblem(X_new, noises, alpha, cfg)
+        S_new = solve_stock_subproblem(X_new, alpha, cfg)
         LamS_new = stock_multiplier_backward(
             S_new, X_new, u_new, Lam_new, it.S, noises, cfg, alpha, gamma_s)
         it.X, it.u, it.Lam = X_new, u_new, Lam_new

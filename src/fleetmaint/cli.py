@@ -146,24 +146,28 @@ def load_params(path) -> ad.APPParams:
 # Latin hypercube sampling
 
 
-def lhs_sample(bounds, count: int, seed: int, restarts: int = 20):
+#: random designs drawn per Latin hypercube sample; the most spread is kept
+LHS_RESTARTS = 20
+
+
+def lhs_sample(bounds, count: int, seed: int):
     """Stratified samples of the six decomposition parameters.
 
     Each coordinate places exactly one point per equal-width stratum with
-    independent stratum permutations.  Among ``restarts`` random designs
-    the one with the largest minimum pairwise distance (in the unit cube)
-    is kept.
+    independent stratum permutations.  Among :data:`LHS_RESTARTS` random
+    designs the one with the largest minimum pairwise distance (in the unit
+    cube) is kept.
     """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-    if count < 1 or restarts < 1:
-        raise ValueError("count and restarts must be >= 1")
+    if count < 1:
+        raise ValueError("count must be >= 1")
     for lo, hi in bounds:
         if not lo < hi:
             raise ValueError(f"invalid bounds interval ({lo}, {hi})")
     d = len(bounds)
     rng = np.random.default_rng(seed)
     best, best_sep = None, -np.inf
-    for _ in range(restarts):
+    for _ in range(LHS_RESTARTS):
         unit = np.empty((count, d))
         for j in range(d):
             strata = rng.permutation(count)
@@ -187,11 +191,9 @@ def lhs_sample(bounds, count: int, seed: int, restarts: int = 20):
 
 
 def _tune_one(payload):
-    idx, cfg, p, noises, val, seed = payload
+    cfg, p, noises, val, seed = payload
     strat, _ = ad.app_fixed_point(cfg, p, noises, seed=seed)
-    projected = ev.project_strategy(strat, cfg.nu)
-    cost = ev.saa_objective(projected, val, cfg)
-    return idx, cost
+    return ev.saa_objective(ev.project_strategy(strat, cfg.nu), val, cfg)
 
 
 def tune(cfg: SystemConfig, samples, noises, validation, seed: int,
@@ -202,17 +204,16 @@ def tune(cfg: SystemConfig, samples, noises, validation, seed: int,
     the projected strategies are compared on the shared validation set.
     The leaderboard is sorted by cost, ties broken by sample index.
     """
-    payloads = [(idx, cfg, p, noises, validation, seed)
-                for idx, p in enumerate(samples)]
+    payloads = [(cfg, p, noises, validation, seed) for p in samples]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            scored = list(pool.map(_tune_one, payloads))
+            costs = list(pool.map(_tune_one, payloads))
     else:
-        scored = [_tune_one(pl) for pl in payloads]
-    scored.sort(key=lambda r: r[0])
+        costs = list(map(_tune_one, payloads))
+    # both maps return the costs in sample order
     leaderboard = sorted(
-        ({"index": idx, "cost": cost, "params": samples[idx]}
-         for idx, cost in scored),
+        ({"index": idx, "cost": cost, "params": p}
+         for (idx, p), cost in zip(enumerate(samples), costs)),
         key=lambda rec: (rec["cost"], rec["index"]))
     return leaderboard[0]["params"], leaderboard
 
@@ -315,8 +316,8 @@ def _run_tune(args, cfg, out: Path):
     base = _resolve_params(args)
     samples = [replace(p, iterations=base.iterations,
                        subproblem_budget=base.subproblem_budget)
-               for p in lhs_sample(ad.PARAM_BOUNDS, args.lhs_count, args.seed,
-                                   restarts=args.lhs_restarts)]
+               for p in lhs_sample(ad.PARAM_BOUNDS, args.lhs_count,
+                                   args.seed)]
     noises = ev.generate_scenarios(cfg.n, cfg.T, args.scenarios, args.seed)
     validation = ev.generate_scenarios(cfg.n, cfg.T,
                                        args.validation_scenarios,
@@ -390,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--strategy", default=None,
                         help="strategy CSV (evaluate and simulate modes)")
     parser.add_argument("--lhs-count", type=int, default=8)
-    parser.add_argument("--lhs-restarts", type=int, default=20)
     parser.add_argument("--threads", type=int, default=1,
                         help="worker processes for tune; other modes "
                              "accept it and ignore it")
@@ -402,7 +402,7 @@ def _check_flags(args) -> str | None:
     if not 0 <= args.seed < 1 << 64:
         return f"--seed must lie in [0, 2**64), got {args.seed}"
     for name in ("scenarios", "validation_scenarios", "lhs_count",
-                 "lhs_restarts", "threads", "budget"):
+                 "threads", "budget"):
         value = getattr(args, name)
         if value is not None and value < 1:
             return f"--{name.replace('_', '-')} must be >= 1, got {value}"

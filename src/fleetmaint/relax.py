@@ -24,8 +24,8 @@ count of broken components with a lower index.  The step reads ``S`` and
 fleet steps, and is differentiated, in one vectorized call per time step.
 
 Derivatives are taken to be exactly zero at the kinks.  The relaxed batch
-passes the surrogates a band probe, which records the scenarios where some
-argument fell strictly inside a ramp (band hits).
+is the exact batch driver of :mod:`fleetmaint.sysmodel` run with the ramps
+in place of the hard indicators.
 """
 from __future__ import annotations
 
@@ -89,33 +89,11 @@ def _dind_strict_pos(x, alpha):
     return np.where((x > 0.0) & (x < half), 2.0 * alpha, 0.0)
 
 
-class _BandProbe:
-    """Collects band hits across indicator evaluations.
-
-    ``band`` is a boolean array OR-accumulated over evaluations (reduced
-    over any leading axes down to its own shape): where some surrogate
-    evaluated strictly inside its ramp.
-    """
-
-    def __init__(self, shape=()):
-        self.band = np.zeros(shape, dtype=bool)
-
-    def add(self, value):
-        """Record the band hits of surrogate ``value``; returns it."""
-        hit = (value > 0.0) & (value < 1.0)
-        while np.ndim(hit) > self.band.ndim:
-            hit = np.any(hit, axis=0)
-        self.band = self.band | hit
-        return value
-
-
-def _ramps(alpha, probe: _BandProbe | None = None) -> sm.Indicators:
-    """The surrogates at sharpness ``alpha``, reporting to ``probe``."""
-    seen = (lambda value: value) if probe is None else probe.add
-    return sm.Indicators(
-        lambda a, x: seen(_ind_singleton(a, x, alpha)),
-        lambda x: seen(_ind_nonneg(x, alpha)),
-        lambda x: seen(_ind_strict_pos(x, alpha)))
+def _ramps(alpha) -> sm.Indicators:
+    """The surrogates at sharpness ``alpha``."""
+    return sm.Indicators(lambda a, x: _ind_singleton(a, x, alpha),
+                         lambda x: _ind_nonneg(x, alpha),
+                         lambda x: _ind_strict_pos(x, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +233,10 @@ def simulate_relaxed_batch(strategy: Strategy, noises, alpha,
                            record_states: bool = False) -> sm.BatchStats:
     """Relaxed analogue of the exact batch simulator.
 
-    On binary controls and off-band noises the trajectory coincides bit for
-    bit with the exact one; scenarios where any surrogate evaluated to a
-    fractional value are flagged in ``band_hit``.
+    The exact driver stepped with the ramps at sharpness ``alpha``.  On a
+    scenario where no surrogate takes a value strictly between 0 and 1,
+    which binary controls and noises off the bands give, the trajectory
+    coincides bit for bit with the exact one.
     """
-    alpha = _alpha_of(alpha)
-
-    def block_indicators(width):
-        probe = _BandProbe((width,))
-        return _ramps(alpha, probe), probe
-
     return sm._simulate(strategy, noises, cfg, record_states,
-                        block_indicators)
+                        _ramps(_alpha_of(alpha)))

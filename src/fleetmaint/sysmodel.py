@@ -8,12 +8,12 @@ repaired in index order while spares last.
 
 This module owns the one fleet step kernel (:func:`component_step_core`,
 :func:`stock_step_core`), written over three indicator functions, and the
-batch driver over it.  :func:`simulate_batch` runs the driver with hard
-indicators, which is the exact dynamics; :mod:`fleetmaint.relax` runs it
-with surrogate indicators.  States are arrays (regimes, ages, failure
-records and stock, one column per scenario); the driver records their
-history on request, and that history is all a single exact trajectory
-needs.
+batch driver over it, which takes one set of :class:`Indicators`.
+:func:`simulate_batch` passes the hard comparisons, which is the exact
+dynamics; :mod:`fleetmaint.relax` passes its ramps.  States are arrays
+(regimes, ages, failure records and stock, one column per scenario); the
+driver records their history on request, and that history is all a single
+exact trajectory needs.
 
 The batch engine steps a block of scenario columns at a time; a call costs
 about as much in numpy dispatch at 20 columns as at a few hundred.  So
@@ -25,8 +25,9 @@ candidate gets bit for bit the statistics of its own call; a direct
 search hands its poll trials over this way (:mod:`fleetmaint.dsearch`).
 
 The blocks of a single Strategy run on one thread per usable core; numpy
-releases the GIL inside its loops.  A block writes only its own columns,
-and the per-candidate sums over columns take the blocks in order, so every
+releases the GIL inside its loops.  The indicators hold no state, so the
+threads share them; a block writes only its own columns, and the
+per-candidate sums over columns take the blocks in order, so every
 output is bit for bit the same whatever the number of threads.  The step
 kernel forms its intermediates in place, in its output arrays and one
 scratch array, with the same IEEE operations in the same order as the
@@ -297,7 +298,6 @@ class BatchStats:
     fo_steps: np.ndarray       # steps spent in forced outage
     pm_cumulative: np.ndarray  # (T,) PM events summed over scenarios
     empty_stock: np.ndarray    # (T+1,) count of scenarios with stock == 0
-    band_hit: np.ndarray       # (Q,) bool: some surrogate was fractional
     # full state history, only kept on request
     regimes: np.ndarray | None = None        # (T+1, n, Q)
     ages: np.ndarray | None = None
@@ -338,19 +338,17 @@ def _by_candidate(x, local):
 
 
 def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
-              block_indicators) -> BatchStats:
+              ind: Indicators) -> BatchStats:
     """Batch driver shared by the exact and the relaxed engines.
 
     ``controls`` is a Strategy or a (K, n, T) stack of candidate controls,
     each run on all Q scenarios.  Scenario columns are candidate-major
     (column k·Q + q is candidate k on scenario q) and are walked in blocks
     of BLOCK columns for a Strategy, on threads, and of STACK_BLOCK
-    columns for a stack, one block after another.
-    ``block_indicators(width)`` returns the indicators for a block of
-    ``width`` columns and the probe collecting their band hits, or None.
-    Costs use fixed-order summation over t and columns never mix, so
-    results do not depend on the blocking; a stack's fields carry a
-    leading K axis, and row k equals candidate k's own run.
+    columns for a stack, one block after another, every block with the
+    indicators ``ind``.  Costs use fixed-order summation over t and columns
+    never mix, so results do not depend on the blocking; a stack's fields
+    carry a leading K axis, and row k equals candidate k's own run.
     """
     stacked = not isinstance(controls, Strategy)
     u = (_checked_controls(controls, 3, "stacked") if stacked
@@ -374,7 +372,6 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
     pm_count, failure_count = np.zeros(K * Q), np.zeros(K * Q)
     fo_onsets, fo_steps = np.zeros(K * Q), np.zeros(K * Q)
     pm_steps, empty_stock = np.zeros((K, T)), np.zeros((K, T + 1))
-    band_hit = np.zeros(K * Q, dtype=bool)
     if record_states:
         regimes = np.empty((T + 1, n, K * Q))
         ages = np.empty((T + 1, n, K * Q))
@@ -396,7 +393,6 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
         kept, local = slice(cand[0], cand[-1] + 1), cand - cand[0]
         block_empty = np.zeros((local[-1] + 1, T + 1))
         block_pm = np.zeros((local[-1] + 1, T))
-        ind, probe = block_indicators(width)
         E = np.ones((n, width))
         A = np.zeros((n, width))
         P = np.full((n, D, width), cfg.delta_default)
@@ -435,8 +431,6 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
             # makes its own: two steps alive at once take a 2048-column
             # block from 6.1 to 9.3 MB of added peak resident set
             del f
-        if probe is not None:
-            band_hit[cols] = probe.band
         return kept, block_empty, block_pm
 
     # blocks write disjoint columns, so a Strategy's blocks run on threads
@@ -471,8 +465,7 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
         total_cost=out(pm_cost + cm_cost + fo_cost),
         pm_count=out(pm_count), failure_count=out(failure_count),
         fo_onsets=out(fo_onsets), fo_steps=out(fo_steps),
-        pm_cumulative=pm_cumulative, empty_stock=empty_stock,
-        band_hit=out(band_hit))
+        pm_cumulative=pm_cumulative, empty_stock=empty_stock)
     if record_states:
         stats.regimes, stats.ages = out(regimes), out(ages)
         stats.last_failures, stats.stock = out(lf), out(stock_hist)
@@ -488,7 +481,6 @@ def simulate_batch(strategy, noises: np.ndarray, cfg: SystemConfig,
     every candidate on the same Q scenarios, without copying the noises,
     and every field of its stats gets a leading K axis whose row k equals
     candidate k's own run.  This is the fleet step kernel with
-    :data:`HARD` indicators; ``band_hit`` is all False.
+    :data:`HARD` indicators.
     """
-    return _simulate(strategy, noises, cfg, record_states,
-                     lambda width: (HARD, None))
+    return _simulate(strategy, noises, cfg, record_states, HARD)

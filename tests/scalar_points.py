@@ -1,5 +1,6 @@
-"""Scalar points of the relaxed fleet step, and kink distances along the
-subproblem trajectories, for the finite-difference tests.
+"""Scalar points of the relaxed fleet step, kink distances along the
+subproblem trajectories for the finite-difference tests, and the band hits
+of a relaxed batch run.
 
 A point is a list of ``scalar_reference.ComponentState`` for components
 1..i (the stepped component is the last; the lower ones enter through
@@ -11,7 +12,9 @@ The relaxed dynamics has kinks where a surrogate's ramp starts or ends and
 where the min operators tie; derivatives are taken to be 0 there, so a
 finite difference is trusted only away from them.  :class:`KinkProbe`
 records how far the arguments of every surrogate evaluation were from the
-nearest kink, through indicators built by :func:`kink_indicators`.
+nearest kink, through indicators built by :func:`kink_indicators`.  Where
+no surrogate takes a value strictly between 0 and 1, the relaxed dynamics
+is the exact one; :func:`band_hits` finds the scenarios where one does.
 """
 import numpy as np
 
@@ -85,6 +88,30 @@ def kink_indicators(alpha, probe: KinkProbe) -> sm.Indicators:
         return rx._ind_strict_pos(x, alpha)
 
     return sm.Indicators(singleton, nonneg, strict_pos)
+
+
+def band_hits(strategy, noises, alpha, cfg):
+    """Per scenario of a relaxed batch run of ``strategy``, whether some
+    surrogate took a value strictly inside its ramp (a band hit).
+
+    The run steps the ramps of ``relax`` through the batch driver, in one
+    block of columns, so every value ends in the scenario axis, or in 1 for
+    a control, which then counts for every scenario.
+    """
+    assert len(noises) <= sm.BLOCK, "the probe sees one block of columns"
+    hit = np.zeros(len(noises), dtype=bool)
+    ramps = rx._ramps(alpha)
+
+    def seen(value):
+        inside = (value > 0.0) & (value < 1.0)
+        hit[:] |= np.any(inside, axis=tuple(range(np.ndim(inside) - 1)))
+        return value
+
+    sm._simulate(strategy, noises, cfg, False, sm.Indicators(
+        lambda a, x: seen(ramps.singleton(a, x)),
+        lambda x: seen(ramps.nonneg(x)),
+        lambda x: seen(ramps.strict_pos(x))))
+    return hit
 
 
 def stock_kinks(E_all, P_all, S, alpha, cfg, probe: KinkProbe):

@@ -8,8 +8,8 @@ from fleetmaint import relax as rx
 from fleetmaint import sysmodel as sm
 from adjoint_reference import (component_stationarity_residual,
                                reduced_gradient, stock_stationarity_residual)
-from scalar_points import (KinkProbe, kink_indicators, stock_kinks,
-                           subproblem_kink_distance)
+from scalar_points import (KinkProbe, band_hits, kink_indicators,
+                           stock_kinks, subproblem_kink_distance)
 
 
 def make_cfg(n=2, T=3, D=2, s_init=1, **kw):
@@ -277,7 +277,7 @@ def test_stock_subproblem_all_healthy():
     cfg = make_cfg(n=2, T=4, s_init=3)
     noises = np.ones((2, 2, 4))
     it = make_iterate(cfg, noises)
-    S = ad.solve_stock_subproblem(it.X, noises, it.alpha, cfg)
+    S = ad.solve_stock_subproblem(it.X, it.alpha, cfg)
     assert np.all(S == 3.0)
 
 
@@ -288,8 +288,8 @@ def test_stock_subproblem_matches_exact_trace():
     strat = sm.Strategy(np.zeros((2, 6)))
     exact = sm.simulate_batch(strat, noises, cfg, record_states=True)
     X, _ = ad._relaxed_system_arrays(strat, noises, 1e6, cfg)
-    S = ad.solve_stock_subproblem(X, noises, 1e6, cfg)
-    band = rx.simulate_relaxed_batch(strat, noises, 1e6, cfg).band_hit
+    S = ad.solve_stock_subproblem(X, 1e6, cfg)
+    band = band_hits(strat, noises, 1e6, cfg)
     ok = ~band
     assert np.array_equal(S[:, ok], exact.stock[:, ok])
 
@@ -331,7 +331,7 @@ def test_stock_multiplier_stationarity():
     it = make_iterate(cfg, noises)
     it.Lam = rng.normal(0, 3.0, it.Lam.shape)
     _, X_new, u_new, Lam_new = _fresh_solution(cfg, noises, it, budget=20)
-    S_new = ad.solve_stock_subproblem(X_new, noises, it.alpha, cfg)
+    S_new = ad.solve_stock_subproblem(X_new, it.alpha, cfg)
     LamS = ad.stock_multiplier_backward(S_new, X_new, u_new, Lam_new, it.S,
                                         noises, cfg, it.alpha, it.gamma_s)
     res = stock_stationarity_residual(S_new, X_new, u_new, Lam_new, LamS,
@@ -351,7 +351,7 @@ def test_multiplier_trivial_cases():
     assert np.all(Lam[:, cfg.T] == 0.0)
     # stock multiplier vanishes when S matches the bar and bars carry no
     # multipliers
-    S = ad.solve_stock_subproblem(it.X, noises, it.alpha, cfg)
+    S = ad.solve_stock_subproblem(it.X, it.alpha, cfg)
     LamS = ad.stock_multiplier_backward(S, it.X, it.u, np.zeros_like(it.Lam),
                                         S, noises, cfg, it.alpha, it.gamma_s)
     assert np.all(LamS == 0.0)

@@ -97,7 +97,7 @@ def test_params_file_rejects_garbage(tmp_path):
 
 def test_lhs_stratification():
     bounds = [(0.0, 1.0)] * 6
-    samples = cli.lhs_sample(bounds, 4, seed=1, restarts=3)
+    samples = cli.lhs_sample(bounds, 4, seed=1)
     arr = np.array([param_vector(p) for p in samples])
     assert arr.shape == (4, 6)
     for j in range(6):
@@ -119,7 +119,7 @@ def test_lhs_deterministic():
                for x, y in zip(a, b))
 
 
-def test_lhs_maximin_improves_separation():
+def test_lhs_maximin_improves_separation(monkeypatch):
     bounds = [(0.0, 1.0)] * 6
 
     def min_sep(samples):
@@ -128,8 +128,10 @@ def test_lhs_maximin_improves_separation():
         iu = np.triu_indices(len(samples), k=1)
         return d[iu].min()
 
-    one = cli.lhs_sample(bounds, 8, seed=3, restarts=1)
-    many = cli.lhs_sample(bounds, 8, seed=3, restarts=40)
+    monkeypatch.setattr(cli, "LHS_RESTARTS", 1)
+    one = cli.lhs_sample(bounds, 8, seed=3)
+    monkeypatch.setattr(cli, "LHS_RESTARTS", 40)
+    many = cli.lhs_sample(bounds, 8, seed=3)
     assert min_sep(many) >= min_sep(one)
 
 
@@ -316,8 +318,7 @@ def test_tune_mode(tmp_path):
     rc = run_cli(mode="tune", config=cfg_path, seed=4,
                  out=str(tmp_path / "o"), iterations=1,
                  budget=5, scenarios=3,
-                 validation_scenarios=10, lhs_count=2,
-                 lhs_restarts=2)
+                 validation_scenarios=10, lhs_count=2)
     assert rc == 0
     board = (tmp_path / "o" / "leaderboard.csv").read_text().strip()
     assert len(board.split("\n")) == 3

@@ -7,6 +7,7 @@ from fleetmaint.config import SystemConfig
 from fleetmaint import evalharness as ev
 from fleetmaint import sysmodel as sm
 import scalar_reference as ref
+from scalar_points import band_hits
 
 
 def make_cfg(**kw):
@@ -92,7 +93,7 @@ def test_saa_exact_vs_relaxed_binary_strategy():
     u = (rng.random((3, 6)) > 0.6).astype(float)
     strat = sm.Strategy(u)
     from fleetmaint import relax as rx
-    band = rx.simulate_relaxed_batch(strat, scen, 1e6, cfg).band_hit
+    band = band_hits(strat, scen, 1e6, cfg)
     keep = scen[~band]
     exact = ev.saa_objective(strat, keep, cfg)
     relaxed = float(np.mean(rx.simulate_relaxed_batch(strat, keep, 1e6,

@@ -9,8 +9,8 @@ from fleetmaint import relax as rx
 from fleetmaint import sysmodel as sm
 import scalar_reference as ref
 from adjoint_reference import step_partials
-from scalar_points import (kinks_singleton, kinks_strict_pos, partials_at,
-                           step_last, step_stock)
+from scalar_points import (band_hits, kinks_singleton, kinks_strict_pos,
+                           partials_at, step_last, step_stock)
 
 
 def make_cfg(n=1, T=4, D=2, s_init=1, **kw):
@@ -138,7 +138,7 @@ def test_relaxed_batch_matches_exact_batch(seed):
     for alpha in (1e6, 50.0):
         relaxed = rx.simulate_relaxed_batch(u, noises, alpha, cfg,
                                             record_states=True)
-        ok = ~relaxed.band_hit
+        ok = ~band_hits(u, noises, alpha, cfg)
         assert ok.any()
         for name in ("regimes", "ages", "last_failures", "stock", "pm_cost",
                      "cm_cost", "fo_cost", "total_cost", "pm_count",
@@ -151,9 +151,8 @@ def test_band_hit_is_flagged():
     cfg = make_cfg(n=1, T=1)
     p = sm.failure_probability(3, 10, 0.0, 1.0)
     noises = np.array([[[p - 1e-9]], [[0.9]]])    # first scenario in band
-    stats = rx.simulate_relaxed_batch(sm.Strategy(np.zeros((1, 1))), noises,
-                                      1e6, cfg)
-    assert stats.band_hit.tolist() == [True, False]
+    hit = band_hits(sm.Strategy(np.zeros((1, 1))), noises, 1e6, cfg)
+    assert hit.tolist() == [True, False]
 
 
 def test_pm_branch_weight_on_fractional_regime():

@@ -429,8 +429,9 @@ def test_outputs_identical_across_thread_counts(monkeypatch, tmp_path):
         "relaxed": lambda: rx.simulate_relaxed_batch(strategy, noises, 1.5,
                                                      cfg),
     }
+    ones = {}
     for name, run in runs.items():
-        one = _blocks_on_threads(monkeypatch, 1, run)
+        one = ones[name] = _blocks_on_threads(monkeypatch, 1, run)
         many = _blocks_on_threads(monkeypatch, 3, run)
         for field in dataclasses.fields(sm.BatchStats):
             a, b = getattr(one, field.name), getattr(many, field.name)
@@ -438,7 +439,8 @@ def test_outputs_identical_across_thread_counts(monkeypatch, tmp_path):
             if a is not None:
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes(), (name, field.name)
-    assert np.any(one.band_hit)     # the relaxed run enters its ramps
+    # the relaxed run enters its ramps: some scenario leaves the exact run
+    assert np.any(ones["relaxed"].total_cost != ones["exact"].total_cost)
 
     spath = tmp_path / "strategy.csv"
     cli.save_strategy(strategy, cfg, spath)
