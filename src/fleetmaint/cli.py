@@ -32,7 +32,8 @@ import yaml
 
 from .config import (SystemConfig, ConfigError, load_config,
                      small_system_config, typed_fields)
-from .sysmodel import BatchStats, DimensionError, Strategy, simulate_batch
+from .sysmodel import (BatchStats, DimensionError, ScenarioSet, Strategy,
+                       simulate_batch)
 from .dsearch import minimize
 from . import appdecomp as ad
 from . import evalharness as ev
@@ -301,8 +302,7 @@ def _run_evaluate(args, cfg, out: Path):
     if args.strategy is None:
         raise ConfigError("evaluate needs --strategy")
     strategy = load_strategy(args.strategy, cfg)
-    scen = ev.generate_scenarios(cfg.n, cfg.T, args.validation_scenarios,
-                                 args.seed)
+    scen = ScenarioSet(cfg.n, cfg.T, args.validation_scenarios, args.seed)
     report = ev.evaluate_strategy(ev.project_strategy(strategy, cfg.nu),
                                   scen, cfg)
     ev.report_to_csv(report, out / "report.csv")
@@ -319,9 +319,8 @@ def _run_tune(args, cfg, out: Path):
                for p in lhs_sample(ad.PARAM_BOUNDS, args.lhs_count,
                                    args.seed)]
     noises = ev.generate_scenarios(cfg.n, cfg.T, args.scenarios, args.seed)
-    validation = ev.generate_scenarios(cfg.n, cfg.T,
-                                       args.validation_scenarios,
-                                       (args.seed + 1) % (1 << 64))
+    validation = ScenarioSet(cfg.n, cfg.T, args.validation_scenarios,
+                             (args.seed + 1) % (1 << 64))
     best, leaderboard = tune(cfg, samples, noises, validation,
                              seed=args.seed, threads=args.threads)
     leaderboard_to_csv(leaderboard, out / "leaderboard.csv")

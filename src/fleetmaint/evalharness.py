@@ -3,8 +3,12 @@
 Scenarios are uniform noise panels drawn from a counter-based generator
 keyed per (seed, scenario index), so a given scenario is the same whatever
 the batch size and scenario sets built from different seeds are disjoint by
-construction.  Optimized strategies are projected to {0, 1} controls and
-then always scored on the exact dynamics, whichever surrogate produced
+construction.  A scenario set is a :class:`~fleetmaint.sysmodel.ScenarioSet`,
+which the engine generates block by block, or its materialized panel from
+:func:`generate_scenarios`.  Panels are stored step-major (F-ordered), so
+the (Q, n) noises of one step are contiguous: the engine reads one step of
+a block at a time.  Optimized strategies are projected to {0, 1} controls
+and then always scored on the exact dynamics, whichever surrogate produced
 them; that keeps the comparison between optimizers fair.
 
 The evaluation report mirrors the usual study tables: mean discounted cost
@@ -19,47 +23,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .sysmodel import Strategy, simulate_batch
+from .sysmodel import ScenarioSet, Strategy, simulate_batch
 
 
 QUANTILE_LEVELS = (1, 5, 25, 50, 75, 95, 99)
 
 
 def generate_scenarios(n: int, T: int, count: int, seed: int) -> np.ndarray:
-    """Uniform [0, 1) noise panels, shape (count, n, T).
-
-    Scenario q is the stream of ``Philox(key=(seed << 64) + q)``, filled in
-    component-major order, so it does not depend on ``count`` and distinct
-    seeds in [0, 2**64) never share a stream.  One generator is rewound to
-    each scenario's key, which is much cheaper than building one per
-    scenario.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    seed = int(seed)
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    out = np.empty((count, n, T))
-    bits = np.random.Philox(key=seed << 64)
-    gen = np.random.Generator(bits)
-    state = bits.state        # counter 0, key [0, seed], buffer empty
-    key = state["state"]["key"]
-    for q in range(count):
-        key[0] = q
-        bits.state = state
-        gen.random((n, T), out=out[q])
-    return out
+    """The whole :class:`~fleetmaint.sysmodel.ScenarioSet` ``(n, T, count,
+    seed)`` as one step-major (count, n, T) array."""
+    return ScenarioSet(n, T, count, seed).block(0, count)
 
 
 def saa_objective(strategy, scenarios, cfg: SystemConfig):
-    """Mean total discounted cost of ``strategy`` over the scenario set, on
-    the exact dynamics.
+    """Mean total discounted cost of ``strategy`` over the scenario set (an
+    array or a ScenarioSet), on the exact dynamics.
 
     A Strategy gives a float; a (K, n, T) stack of candidate controls gives
     their K values, from one batch run, each bit-identical to the
     candidate's own value.
     """
-    stats = simulate_batch(strategy, np.asarray(scenarios, dtype=float), cfg)
+    stats = simulate_batch(strategy, scenarios, cfg)
     if isinstance(strategy, Strategy):
         return float(np.mean(stats.total_cost))
     return np.mean(stats.total_cost, axis=1)
@@ -117,7 +101,8 @@ def _nearest_rank(sorted_values: np.ndarray, level: float) -> float:
 
 def evaluate_strategy(strategy: Strategy, scenarios,
                       cfg: SystemConfig) -> EvaluationReport:
-    """Score a strategy on the exact dynamics over validation scenarios.
+    """Score a strategy on the exact dynamics over validation scenarios,
+    an array or a ScenarioSet.
 
     The caller is expected to pass a binary (projected) strategy, see
     :func:`project_strategy`.

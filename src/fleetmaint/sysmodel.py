@@ -28,10 +28,14 @@ The blocks of a single Strategy run on one thread per usable core; numpy
 releases the GIL inside its loops.  The indicators hold no state, so the
 threads share them; a block writes only its own columns, and the
 per-candidate sums over columns take the blocks in order, so every
-output is bit for bit the same whatever the number of threads.  The step
-kernel forms its intermediates in place, in its output arrays and one
-scratch array, with the same IEEE operations in the same order as the
-plain expressions in its comments.
+output is bit for bit the same whatever the number of threads.  The
+noises are a (Q, n, T) array or a :class:`ScenarioSet`, whose blocks are
+generated inside the block threads, so a large set is never held whole;
+each step reads a block's noises ``panel[:, :, t].T``, contiguous on the
+step-major panels the package makes.  The step kernel forms its
+intermediates in place, in its output arrays and one scratch array, with
+the same IEEE operations in the same order as the plain expressions in
+its comments.
 """
 from __future__ import annotations
 
@@ -62,6 +66,53 @@ class Strategy:
 
     def __post_init__(self):
         self.controls = _checked_controls(self.controls, 2, "strategy")
+
+
+@dataclass(frozen=True)
+class ScenarioSet:
+    """Uniform [0, 1) noise panels, shape (count, n, T), made on demand.
+
+    Scenario q is the stream of ``Philox(key=(seed << 64) + q)``, filled in
+    component-major order, so it does not depend on ``count`` and distinct
+    seeds in [0, 2**64) never share a stream.
+    """
+
+    n: int
+    T: int
+    count: int
+    seed: int
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError("count must be >= 1")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+
+    @property
+    def shape(self):
+        return (self.count, self.n, self.T)
+
+    def block(self, lo, hi):
+        """Scenarios lo..hi-1 as a step-major (F-ordered) array.
+
+        One generator is rewound to each scenario's key, much cheaper than
+        building one per scenario; it fills a C-ordered buffer of 64
+        scenarios, since ``Generator.random`` fills contiguous arrays only.
+        """
+        out = np.empty((hi - lo, self.n, self.T), order="F")
+        buf = np.empty((64, self.n, self.T))
+        bits = np.random.Philox(key=int(self.seed) << 64)
+        gen = np.random.Generator(bits)
+        state = bits.state        # counter 0, key [0, seed], buffer empty
+        key = state["state"]["key"]
+        for start in range(lo, hi, len(buf)):
+            part = buf[:min(hi - start, len(buf))]
+            for q, panel in enumerate(part, start):
+                key[0] = q
+                bits.state = state
+                gen.random((self.n, self.T), out=panel)
+            out[start - lo:start - lo + len(part)] = part
+        return out
 
 
 def _checked_controls(u, ndim, what):
@@ -306,11 +357,13 @@ class BatchStats:
 
 
 #: scenarios stepped together for a Strategy; bounds the memory the step
-#: temporaries take on large batches.  On 100k scenarios of the small
-#: system (n=10, T=40) the engine takes 2.9-3.5 s on two threads and
-#: 4.1-4.2 s on one.  512-column blocks take 5.1-5.6 s on one thread and
-#: 6.4-6.8 s on two: at that width handing the GIL between the threads
-#: costs more than the second core gains
+#: temporaries and a ScenarioSet's panels take on large batches.  On 100k
+#: scenarios of the small system (n=10, T=40), generation included, a
+#: ScenarioSet takes 4.6-5.5 s and peaks at 65-72 MB on two threads and
+#: 5.3-5.6 s on one; the materialized panel took 5.1-5.9 s and 356-362 MB
+#: on two.  512-column blocks took 5.1-5.6 s on one thread and 6.4-6.8 s
+#: on two, on a faster day: at that width handing the GIL between the
+#: threads costs more than the second core gains
 BLOCK = 2048
 
 #: scenario columns stepped together for a stack of candidate controls,
@@ -356,10 +409,13 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
     if u.shape[1:] != (cfg.n, cfg.T):
         raise DimensionError(
             f"strategy must have shape {(cfg.n, cfg.T)}, got {u.shape[1:]}")
-    noises = np.asarray(noises, dtype=float)
-    if noises.ndim != 3 or noises.shape[1:] != (cfg.n, cfg.T):
+    if not isinstance(noises, ScenarioSet):
+        noises = np.asarray(noises, dtype=float)
+    if len(noises.shape) != 3 or noises.shape[1:] != (cfg.n, cfg.T):
         raise DimensionError(
             f"noises must have shape (Q, {cfg.n}, {cfg.T}), got {noises.shape}")
+    if stacked and isinstance(noises, ScenarioSet):
+        noises = noises.block(0, noises.count)    # a stack's Q is small
     K, Q = len(u), noises.shape[0]
     n, T, D = cfg.n, cfg.T, cfg.D
     block = STACK_BLOCK if stacked else BLOCK
@@ -387,7 +443,9 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
         width = cols.stop - lo
         if K == 1:
             # one candidate: its controls broadcast over the block
-            cand, scen = np.zeros(1, dtype=int), cols
+            cand = np.zeros(1, dtype=int)
+            panel = (noises.block(lo, cols.stop)
+                     if isinstance(noises, ScenarioSet) else noises[cols])
         else:
             cand, scen = np.divmod(np.arange(lo, cols.stop), Q)
         kept, local = slice(cand[0], cand[-1] + 1), cand - cand[0]
@@ -419,8 +477,9 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
                 break
             f = _component_forward(
                 E, A, P.transpose(1, 0, 2), S, exclusive_cumsum(g),
-                u[cand, :, t].T, noises[scen, :, t].T, shape, scale, cfg,
-                ind, g)
+                u[cand, :, t].T,
+                panel[:, :, t].T if K == 1 else noises[scen, :, t].T,
+                shape, scale, cfg, ind, g)
             S = stock_step_core(E, P, S, cfg, ind, g)
             pm = np.add.reduce(f.m * f.one_g, axis=0)
             pm_count[cols] += pm
@@ -477,7 +536,8 @@ def simulate_batch(strategy, noises: np.ndarray, cfg: SystemConfig,
     """Simulate the exact dynamics for a batch of scenarios.
 
     ``strategy`` is a Strategy or a (K, n, T) stack of candidate controls
-    (entries in [0, 1]) and ``noises`` has shape (Q, n, T).  A stack runs
+    (entries in [0, 1]) and ``noises`` a (Q, n, T) array or a
+    :class:`ScenarioSet`.  A stack runs
     every candidate on the same Q scenarios, without copying the noises,
     and every field of its stats gets a leading K axis whose row k equals
     candidate k's own run.  This is the fleet step kernel with

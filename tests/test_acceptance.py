@@ -63,10 +63,18 @@ def test_criterion_2_and_3_exact_equals_relaxed_and_conservation():
     total = 0
     mismatches = 0
     violations = 0
-    for _ in range(100):
+    # every fourth batch puts scenario 0 on a ramp: its first noise sits
+    # 1e-9 below the new component's failure probability, inside the
+    # one-sided ramp of 1[0, inf)(w - p), so the band mask must flag at
+    # least 25 scenarios
+    p0 = sm.failure_probability(cfg.weibull_shape[0], cfg.weibull_scale[0],
+                                0.0, cfg.dt)
+    for batch in range(100):
         u = (rng.random((cfg.n, cfg.T)) > 0.8).astype(float)
         strat = sm.Strategy(u)
         noises = rng.random((100, cfg.n, cfg.T))
+        if batch % 4 == 0:
+            noises[0, 0, 0] = p0 - 1e-9
         exact = sm.simulate_batch(strat, noises, cfg, record_states=True)
         relaxed = rx.simulate_relaxed_batch(strat, noises, 1e6, cfg,
                                             record_states=True)
@@ -100,7 +108,8 @@ def test_criterion_2_and_3_exact_equals_relaxed_and_conservation():
                                  != cfg.s_init))
     elapsed = time.perf_counter() - tic
     frac = flagged / total
-    ok2 = mismatches == 0 and frac < 0.01 and elapsed < 60.0
+    ok2 = (mismatches == 0 and flagged >= 25 and frac < 0.01
+           and elapsed < 60.0)
     _verdict(2, "exact and stiff-surrogate simulations agree bit for bit",
              ok2, f"{mismatches} mismatching runs, {frac:.2%} flagged, "
                   f"{elapsed:.1f}s")

@@ -1,9 +1,12 @@
 """Scenario generation, SAA objectives, projection, evaluation reports."""
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fleetmaint.config import SystemConfig
+from fleetmaint.config import SystemConfig, small_system_config
 from fleetmaint import evalharness as ev
 from fleetmaint import sysmodel as sm
 import scalar_reference as ref
@@ -64,6 +67,22 @@ def test_scenarios_seed_range(seed):
         ev.generate_scenarios(2, 3, 4, seed)
 
 
+def test_scenario_set_blocks_are_slices_of_the_panel():
+    """Blocks that straddle the 64-scenario fill buffer and the engine's
+    BLOCK hold the same bits as the materialized panel, which is stored
+    step-major."""
+    count = sm.BLOCK + 70
+    panel = ev.generate_scenarios(3, 5, count, seed=7)
+    assert panel.flags.f_contiguous and panel.shape == (count, 3, 5)
+    scen = sm.ScenarioSet(3, 5, count, 7)
+    assert scen.shape == panel.shape
+    for lo, hi in [(0, 1), (63, 65), (60, 200), (sm.BLOCK - 70, sm.BLOCK + 3),
+                   (sm.BLOCK - 1, count), (0, count)]:
+        block = scen.block(lo, hi)
+        assert block.flags.f_contiguous
+        assert block.tobytes() == panel[lo:hi].tobytes(), (lo, hi)
+
+
 # ---------------------------------------------------------------------------
 # SAA objective
 
@@ -99,6 +118,52 @@ def test_saa_exact_vs_relaxed_binary_strategy():
     relaxed = float(np.mean(rx.simulate_relaxed_batch(strat, keep, 1e6,
                                                       cfg).total_cost))
     assert exact == relaxed
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("count", [1, 2047, 2049, 4097])
+def test_scenario_set_scores_equal_the_panel(monkeypatch, count, workers):
+    """A ScenarioSet, generated block by block inside the engine's threads,
+    gives the bits of its materialized panel in every report field and
+    objective value, for a Strategy and for a stack."""
+    monkeypatch.setattr(sm, "_usable_cores", lambda: workers)
+    cfg = small_system_config()
+    rng = np.random.default_rng(count)
+    U = (rng.random((2, cfg.n, cfg.T)) > 0.7).astype(float)
+    strat = sm.Strategy(U[0])
+    scen = sm.ScenarioSet(cfg.n, cfg.T, count, 13)
+    panel = ev.generate_scenarios(cfg.n, cfg.T, count, 13)
+    lazy = ev.evaluate_strategy(strat, scen, cfg)
+    eager = ev.evaluate_strategy(strat, panel, cfg)
+    for field in dataclasses.fields(ev.EvaluationReport):
+        a, b = getattr(lazy, field.name), getattr(eager, field.name)
+        if isinstance(a, np.ndarray):
+            a, b = a.tobytes(), b.tobytes()
+        assert a == b, field.name
+    assert lazy.scenario_count == count
+    assert ev.saa_objective(strat, scen, cfg) \
+        == ev.saa_objective(strat, panel, cfg)
+    if count <= 2049:
+        assert (ev.saa_objective(U, scen, cfg).tobytes()
+                == ev.saa_objective(U, panel, cfg).tobytes())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scenario_set_is_never_materialized(monkeypatch, workers):
+    """Evaluating 20 000 scenarios holds one block per thread, not the
+    64 MB panel: below a quarter of the panel per thread."""
+    monkeypatch.setattr(sm, "_usable_cores", lambda: workers)
+    cfg = small_system_config()
+    scen = sm.ScenarioSet(cfg.n, cfg.T, 20_000, 3)
+    panel_bytes = 8 * np.prod(scen.shape)
+    strat = sm.Strategy(np.zeros((cfg.n, cfg.T)))
+    tracemalloc.start()
+    try:
+        ev.evaluate_strategy(strat, scen, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < workers * panel_bytes / 4, peak
 
 
 # ---------------------------------------------------------------------------

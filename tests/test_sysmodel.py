@@ -456,6 +456,27 @@ def test_outputs_identical_across_thread_counts(monkeypatch, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("K", [None, 3])
+def test_memory_order_of_the_noises_does_not_matter(K):
+    """The step-major panel of generate_scenarios and a C-ordered copy of
+    it give the same bytes in every field, for a Strategy over three
+    blocks and for a stack over three stack blocks."""
+    cfg = small_system_config()
+    rng = np.random.default_rng(17)
+    Q = 2 * sm.BLOCK + 52 if K is None else sm.STACK_BLOCK - 1
+    panel = ev.generate_scenarios(cfg.n, cfg.T, Q, seed=6)
+    copy = np.ascontiguousarray(panel)
+    assert panel.flags.f_contiguous and copy.flags.c_contiguous
+    controls = (sm.Strategy(rng.random((cfg.n, cfg.T))) if K is None
+                else _candidates(rng, K, cfg.n, cfg.T))
+    runs = [sm.simulate_batch(controls, noises, cfg, record_states=True)
+            for noises in (panel, copy)]
+    for field in dataclasses.fields(sm.BatchStats):
+        a, b = (getattr(r, field.name) for r in runs)
+        assert a.tobytes() == b.tobytes(), field.name
+    assert runs[0].failure_count.sum() > 0
+
+
 @pytest.mark.parametrize("shape", [(1, 40), (10, 1), (10, 43)])
 @pytest.mark.parametrize("engine", ["exact", "relaxed", "evaluate"])
 def test_strategy_shape_checked(engine, shape):
