@@ -13,6 +13,7 @@ from fleetmaint import appdecomp as ad
 from fleetmaint import cli
 from fleetmaint import evalharness as ev
 from fleetmaint.config import load_config, small_system_config
+from fleetmaint.sysmodel import ScenarioSet
 
 
 def main():
@@ -31,9 +32,9 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     noises = ev.generate_scenarios(cfg.n, cfg.T, args.scenarios, args.seed)
-    validation = ev.generate_scenarios(cfg.n, cfg.T,
-                                       args.validation_scenarios,
-                                       (args.seed + 1) % (1 << 64))
+    # generated block by block as the engine steps it, never whole
+    validation = ScenarioSet(cfg.n, cfg.T, args.validation_scenarios,
+                             (args.seed + 1) % (1 << 64))
 
     p = ad.tuned_params(iterations=args.iterations,
                         subproblem_budget=args.budget)

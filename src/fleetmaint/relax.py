@@ -30,6 +30,7 @@ in place of the hard indicators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -90,10 +91,11 @@ def _dind_strict_pos(x, alpha):
 
 
 def _ramps(alpha) -> sm.Indicators:
-    """The surrogates at sharpness ``alpha``."""
-    return sm.Indicators(lambda a, x: _ind_singleton(a, x, alpha),
-                         lambda x: _ind_nonneg(x, alpha),
-                         lambda x: _ind_strict_pos(x, alpha))
+    """The surrogates at sharpness ``alpha``; partials of module-level
+    functions, so the engine's worker processes can unpickle them."""
+    return sm.Indicators(partial(_ind_singleton, alpha=alpha),
+                         partial(_ind_nonneg, alpha=alpha),
+                         partial(_ind_strict_pos, alpha=alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,16 @@ noises from the shared (Q, n, T) array.  Columns never mix, so every
 candidate gets bit for bit the statistics of its own call; a direct
 search hands its poll trials over this way (:mod:`fleetmaint.dsearch`).
 
-The blocks of a single Strategy run on one thread per usable core; numpy
-releases the GIL inside its loops.  The indicators hold no state, so the
-threads share them; a block writes only its own columns, and the
-per-candidate sums over columns take the blocks in order, so every
-output is bit for bit the same whatever the number of threads.  The
-noises are a (Q, n, T) array or a :class:`ScenarioSet`, whose blocks are
-generated inside the block threads, so a large set is never held whole;
-each step reads a block's noises ``panel[:, :, t].T``, contiguous on the
+The blocks of a single Strategy run in worker processes, one per usable
+core (a GIL-bound thread per core would hand the GIL over at each of the
+~130 numpy calls of a step).  A worker gets the controls, the config, the
+indicators and the block's noises: a :class:`ScenarioSet` as its four
+ints, whose block the worker generates, so a large set is never held
+whole, or an array as the block's slice.  It returns the block's columns,
+and the caller writes them and adds the per-candidate sums over columns in
+block order, so every output is bit for bit the same whatever the number
+of workers.  Single-block calls and stacks stay in the calling process.
+Each step reads a block's noises ``panel[:, :, t].T``, contiguous on the
 step-major panels the package makes.  The step kernel forms its
 intermediates in place, in its output arrays and one scratch array, with
 the same IEEE operations in the same order as the plain expressions in
@@ -41,8 +43,9 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -359,11 +362,11 @@ class BatchStats:
 #: scenarios stepped together for a Strategy; bounds the memory the step
 #: temporaries and a ScenarioSet's panels take on large batches.  On 100k
 #: scenarios of the small system (n=10, T=40), generation included, a
-#: ScenarioSet takes 4.6-5.5 s and peaks at 65-72 MB on two threads and
-#: 5.3-5.6 s on one; the materialized panel took 5.1-5.9 s and 356-362 MB
-#: on two.  512-column blocks took 5.1-5.6 s on one thread and 6.4-6.8 s
-#: on two, on a faster day: at that width handing the GIL between the
-#: threads costs more than the second core gains
+#: ScenarioSet takes 2.5-2.9 s of wall and 4.9-5.6 s of CPU in two worker
+#: processes, each peaking at 44 MB, and 4.2-5.8 s in one process (55 MB).
+#: Two threads took 4.0-5.1 s and 6.6-8.5 s of CPU, handing the GIL over
+#: 125 000-150 000 times; 8192-column blocks on threads took 3.6 s but
+#: peaked at 132 MB
 BLOCK = 2048
 
 #: scenario columns stepped together for a stack of candidate controls,
@@ -390,18 +393,93 @@ def _by_candidate(x, local):
     return np.add.reduce(x) if len(local) == 1 else np.bincount(local, x)
 
 
+def _run_block(u, noises, cfg: SystemConfig, ind: Indicators,
+               record_states: bool, lo: int, hi: int):
+    """Step scenario columns lo..hi-1 of a call on the (K, n, T) controls
+    ``u``, with the indicators ``ind``.
+
+    For one candidate, ``noises`` is a ScenarioSet, whose scenarios lo..hi-1
+    the block generates, or an array of just those scenarios; for a stack
+    it is the whole (Q, n, T) array, and column c is candidate c // Q on
+    scenario c % Q.  Returns the block's columns of the per-scenario sums
+    (rows: CM cost, forced-outage cost, PM count, failure count, outage
+    onsets, outage steps), its per-candidate rows of ``empty_stock`` and
+    ``pm_steps``, and its state histories (regimes, ages, failure records,
+    stock) or None.
+    """
+    K, n, T, D = len(u), cfg.n, cfg.T, cfg.D
+    width = hi - lo
+    beta = cfg.discount(np.arange(T + 1))
+    shape, scale = cfg.weibull_shape[:, None], cfg.weibull_scale[:, None]
+    if K == 1:
+        # one candidate: its controls broadcast over the block
+        cand = np.zeros(1, dtype=int)
+        panel = (noises.block(lo, hi) if isinstance(noises, ScenarioSet)
+                 else noises)
+    else:
+        cand, scen = np.divmod(np.arange(lo, hi), len(noises))
+    local = cand - cand[0]
+    sums = np.zeros((6, width))
+    cm_cost, fo_cost, pm_count, failure_count, fo_onsets, fo_steps = sums
+    block_empty = np.zeros((local[-1] + 1, T + 1))
+    block_pm = np.zeros((local[-1] + 1, T))
+    states = None
+    if record_states:
+        states = (np.empty((T + 1, n, width)), np.empty((T + 1, n, width)),
+                  np.empty((T + 1, n, D, width)), np.empty((T + 1, width)))
+    E = np.ones((n, width))
+    A = np.zeros((n, width))
+    P = np.full((n, D, width), cfg.delta_default)
+    S = np.full(width, float(cfg.s_init))
+    fo_prev = np.zeros(width)
+    for t in range(T + 1):
+        if record_states:
+            for hist, now in zip(states, (E, A, P, S)):
+                hist[t] = now
+        # np.add.reduce is np.sum without its Python-level dispatch,
+        # which on small batches costs as much as the arithmetic
+        block_empty[:, t] = _by_candidate(S == 0, local)
+        g = ind.singleton(0.0, E)
+        cm_cost += np.add.reduce(
+            beta[t] * cfg.C_C[:, None] * (g * ind.singleton(0.0, A)), axis=0)
+        fo_now = np.minimum(1.0, np.add.reduce(g * ind.strict_pos(A), axis=0))
+        fo_cost += beta[t] * cfg.C_F * fo_now
+        fo_steps += fo_now
+        fo_onsets += fo_now * (1.0 - fo_prev)
+        fo_prev = fo_now
+        if t == T:
+            break
+        f = _component_forward(
+            E, A, P.transpose(1, 0, 2), S, exclusive_cumsum(g),
+            u[cand, :, t].T,
+            panel[:, :, t].T if K == 1 else noises[scen, :, t].T,
+            shape, scale, cfg, ind, g)
+        S = stock_step_core(E, P, S, cfg, ind, g)
+        pm = np.add.reduce(f.m * f.one_g, axis=0)
+        pm_count += pm
+        block_pm[:, t] = _by_candidate(pm, local)
+        failure_count += np.add.reduce(f.c, axis=0)
+        E, A, P = f.E_new, f.A_new, f.P_new.transpose(1, 0, 2)
+        # free the step's other intermediates before the next step
+        # makes its own: two steps alive at once take a 2048-column
+        # block from 6.1 to 9.3 MB of added peak resident set
+        del f
+    return sums, block_empty, block_pm, states
+
+
 def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
               ind: Indicators) -> BatchStats:
     """Batch driver shared by the exact and the relaxed engines.
 
     ``controls`` is a Strategy or a (K, n, T) stack of candidate controls,
     each run on all Q scenarios.  Scenario columns are candidate-major
-    (column k·Q + q is candidate k on scenario q) and are walked in blocks
-    of BLOCK columns for a Strategy, on threads, and of STACK_BLOCK
-    columns for a stack, one block after another, every block with the
-    indicators ``ind``.  Costs use fixed-order summation over t and columns
-    never mix, so results do not depend on the blocking; a stack's fields
-    carry a leading K axis, and row k equals candidate k's own run.
+    (column k·Q + q is candidate k on scenario q) and are walked by
+    :func:`_run_block` in blocks of BLOCK columns for a Strategy, in worker
+    processes, and of STACK_BLOCK columns for a stack, one block after
+    another in this process, every block with the indicators ``ind``.
+    Costs use fixed-order summation over t and columns never mix, so
+    results do not depend on the blocking; a stack's fields carry a leading
+    K axis, and row k equals candidate k's own run.
     """
     stacked = not isinstance(controls, Strategy)
     u = (_checked_controls(controls, 3, "stacked") if stacked
@@ -417,96 +495,47 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
     if stacked and isinstance(noises, ScenarioSet):
         noises = noises.block(0, noises.count)    # a stack's Q is small
     K, Q = len(u), noises.shape[0]
-    n, T, D = cfg.n, cfg.T, cfg.D
+    T = cfg.T
     block = STACK_BLOCK if stacked else BLOCK
     beta = cfg.discount(np.arange(T + 1))
-    shape, scale = cfg.weibull_shape[:, None], cfg.weibull_scale[:, None]
 
     pm_cost = np.repeat([float(np.sum(beta[:T][None, :] * cfg.C_P[:, None]
                                       * uk ** 2)) for uk in u], Q)
-    cm_cost, fo_cost = np.zeros(K * Q), np.zeros(K * Q)
-    pm_count, failure_count = np.zeros(K * Q), np.zeros(K * Q)
-    fo_onsets, fo_steps = np.zeros(K * Q), np.zeros(K * Q)
+    sums = np.zeros((6, K * Q))
     pm_steps, empty_stock = np.zeros((K, T)), np.zeros((K, T + 1))
     if record_states:
-        regimes = np.empty((T + 1, n, K * Q))
-        ages = np.empty((T + 1, n, K * Q))
-        lf = np.empty((T + 1, n, D, K * Q))
-        stock_hist = np.empty((T + 1, K * Q))
+        states = (np.empty((T + 1, cfg.n, K * Q)),
+                  np.empty((T + 1, cfg.n, K * Q)),
+                  np.empty((T + 1, cfg.n, cfg.D, K * Q)),
+                  np.empty((T + 1, K * Q)))
 
-    def run_block(lo):
-        """Step the columns of the block starting at ``lo``.  Writes their
-        own columns of the per-scenario fields and returns the block's
-        rows of ``empty_stock`` and ``pm_steps``, with the row slice they
-        belong to."""
-        cols = slice(lo, min(lo + block, K * Q))
-        width = cols.stop - lo
-        if K == 1:
-            # one candidate: its controls broadcast over the block
-            cand = np.zeros(1, dtype=int)
-            panel = (noises.block(lo, cols.stop)
-                     if isinstance(noises, ScenarioSet) else noises[cols])
-        else:
-            cand, scen = np.divmod(np.arange(lo, cols.stop), Q)
-        kept, local = slice(cand[0], cand[-1] + 1), cand - cand[0]
-        block_empty = np.zeros((local[-1] + 1, T + 1))
-        block_pm = np.zeros((local[-1] + 1, T))
-        E = np.ones((n, width))
-        A = np.zeros((n, width))
-        P = np.full((n, D, width), cfg.delta_default)
-        S = np.full(width, float(cfg.s_init))
-        fo_prev = np.zeros(width)
-        for t in range(T + 1):
+    def assemble(parts):
+        """Write each block's columns, and add its per-candidate rows in
+        block order, as a serial run adds them."""
+        for lo, hi, (block_sums, block_empty, block_pm, block_states) \
+                in zip(los, his, parts):
+            sums[:, lo:hi] = block_sums
+            kept = slice(lo // Q, (hi - 1) // Q + 1)
+            empty_stock[kept] += block_empty
+            pm_steps[kept] += block_pm
             if record_states:
-                regimes[t, :, cols], ages[t, :, cols] = E, A
-                lf[t, ..., cols], stock_hist[t, cols] = P, S
-            # np.add.reduce is np.sum without its Python-level dispatch,
-            # which on small batches costs as much as the arithmetic
-            block_empty[:, t] = _by_candidate(S == 0, local)
-            g = ind.singleton(0.0, E)
-            cm_cost[cols] += np.add.reduce(
-                beta[t] * cfg.C_C[:, None] * (g * ind.singleton(0.0, A)),
-                axis=0)
-            fo_now = np.minimum(1.0, np.add.reduce(g * ind.strict_pos(A),
-                                                   axis=0))
-            fo_cost[cols] += beta[t] * cfg.C_F * fo_now
-            fo_steps[cols] += fo_now
-            fo_onsets[cols] += fo_now * (1.0 - fo_prev)
-            fo_prev = fo_now
-            if t == T:
-                break
-            f = _component_forward(
-                E, A, P.transpose(1, 0, 2), S, exclusive_cumsum(g),
-                u[cand, :, t].T,
-                panel[:, :, t].T if K == 1 else noises[scen, :, t].T,
-                shape, scale, cfg, ind, g)
-            S = stock_step_core(E, P, S, cfg, ind, g)
-            pm = np.add.reduce(f.m * f.one_g, axis=0)
-            pm_count[cols] += pm
-            block_pm[:, t] = _by_candidate(pm, local)
-            failure_count[cols] += np.add.reduce(f.c, axis=0)
-            E, A, P = f.E_new, f.A_new, f.P_new.transpose(1, 0, 2)
-            # free the step's other intermediates before the next step
-            # makes its own: two steps alive at once take a 2048-column
-            # block from 6.1 to 9.3 MB of added peak resident set
-            del f
-        return kept, block_empty, block_pm
+                for whole, part in zip(states, block_states):
+                    whole[..., lo:hi] = part
 
-    # blocks write disjoint columns, so a Strategy's blocks run on threads
-    # (numpy releases the GIL in its loops); a stack's 512-column blocks
-    # gain no wall time that way and cost CPU, so they stay serial
-    starts = range(0, K * Q, block)
-    workers = 1 if stacked else min(_usable_cores(), len(starts))
+    los = range(0, K * Q, block)
+    his = [min(lo + block, K * Q) for lo in los]
+    # a worker gets a ScenarioSet as its four ints, an array as its block
+    sources = [noises if stacked or isinstance(noises, ScenarioSet)
+               else noises[lo:hi] for lo, hi in zip(los, his)]
+    args = (repeat(u), sources, repeat(cfg), repeat(ind),
+            repeat(record_states), los, his)
+    # a stack's 512-column blocks are too short to pay for a hand-off
+    workers = 1 if stacked else min(_usable_cores(), len(los))
     if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            parts = list(pool.map(run_block, starts))
+        with ProcessPoolExecutor(workers) as pool:
+            assemble(pool.map(_run_block, *args))
     else:
-        parts = map(run_block, starts)
-    # the per-candidate sums take their blocks in order, as a serial
-    # run adds them
-    for kept, block_empty, block_pm in parts:
-        empty_stock[kept] += block_empty
-        pm_steps[kept] += block_pm
+        assemble(map(_run_block, *args))
 
     pm_cumulative = np.cumsum(pm_steps, axis=1)
     if not stacked:
@@ -519,6 +548,7 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
             return x
         return np.moveaxis(x.reshape(x.shape[:-1] + (K, Q)), -2, 0)
 
+    cm_cost, fo_cost, pm_count, failure_count, fo_onsets, fo_steps = sums
     stats = BatchStats(
         pm_cost=out(pm_cost), cm_cost=out(cm_cost), fo_cost=out(fo_cost),
         total_cost=out(pm_cost + cm_cost + fo_cost),
@@ -526,8 +556,8 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
         fo_onsets=out(fo_onsets), fo_steps=out(fo_steps),
         pm_cumulative=pm_cumulative, empty_stock=empty_stock)
     if record_states:
-        stats.regimes, stats.ages = out(regimes), out(ages)
-        stats.last_failures, stats.stock = out(lf), out(stock_hist)
+        stats.regimes, stats.ages, stats.last_failures, stats.stock = (
+            out(x) for x in states)
     return stats
 
 

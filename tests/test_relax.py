@@ -1,4 +1,7 @@
 """Relaxed dynamics: surrogate values, exact agreement, analytic partials."""
+import pickle
+from multiprocessing.reduction import ForkingPickler
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +71,25 @@ def test_indicator_pointwise_limit():
         assert rx._ind_singleton(0.0, x, 1e8) == 0.0
     assert rx._ind_singleton(0.0, 0.0, 1e8) == 1.0
     assert rx._ind_nonneg(1e-9, 1e12) == 1.0
+
+
+def test_ramps_pickle_to_the_same_bits():
+    """The ramps cross to the engine's worker processes by pickle and
+    give there the bits they give here, on both sides of every kink."""
+    ramps = rx._ramps(3.0)
+    back = pickle.loads(ForkingPickler.dumps(ramps))
+    half = 0.5 / 3.0
+    x = np.concatenate([np.linspace(-0.4, 0.4, 97),
+                        [-half, half, np.nextafter(-half, 0.0),
+                         np.nextafter(half, 0.0), 0.0]])
+    for kind, args in (("singleton", (1.0, x + 1.0)), ("nonneg", (x,)),
+                       ("strict_pos", (x,))):
+        here = getattr(ramps, kind)(*args)
+        there = getattr(back, kind)(*args)
+        assert here.tobytes() == there.tobytes(), kind
+        # the input crosses the kinks: values at 0, inside the ramp and at 1
+        assert here.min() == 0.0 and here.max() == 1.0, kind
+        assert np.any((here > 0.0) & (here < 1.0)), kind
 
 
 def test_alpha_validation():

@@ -2,7 +2,8 @@
 import csv
 import dataclasses
 import math
-import sys
+import multiprocessing
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -403,57 +404,75 @@ def test_blocked_batch_matches_scalar_and_slices():
     assert stats.failure_count.sum() > 0 and stats.fo_steps.sum() > 0
 
 
-def _blocks_on_threads(monkeypatch, workers, run):
-    """``run()`` with the batch driver allowed ``workers`` threads, and the
-    interpreter switching threads often, so that a lost update shows."""
+def _blocks_in_workers(monkeypatch, workers, run):
+    """``run()`` with the batch driver allowed ``workers`` worker
+    processes; none of them outlives the call."""
     monkeypatch.setattr(sm, "_usable_cores", lambda: workers)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-4)
-    try:
-        return run()
-    finally:
-        sys.setswitchinterval(interval)
+    result = run()
+    assert multiprocessing.active_children() == []
+    return result
 
 
-def test_outputs_identical_across_thread_counts(monkeypatch, tmp_path):
-    # three blocks of scenario columns, the last one partial: one thread
-    # and several give the same bytes in every field and output file
+def test_outputs_identical_across_worker_counts(monkeypatch, tmp_path):
+    # three blocks of scenario columns, the last one partial: one worker
+    # and several give the same bytes in every field and output file, on
+    # an array of noises and on a ScenarioSet
     cfg = small_system_config()
     rng = np.random.default_rng(12)
     Q = 2 * sm.BLOCK + 52
-    noises = rng.random((Q, cfg.n, cfg.T))
+    sources = {"array": rng.random((Q, cfg.n, cfg.T)),
+               "set": sm.ScenarioSet(cfg.n, cfg.T, Q, 12)}
     strategy = sm.Strategy(rng.random((cfg.n, cfg.T)))
-    runs = {
-        "exact": lambda: sm.simulate_batch(strategy, noises, cfg,
-                                           record_states=True),
-        "relaxed": lambda: rx.simulate_relaxed_batch(strategy, noises, 1.5,
-                                                     cfg),
-    }
-    ones = {}
-    for name, run in runs.items():
-        one = ones[name] = _blocks_on_threads(monkeypatch, 1, run)
-        many = _blocks_on_threads(monkeypatch, 3, run)
-        for field in dataclasses.fields(sm.BatchStats):
-            a, b = getattr(one, field.name), getattr(many, field.name)
-            assert (a is None) == (b is None), (name, field.name)
-            if a is not None:
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.tobytes() == b.tobytes(), (name, field.name)
-    # the relaxed run enters its ramps: some scenario leaves the exact run
-    assert np.any(ones["relaxed"].total_cost != ones["exact"].total_cost)
+    for source, noises in sources.items():
+        runs = {
+            "exact": lambda: sm.simulate_batch(strategy, noises, cfg,
+                                               record_states=True),
+            "relaxed": lambda: rx.simulate_relaxed_batch(strategy, noises,
+                                                         1.5, cfg),
+        }
+        ones = {}
+        for name, run in runs.items():
+            one = ones[name] = _blocks_in_workers(monkeypatch, 1, run)
+            many = _blocks_in_workers(monkeypatch, 3, run)
+            for field in dataclasses.fields(sm.BatchStats):
+                a, b = getattr(one, field.name), getattr(many, field.name)
+                assert (a is None) == (b is None), (source, name, field.name)
+                if a is not None:
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes(), (source, name,
+                                                        field.name)
+        # the relaxed run enters its ramps: some scenario leaves the exact
+        # run
+        assert np.any(ones["relaxed"].total_cost != ones["exact"].total_cost)
 
     spath = tmp_path / "strategy.csv"
     cli.save_strategy(strategy, cfg, spath)
     outputs = []
     for workers in (1, 3):
         out = tmp_path / f"eval-{workers}"
-        rc = _blocks_on_threads(monkeypatch, workers, lambda: cli.main([
+        rc = _blocks_in_workers(monkeypatch, workers, lambda: cli.main([
             "--mode", "evaluate", "--seed", "4", "--strategy", str(spath),
             "--validation-scenarios", str(Q), "--out", str(out)]))
         assert rc == 0
         outputs.append({f: (out / f).read_bytes() for f in (
             "report.csv", "pm_cumulative.csv", "empty_stock.csv")})
     assert outputs[0] == outputs[1]
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    """An exception raised inside a worker process is raised by the call,
+    and the pool is shut down with it."""
+    def broken(*args, **kwargs):
+        raise FloatingPointError(f"planted in process {os.getpid()}")
+
+    monkeypatch.setattr(sm, "_component_forward", broken)
+    monkeypatch.setattr(sm, "_usable_cores", lambda: 2)
+    cfg = small_system_config()
+    scen = sm.ScenarioSet(cfg.n, cfg.T, 2 * sm.BLOCK + 1, 0)
+    with pytest.raises(FloatingPointError, match="planted") as err:
+        sm.simulate_batch(sm.Strategy(np.zeros((cfg.n, cfg.T))), scen, cfg)
+    assert str(err.value) != f"planted in process {os.getpid()}"
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("K", [None, 3])
