@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ import yaml
 from .config import (SystemConfig, ConfigError, load_config,
                      small_system_config, typed_fields)
 from .sysmodel import (BatchStats, DimensionError, ScenarioSet, Strategy,
-                       simulate_batch)
+                       parallel_map, simulate_batch)
 from .dsearch import minimize
 from . import appdecomp as ad
 from . import evalharness as ev
@@ -191,30 +191,23 @@ def lhs_sample(bounds, count: int, seed: int):
 # tuning
 
 
-def _tune_one(payload):
-    cfg, p, noises, val, seed = payload
+def _tune_one(cfg, p, noises, val, seed):
     strat, _ = ad.app_fixed_point(cfg, p, noises, seed=seed)
     return ev.saa_objective(ev.project_strategy(strat, cfg.nu), val, cfg)
 
 
-def tune(cfg: SystemConfig, samples, noises, validation, seed: int,
-         threads: int = 1):
+def tune(cfg: SystemConfig, samples, noises, validation, seed: int):
     """Score each parameter sample and return (best, leaderboard).
 
     Every sample runs the decomposition on the same optimization scenarios;
     the projected strategies are compared on the shared validation set.
     The leaderboard is sorted by cost, ties broken by sample index.
     """
-    payloads = [(cfg, p, noises, validation, seed) for p in samples]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            costs = list(pool.map(_tune_one, payloads))
-    else:
-        costs = list(map(_tune_one, payloads))
-    # both maps return the costs in sample order
+    costs = parallel_map(_tune_one, repeat(cfg), samples, repeat(noises),
+                         repeat(validation), repeat(seed))
     leaderboard = sorted(
         ({"index": idx, "cost": cost, "params": p}
-         for (idx, p), cost in zip(enumerate(samples), costs)),
+         for cost, (idx, p) in zip(costs, enumerate(samples))),
         key=lambda rec: (rec["cost"], rec["index"]))
     return leaderboard[0]["params"], leaderboard
 
@@ -321,8 +314,7 @@ def _run_tune(args, cfg, out: Path):
     noises = ev.generate_scenarios(cfg.n, cfg.T, args.scenarios, args.seed)
     validation = ScenarioSet(cfg.n, cfg.T, args.validation_scenarios,
                              (args.seed + 1) % (1 << 64))
-    best, leaderboard = tune(cfg, samples, noises, validation,
-                             seed=args.seed, threads=args.threads)
+    best, leaderboard = tune(cfg, samples, noises, validation, seed=args.seed)
     leaderboard_to_csv(leaderboard, out / "leaderboard.csv")
     save_params(best, out / "best_params.yaml")
     print(f"tune: best cost {leaderboard[0]['cost']:.6g} "
@@ -391,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="strategy CSV (evaluate and simulate modes)")
     parser.add_argument("--lhs-count", type=int, default=8)
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for tune; other modes "
-                             "accept it and ignore it")
+                        help="ignored by every mode, which runs one worker "
+                             "process per usable core")
     return parser
 
 

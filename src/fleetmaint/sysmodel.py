@@ -24,15 +24,17 @@ noises from the shared (Q, n, T) array.  Columns never mix, so every
 candidate gets bit for bit the statistics of its own call; a direct
 search hands its poll trials over this way (:mod:`fleetmaint.dsearch`).
 
-The blocks of a single Strategy run in worker processes, one per usable
-core (a GIL-bound thread per core would hand the GIL over at each of the
-~130 numpy calls of a step).  A worker gets the controls, the config, the
-indicators and the block's noises: a :class:`ScenarioSet` as its four
-ints, whose block the worker generates, so a large set is never held
-whole, or an array as the block's slice.  It returns the block's columns,
-and the caller writes them and adds the per-candidate sums over columns in
-block order, so every output is bit for bit the same whatever the number
-of workers.  Single-block calls and stacks stay in the calling process.
+The blocks of a single Strategy run through :func:`parallel_map`: one
+worker process per usable core, forked through an explicit ``fork``
+context, and never a pool inside a worker (a GIL-bound thread per core
+would hand the GIL over at each of the ~130 numpy calls of a step).  A
+worker gets the controls, the config, the indicators and the block's
+noises: a :class:`ScenarioSet` as its four ints, whose block the worker
+generates, so a large set is never held whole, or an array as the block's
+slice.  It returns the block's columns, and the caller writes them and
+adds the per-candidate sums over columns in block order, so every output
+is bit for bit the same whatever the number of workers.  Single-block
+calls and stacks stay in the calling process.
 Each step reads a block's noises ``panel[:, :, t].T``, contiguous on the
 step-major panels the package makes.  The step kernel forms its
 intermediates in place, in its output arrays and one scratch array, with
@@ -41,11 +43,12 @@ its comments.
 """
 from __future__ import annotations
 
+import multiprocessing
 import os
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import repeat, starmap
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -68,7 +71,7 @@ class Strategy:
     controls: np.ndarray   # (n, T), entries in [0, 1]
 
     def __post_init__(self):
-        self.controls = _checked_controls(self.controls, 2, "strategy")
+        self.controls = _checked_unit(self.controls, 2, "strategy controls")
 
 
 @dataclass(frozen=True)
@@ -118,16 +121,16 @@ class ScenarioSet:
         return out
 
 
-def _checked_controls(u, ndim, what):
+def _checked_unit(u, ndim, what):
     """``u`` as a float array: DimensionError unless it has ``ndim`` axes,
     ValueError unless every entry lies in [0, 1]."""
     u = np.asarray(u, dtype=float)
     if u.ndim != ndim:
-        raise DimensionError(f"{what} controls must have {ndim} axes, "
+        raise DimensionError(f"{what} must have {ndim} axes, "
                              f"got shape {u.shape}")
     # written so that NaN fails it too
     if not np.all((u >= 0) & (u <= 1)):
-        raise ValueError(f"{what} entries must lie in [0, 1]")
+        raise ValueError(f"{what} must lie in [0, 1]")
     return u
 
 
@@ -387,6 +390,24 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def parallel_map(fn, *iterables):
+    """``map(fn, *iterables)`` on ``min(_usable_cores(), tasks)`` processes
+    forked through an explicit ``fork`` context, yielding the results in
+    task order as they arrive and raising a worker's exception; run to its
+    end, it joins the workers.  The tasks run in this process when that
+    count is 1, when the platform cannot fork, or in a pool worker, so
+    pools never nest."""
+    tasks = list(zip(*iterables))
+    workers = min(_usable_cores(), len(tasks))
+    if (workers < 2 or multiprocessing.parent_process() is not None
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        yield from starmap(fn, tasks)
+        return
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield from pool.map(fn, *zip(*tasks))
+
+
 def _by_candidate(x, local):
     """Sums of a block's columns per candidate; ``local`` holds each
     column's candidate, counted from the block's first (or just [0])."""
@@ -474,22 +495,22 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
     ``controls`` is a Strategy or a (K, n, T) stack of candidate controls,
     each run on all Q scenarios.  Scenario columns are candidate-major
     (column k·Q + q is candidate k on scenario q) and are walked by
-    :func:`_run_block` in blocks of BLOCK columns for a Strategy, in worker
-    processes, and of STACK_BLOCK columns for a stack, one block after
-    another in this process, every block with the indicators ``ind``.
+    :func:`_run_block` in blocks of BLOCK columns for a Strategy, through
+    :func:`parallel_map`, and of STACK_BLOCK columns for a stack, one block
+    after another in this process, every block with the indicators ``ind``.
     Costs use fixed-order summation over t and columns never mix, so
     results do not depend on the blocking; a stack's fields carry a leading
     K axis, and row k equals candidate k's own run.
     """
     stacked = not isinstance(controls, Strategy)
-    u = (_checked_controls(controls, 3, "stacked") if stacked
+    u = (_checked_unit(controls, 3, "stacked controls") if stacked
          else controls.controls[None])
     if u.shape[1:] != (cfg.n, cfg.T):
         raise DimensionError(
             f"strategy must have shape {(cfg.n, cfg.T)}, got {u.shape[1:]}")
-    if not isinstance(noises, ScenarioSet):
-        noises = np.asarray(noises, dtype=float)
-    if len(noises.shape) != 3 or noises.shape[1:] != (cfg.n, cfg.T):
+    if not isinstance(noises, ScenarioSet):     # a set is drawn in [0, 1)
+        noises = _checked_unit(noises, 3, "noises")
+    if noises.shape[1:] != (cfg.n, cfg.T):
         raise DimensionError(
             f"noises must have shape (Q, {cfg.n}, {cfg.T}), got {noises.shape}")
     if stacked and isinstance(noises, ScenarioSet):
@@ -509,33 +530,27 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
                   np.empty((T + 1, cfg.n, cfg.D, K * Q)),
                   np.empty((T + 1, K * Q)))
 
-    def assemble(parts):
-        """Write each block's columns, and add its per-candidate rows in
-        block order, as a serial run adds them."""
-        for lo, hi, (block_sums, block_empty, block_pm, block_states) \
-                in zip(los, his, parts):
-            sums[:, lo:hi] = block_sums
-            kept = slice(lo // Q, (hi - 1) // Q + 1)
-            empty_stock[kept] += block_empty
-            pm_steps[kept] += block_pm
-            if record_states:
-                for whole, part in zip(states, block_states):
-                    whole[..., lo:hi] = part
-
     los = range(0, K * Q, block)
     his = [min(lo + block, K * Q) for lo in los]
     # a worker gets a ScenarioSet as its four ints, an array as its block
     sources = [noises if stacked or isinstance(noises, ScenarioSet)
                else noises[lo:hi] for lo, hi in zip(los, his)]
-    args = (repeat(u), sources, repeat(cfg), repeat(ind),
-            repeat(record_states), los, his)
     # a stack's 512-column blocks are too short to pay for a hand-off
-    workers = 1 if stacked else min(_usable_cores(), len(los))
-    if workers > 1:
-        with ProcessPoolExecutor(workers) as pool:
-            assemble(pool.map(_run_block, *args))
-    else:
-        assemble(map(_run_block, *args))
+    parts = (map if stacked else parallel_map)(
+        _run_block, repeat(u), sources, repeat(cfg), repeat(ind),
+        repeat(record_states), los, his)
+    # write each block's columns, and add its per-candidate rows in block
+    # order as a serial run does; ``parts`` leads the zip, so a parallel
+    # map runs to its end and joins its workers
+    for (block_sums, block_empty, block_pm, block_states), lo, hi \
+            in zip(parts, los, his):
+        sums[:, lo:hi] = block_sums
+        kept = slice(lo // Q, (hi - 1) // Q + 1)
+        empty_stock[kept] += block_empty
+        pm_steps[kept] += block_pm
+        if record_states:
+            for whole, part in zip(states, block_states):
+                whole[..., lo:hi] = part
 
     pm_cumulative = np.cumsum(pm_steps, axis=1)
     if not stacked:

@@ -347,7 +347,7 @@ def test_criterion_8_schedules_and_tuner():
              ok, f"schedules {sched_ok}, lhs {lhs_ok}, tune {tune_ok}")
 
 
-def test_criterion_9_byte_identical_reproducibility(tmp_path):
+def test_criterion_9_byte_identical_reproducibility(tmp_path, monkeypatch):
     cfg = SystemConfig(n=3, T=5, D=2, s_init=1, C_F=10000.0, C_P=50.0,
                        C_C=200.0, weibull_shape=3.0, weibull_scale=10.0)
     from fleetmaint.config import save_config
@@ -375,12 +375,14 @@ def test_criterion_9_byte_identical_reproducibility(tmp_path):
         if outs[0] != outs[1]:
             ok = False
             details.append(f"{label} differs across runs")
-    # worker-count independence of tune, the one mode with a worker pool:
-    # two workers against the one of the repeats above
-    rc = run_cli(config=str(cfg_path), seed=17,
-                 out=str(tmp_path / "tune-w2"), threads=2, **runs["tune"])
-    assert rc == 0
-    if any((tmp_path / "tune-a" / name).read_bytes()
+    # worker-count independence of tune, whose samples run one per usable
+    # core: one core against two
+    for cores in (1, 2):
+        monkeypatch.setattr(sm, "_usable_cores", lambda: cores)
+        rc = run_cli(config=str(cfg_path), seed=17,
+                     out=str(tmp_path / f"tune-w{cores}"), **runs["tune"])
+        assert rc == 0
+    if any((tmp_path / "tune-w1" / name).read_bytes()
            != (tmp_path / "tune-w2" / name).read_bytes()
            for name in ("leaderboard.csv", "best_params.yaml")):
         ok = False

@@ -504,6 +504,17 @@ def test_fixed_point_zero_iterations():
     assert history == []
 
 
+@pytest.mark.parametrize("bad", [-0.1, 7.0, np.nan])
+def test_fixed_point_rejects_out_of_range_noises(bad):
+    cfg = make_cfg()
+    noises = np.random.default_rng(0).random((3, 2, 3))
+    noises[0, 1, 2] = bad
+    with pytest.raises(ValueError, match="noises"):
+        ad.app_fixed_point(cfg, make_params(iterations=1,
+                                            subproblem_budget=5),
+                           noises, seed=1)
+
+
 def test_fixed_point_runs_and_records_history():
     cfg = make_cfg(n=3, T=5, s_init=1)
     noises = np.random.default_rng(7).random((4, 3, 5))

@@ -1,9 +1,11 @@
 """Command-line front end: files, sampling, tuning, mode dispatch."""
 import dataclasses
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from fleetmaint.config import (SystemConfig, load_config, save_config,
 from fleetmaint import appdecomp as ad
 from fleetmaint import cli
 from fleetmaint import evalharness as ev
+from fleetmaint import sysmodel as sm
 from fleetmaint.sysmodel import Strategy
 
 
@@ -169,17 +172,35 @@ def test_tune_leaderboard_sorted():
     assert best is samples[board[0]["index"]]
 
 
-def test_tune_threaded_matches_serial():
+def _tune_board(monkeypatch, cores, validation_count):
+    """The (index, cost) board of a 2-sample tune with ``cores`` usable
+    cores; no worker outlives it, and no tune worker starts a pool."""
+    class ParentOnly(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            assert multiprocessing.parent_process() is None, "nested pool"
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sm, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(sm, "ProcessPoolExecutor", ParentOnly)
     cfg = small_cfg()
     noises = ev.generate_scenarios(2, 3, 3, seed=0)
-    val = ev.generate_scenarios(2, 3, 10, seed=1)
+    val = sm.ScenarioSet(2, 3, validation_count, 1)
     samples = cli.lhs_sample(ad.PARAM_BOUNDS, 2, seed=7)
     for p in samples:
         p.iterations, p.subproblem_budget = 1, 8
-    _, b1 = cli.tune(cfg, samples, noises, val, seed=0, threads=1)
-    _, b2 = cli.tune(cfg, samples, noises, val, seed=0, threads=2)
-    assert [(r["index"], r["cost"]) for r in b1] \
-        == [(r["index"], r["cost"]) for r in b2]
+    _, board = cli.tune(cfg, samples, noises, val, seed=0)
+    assert multiprocessing.active_children() == []
+    return [(r["index"], r["cost"]) for r in board]
+
+
+@pytest.mark.parametrize("validation_count", [10, 2049])
+def test_tune_boards_equal_across_worker_counts(monkeypatch,
+                                                validation_count):
+    """One core and two give the same board.  At 2 049 validation
+    scenarios each sample's scoring has two engine blocks, which a tune
+    worker steps in its own process."""
+    assert (_tune_board(monkeypatch, 2, validation_count)
+            == _tune_board(monkeypatch, 1, validation_count))
 
 
 # ---------------------------------------------------------------------------

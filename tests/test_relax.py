@@ -104,6 +104,16 @@ def test_alpha_validation():
                                    0.5, 0.0, 3.0, 10.0, cfg)
 
 
+@pytest.mark.parametrize("bad", [-0.1, 7.0, np.nan])
+def test_out_of_range_noises_rejected(bad):
+    cfg = make_cfg()
+    noises = np.full((2, 1, 4), 0.5)
+    noises[1, 0, 2] = bad
+    with pytest.raises(ValueError, match="noises"):
+        rx.simulate_relaxed_batch(sm.Strategy(np.zeros((1, 4))), noises,
+                                  1.0, cfg)
+
+
 # ---------------------------------------------------------------------------
 # relaxed steps agree with the exact ones on integer points
 

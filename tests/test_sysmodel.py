@@ -4,6 +4,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -461,7 +462,9 @@ def test_outputs_identical_across_worker_counts(monkeypatch, tmp_path):
 
 def test_worker_exception_reaches_the_caller(monkeypatch):
     """An exception raised inside a worker process is raised by the call,
-    and the pool is shut down with it."""
+    and the pool is shut down with it.  The planted function reaches the
+    workers because :func:`sm.parallel_map` forks them through an explicit
+    fork context, whatever the platform's default start method."""
     def broken(*args, **kwargs):
         raise FloatingPointError(f"planted in process {os.getpid()}")
 
@@ -472,6 +475,36 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
     with pytest.raises(FloatingPointError, match="planted") as err:
         sm.simulate_batch(sm.Strategy(np.zeros((cfg.n, cfg.T))), scen, cfg)
     assert str(err.value) != f"planted in process {os.getpid()}"
+    assert multiprocessing.active_children() == []
+
+
+def _pid_of(_):
+    return os.getpid()
+
+
+def _inner_pids(_):
+    """This worker's pid, and the pids of the tasks of a map it starts."""
+    return os.getpid(), list(sm.parallel_map(_pid_of, range(3)))
+
+
+def test_parallel_map_never_nests(monkeypatch):
+    """The map yields in task order from forked workers, and a task that
+    maps again runs every inner task in its own process."""
+    contexts = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, *args, mp_context, **kwargs):
+            contexts.append(mp_context.get_start_method())
+            super().__init__(*args, mp_context=mp_context, **kwargs)
+
+    monkeypatch.setattr(sm, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(sm, "ProcessPoolExecutor", Recording)
+    assert list(sm.parallel_map(pow, range(5), [2] * 5)) == [0, 1, 4, 9, 16]
+    outer = list(sm.parallel_map(_inner_pids, range(2)))
+    assert contexts == ["fork", "fork"]
+    for pid, inner in outer:
+        assert pid != os.getpid()
+        assert inner == [pid] * 3
     assert multiprocessing.active_children() == []
 
 
@@ -591,6 +624,18 @@ def test_malformed_stack_rejected():
             sm.simulate_batch(U, noises, cfg)
         with pytest.raises(ValueError):
             ev.saa_objective(U, noises, cfg)
+
+
+@pytest.mark.parametrize("bad", [-0.1, 7.0, np.nan])
+def test_out_of_range_noises_rejected(bad):
+    """Noises outside [0, 1] fail, for a Strategy and for a stack."""
+    cfg = small_system_config()
+    noises = np.random.default_rng(0).random((4, cfg.n, cfg.T))
+    noises[2, 1, 3] = bad
+    for controls in (sm.Strategy(np.zeros((cfg.n, cfg.T))),
+                     np.zeros((2, cfg.n, cfg.T))):
+        with pytest.raises(ValueError, match="noises"):
+            sm.simulate_batch(controls, noises, cfg)
 
 
 @settings(max_examples=25, deadline=None)
