@@ -116,33 +116,20 @@ class Iterate:
     Lam: np.ndarray
     LamS: np.ndarray
     gamma_x: float
-    gamma_s: float
     gamma_u: float
     alpha: float
 
 
 def initial_iterate(cfg: SystemConfig, p: APPParams, noises) -> Iterate:
     """Do-nothing start: no PM anywhere, zero multipliers, simulated bars."""
-    noises = np.asarray(noises, dtype=float)
-    Q = noises.shape[0]
     u = np.zeros((cfg.n, cfg.T))
-    gamma_x, gamma_s, gamma_u, alpha = update_schedules(0, p)
-    X, S = _relaxed_system_arrays(Strategy(u), noises, alpha, cfg)
-    return Iterate(X=X, S=S, u=u, Lam=np.zeros_like(X),
-                   LamS=np.zeros_like(S), gamma_x=gamma_x,
-                   gamma_s=gamma_s, gamma_u=gamma_u, alpha=alpha)
-
-
-def _relaxed_system_arrays(strategy, noises, alpha, cfg):
-    stats = rx.simulate_relaxed_batch(strategy, noises, alpha, cfg,
+    gamma_x, _, gamma_u, alpha = update_schedules(0, p)
+    stats = rx.simulate_relaxed_batch(Strategy(u), noises, alpha, cfg,
                                       record_states=True)
-    # (T+1, n, Q) -> (n, T+1, Q); records (T+1, n, D, Q) -> (n, T+1, D, Q)
-    X = np.concatenate([
-        stats.regimes.transpose(1, 0, 2)[:, :, None, :],
-        stats.ages.transpose(1, 0, 2)[:, :, None, :],
-        stats.last_failures.transpose(1, 0, 2, 3),
-    ], axis=2)
-    return X, stats.stock.copy()
+    return Iterate(X=stats.states, S=stats.stock, u=u,
+                   Lam=np.zeros_like(stats.states),
+                   LamS=np.zeros_like(stats.stock), gamma_x=gamma_x,
+                   gamma_u=gamma_u, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +168,13 @@ def _fleet_partials(X, U, t, S_t, b_prev, noises, alpha, cfg: SystemConfig
         cfg.weibull_scale[:, None], cfg)
 
 
-def _stock_sensitivity(X, U, t, S_t, noises, Lam_next, alpha,
+def _stock_sensitivity(X, U, t, S_t, b_prev, noises, Lam_next, alpha,
                        cfg: SystemConfig) -> np.ndarray:
     """Per-component d_S . Lam_{t+1} of the fleet's step at time t, (n, Q).
 
-    Takes the arguments of :func:`_fleet_partials` but the broken-below
-    counts, which it takes from ``X``, and the (n, D+2, Q) multipliers at
-    t+1.
+    Takes the arguments of :func:`_fleet_partials` and the (n, D+2, Q)
+    multipliers at t+1.
     """
-    b_prev = sm.exclusive_cumsum(rx._ind_singleton(0.0, X[:, t, 0], alpha))
     cp = _fleet_partials(X, U, t, S_t, b_prev, noises, alpha, cfg)
     return np.einsum("ojq,joq->jq", cp.d_S, Lam_next)
 
@@ -218,7 +203,7 @@ def build_iteration_cache(it: Iterate, noises, cfg: SystemConfig
         lam_s = it.LamS[t + 1]
         coord[:, t, 0] -= sp.d_E * lam_s
         coord[:, t, 2:] -= sp.d_P * lam_s
-        h = _stock_sensitivity(it.X, it.u, t, it.S[t], noises,
+        h = _stock_sensitivity(it.X, it.u, t, it.S[t], bprev[:, t], noises,
                                it.Lam[:, t + 1], alpha, cfg)
         above = sm.exclusive_cumsum(h[::-1])[::-1]
         coord[:, t, 0] += rx._dind_singleton(0.0, E[:, t], alpha) * above
@@ -250,7 +235,7 @@ def component_trajectories(U, it: Iterate, noises, cfg: SystemConfig,
     X = np.empty((K, cfg.n, T + 1, D + 2, Q))
     E = np.ones((K, cfg.n, Q))
     A = np.zeros((K, cfg.n, Q))
-    P = np.full((D, K, cfg.n, Q), cfg.delta_default)
+    P = np.full((D, K, cfg.n, Q), sm.NO_FAILURE)
     ind = rx._ramps(it.alpha)
     shape, scale = cfg.weibull_shape[:, None], cfg.weibull_scale[:, None]
     for t in range(T + 1):
@@ -423,9 +408,10 @@ def stock_multiplier_backward(S_new, X_new, u_new, Lam_new, S_bar, noises,
     LamS = np.zeros((T + 1, Q))
     LamS[T] = -gamma_s * (S_new[T] - S_bar[T])
     for t in range(T - 1, -1, -1):
-        acc = np.sum(_stock_sensitivity(X_new, u_new, t, S_bar[t], noises,
-                                        Lam_new[:, t + 1], alpha, cfg),
-                     axis=0)
+        b_prev = sm.exclusive_cumsum(rx._ind_singleton(0.0, E[:, t], alpha))
+        acc = np.sum(_stock_sensitivity(X_new, u_new, t, S_bar[t], b_prev,
+                                        noises, Lam_new[:, t + 1], alpha,
+                                        cfg), axis=0)
         sp = rx.stock_step_partials(E[:, t], P[:, t], S_new[t], alpha, cfg)
         LamS[t] = -gamma_s * (S_new[t] - S_bar[t]) + acc + sp.d_S * LamS[t + 1]
     return LamS
@@ -448,15 +434,12 @@ def app_fixed_point(cfg: SystemConfig, p: APPParams, noises, seed: int):
     values.  Output is a deterministic function of (cfg, p, noises, seed).
     """
     noises = np.asarray(noises, dtype=float)
-    if noises.ndim != 3 or noises.shape[1:] != (cfg.n, cfg.T):
-        raise DimensionError(
-            f"noises must have shape (Q, {cfg.n}, {cfg.T}), got {noises.shape}")
     it = initial_iterate(cfg, p, noises)
     history = []
     for k in range(p.iterations):
         gamma_x, gamma_s, gamma_u, alpha = update_schedules(k, p)
         it.alpha = alpha
-        it.gamma_x, it.gamma_s, it.gamma_u = gamma_x, gamma_s, gamma_u
+        it.gamma_x, it.gamma_u = gamma_x, gamma_u
         cache = build_iteration_cache(it, noises, cfg)
         seeds = [_subproblem_seed(seed, k, i) for i in range(cfg.n)]
         X_new, u_new, bests, _ = solve_component_subproblems(

@@ -100,7 +100,8 @@ def trajectory_to_csv(stats: BatchStats, strategy: Strategy,
     forced outage a step where some component is broken at an age above 0,
     i.e. still waiting for a spare.
     """
-    E, A, S = stats.regimes[..., 0], stats.ages[..., 0], stats.stock[:, 0]
+    E, A = stats.states[:, :, 0, 0].T, stats.states[:, :, 1, 0].T
+    S = stats.stock[:, 0]
     T = cfg.T
     pm = np.zeros((T + 1, cfg.n), dtype=int)
     cm = np.zeros((T + 1, cfg.n), dtype=int)

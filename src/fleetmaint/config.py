@@ -29,9 +29,6 @@ class SystemConfig:
     """Parameters of the maintenance system.
 
     Costs are in k euro, durations in years (one time step = ``dt`` years).
-    ``delta_default`` is the sentinel stored in the last-failure vectors for
-    "no failure recorded"; it must be negative so that it stays at distance
-    >= 1 from every valid elapsed time.
     """
 
     n: int
@@ -46,7 +43,6 @@ class SystemConfig:
     dt: float = 1.0
     tau: float = 0.08
     nu: float = 0.9
-    delta_default: float = -1.0
 
     def __post_init__(self):
         if self.n < 1 or self.T < 1 or self.D < 1:
@@ -58,8 +54,7 @@ class SystemConfig:
         self.validate()
 
     def validate(self):
-        for name in ("C_F", "dt", "tau", "nu", "delta_default") \
-                + _COMPONENT_KEYS:
+        for name in ("C_F", "dt", "tau", "nu") + _COMPONENT_KEYS:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ConfigError(f"{name} must be finite")
         if self.s_init < 0:
@@ -70,8 +65,6 @@ class SystemConfig:
             raise ConfigError("dt must be positive")
         if self.tau <= -1:
             raise ConfigError("discount rate tau must be > -1")
-        if self.delta_default >= 0:
-            raise ConfigError("delta_default must be negative")
         if self.C_F < 0 or np.any(self.C_P < 0) or np.any(self.C_C < 0):
             raise ConfigError("costs must be nonnegative")
         if np.any(self.weibull_shape <= 0) or np.any(self.weibull_scale <= 0):

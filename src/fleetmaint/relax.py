@@ -135,7 +135,7 @@ def component_step_partials(E, A, P, S, b_prev, u, w, alpha, shape, scale,
     Derivatives are 0 exactly at every kink.
     """
     alpha = _alpha_of(alpha)
-    delta = cfg.delta_default
+    delta = sm.NO_FAILURE
     D = cfg.D
     f = sm._component_forward(E, A, P, S, b_prev, u, w, shape, scale, cfg,
                               _ramps(alpha))

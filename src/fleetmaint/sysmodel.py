@@ -12,8 +12,9 @@ batch driver over it, which takes one set of :class:`Indicators`.
 :func:`simulate_batch` passes the hard comparisons, which is the exact
 dynamics; :mod:`fleetmaint.relax` passes its ramps.  States are arrays
 (regimes, ages, failure records and stock, one column per scenario); the
-driver records their history on request, and that history is all a single
-exact trajectory needs.
+driver records their history on request, as one (n, T+1, D+2, Q) array
+in the decomposition's layout and the (T+1, Q) stock, and that history
+is all a single exact trajectory needs.
 
 The batch engine steps a block of scenario columns at a time; a call costs
 about as much in numpy dispatch at 20 columns as at a few hundred.  So
@@ -21,7 +22,7 @@ about as much in numpy dispatch at 20 columns as at a few hundred.  So
 and runs all K·Q (candidate, scenario) columns in one call, candidate-major
 and in blocks of :data:`STACK_BLOCK` columns, reading each candidate's
 noises from the shared (Q, n, T) array.  Columns never mix, so every
-candidate gets bit for bit the statistics of its own call; a direct
+candidate gets bit for bit the costs and counts of its own call; a direct
 search hands its poll trials over this way (:mod:`fleetmaint.dsearch`).
 
 The blocks of a single Strategy run through :func:`parallel_map`: one
@@ -32,7 +33,7 @@ worker gets the controls, the config, the indicators and the block's
 noises: a :class:`ScenarioSet` as its four ints, whose block the worker
 generates, so a large set is never held whole, or an array as the block's
 slice.  It returns the block's columns, and the caller writes them and
-adds the per-candidate sums over columns in block order, so every output
+adds the step sums over columns in block order, so every output
 is bit for bit the same whatever the number of workers.  Single-block
 calls and stacks stay in the calling process.
 Each step reads a block's noises ``panel[:, :, t].T``, contiguous on the
@@ -58,6 +59,12 @@ from .config import SystemConfig
 
 class DimensionError(ValueError):
     """Strategy / scenario dimensions do not match the configuration."""
+
+
+#: failure-record entry for "no failure recorded": at distance >= 1 from
+#: every elapsed time 0, 1, 2, ..., so that a singleton ramp of sharpness
+#: alpha >= 1/2 never takes one for the other
+NO_FAILURE = -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +244,7 @@ def _component_forward(E, A, P, S, b_prev, u, w, shape, scale,
     the expression whose IEEE operations it performs, in that order up to
     swapping the two operands of a product or a sum.
     """
-    delta = cfg.delta_default
+    delta = NO_FAILURE
     # arrays written in place are made with np.empty at their full shape:
     # on 0-d inputs a ufunc returns a scalar, which takes no out=
     shp = np.broadcast(E, A, S, b_prev, u, w, shape, scale, P[0]).shape
@@ -353,12 +360,12 @@ class BatchStats:
     failure_count: np.ndarray
     fo_onsets: np.ndarray      # forced-outage onset events per scenario
     fo_steps: np.ndarray       # steps spent in forced outage
-    pm_cumulative: np.ndarray  # (T,) PM events summed over scenarios
-    empty_stock: np.ndarray    # (T+1,) count of scenarios with stock == 0
-    # full state history, only kept on request
-    regimes: np.ndarray | None = None        # (T+1, n, Q)
-    ages: np.ndarray | None = None
-    last_failures: np.ndarray | None = None  # (T+1, n, D, Q)
+    # per-step curves summed over the scenarios, None for a stack
+    pm_cumulative: np.ndarray | None = None  # (T,) cumulative PM events
+    empty_stock: np.ndarray | None = None    # (T+1,) stock == 0 count
+    # full state history, only kept on request: the components' states
+    # (E, A, P^1..P^D), laid out as the decomposition's bar trajectories
+    states: np.ndarray | None = None         # (n, T+1, D+2, Q)
     stock: np.ndarray | None = None          # (T+1, Q)
 
 
@@ -408,12 +415,6 @@ def parallel_map(fn, *iterables):
         yield from pool.map(fn, *zip(*tasks))
 
 
-def _by_candidate(x, local):
-    """Sums of a block's columns per candidate; ``local`` holds each
-    column's candidate, counted from the block's first (or just [0])."""
-    return np.add.reduce(x) if len(local) == 1 else np.bincount(local, x)
-
-
 def _run_block(u, noises, cfg: SystemConfig, ind: Indicators,
                record_states: bool, lo: int, hi: int):
     """Step scenario columns lo..hi-1 of a call on the (K, n, T) controls
@@ -424,9 +425,9 @@ def _run_block(u, noises, cfg: SystemConfig, ind: Indicators,
     it is the whole (Q, n, T) array, and column c is candidate c // Q on
     scenario c % Q.  Returns the block's columns of the per-scenario sums
     (rows: CM cost, forced-outage cost, PM count, failure count, outage
-    onsets, outage steps), its per-candidate rows of ``empty_stock`` and
-    ``pm_steps``, and its state histories (regimes, ages, failure records,
-    stock) or None.
+    onsets, outage steps), its sums over columns of the PM events (T,) and
+    of the empty stocks (T+1,) of each step, and its (n, T+1, D+2, width)
+    states and (T+1, width) stock, or None.
     """
     K, n, T, D = len(u), cfg.n, cfg.T, cfg.D
     width = hi - lo
@@ -439,27 +440,24 @@ def _run_block(u, noises, cfg: SystemConfig, ind: Indicators,
                  else noises)
     else:
         cand, scen = np.divmod(np.arange(lo, hi), len(noises))
-    local = cand - cand[0]
     sums = np.zeros((6, width))
     cm_cost, fo_cost, pm_count, failure_count, fo_onsets, fo_steps = sums
-    block_empty = np.zeros((local[-1] + 1, T + 1))
-    block_pm = np.zeros((local[-1] + 1, T))
+    pm_steps, empty = np.zeros(T), np.zeros(T + 1)
     states = None
     if record_states:
-        states = (np.empty((T + 1, n, width)), np.empty((T + 1, n, width)),
-                  np.empty((T + 1, n, D, width)), np.empty((T + 1, width)))
+        X, stock = np.empty((n, T + 1, D + 2, width)), np.empty((T + 1, width))
+        states = X, stock
     E = np.ones((n, width))
     A = np.zeros((n, width))
-    P = np.full((n, D, width), cfg.delta_default)
+    P = np.full((n, D, width), NO_FAILURE)
     S = np.full(width, float(cfg.s_init))
     fo_prev = np.zeros(width)
     for t in range(T + 1):
         if record_states:
-            for hist, now in zip(states, (E, A, P, S)):
-                hist[t] = now
+            X[:, t, 0], X[:, t, 1], X[:, t, 2:], stock[t] = E, A, P, S
         # np.add.reduce is np.sum without its Python-level dispatch,
         # which on small batches costs as much as the arithmetic
-        block_empty[:, t] = _by_candidate(S == 0, local)
+        empty[t] = np.add.reduce(S == 0)
         g = ind.singleton(0.0, E)
         cm_cost += np.add.reduce(
             beta[t] * cfg.C_C[:, None] * (g * ind.singleton(0.0, A)), axis=0)
@@ -478,14 +476,14 @@ def _run_block(u, noises, cfg: SystemConfig, ind: Indicators,
         S = stock_step_core(E, P, S, cfg, ind, g)
         pm = np.add.reduce(f.m * f.one_g, axis=0)
         pm_count += pm
-        block_pm[:, t] = _by_candidate(pm, local)
+        pm_steps[t] = np.add.reduce(pm)
         failure_count += np.add.reduce(f.c, axis=0)
         E, A, P = f.E_new, f.A_new, f.P_new.transpose(1, 0, 2)
         # free the step's other intermediates before the next step
         # makes its own: two steps alive at once take a 2048-column
         # block from 6.1 to 9.3 MB of added peak resident set
         del f
-    return sums, block_empty, block_pm, states
+    return sums, pm_steps, empty, states
 
 
 def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
@@ -500,7 +498,8 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
     after another in this process, every block with the indicators ``ind``.
     Costs use fixed-order summation over t and columns never mix, so
     results do not depend on the blocking; a stack's fields carry a leading
-    K axis, and row k equals candidate k's own run.
+    K axis, and row k equals candidate k's own run, but for the curves,
+    which a stack leaves at None.
     """
     stacked = not isinstance(controls, Strategy)
     u = (_checked_unit(controls, 3, "stacked controls") if stacked
@@ -523,12 +522,10 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
     pm_cost = np.repeat([float(np.sum(beta[:T][None, :] * cfg.C_P[:, None]
                                       * uk ** 2)) for uk in u], Q)
     sums = np.zeros((6, K * Q))
-    pm_steps, empty_stock = np.zeros((K, T)), np.zeros((K, T + 1))
+    pm_steps, empty_stock = np.zeros(T), np.zeros(T + 1)
     if record_states:
-        states = (np.empty((T + 1, cfg.n, K * Q)),
-                  np.empty((T + 1, cfg.n, K * Q)),
-                  np.empty((T + 1, cfg.n, cfg.D, K * Q)),
-                  np.empty((T + 1, K * Q)))
+        X = np.empty((cfg.n, T + 1, cfg.D + 2, K * Q))
+        stock = np.empty((T + 1, K * Q))
 
     los = range(0, K * Q, block)
     his = [min(lo + block, K * Q) for lo in los]
@@ -539,22 +536,17 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
     parts = (map if stacked else parallel_map)(
         _run_block, repeat(u), sources, repeat(cfg), repeat(ind),
         repeat(record_states), los, his)
-    # write each block's columns, and add its per-candidate rows in block
+    # write each block's columns, and add a Strategy's step sums in block
     # order as a serial run does; ``parts`` leads the zip, so a parallel
     # map runs to its end and joins its workers
-    for (block_sums, block_empty, block_pm, block_states), lo, hi \
+    for (block_sums, block_pm, block_empty, block_states), lo, hi \
             in zip(parts, los, his):
         sums[:, lo:hi] = block_sums
-        kept = slice(lo // Q, (hi - 1) // Q + 1)
-        empty_stock[kept] += block_empty
-        pm_steps[kept] += block_pm
+        if not stacked:
+            pm_steps += block_pm
+            empty_stock += block_empty
         if record_states:
-            for whole, part in zip(states, block_states):
-                whole[..., lo:hi] = part
-
-    pm_cumulative = np.cumsum(pm_steps, axis=1)
-    if not stacked:
-        pm_cumulative, empty_stock = pm_cumulative[0], empty_stock[0]
+            X[..., lo:hi], stock[:, lo:hi] = block_states
 
     def out(x):
         """A stack's (..., K·Q) columns as (K, ..., Q); a Strategy's as
@@ -568,11 +560,12 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
         pm_cost=out(pm_cost), cm_cost=out(cm_cost), fo_cost=out(fo_cost),
         total_cost=out(pm_cost + cm_cost + fo_cost),
         pm_count=out(pm_count), failure_count=out(failure_count),
-        fo_onsets=out(fo_onsets), fo_steps=out(fo_steps),
-        pm_cumulative=pm_cumulative, empty_stock=empty_stock)
+        fo_onsets=out(fo_onsets), fo_steps=out(fo_steps))
+    if not stacked:
+        stats.pm_cumulative = np.cumsum(pm_steps)
+        stats.empty_stock = empty_stock
     if record_states:
-        stats.regimes, stats.ages, stats.last_failures, stats.stock = (
-            out(x) for x in states)
+        stats.states, stats.stock = out(X), out(stock)
     return stats
 
 
@@ -582,10 +575,10 @@ def simulate_batch(strategy, noises: np.ndarray, cfg: SystemConfig,
 
     ``strategy`` is a Strategy or a (K, n, T) stack of candidate controls
     (entries in [0, 1]) and ``noises`` a (Q, n, T) array or a
-    :class:`ScenarioSet`.  A stack runs
-    every candidate on the same Q scenarios, without copying the noises,
-    and every field of its stats gets a leading K axis whose row k equals
-    candidate k's own run.  This is the fleet step kernel with
-    :data:`HARD` indicators.
+    :class:`ScenarioSet`.  A stack runs every candidate on the same Q
+    scenarios, without copying the noises; its stats have no curves, and
+    every other field gets a leading K axis whose row k equals candidate
+    k's own run.  This is the fleet step kernel with :data:`HARD`
+    indicators.
     """
     return _simulate(strategy, noises, cfg, record_states, HARD)

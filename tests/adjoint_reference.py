@@ -91,9 +91,10 @@ def stock_stationarity_residual(S_new, X_new, u_new, Lam_new, LamS, S_bar,
     E, P = X_new[:, :, 0, :], X_new[:, :, 2:, :]
     worst = float(np.max(np.abs(gamma_s * (S_new[T] - S_bar[T]) + LamS[T])))
     for t in range(T - 1, -1, -1):
-        acc = np.sum(ad._stock_sensitivity(X_new, u_new, t, S_bar[t], noises,
-                                           Lam_new[:, t + 1], alpha, cfg),
-                     axis=0)
+        b_prev = sm.exclusive_cumsum(rx._ind_singleton(0.0, E[:, t], alpha))
+        acc = np.sum(ad._stock_sensitivity(X_new, u_new, t, S_bar[t], b_prev,
+                                           noises, Lam_new[:, t + 1], alpha,
+                                           cfg), axis=0)
         sp = rx.stock_step_partials(E[:, t], P[:, t], S_new[t], alpha, cfg)
         r = (gamma_s * (S_new[t] - S_bar[t]) - acc
              - sp.d_S * LamS[t + 1] + LamS[t])

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from fleetmaint.config import SystemConfig
-from fleetmaint.sysmodel import DimensionError, Strategy, failure_probability
+from fleetmaint.sysmodel import (NO_FAILURE, DimensionError, Strategy,
+                                 failure_probability)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +130,7 @@ def step_component(states: list[ComponentState], stock: float, u: float,
     """
     i = len(states)
     me = states[-1]
-    delta = cfg.delta_default
+    delta = NO_FAILURE
     if me.regime == 1.0:
         if u >= cfg.nu:
             regime, age = 1.0, (1.0 - u) * me.age + 1.0
@@ -172,7 +173,7 @@ def step_stock(states: list[ComponentState], stock: float,
 
 
 def initial_state(cfg: SystemConfig) -> SystemState:
-    comps = [ComponentState(1.0, 0.0, np.full(cfg.D, cfg.delta_default))
+    comps = [ComponentState(1.0, 0.0, np.full(cfg.D, NO_FAILURE))
              for _ in range(cfg.n)]
     return SystemState(comps, float(cfg.s_init))
 

@@ -82,12 +82,8 @@ def test_criterion_2_and_3_exact_equals_relaxed_and_conservation():
         keep = ~band
         flagged += int(np.sum(band))
         total += 100
-        same = (np.array_equal(exact.regimes[..., keep],
-                               relaxed.regimes[..., keep])
-                and np.array_equal(exact.ages[..., keep],
-                                   relaxed.ages[..., keep])
-                and np.array_equal(exact.last_failures[..., keep],
-                                   relaxed.last_failures[..., keep])
+        same = (np.array_equal(exact.states[..., keep],
+                               relaxed.states[..., keep])
                 and np.array_equal(exact.stock[:, keep],
                                    relaxed.stock[:, keep])
                 and np.array_equal(exact.total_cost[keep],
@@ -100,10 +96,10 @@ def test_criterion_2_and_3_exact_equals_relaxed_and_conservation():
                                    relaxed.fo_cost[keep]))
         mismatches += int(not same)
         # spare-parts conservation on every exact trajectory, all scenarios
-        broken = np.sum(exact.regimes == 0.0, axis=1)          # (T+1, Q)
-        in_flight = np.sum((exact.last_failures >= 0)
-                           & (exact.last_failures <= cfg.D - 1),
-                           axis=(1, 2))
+        broken = np.sum(exact.states[:, :, 0] == 0.0, axis=0)  # (T+1, Q)
+        records = exact.states[:, :, 2:]
+        in_flight = np.sum((records >= 0) & (records <= cfg.D - 1),
+                           axis=(0, 2))
         violations += int(np.sum(exact.stock + in_flight - broken
                                  != cfg.s_init))
     elapsed = time.perf_counter() - tic
@@ -127,7 +123,7 @@ def _random_adjoint_instance(rng):
     it = ad.initial_iterate(cfg, p, noises)
     it.Lam = rng.normal(0.0, 2.0, it.Lam.shape)
     it.LamS = rng.normal(0.0, 2.0, it.LamS.shape)
-    return cfg, noises, it
+    return cfg, noises, it, ad.update_schedules(0, p)[1]
 
 
 def test_criterion_4_adjoint_correctness():
@@ -138,7 +134,7 @@ def test_criterion_4_adjoint_correctness():
     worst_rel = 0.0
     h = 1e-5
     while checked < 100:
-        cfg, noises, it = _random_adjoint_instance(rng)
+        cfg, noises, it, gamma_s = _random_adjoint_instance(rng)
         cache = ad.build_iteration_cache(it, noises, cfg)
         i = int(rng.integers(0, cfg.n))
         U = it.u.copy()
@@ -166,11 +162,10 @@ def test_criterion_4_adjoint_correctness():
         # stock multiplier consistency on the same instance
         S = ad.solve_stock_subproblem(it.X, it.alpha, cfg)
         LamS = ad.stock_multiplier_backward(S, it.X, it.u, it.Lam, it.S,
-                                            noises, cfg, it.alpha,
-                                            it.gamma_s)
+                                            noises, cfg, it.alpha, gamma_s)
         worst_res = max(worst_res, stock_stationarity_residual(
             S, it.X, it.u, it.Lam, LamS, it.S, noises, cfg, it.alpha,
-            it.gamma_s))
+            gamma_s))
         checked += 1
     elapsed = time.perf_counter() - tic
     ok = worst_res <= 1e-8 and worst_rel <= 1e-4 and elapsed < 60.0
@@ -190,7 +185,7 @@ def test_criterion_5_step_jacobians_match_finite_differences():
     def random_point(i):
         states = []
         for _ in range(i):
-            P = np.where(rng.random(cfg.D) < 0.4, cfg.delta_default,
+            P = np.where(rng.random(cfg.D) < 0.4, sm.NO_FAILURE,
                          rng.uniform(-1.5, cfg.D + 1.0, cfg.D))
             states.append(ref.ComponentState(rng.uniform(-0.2, 1.2),
                                              rng.uniform(0.0, 12.0), P))

@@ -26,6 +26,14 @@ def make_params(**kw):
     return ad.APPParams(**base)
 
 
+def relaxed_bars(strategy, noises, alpha, cfg):
+    """The recorded states and stock of a relaxed run: the bar
+    trajectories X and S of an iterate at ``strategy``."""
+    stats = rx.simulate_relaxed_batch(strategy, noises, alpha, cfg,
+                                      record_states=True)
+    return stats.states, stats.stock
+
+
 def make_iterate(cfg, noises, p=None, **overrides):
     it = ad.initial_iterate(cfg, p or make_params(), noises)
     for key, val in overrides.items():
@@ -78,7 +86,7 @@ def test_objective_at_bar_with_zero_multipliers():
     got = ad.component_subproblem_objective(it.u[:, None], it, noises, cfg,
                                             cache)[:, 0]
     for i in range(2):
-        E, A = stats.regimes[:, i, :], stats.ages[:, i, :]
+        E, A = stats.states[i, :, 0], stats.states[i, :, 1]
         cm = np.sum(beta[:, None] * cfg.C_C[i]
                     * rx._ind_singleton(0.0, E, it.alpha)
                     * rx._ind_singleton(0.0, A, it.alpha), axis=0)
@@ -139,15 +147,11 @@ def test_subproblem_trajectories_at_bar_equal_relaxed_batch():
     it.u = rng.random((5, 8))
     stats = rx.simulate_relaxed_batch(sm.Strategy(it.u), noises, it.alpha,
                                       cfg, record_states=True)
-    it.X, it.S = ad._relaxed_system_arrays(sm.Strategy(it.u), noises,
-                                           it.alpha, cfg)
+    it.X, it.S = stats.states, stats.stock
     cache = ad.build_iteration_cache(it, noises, cfg)
     X = ad.component_trajectories(it.u[:, None], it, noises, cfg,
                                   cache)[:, 0]
-    assert np.array_equal(X[:, :, 0], stats.regimes.transpose(1, 0, 2))
-    assert np.array_equal(X[:, :, 1], stats.ages.transpose(1, 0, 2))
-    assert np.array_equal(X[:, :, 2:],
-                          stats.last_failures.transpose(1, 0, 2, 3))
+    assert np.array_equal(X, stats.states)
     # rows never mix: other rows' controls leave row 0 unchanged
     U = it.u.copy()
     U[1:] = rng.random((4, 8))
@@ -167,8 +171,7 @@ def _stacked_case(cfg, Q, K, seed):
     noises = rng.random((Q, cfg.n, cfg.T))
     it = make_iterate(cfg, noises, make_params(alpha0=2.0))
     it.u = rng.random((cfg.n, cfg.T))
-    it.X, it.S = ad._relaxed_system_arrays(sm.Strategy(it.u), noises,
-                                           it.alpha, cfg)
+    it.X, it.S = relaxed_bars(sm.Strategy(it.u), noises, it.alpha, cfg)
     it.Lam = rng.standard_normal(it.X.shape)
     it.LamS = rng.standard_normal(it.S.shape)
     U = rng.random((cfg.n, K, cfg.T))
@@ -239,8 +242,7 @@ def test_subproblem_never_worse_than_warm_start():
     noises = rng.random((6, 2, 5))
     it = make_iterate(cfg, noises)
     it.u = rng.random((2, 5)) * 0.5
-    it.X, it.S = ad._relaxed_system_arrays(sm.Strategy(it.u), noises,
-                                           it.alpha, cfg)
+    it.X, it.S = relaxed_bars(sm.Strategy(it.u), noises, it.alpha, cfg)
     cache = ad.build_iteration_cache(it, noises, cfg)
     ref = ad.component_subproblem_objective(it.u[:, None], it, noises, cfg,
                                             cache)[:, 0]
@@ -257,8 +259,7 @@ def test_subproblem_solution_independent_of_round_size(monkeypatch):
     noises = rng.random((6, 3, 5))
     it = make_iterate(cfg, noises)
     it.u = rng.random((3, 5)) * 0.5
-    it.X, it.S = ad._relaxed_system_arrays(sm.Strategy(it.u), noises,
-                                           it.alpha, cfg)
+    it.X, it.S = relaxed_bars(sm.Strategy(it.u), noises, it.alpha, cfg)
     cache = ad.build_iteration_cache(it, noises, cfg)
     ref = ad.component_subproblem_objective(it.u[:, None], it, noises, cfg,
                                             cache)[:, 0]
@@ -287,7 +288,7 @@ def test_stock_subproblem_matches_exact_trace():
     noises = rng.random((4, 2, 6))
     strat = sm.Strategy(np.zeros((2, 6)))
     exact = sm.simulate_batch(strat, noises, cfg, record_states=True)
-    X, _ = ad._relaxed_system_arrays(strat, noises, 1e6, cfg)
+    X, _ = relaxed_bars(strat, noises, 1e6, cfg)
     S = ad.solve_stock_subproblem(X, 1e6, cfg)
     band = band_hits(strat, noises, 1e6, cfg)
     ok = ~band
@@ -332,11 +333,11 @@ def test_stock_multiplier_stationarity():
     it.Lam = rng.normal(0, 3.0, it.Lam.shape)
     _, X_new, u_new, Lam_new = _fresh_solution(cfg, noises, it, budget=20)
     S_new = ad.solve_stock_subproblem(X_new, it.alpha, cfg)
+    gamma_s = ad.update_schedules(0, make_params())[1]
     LamS = ad.stock_multiplier_backward(S_new, X_new, u_new, Lam_new, it.S,
-                                        noises, cfg, it.alpha, it.gamma_s)
+                                        noises, cfg, it.alpha, gamma_s)
     res = stock_stationarity_residual(S_new, X_new, u_new, Lam_new, LamS,
-                                      it.S, noises, cfg, it.alpha,
-                                      it.gamma_s)
+                                      it.S, noises, cfg, it.alpha, gamma_s)
     assert res < 1e-10
 
 
@@ -352,8 +353,9 @@ def test_multiplier_trivial_cases():
     # stock multiplier vanishes when S matches the bar and bars carry no
     # multipliers
     S = ad.solve_stock_subproblem(it.X, it.alpha, cfg)
+    gamma_s = ad.update_schedules(0, make_params())[1]
     LamS = ad.stock_multiplier_backward(S, it.X, it.u, np.zeros_like(it.Lam),
-                                        S, noises, cfg, it.alpha, it.gamma_s)
+                                        S, noises, cfg, it.alpha, gamma_s)
     assert np.all(LamS == 0.0)
 
 
@@ -417,7 +419,7 @@ def test_coupling_coefficients_match_fd():
                         u=rng.random((n, T)),
                         Lam=rng.normal(0.0, 2.0, X.shape),
                         LamS=rng.normal(0.0, 2.0, (T + 1, Q)),
-                        gamma_x=0.0, gamma_s=0.0, gamma_u=0.0, alpha=alpha)
+                        gamma_x=0.0, gamma_u=0.0, alpha=alpha)
         cache = ad.build_iteration_cache(it, noises, cfg)
         i0 = rx._ind_singleton(0.0, X[:, :T, 0], alpha)
         assert np.allclose(cache.bprev,

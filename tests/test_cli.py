@@ -433,6 +433,8 @@ def set_key(path, key, text):
     ("--config", "C_F", "true"),
     ("--config", "components.weibul_scale", "99.0"),
     ("--config", "components.1.weibul_scale", "99.0"),
+    # the failure-record sentinel is a constant, no longer a config key
+    ("--config", "delta_default", "-0.01"),
     ("--params", "iterations", "1.7"),
     ("--params", "d_alpha", "true"),
     ("--params", "typo_key", "5"),

@@ -33,7 +33,6 @@ def test_valid_config_accepted():
     ("weibull_shape", [3.0, math.nan]),
     ("weibull_scale", math.inf),
     ("C_P", [50.0, math.nan]),
-    ("delta_default", math.nan),
 ])
 def test_non_finite_fields_rejected(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -90,8 +89,7 @@ def fleets(draw):
         C_P=per_component(cost), C_C=per_component(cost),
         weibull_shape=per_component(law), weibull_scale=per_component(law),
         dt=draw(st.floats(1e-3, 10.0)), tau=draw(st.floats(-0.99, 1.0)),
-        nu=draw(st.floats(0.01, 0.99)),
-        delta_default=draw(st.floats(-10.0, -1e-3)))
+        nu=draw(st.floats(0.01, 0.99)))
 
 
 @settings(max_examples=60, deadline=None)

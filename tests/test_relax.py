@@ -125,7 +125,7 @@ def _random_integer_system(rng, cfg):
         age = float(rng.integers(0, 10)) if regime == 1 else \
             float(rng.integers(0, 4))
         nrec = int(rng.integers(0, cfg.D + 1))
-        P = np.full(cfg.D, cfg.delta_default)
+        P = np.full(cfg.D, sm.NO_FAILURE)
         if nrec:
             dates = np.sort(rng.choice(np.arange(0, 15), nrec,
                                        replace=False))[::-1]
@@ -172,9 +172,9 @@ def test_relaxed_batch_matches_exact_batch(seed):
                                             record_states=True)
         ok = ~band_hits(u, noises, alpha, cfg)
         assert ok.any()
-        for name in ("regimes", "ages", "last_failures", "stock", "pm_cost",
-                     "cm_cost", "fo_cost", "total_cost", "pm_count",
-                     "failure_count", "fo_onsets", "fo_steps"):
+        for name in ("states", "stock", "pm_cost", "cm_cost", "fo_cost",
+                     "total_cost", "pm_count", "failure_count", "fo_onsets",
+                     "fo_steps"):
             assert np.array_equal(getattr(exact, name)[..., ok],
                                   getattr(relaxed, name)[..., ok]), name
 
@@ -227,7 +227,7 @@ def _random_relaxed_point(rng, cfg, i):
     for _ in range(i):
         regime = rng.uniform(-0.2, 1.2)
         age = rng.uniform(0.0, 12.0)
-        P = np.where(rng.random(cfg.D) < 0.4, cfg.delta_default,
+        P = np.where(rng.random(cfg.D) < 0.4, sm.NO_FAILURE,
                      rng.uniform(-1.5, cfg.D + 1.0, cfg.D))
         states.append(ref.ComponentState(regime, age, P))
     stock = rng.uniform(-1.0, 4.0)
