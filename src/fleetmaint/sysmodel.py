@@ -19,13 +19,16 @@ is all a single exact trajectory needs.
 The batch engine steps a block of scenario columns at a time; a call costs
 about as much in numpy dispatch at 20 columns as at a few hundred.  So
 :func:`simulate_batch` also takes a (K, n, T) stack of candidate controls
-and runs all K·Q (candidate, scenario) columns in one call, candidate-major
-and in blocks of :data:`STACK_BLOCK` columns, reading each candidate's
-noises from the shared (Q, n, T) array.  Columns never mix, so every
-candidate gets bit for bit the costs and counts of its own call; a direct
-search hands its poll trials over this way (:mod:`fleetmaint.dsearch`).
+and runs all K·Q (candidate, scenario) columns in one call,
+candidate-major, reading each candidate's noises from the shared
+(Q, n, T) array.  Columns never mix, so every candidate gets bit for bit
+the costs and counts of its own call; a direct search hands its poll
+trials over this way (:mod:`fleetmaint.dsearch`).
 
-The blocks of a single Strategy run through :func:`parallel_map`: one
+A call splits its columns into the fewest blocks of at most
+:data:`BLOCK` (Strategy) or :data:`STACK_BLOCK` (stack) columns, of
+near-equal width, so no block is a short remainder.  The blocks of a
+single Strategy run through :func:`parallel_map`: one
 worker process per usable core, forked through an explicit ``fork``
 context, and never a pool inside a worker (a GIL-bound thread per core
 would hand the GIL over at each of the ~130 numpy calls of a step).  A
@@ -40,7 +43,10 @@ Each step reads a block's noises ``panel[:, :, t].T``, contiguous on the
 step-major panels the package makes.  The step kernel forms its
 intermediates in place, in its output arrays and one scratch array, with
 the same IEEE operations in the same order as the plain expressions in
-its comments.
+its comments.  On {0, 1} controls every exact age is a whole number of
+steps, so an exact block computes the failure law once, at the ages
+0..T of each component, and its steps look it up; a step with a
+fractional age (a PM on a control in [nu, 1)) computes the law itself.
 """
 from __future__ import annotations
 
@@ -116,7 +122,12 @@ class ScenarioSet:
         buf = np.empty((64, self.n, self.T))
         bits = np.random.Philox(key=int(self.seed) << 64)
         gen = np.random.Generator(bits)
-        state = bits.state        # counter 0, key [0, seed], buffer empty
+        # counter 0, key [0, seed], buffer empty, as plain ints: the state
+        # setter reads each entry by index, and a list hands back an int
+        # where a numpy array would make a numpy scalar first
+        state = bits.state
+        state["buffer"] = state["buffer"].tolist()
+        state["state"] = {k: v.tolist() for k, v in state["state"].items()}
         key = state["state"]["key"]
         for start in range(lo, hi, len(buf)):
             part = buf[:min(hi - start, len(buf))]
@@ -226,7 +237,12 @@ def exclusive_cumsum(x):
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
-    np.cumsum(x[:-1], axis=0, out=out[1:])
+    # np.cumsum(x[:-1], axis=0) row by row: the same additions in the same
+    # order, but each one over a contiguous row where the cumsum strides
+    # down the columns of a C-ordered array
+    out[1:2] = x[:1]
+    for i in range(2, len(x)):
+        np.add(out[i - 1], x[i - 1], out=out[i])
     return out
 
 
@@ -235,10 +251,12 @@ _Forward = namedtuple("_Forward", "g b V Vp m p nf one_g E_new A_new I1 I0n "
 
 
 def _component_forward(E, A, P, S, b_prev, u, w, shape, scale,
-                       cfg: SystemConfig, ind: Indicators, g=None) -> _Forward:
+                       cfg: SystemConfig, ind: Indicators, g=None,
+                       p=None) -> _Forward:
     """Indicator values and outputs of one component step (see the core).
 
-    ``g`` is the broken indicator 1{0}(E) when the caller has it already.
+    ``g`` is the broken indicator 1{0}(E) and ``p`` the failure law at the
+    ages ``A`` when the caller has them already.
     Besides the returned fields, the step allocates one scratch array (and
     ``u - nu``, of the controls' shape); the comments give each output as
     the expression whose IEEE operations it performs, in that order up to
@@ -256,7 +274,8 @@ def _component_forward(E, A, P, S, b_prev, u, w, shape, scale,
     V = ind.nonneg(np.subtract(S, b, out=tmp))
     Vp = ind.strict_pos(np.subtract(b, S, out=tmp))
     m = ind.nonneg(u - cfg.nu)
-    p = failure_probability(shape, scale, A, cfg.dt)
+    if p is None:
+        p = failure_probability(shape, scale, A, cfg.dt)
     nf = ind.nonneg(np.subtract(w, p, out=tmp))
     one_g = 1.0 - g
     # survive = nf * (1 - m): healthy, no PM, no failure
@@ -369,11 +388,15 @@ class BatchStats:
     stock: np.ndarray | None = None          # (T+1, Q)
 
 
-#: scenarios stepped together for a Strategy; bounds the memory the step
-#: temporaries and a ScenarioSet's panels take on large batches.  On 100k
-#: scenarios of the small system (n=10, T=40), generation included, a
-#: ScenarioSet takes 2.5-2.9 s of wall and 4.9-5.6 s of CPU in two worker
-#: processes, each peaking at 44 MB, and 4.2-5.8 s in one process (55 MB).
+#: most scenarios stepped together for a Strategy; bounds the memory the
+#: step temporaries and a ScenarioSet's panels take on large batches.  On
+#: 100k scenarios of the small system (n=10, T=40), generation included, a
+#: ScenarioSet takes 2.2-2.7 s of wall and 4.3-5.2 s of CPU in two worker
+#: processes, each peaking at 44 MB, and 4.3-4.6 s in one process (55 MB);
+#: computing the failure law on every step, 2.8-3.6 s, 5.6-6.7 s and
+#: 4.9-6.0 s.  2 049 scenarios, as two blocks of 1 024 and 1 025, take
+#: 77-86 ms on two workers and 89-96 ms in one process; a block of 2 048
+#: and one of a single scenario took 150-171 ms on two workers.
 #: Two threads took 4.0-5.1 s and 6.6-8.5 s of CPU, handing the GIL over
 #: 125 000-150 000 times; 8192-column blocks on threads took 3.6 s but
 #: peaked at 132 MB
@@ -415,10 +438,25 @@ def parallel_map(fn, *iterables):
         yield from pool.map(fn, *zip(*tasks))
 
 
+def _tabled_law(table, rows, A):
+    """The failure law at the (n, width) ages ``A`` from a block's table,
+    or None unless every age is whole.
+
+    Ages start at 0 and rise by at most 1 a step, so whole ages lie in
+    0..T; a PM on a control in [nu, 1) leaves a fraction.  The index
+    array dies with the call, before the step makes its own arrays.
+    """
+    ages = A.astype(np.intp)
+    if (ages == A).all():
+        return table.take(np.add(ages, rows, out=ages))
+    return None
+
+
 def _run_block(u, noises, cfg: SystemConfig, ind: Indicators,
                record_states: bool, lo: int, hi: int):
     """Step scenario columns lo..hi-1 of a call on the (K, n, T) controls
-    ``u``, with the indicators ``ind``.
+    ``u``, with the indicators ``ind``; with :data:`HARD`, steps on whole
+    ages read the failure law from a table of the block.
 
     For one candidate, ``noises`` is a ScenarioSet, whose scenarios lo..hi-1
     the block generates, or an array of just those scenarios; for a stack
@@ -440,6 +478,15 @@ def _run_block(u, noises, cfg: SystemConfig, ind: Indicators,
                  else noises)
     else:
         cand, scen = np.divmod(np.arange(lo, hi), len(noises))
+    # the exact step's failure law at the whole ages 0..T, row i at
+    # i·(T+1); np.power may take another inner loop on a one-element
+    # array, whose result can differ in the last bit, so such a step
+    # computes its own.  Compared with ==: a worker unpickles a copy of HARD
+    table = None
+    if ind == HARD and n * width > 1:
+        table = failure_probability(shape, scale, np.arange(T + 1.0)[None],
+                                    cfg.dt).ravel()
+        rows = np.arange(0, n * (T + 1), T + 1)[:, None]
     sums = np.zeros((6, width))
     cm_cost, fo_cost, pm_count, failure_count, fo_onsets, fo_steps = sums
     pm_steps, empty = np.zeros(T), np.zeros(T + 1)
@@ -468,11 +515,12 @@ def _run_block(u, noises, cfg: SystemConfig, ind: Indicators,
         fo_prev = fo_now
         if t == T:
             break
+        p = None if table is None else _tabled_law(table, rows, A)
         f = _component_forward(
             E, A, P.transpose(1, 0, 2), S, exclusive_cumsum(g),
             u[cand, :, t].T,
             panel[:, :, t].T if K == 1 else noises[scen, :, t].T,
-            shape, scale, cfg, ind, g)
+            shape, scale, cfg, ind, g, p)
         S = stock_step_core(E, P, S, cfg, ind, g)
         pm = np.add.reduce(f.m * f.one_g, axis=0)
         pm_count += pm
@@ -493,11 +541,13 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
     ``controls`` is a Strategy or a (K, n, T) stack of candidate controls,
     each run on all Q scenarios.  Scenario columns are candidate-major
     (column k·Q + q is candidate k on scenario q) and are walked by
-    :func:`_run_block` in blocks of BLOCK columns for a Strategy, through
-    :func:`parallel_map`, and of STACK_BLOCK columns for a stack, one block
-    after another in this process, every block with the indicators ``ind``.
-    Costs use fixed-order summation over t and columns never mix, so
-    results do not depend on the blocking; a stack's fields carry a leading
+    :func:`_run_block` in near-equal blocks of at most BLOCK columns for a
+    Strategy, through :func:`parallel_map`, and of at most STACK_BLOCK
+    columns for a stack, one block after another in this process, every
+    block with the indicators ``ind``.  Costs use fixed-order summation
+    over t and columns never mix, so results do not depend on the
+    blocking, as long as no block is one column wide (numpy then sums a
+    column's components pairwise); a stack's fields carry a leading
     K axis, and row k equals candidate k's own run, but for the curves,
     which a stack leaves at None.
     """
@@ -527,8 +577,11 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
         X = np.empty((cfg.n, T + 1, cfg.D + 2, K * Q))
         stock = np.empty((T + 1, K * Q))
 
-    los = range(0, K * Q, block)
-    his = [min(lo + block, K * Q) for lo in los]
+    # the fewest blocks of at most ``block`` columns, of near-equal width:
+    # a remainder of a few columns would cost a Strategy a worker of its own
+    count = -(-K * Q // block)
+    cuts = [j * K * Q // count for j in range(count + 1)]
+    los, his = cuts[:-1], cuts[1:]
     # a worker gets a ScenarioSet as its four ints, an array as its block
     sources = [noises if stacked or isinstance(noises, ScenarioSet)
                else noises[lo:hi] for lo, hi in zip(los, his)]

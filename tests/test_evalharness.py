@@ -53,7 +53,7 @@ def test_scenarios_count_validation():
         ev.generate_scenarios(2, 3, 0, seed=1)
 
 
-@pytest.mark.parametrize("seed", [0, 42, 2 ** 63])
+@pytest.mark.parametrize("seed", [0, 42, 2 ** 63, 2 ** 64 - 1])
 def test_scenarios_are_the_keyed_philox_streams(seed):
     """Scenario q is Generator(Philox(key=(seed << 64) + q)).random((n, T)),
     also past the first few thousand scenarios."""

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -369,15 +370,16 @@ def test_batch_matches_scalar_simulation(tmp_path_factory, seed, n, s_init,
 
 
 def test_blocked_batch_matches_scalar_and_slices():
-    # two full blocks of the batch driver plus a remainder
+    # three near-equal blocks of the batch driver, cut at Q // 3 and
+    # 2 * Q // 3
     cfg = make_cfg(n=3, T=6, s_init=1, D=2, weibull_scale=3.0)
     rng = np.random.default_rng(21)
     Q = 2 * sm.BLOCK + 37
     u = sm.Strategy(rng.random((3, 6)))
     noises = rng.random((Q, 3, 6))
     stats = sm.simulate_batch(u, noises, cfg, record_states=True)
-    picks = [0, 5, sm.BLOCK - 1, sm.BLOCK, sm.BLOCK + 11, 2 * sm.BLOCK,
-             Q - 1]
+    picks = [0, 5, Q // 3 - 1, Q // 3, sm.BLOCK, sm.BLOCK + 11,
+             2 * Q // 3, Q - 1]
     for q in picks:
         traj = ref.simulate(u, ref.Scenario(noises[q]), cfg)
         cost = ref.total_cost(traj, u, cfg)
@@ -406,6 +408,108 @@ def test_blocked_batch_matches_scalar_and_slices():
     assert stats.failure_count.sum() > 0 and stats.fo_steps.sum() > 0
 
 
+#: the exact indicators, but not :data:`sm.HARD` itself: with them the
+#: engine computes the failure law on every step instead of looking it up
+DIRECT_LAW = sm.Indicators(*(partial(f) for f in sm.HARD))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1),
+       laws=st.lists(st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                               st.floats(0.2, 8.0)), min_size=1, max_size=4),
+       dt=st.sampled_from([0.25, 1.0, 2.0]), n=st.sampled_from([1, 2, 3, 80]),
+       width=st.one_of(st.sampled_from([1, 2, sm.BLOCK]),
+                       st.integers(1, sm.BLOCK)),
+       K=st.sampled_from([None, 2, 3]),
+       pm=st.sampled_from(["whole", "fractional"]))
+# one-element steps on which the tabled law would differ in the last bit
+@example(seed=9, laws=[2.0], dt=1.0, n=1, width=1, K=None, pm="whole")
+@example(seed=19, laws=[0.5], dt=1.0, n=1, width=1, K=None, pm="whole")
+def test_failure_law_table_matches_direct_calls(seed, laws, dt, n, width, K,
+                                                pm):
+    """The exact engine looks the failure law up in a per-block table at
+    whole ages; computed on every step instead, every field of a Strategy's
+    and of a stack's run is the same to the bit.  A PM on a control in
+    [nu, 1) leaves a fractional age, and that step computes the law."""
+    rng = np.random.default_rng(seed)
+    T = 6
+    cfg = make_cfg(n=n, T=T, s_init=1, dt=dt,
+                   weibull_shape=rng.choice(laws, n),
+                   weibull_scale=rng.uniform(2.0, 15.0, n),
+                   C_P=rng.uniform(0.0, 100.0, n),
+                   C_C=rng.uniform(0.0, 400.0, n))
+    shape = (n, T) if K is None else (K, n, T)
+    # controls below nu change nothing; whole PMs keep every age whole
+    u = np.where(rng.random(shape) < 0.3, 1.0, cfg.nu * rng.random(shape))
+    if pm == "fractional":
+        u = np.where(u == 1.0, cfg.nu + (1.0 - cfg.nu) * rng.random(shape),
+                     u)
+    controls = sm.Strategy(u) if K is None else u
+    # half the noises sit on the law of a component never renewed, as a
+    # one-element step computes it: there the last bit of p decides
+    law = [[sm.failure_probability(cfg.weibull_shape[i:i + 1, None],
+                                   cfg.weibull_scale[i:i + 1, None],
+                                   np.full((1, 1), float(t)), dt)[0, 0]
+            for t in range(T)] for i in range(n)]
+    noises = np.where(rng.random((width, n, T)) < 0.5, law,
+                      rng.random((width, n, T)))
+    table = sm.simulate_batch(controls, noises, cfg, record_states=True)
+    direct = sm._simulate(controls, noises, cfg, True, DIRECT_LAW)
+    for field in dataclasses.fields(sm.BatchStats):
+        a, b = getattr(table, field.name), getattr(direct, field.name)
+        assert (a is None) == (b is None), field.name
+        if a is not None:
+            assert a.tobytes() == b.tobytes(), field.name
+
+
+_CUMSUM_INPUTS = {
+    "ramp": lambda rng, shape: rx._ind_singleton(
+        0.0, rng.uniform(-0.1, 1.1, shape), 3.7),
+    "signed": lambda rng, shape: np.where(
+        rng.random(shape) < 0.1, -0.0,
+        rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape))}
+
+
+@pytest.mark.parametrize("values", sorted(_CUMSUM_INPUTS))
+@pytest.mark.parametrize("shape", [(1, 1), (1, 37), (10, sm.BLOCK), (80, 50),
+                                   (80, 40, 50)])
+def test_exclusive_cumsum_equals_cumsum_bit_for_bit(shape, values):
+    # relaxed broken indicators, and signed values with negative zeros;
+    # the decomposition also passes a reversed view
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    x = _CUMSUM_INPUTS[values](rng, shape)
+    for rows in (x, x[::-1]):
+        want = np.zeros_like(rows)
+        np.cumsum(rows[:-1], axis=0, out=want[1:])
+        assert sm.exclusive_cumsum(rows).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("K, Q, widths", [
+    (None, 1, [1]), (None, sm.BLOCK, [sm.BLOCK]),
+    (None, sm.BLOCK + 1, [1024, 1025]), (None, 2 * sm.BLOCK + 1,
+                                         [1365, 1366, 1366]),
+    (3, 171, [256, 257]), (2, sm.STACK_BLOCK // 2, [sm.STACK_BLOCK])])
+def test_columns_split_into_near_equal_blocks(monkeypatch, K, Q, widths):
+    """A call steps the fewest blocks of at most BLOCK (Strategy) or
+    STACK_BLOCK (stack) columns, none shorter than the others by more than
+    one column: a short remainder would cost a Strategy a worker of its
+    own."""
+    cfg = make_cfg(n=2, T=3)
+    steps = []
+    block = sm._run_block
+
+    def spy(u, noises, cfg, ind, record_states, lo, hi):
+        steps.append(hi - lo)
+        return block(u, noises, cfg, ind, record_states, lo, hi)
+
+    monkeypatch.setattr(sm, "_run_block", spy)
+    monkeypatch.setattr(sm, "_usable_cores", lambda: 1)
+    controls = (sm.Strategy(np.zeros((2, 3))) if K is None
+                else np.zeros((K, 2, 3)))
+    sm.simulate_batch(controls, sm.ScenarioSet(2, 3, Q, 1), cfg)
+    assert steps == widths
+
+
 def _blocks_in_workers(monkeypatch, workers, run):
     """``run()`` with the batch driver allowed ``workers`` worker
     processes; none of them outlives the call."""
@@ -416,9 +520,9 @@ def _blocks_in_workers(monkeypatch, workers, run):
 
 
 def test_outputs_identical_across_worker_counts(monkeypatch, tmp_path):
-    # three blocks of scenario columns, the last one partial: one worker
-    # and several give the same bytes in every field and output file, on
-    # an array of noises and on a ScenarioSet
+    # three blocks of scenario columns: one worker and several give the
+    # same bytes in every field and output file, on an array of noises and
+    # on a ScenarioSet
     cfg = small_system_config()
     rng = np.random.default_rng(12)
     Q = 2 * sm.BLOCK + 52
