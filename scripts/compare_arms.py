@@ -41,7 +41,7 @@ def main():
     tic = time.perf_counter()
     app_strat, history = ad.app_fixed_point(cfg, p, noises, seed=args.seed)
     app_time = time.perf_counter() - tic
-    ad.history_to_csv(history, out / "app_history.csv", cfg.n)
+    cli.history_to_csv(history, out / "app_history.csv", cfg.n)
     cli.save_strategy(app_strat, cfg, out / "app_strategy.csv")
 
     total_evals = args.iterations * cfg.n * args.budget
@@ -56,15 +56,14 @@ def main():
                               ("direct", direct_strat, direct_time)):
         projected = ev.project_strategy(strat, cfg.nu)
         report = ev.evaluate_strategy(projected, validation, cfg)
-        ev.report_to_csv(report, out / f"{name}_report.csv")
+        cli.report_to_csv(report, out / f"{name}_report.csv")
         rows.append((name, report.mean_cost, wall))
         print(f"{name:7s} mean cost {report.mean_cost:12.4f} "
               f"({wall:7.1f} s, {total_evals} evals)")
     ratio = rows[0][1] / rows[1][1] if rows[1][1] else float("nan")
     print(f"app/direct cost ratio: {ratio:.4f}")
-    (out / "summary.csv").write_text(
-        "arm,mean_cost,wall_time\n"
-        + "\n".join(f"{n},{c:.17g},{w:.17g}" for n, c, w in rows) + "\n")
+    cli.write_csv(out / "summary.csv", ["arm", "mean_cost", "wall_time"],
+                  rows)
 
 
 if __name__ == "__main__":

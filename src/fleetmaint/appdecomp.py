@@ -26,7 +26,8 @@ whose every round steps a chunk of candidate controls per component, all
 on one stack of scenario columns with one fleet-wide relaxed step call per
 time step, and one fleet-wide multiplier recursion.
 Then the stock subproblem and its multiplier run on the freshly installed
-component solutions.
+component solutions.  The driver returns the strategy and a per-iteration
+history as values; ``cli`` writes them out.
 
 Sign convention used throughout: the dynamics constraint is written as
 X_{t+1} - f(X_t, ...) = 0, so its Jacobian with respect to time-t inputs is
@@ -405,13 +406,14 @@ def stock_multiplier_backward(S_new, X_new, u_new, Lam_new, S_bar, noises,
     T = cfg.T
     Q = S_new.shape[-1]
     E, P = X_new[:, :, 0, :], X_new[:, :, 2:, :]
+    bprev = sm.exclusive_cumsum(rx._ind_singleton(0.0, E[:, :T], alpha))
     LamS = np.zeros((T + 1, Q))
     LamS[T] = -gamma_s * (S_new[T] - S_bar[T])
     for t in range(T - 1, -1, -1):
-        b_prev = sm.exclusive_cumsum(rx._ind_singleton(0.0, E[:, t], alpha))
-        acc = np.sum(_stock_sensitivity(X_new, u_new, t, S_bar[t], b_prev,
-                                        noises, Lam_new[:, t + 1], alpha,
-                                        cfg), axis=0)
+        acc = np.sum(_stock_sensitivity(X_new, u_new, t, S_bar[t],
+                                        bprev[:, t], noises,
+                                        Lam_new[:, t + 1], alpha, cfg),
+                     axis=0)
         sp = rx.stock_step_partials(E[:, t], P[:, t], S_new[t], alpha, cfg)
         LamS[t] = -gamma_s * (S_new[t] - S_bar[t]) + acc + sp.d_S * LamS[t + 1]
     return LamS
@@ -461,16 +463,3 @@ def app_fixed_point(cfg: SystemConfig, p: APPParams, noises, seed: int):
             "subproblem_best": bests.tolist(),
         })
     return Strategy(it.u.copy()), history
-
-
-def history_to_csv(history, path, n: int):
-    cols = ["k", "alpha", "gamma_u", "gamma_x", "gamma_s", "saa_relaxed"] \
-        + [f"best_{i + 1}" for i in range(n)]
-    lines = [",".join(cols)]
-    for rec in history:
-        row = [str(rec["k"])] + [
-            f"{rec[c]:.17g}" for c in cols[1:6]
-        ] + [f"{b:.17g}" for b in rec["subproblem_best"]]
-        lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -11,6 +11,9 @@ Five subcommand-style modes (:data:`MODES`) share one flag set:
 * ``tune``            Latin-hypercube search over the six decomposition
                       parameters on a small system.
 
+Every output file is written here, each CSV table through
+:func:`write_csv`; the numerical layers return values only.
+
 Every mode is a deterministic function of (config, seed, flags).  The
 parser declares the flags and their defaults and :func:`main` checks their
 ranges; the config and parameter files take their keys, types and defaults
@@ -50,17 +53,24 @@ MODES = ("simulate", "optimize-app", "optimize-direct", "evaluate", "tune")
 
 
 # ---------------------------------------------------------------------------
-# strategy and parameter files
+# tables, strategy and parameter files
+
+
+def write_csv(path, header, rows):
+    """Write one table: the header, then one line per row.  A float cell is
+    written as ``.17g``, which reads back to the same double; any other
+    cell with ``str``."""
+    lines = [",".join(header)]
+    lines += [",".join(f"{c:.17g}" if isinstance(c, float) else str(c)
+                       for c in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def save_strategy(strategy: Strategy, cfg: SystemConfig, path):
     """CSV strategy file: header with sizes, then T rows of n controls."""
-    u = strategy.controls
-    n, T = u.shape
-    lines = [f"n={n},T={T},nu={cfg.nu:.17g}"]
-    for t in range(T):
-        lines.append(",".join(f"{u[i, t]:.17g}" for i in range(n)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    n, T = strategy.controls.shape
+    write_csv(path, [f"n={n}", f"T={T}", f"nu={cfg.nu:.17g}"],
+              strategy.controls.T)
 
 
 def load_strategy(path, cfg: SystemConfig) -> Strategy:
@@ -114,15 +124,22 @@ def trajectory_to_csv(stats: BatchStats, strategy: Strategy,
         header += [f"regime_{i}", f"age_{i}", f"pm_{i}", f"failure_{i}",
                    f"cm_{i}"]
     header.append("forced_outage")
-    lines = [",".join(header)]
+    rows = []
     for t in range(T + 1):
-        row = [str(t), f"{S[t]:.17g}"]
+        row = [t, S[t]]
         for i in range(cfg.n):
-            row += [f"{E[t, i]:.17g}", f"{A[t, i]:.17g}", str(pm[t, i]),
-                    str(failure[t, i]), str(cm[t, i])]
-        row.append(str(forced_outage[t]))
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+            row += [E[t, i], A[t, i], pm[t, i], failure[t, i], cm[t, i]]
+        rows.append(row + [forced_outage[t]])
+    write_csv(path, header, rows)
+
+
+def history_to_csv(history, path, n: int):
+    """One row per fixed-point iteration: its schedule values, the mean
+    relaxed cost of its controls and each subproblem's best value."""
+    cols = ["k", "alpha", "gamma_u", "gamma_x", "gamma_s", "saa_relaxed"]
+    write_csv(path, cols + [f"best_{i + 1}" for i in range(n)],
+              ([rec[c] for c in cols] + rec["subproblem_best"]
+               for rec in history))
 
 
 #: the six decomposition parameters: the float fields of APPParams
@@ -214,14 +231,65 @@ def tune(cfg: SystemConfig, samples, noises, validation, seed: int):
 
 
 def leaderboard_to_csv(leaderboard, path):
-    cols = ["rank", "index", "cost"] + list(_PARAM_KEYS)
-    lines = [",".join(cols)]
-    for rank, rec in enumerate(leaderboard):
-        p = rec["params"]
-        lines.append(",".join(
-            [str(rank), str(rec["index"]), f"{rec['cost']:.17g}"]
-            + [f"{getattr(p, k):.17g}" for k in _PARAM_KEYS]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, ["rank", "index", "cost"] + list(_PARAM_KEYS),
+              ([rank, rec["index"], rec["cost"]]
+               + [getattr(rec["params"], k) for k in _PARAM_KEYS]
+               for rank, rec in enumerate(leaderboard)))
+
+
+# ---------------------------------------------------------------------------
+# evaluation reports
+
+
+def report_to_text(report: ev.EvaluationReport) -> str:
+    """Human-readable summary, costs also shown in thousands."""
+    lines = [
+        f"scenarios            {report.scenario_count}",
+        f"mean cost            {report.mean_cost:.6g}"
+        f"  ({report.mean_cost / 1e3:.6g} k)",
+        "quantiles:",
+    ]
+    for lv, qv in zip(ev.QUANTILE_LEVELS, report.quantiles):
+        lines.append(f"  q{lv:02d}                {qv:.6g}")
+    lines += [
+        f"breakdown pm/cm/fo   {report.breakdown['pm']:.6g} / "
+        f"{report.breakdown['cm']:.6g} / {report.breakdown['fo']:.6g}",
+        f"PMs per scenario     {report.total_pm:.6g}",
+        f"PMs per component    {report.mean_pm_per_component:.6g}",
+        f"failures per comp.   {report.mean_failures_per_component:.6g}",
+        f"FO onsets            {report.fo_onsets_total} in "
+        f"{report.scenario_count} scenarios "
+        f"({report.fo_scenarios} scenarios affected)",
+        f"FO steps per scen.   {report.fo_steps_mean:.6g}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def report_to_csv(report: ev.EvaluationReport, path):
+    """Quantile table plus scalar metrics, one metric per row."""
+    rows = [("scenario_count", report.scenario_count),
+            ("mean_cost", report.mean_cost)]
+    rows += [(f"quantile_{lv}", qv)
+             for lv, qv in zip(ev.QUANTILE_LEVELS, report.quantiles)]
+    rows += [(f"mean_{key}_cost", val)
+             for key, val in report.breakdown.items()]
+    rows += [("mean_pm_count", report.total_pm),
+             ("mean_pm_per_component", report.mean_pm_per_component),
+             ("mean_failures_per_component",
+              report.mean_failures_per_component),
+             ("fo_onsets_total", report.fo_onsets_total),
+             ("fo_onsets_mean", report.fo_onsets_mean),
+             ("fo_steps_mean", report.fo_steps_mean),
+             ("fo_scenarios", report.fo_scenarios)]
+    write_csv(path, ["metric", "value"], rows)
+
+
+def curves_to_csv(report: ev.EvaluationReport, pm_path, stock_path):
+    """Plot-ready curve files: cumulative PMs and empty-stock probability."""
+    write_csv(pm_path, ["t", "mean_cumulative_pm"],
+              enumerate(report.pm_cumulative_curve))
+    write_csv(stock_path, ["t", "empty_stock_probability"],
+              enumerate(report.empty_stock_curve))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +328,7 @@ def _run_optimize_app(args, cfg, out: Path):
     save_strategy(strat, cfg, out / "strategy.csv")
     save_strategy(ev.project_strategy(strat, cfg.nu), cfg,
                   out / "strategy_projected.csv")
-    ad.history_to_csv(history, out / "history.csv", cfg.n)
+    history_to_csv(history, out / "history.csv", cfg.n)
     print(f"optimize-app: wrote {out / 'strategy.csv'}")
 
 
@@ -299,11 +367,11 @@ def _run_evaluate(args, cfg, out: Path):
     scen = ScenarioSet(cfg.n, cfg.T, args.validation_scenarios, args.seed)
     report = ev.evaluate_strategy(ev.project_strategy(strategy, cfg.nu),
                                   scen, cfg)
-    ev.report_to_csv(report, out / "report.csv")
-    (out / "report.txt").write_text(ev.report_to_text(report))
-    ev.curves_to_csv(report, out / "pm_cumulative.csv",
-                     out / "empty_stock.csv")
-    print(ev.report_to_text(report), end="")
+    report_to_csv(report, out / "report.csv")
+    text = report_to_text(report)
+    (out / "report.txt").write_text(text)
+    curves_to_csv(report, out / "pm_cumulative.csv", out / "empty_stock.csv")
+    print(text, end="")
 
 
 def _run_tune(args, cfg, out: Path):

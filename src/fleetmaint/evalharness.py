@@ -14,7 +14,7 @@ them; that keeps the comparison between optimizers fair.
 The evaluation report mirrors the usual study tables: mean discounted cost
 with quantiles, a cost breakdown, event counts, and the plot-ready curves
 (cumulative preventive maintenances per step, empty-stock probability per
-step).
+step).  This module builds the report as values; ``cli`` writes it out.
 """
 from __future__ import annotations
 
@@ -55,10 +55,7 @@ def project_strategy(strategy: Strategy, nu: float) -> Strategy:
     An entry at or above the renewal threshold becomes a full PM (1), the
     rest become no-ops (0).  Idempotent.
     """
-    u = np.asarray(strategy.controls, dtype=float)
-    if np.any(u < 0.0) or np.any(u > 1.0):
-        raise ValueError("controls must lie in [0, 1]")
-    return Strategy(np.where(u >= nu, 1.0, 0.0))
+    return Strategy(np.where(strategy.controls >= nu, 1.0, 0.0))
 
 
 @dataclass
@@ -67,8 +64,7 @@ class EvaluationReport:
 
     scenario_count: int
     mean_cost: float
-    quantile_levels: tuple
-    quantiles: np.ndarray          # same length as quantile_levels
+    quantiles: np.ndarray          # at QUANTILE_LEVELS
     breakdown: dict                # mean pm/cm/fo costs
     total_pm: float                # mean PM count per scenario (whole fleet)
     mean_pm_per_component: float
@@ -115,7 +111,6 @@ def evaluate_strategy(strategy: Strategy, scenarios,
     report = EvaluationReport(
         scenario_count=Q,
         mean_cost=float(np.mean(stats.total_cost)),
-        quantile_levels=QUANTILE_LEVELS,
         quantiles=quantiles,
         breakdown={"pm": float(np.mean(stats.pm_cost)),
                    "cm": float(np.mean(stats.cm_cost)),
@@ -133,61 +128,3 @@ def evaluate_strategy(strategy: Strategy, scenarios,
     )
     report.validate()
     return report
-
-
-def report_to_text(report: EvaluationReport) -> str:
-    """Human-readable summary, costs also shown in thousands."""
-    lines = [
-        f"scenarios            {report.scenario_count}",
-        f"mean cost            {report.mean_cost:.6g}"
-        f"  ({report.mean_cost / 1e3:.6g} k)",
-        "quantiles:",
-    ]
-    for lv, qv in zip(report.quantile_levels, report.quantiles):
-        lines.append(f"  q{lv:02d}                {qv:.6g}")
-    lines += [
-        f"breakdown pm/cm/fo   {report.breakdown['pm']:.6g} / "
-        f"{report.breakdown['cm']:.6g} / {report.breakdown['fo']:.6g}",
-        f"PMs per scenario     {report.total_pm:.6g}",
-        f"PMs per component    {report.mean_pm_per_component:.6g}",
-        f"failures per comp.   {report.mean_failures_per_component:.6g}",
-        f"FO onsets            {report.fo_onsets_total} in "
-        f"{report.scenario_count} scenarios "
-        f"({report.fo_scenarios} scenarios affected)",
-        f"FO steps per scen.   {report.fo_steps_mean:.6g}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def report_to_csv(report: EvaluationReport, path):
-    """Quantile table plus scalar metrics, one metric per row."""
-    rows = [("metric", "value")]
-    rows.append(("scenario_count", f"{report.scenario_count}"))
-    rows.append(("mean_cost", f"{report.mean_cost:.17g}"))
-    for lv, qv in zip(report.quantile_levels, report.quantiles):
-        rows.append((f"quantile_{lv}", f"{qv:.17g}"))
-    for key, val in report.breakdown.items():
-        rows.append((f"mean_{key}_cost", f"{val:.17g}"))
-    rows.append(("mean_pm_count", f"{report.total_pm:.17g}"))
-    rows.append(("mean_pm_per_component",
-                 f"{report.mean_pm_per_component:.17g}"))
-    rows.append(("mean_failures_per_component",
-                 f"{report.mean_failures_per_component:.17g}"))
-    rows.append(("fo_onsets_total", f"{report.fo_onsets_total}"))
-    rows.append(("fo_onsets_mean", f"{report.fo_onsets_mean:.17g}"))
-    rows.append(("fo_steps_mean", f"{report.fo_steps_mean:.17g}"))
-    rows.append(("fo_scenarios", f"{report.fo_scenarios}"))
-    with open(path, "w") as fh:
-        fh.write("\n".join(",".join(r) for r in rows) + "\n")
-
-
-def curves_to_csv(report: EvaluationReport, pm_path, stock_path):
-    """Plot-ready curve files: cumulative PMs and empty-stock probability."""
-    with open(pm_path, "w") as fh:
-        fh.write("t,mean_cumulative_pm\n")
-        for t, v in enumerate(report.pm_cumulative_curve):
-            fh.write(f"{t},{v:.17g}\n")
-    with open(stock_path, "w") as fh:
-        fh.write("t,empty_stock_probability\n")
-        for t, v in enumerate(report.empty_stock_curve):
-            fh.write(f"{t},{v:.17g}\n")

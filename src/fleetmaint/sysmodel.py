@@ -397,9 +397,6 @@ class BatchStats:
 #: 4.9-6.0 s.  2 049 scenarios, as two blocks of 1 024 and 1 025, take
 #: 77-86 ms on two workers and 89-96 ms in one process; a block of 2 048
 #: and one of a single scenario took 150-171 ms on two workers.
-#: Two threads took 4.0-5.1 s and 6.6-8.5 s of CPU, handing the GIL over
-#: 125 000-150 000 times; 8192-column blocks on threads took 3.6 s but
-#: peaked at 132 MB
 BLOCK = 2048
 
 #: scenario columns stepped together for a stack of candidate controls,
@@ -565,6 +562,9 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
     if stacked and isinstance(noises, ScenarioSet):
         noises = noises.block(0, noises.count)    # a stack's Q is small
     K, Q = len(u), noises.shape[0]
+    if K * Q == 0:
+        raise DimensionError(f"nothing to simulate: {K} candidates on "
+                             f"{Q} scenarios")
     T = cfg.T
     block = STACK_BLOCK if stacked else BLOCK
     beta = cfg.discount(np.arange(T + 1))
@@ -631,7 +631,7 @@ def simulate_batch(strategy, noises: np.ndarray, cfg: SystemConfig,
     :class:`ScenarioSet`.  A stack runs every candidate on the same Q
     scenarios, without copying the noises; its stats have no curves, and
     every other field gets a leading K axis whose row k equals candidate
-    k's own run.  This is the fleet step kernel with :data:`HARD`
-    indicators.
+    k's own run.  No candidates or no scenarios raise DimensionError.
+    This is the fleet step kernel with :data:`HARD` indicators.
     """
     return _simulate(strategy, noises, cfg, record_states, HARD)

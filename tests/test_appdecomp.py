@@ -4,6 +4,7 @@ import pytest
 
 from fleetmaint.config import SystemConfig
 from fleetmaint import appdecomp as ad
+from fleetmaint import cli
 from fleetmaint import relax as rx
 from fleetmaint import sysmodel as sm
 from adjoint_reference import (component_stationarity_residual,
@@ -549,7 +550,7 @@ def test_history_csv(tmp_path):
     p = make_params(iterations=2, subproblem_budget=10)
     _, history = ad.app_fixed_point(cfg, p, noises, seed=3)
     path = tmp_path / "history.csv"
-    ad.history_to_csv(history, path, cfg.n)
+    cli.history_to_csv(history, path, cfg.n)
     lines = path.read_text().strip().split("\n")
     assert lines[0].startswith("k,alpha,gamma_u")
     assert len(lines) == 3

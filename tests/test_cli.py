@@ -94,6 +94,49 @@ def test_params_file_rejects_garbage(tmp_path):
         cli.load_params(path)
 
 
+def test_table_writers_exact_bytes(tmp_path):
+    path = tmp_path / "table.csv"
+    cli.write_csv(path, ["a", "b", "c"],
+                  [(0.1, 3, "x"), (np.float64(2.0), np.int64(7), 1 / 3)])
+    assert path.read_bytes() == (b"a,b,c\n0.10000000000000001,3,x\n"
+                                 b"2,7,0.33333333333333331\n")
+
+    cols = b"k,alpha,gamma_u,gamma_x,gamma_s,saa_relaxed,best_1,best_2\n"
+    cli.history_to_csv([{"k": 4, "alpha": 0.1, "gamma_u": 2.0,
+                         "gamma_x": 0.5, "gamma_s": 1e5, "saa_relaxed": 1 / 3,
+                         "subproblem_best": [0.1, -1.25]}], path, 2)
+    assert path.read_bytes() == cols + (
+        b"4,0.10000000000000001,2,0.5,100000,0.33333333333333331,"
+        b"0.10000000000000001,-1.25\n")
+    cli.history_to_csv([], path, 2)
+    assert path.read_bytes() == cols
+
+    report = ev.EvaluationReport(
+        scenario_count=3, mean_cost=0.1,
+        quantiles=np.array([0.0, 0.0, 0.05, 0.1, 0.1, 0.15, 0.2]),
+        breakdown={"pm": 0.1, "cm": 0.0, "fo": 0.0}, total_pm=2.0,
+        mean_pm_per_component=1.0, mean_failures_per_component=1 / 3,
+        fo_onsets_mean=0.5, fo_onsets_total=np.int64(2), fo_steps_mean=1.5,
+        fo_scenarios=1, pm_cumulative_curve=np.array([0.0, 0.1]),
+        empty_stock_curve=np.array([0.0, 0.5, 1.0]))
+    cli.report_to_csv(report, path)
+    assert path.read_bytes() == (
+        b"metric,value\nscenario_count,3\nmean_cost,0.10000000000000001\n"
+        b"quantile_1,0\nquantile_5,0\nquantile_25,0.050000000000000003\n"
+        b"quantile_50,0.10000000000000001\nquantile_75,0.10000000000000001\n"
+        b"quantile_95,0.14999999999999999\nquantile_99,0.20000000000000001\n"
+        b"mean_pm_cost,0.10000000000000001\nmean_cm_cost,0\nmean_fo_cost,0\n"
+        b"mean_pm_count,2\nmean_pm_per_component,1\n"
+        b"mean_failures_per_component,0.33333333333333331\n"
+        b"fo_onsets_total,2\nfo_onsets_mean,0.5\nfo_steps_mean,1.5\n"
+        b"fo_scenarios,1\n")
+    cli.curves_to_csv(report, tmp_path / "pm.csv", tmp_path / "stock.csv")
+    assert (tmp_path / "pm.csv").read_bytes() == (
+        b"t,mean_cumulative_pm\n0,0\n1,0.10000000000000001\n")
+    assert (tmp_path / "stock.csv").read_bytes() == (
+        b"t,empty_stock_probability\n0,0\n1,0.5\n2,1\n")
+
+
 # ---------------------------------------------------------------------------
 # Latin hypercube sampling
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fleetmaint.config import SystemConfig, small_system_config
+from fleetmaint import cli
 from fleetmaint import evalharness as ev
 from fleetmaint import sysmodel as sm
 import scalar_reference as ref
@@ -284,14 +285,14 @@ def test_report_serialization(tmp_path):
     cfg = make_cfg(n=2, T=4)
     scen = ev.generate_scenarios(2, 4, 10, seed=8)
     rep = ev.evaluate_strategy(sm.Strategy(np.ones((2, 4))), scen, cfg)
-    text = ev.report_to_text(rep)
+    text = cli.report_to_text(rep)
     assert "mean cost" in text and "q50" in text
     csv_path = tmp_path / "report.csv"
-    ev.report_to_csv(rep, csv_path)
+    cli.report_to_csv(rep, csv_path)
     body = csv_path.read_text()
     assert body.startswith("metric,value")
     assert "quantile_99" in body
-    ev.curves_to_csv(rep, tmp_path / "pm.csv", tmp_path / "stock.csv")
+    cli.curves_to_csv(rep, tmp_path / "pm.csv", tmp_path / "stock.csv")
     pm_lines = (tmp_path / "pm.csv").read_text().strip().split("\n")
     assert len(pm_lines) == cfg.T + 1          # header + T rows
     stock_lines = (tmp_path / "stock.csv").read_text().strip().split("\n")

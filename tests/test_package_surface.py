@@ -1,7 +1,8 @@
 """Every public function of the numerical layers, the evaluation harness
 and the config module has a caller outside the tests, and every field of
 their dataclasses a reader: a helper or a field only the tests use
-belongs in ``tests/``."""
+belongs in ``tests/``.  The numerical layers and the harness write no
+files."""
 import ast
 from pathlib import Path
 
@@ -75,3 +76,16 @@ def test_dataclass_fields_are_read_outside_tests():
               for cls, name in _dataclass_fields(module) if name not in read]
     assert unread == [], (
         f"dataclass fields never read outside tests/: {unread}")
+
+
+def test_numerical_layers_write_no_files():
+    # results leave these modules as values; cli lays them out on disk.
+    # config is left out: its own file format is its job (save_config)
+    writers = {"open", "write_text", "write_bytes"}
+    calls = [f"{module}:{node.lineno}" for module in MODULES
+             if module != "config"
+             for node in ast.walk(_module_tree(module))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             in writers]
+    assert calls == [], f"file writes in the numerical layers: {calls}"

@@ -652,6 +652,18 @@ def test_strategy_shape_checked(engine, shape):
         run[engine]()
 
 
+def test_zero_size_batch_raises():
+    cfg = small_system_config()
+    strat = sm.Strategy(np.zeros((cfg.n, cfg.T)))
+    none = np.zeros((0, cfg.n, cfg.T))
+    noises = np.random.default_rng(0).random((4, cfg.n, cfg.T))
+    for run in (lambda: sm.simulate_batch(strat, none, cfg),
+                lambda: sm.simulate_batch(none, noises, cfg),
+                lambda: rx.simulate_relaxed_batch(strat, none, 50.0, cfg)):
+        with pytest.raises(sm.DimensionError):
+            run()
+
+
 # ---------------------------------------------------------------------------
 # stacked candidates
 
