@@ -155,15 +155,16 @@ class IterationCache:
     coord: np.ndarray           # (n, T, D+2, Q)
 
 
-def _fleet_partials(X, U, t, S_t, b_prev, noises, alpha, cfg: SystemConfig
-                    ) -> rx.ComponentStepPartials:
-    """Partials of every component's relaxed step at time t, in one call.
+def _fleet_partials(block, X, U, t, S_t, b_prev, noises, alpha,
+                    cfg: SystemConfig) -> np.ndarray:
+    """One Jacobian block of every component's relaxed step at time t, in
+    one call of ``block`` (``relax.component_step_d_own`` or ``_d_S``).
 
     Takes the states (n, T+1, D+2, Q), controls (n, T) and noises
     (Q, n, T) of all times, and the (Q,) stock and (n, Q) broken-below
     counts at t.
     """
-    return rx.component_step_partials(
+    return block(
         X[:, t, 0], X[:, t, 1], X[:, t, 2:].transpose(1, 0, 2), S_t, b_prev,
         U[:, t, None], noises[:, :, t].T, alpha, cfg.weibull_shape[:, None],
         cfg.weibull_scale[:, None], cfg)
@@ -173,11 +174,12 @@ def _stock_sensitivity(X, U, t, S_t, b_prev, noises, Lam_next, alpha,
                        cfg: SystemConfig) -> np.ndarray:
     """Per-component d_S . Lam_{t+1} of the fleet's step at time t, (n, Q).
 
-    Takes the arguments of :func:`_fleet_partials` and the (n, D+2, Q)
-    multipliers at t+1.
+    Takes the arguments of :func:`_fleet_partials` after ``block`` and the
+    (n, D+2, Q) multipliers at t+1.
     """
-    cp = _fleet_partials(X, U, t, S_t, b_prev, noises, alpha, cfg)
-    return np.einsum("ojq,joq->jq", cp.d_S, Lam_next)
+    d_S = _fleet_partials(rx.component_step_d_S, X, U, t, S_t, b_prev,
+                          noises, alpha, cfg)
+    return np.einsum("ojq,joq->jq", d_S, Lam_next)
 
 
 def build_iteration_cache(it: Iterate, noises, cfg: SystemConfig
@@ -285,10 +287,11 @@ def _subproblem_values(U, X, it: Iterate, cfg: SystemConfig,
 
 
 #: scenario columns one lockstep round steps, summed over the rows: each
-#: row's chunk is capped at max(1, LOCKSTEP_COLUMNS // (n Q)) candidates.
-#: That is ten on the 10-component system with 20 scenarios, where a round
-#: of one candidate per row is dispatch-bound (see ``dsearch``), and one on
-#: the 80-component fleet with 50 scenarios or more.
+#: row's chunk holds max(1, LOCKSTEP_COLUMNS // (n Q)) candidates from a
+#: poll's first trial, the start point included in the first.  That is
+#: ten on the 10-component system with 20 scenarios, where a round of one
+#: candidate per row is dispatch-bound (see ``dsearch``), and one on the
+#: 80-component fleet with 50 scenarios or more.
 LOCKSTEP_COLUMNS = sm.BLOCK
 
 
@@ -299,10 +302,11 @@ def solve_component_subproblems(it: Iterate, noises, cfg: SystemConfig,
 
     One row-wise lockstep search, row i warm-started at the bar controls of
     component i with ``max_evals`` evaluations and generator seed
-    ``seeds[i]``; each round steps a chunk of up to
-    max(1, LOCKSTEP_COLUMNS // (n Q)) candidates per row.  Returns (X, U,
-    best values (n,), evaluations used over all rows); the trajectories
-    satisfy the frozen-surroundings relaxed dynamics by construction.
+    ``seeds[i]``; each round steps a chunk of
+    max(1, LOCKSTEP_COLUMNS // (n Q)) candidates per row, cut only by a
+    poll's end and the budget.  Returns (X, U, best values (n,),
+    evaluations used over all rows); the trajectories satisfy the
+    frozen-surroundings relaxed dynamics by construction.
     """
     lo, hi = np.zeros(cfg.T), np.ones(cfg.T)
     U, best, evals = minimize(
@@ -378,7 +382,7 @@ def component_multiplier_backward(X, U, it: Iterate, noises,
     (other components, stock) are evaluated at the bar point and enter
     through the cached coordination coefficients; the self term uses the
     Jacobian of the relaxed step along the fresh trajectories ``X`` of the
-    controls ``U``.  One fleet-wide partials call per time step; returns
+    controls ``U``.  One fleet-wide own-state block per time step; returns
     (n, T+1, D+2, Q).
     """
     T = cfg.T
@@ -386,9 +390,9 @@ def component_multiplier_backward(X, U, it: Iterate, noises,
     Lam = np.empty_like(X)
     Lam[:, T] = -g[:, T] - it.gamma_x * (X[:, T] - it.X[:, T])
     for t in range(T - 1, -1, -1):
-        cp = _fleet_partials(X, U, t, it.S[t], cache.bprev[:, t], noises,
-                             it.alpha, cfg)
-        carry = np.einsum("ocjq,joq->jcq", cp.d_own, Lam[:, t + 1])
+        d_own = _fleet_partials(rx.component_step_d_own, X, U, t, it.S[t],
+                                cache.bprev[:, t], noises, it.alpha, cfg)
+        carry = np.einsum("ocjq,joq->jcq", d_own, Lam[:, t + 1])
         Lam[:, t] = (-g[:, t] - it.gamma_x * (X[:, t] - it.X[:, t])
                      - cache.coord[:, t] + carry)
     return Lam

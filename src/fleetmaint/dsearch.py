@@ -15,18 +15,21 @@ box are clipped onto it so the evaluation budget is never wasted.
 trials per row, as an (m, K, d) stack, and gets (m, K) values back.  Every
 row keeps its own generator, basis, poll order, mesh, incumbent, budget
 and chunk size: its draws, iterates and charges are exactly those of a
-search run on its own.  A row's chunks hold 1, 2, 4, ... trials within a
-poll, each bounded by the trials left in the poll, by the budget left and
-by the caller's cap, and the row accepts the first improving trial of a
-chunk (the opportunistic poll of Audet & Dennis, SIAM J. Optim. 17(1),
-2006).  It charges the trials up to and including that one, or the whole
-chunk if none improves; the values after it are discarded and not
-charged.  The draws and the iterates are those of the one-trial-at-a-time
-poll, and the doubling keeps the uncharged trials below half of those
-evaluated, while a poll of hundreds of trials costs a handful of batched
-calls.  K is the longest chunk among the live rows; a shorter chunk is
-padded with copies of its last trial and a row that has stopped with its
-incumbent, and padded values are discarded and not charged.
+search run on its own.  Within a poll a row's chunks hold 1, 2, 4, ...
+trials, or the caller's cap from the poll's first trial, each bounded by
+the trials left in the poll and by the budget left.  No trial depends on
+the start point's value, which takes the first slot of the first chunk.
+The row accepts the first improving trial of a chunk (the opportunistic
+poll of Audet & Dennis, SIAM J. Optim. 17(1), 2006).  It charges the
+trials up to and including that one, or the whole chunk if none
+improves; the values after it are discarded and not charged.  The draws
+and the iterates are those of the one-trial-at-a-time poll.  Uncapped,
+the doubling keeps the uncharged trials below half of those evaluated,
+while a poll of hundreds of trials costs a handful of batched calls;
+capped, at most cap - 1 trials of a successful poll go uncharged.  K is
+the longest chunk among the live rows; a shorter chunk is padded with
+copies of its last trial and a row that has stopped with its incumbent,
+and padded values are discarded and not charged.
 
 The cap lets the caller size a round by the work per trial.  The
 decomposition's component subproblems (``appdecomp``) are dispatch-bound
@@ -55,8 +58,8 @@ def minimize(objective, x0, bounds, max_evals, seeds, max_chunk=None):
     per row, to (m, K) values.  Row r charges at most ``max_evals``
     evaluations and draws from ``seeds[r]``.  Returns (best points (m, d),
     best values (m,), total evaluations charged over all rows).
-    ``max_chunk`` caps the trials of one chunk; None leaves the doubling
-    bounded only by the poll and the budget.
+    ``max_chunk`` is a capped row's chunk size, the start point included;
+    None leaves the doubling bounded only by the poll and the budget.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 2:
@@ -99,33 +102,36 @@ def minimize(objective, x0, bounds, max_evals, seeds, max_chunk=None):
 def _search(x0, lo, hi, seed, max_evals, max_chunk):
     """One search: yields each chunk of trials to evaluate, a (c, d)
     matrix, is sent their c values, and returns (best point, best value,
-    evaluations charged).  Chunks double within a poll up to ``max_chunk``
-    trials (no cap when None)."""
+    evaluations charged).  A poll's chunks double from 1 trial, or hold
+    ``max_chunk`` when given; the start point leads the first chunk."""
     if np.any(hi < lo):
         raise ValueError("empty bounds box")
     if np.any(x0 < lo) or np.any(x0 > hi):
         raise ValueError("start point outside bounds")
     d = x0.size
-    cap = 2 * d if max_chunk is None else max_chunk   # a poll's trials
+    first, cap = (1, 2 * d) if max_chunk is None else (max_chunk, max_chunk)
     scale = hi - lo
     rng = np.random.default_rng(seed)
 
-    best_x = x0.copy()
-    best_f = (yield best_x[None])[0]
-    evals = 1
-    mesh = INITIAL_MESH
+    best_x, best_f = x0.copy(), None
+    if max_evals == 1:
+        return best_x, (yield best_x[None])[0], 1
+    evals, mesh = 1, INITIAL_MESH     # the start point is charged ahead
 
     while evals < max_evals and mesh >= MIN_MESH:
         basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
         order = rng.permutation(2 * d)
         step = mesh * scale
-        polled, size, improved = 0, 1, False
+        polled, size, improved = 0, first, False
         while polled < 2 * d and evals < max_evals and not improved:
-            ks = order[polled:polled + min(size, max_evals - evals)]
+            lead = best_f is None         # the first chunk leads with x0
+            ks = order[polled:polled + min(size - lead, max_evals - evals)]
             directions = basis[:, ks % d].T * np.where(ks < d, 1.0,
                                                        -1.0)[:, None]
             trials = np.clip(best_x + step * directions, lo, hi)
-            f = yield trials
+            f = yield np.vstack((best_x[None], trials)) if lead else trials
+            if lead:
+                best_f, f = f[0], f[1:]
             better = np.flatnonzero(f < best_f)
             if better.size:
                 j = int(better[0])

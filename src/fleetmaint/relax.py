@@ -22,6 +22,10 @@ count of broken components with a lower index.  The step reads ``S`` and
 ``b_prev`` only through ``S - b_prev``, so its derivative in ``b_prev`` is
 ``-d_S`` and in a lower regime E_j it is ``-d_S * d1{0}(E_j)``.  The whole
 fleet steps, and is differentiated, in one vectorized call per time step.
+Each Jacobian block has its own function, the own-state block
+(:func:`component_step_d_own`) and the stock column
+(:func:`component_step_d_S`), so an adjoint recursion builds only the
+block it reads.
 
 Derivatives are taken to be exactly zero at the kinks.  The relaxed batch
 is the exact batch driver of :mod:`fleetmaint.sysmodel` run with the ramps
@@ -103,36 +107,21 @@ def _ramps(alpha) -> sm.Indicators:
 
 
 @dataclass
-class ComponentStepPartials:
-    """Jacobian blocks of one relaxed component step (or a fleet's) in its
-    own state and in the stock, the blocks the adjoint recursions read.
-
-    State coordinates are ordered (E, A, P^1..P^D), so every block carries
-    a leading axis of size D+2 for the output coordinate.  Lower components
-    enter only through ``b_prev`` and ``S - b_prev``, so no block is stored
-    for them: the derivative in ``b_prev`` is ``-d_S``, and the one in a
-    lower component's regime E_j is ``-d_S * d1{0}(E_j)``.
-    """
-
-    d_own: np.ndarray              # (D+2, D+2, ...)
-    d_S: np.ndarray                # (D+2, ...)
-
-
-@dataclass
 class StockStepPartials:
     d_S: np.ndarray                # (...)
     d_E: np.ndarray                # (n, ...)
     d_P: np.ndarray                # (n, D, ...)
 
 
-def component_step_partials(E, A, P, S, b_prev, u, w, alpha, shape, scale,
-                            cfg: SystemConfig) -> ComponentStepPartials:
-    """Analytic Jacobians of the relaxed component step.
+def component_step_d_own(E, A, P, S, b_prev, u, w, alpha, shape, scale,
+                         cfg: SystemConfig) -> np.ndarray:
+    """Jacobian of the relaxed component step in its own state,
+    (D+2, D+2, ...), output coordinate first.
 
     Takes the arguments of ``sysmodel.component_step_core``, with the
-    sharpness ``alpha`` in place of the indicators, and
-    broadcasts them the same way, so one call covers a whole fleet.
-    Derivatives are 0 exactly at every kink.
+    sharpness ``alpha`` in place of the indicators, and broadcasts them
+    the same way, so one call covers a whole fleet.  Derivatives are 0
+    exactly at every kink.
     """
     alpha = _alpha_of(alpha)
     delta = sm.NO_FAILURE
@@ -140,8 +129,7 @@ def component_step_partials(E, A, P, S, b_prev, u, w, alpha, shape, scale,
     f = sm._component_forward(E, A, P, S, b_prev, u, w, shape, scale, cfg,
                               _ramps(alpha))
     g, V, Vp, m, nf, c = f.g, f.V, f.Vp, f.m, f.nf, f.c
-    batch = np.broadcast_shapes(f.E_new.shape, f.A_new.shape,
-                                f.P_new.shape[1:])
+    batch = f.P_new.shape[1:]           # the step's broadcast shape
 
     dg = _dind_singleton(0.0, E, alpha)
     dV = _dind_nonneg(S - f.b, alpha)
@@ -154,7 +142,6 @@ def component_step_partials(E, A, P, S, b_prev, u, w, alpha, shape, scale,
     # regime row
     fE_E = V * dg - dV * dg * g - (m + nf * (1.0 - m)) * dg
     fE_A = nf_A * (1.0 - m) * one_g
-    fE_S = dV * g
 
     # age row
     brk = Vp * g + nf * (1.0 - m) * one_g
@@ -163,7 +150,6 @@ def component_step_partials(E, A, P, S, b_prev, u, w, alpha, shape, scale,
             - ((1.0 - u) * A + 1.0) * m * dg)
     fA_A = (brk + (A + 1.0) * nf_A * (1.0 - m) * one_g
             + (1.0 - u) * m * one_g)
-    fA_S = -A * g * dVp
 
     # failure-record rows: switch c = 1{1}(E) * 1{0}(E_new)
     dI1 = _dind_singleton(1.0, E, alpha)
@@ -171,7 +157,6 @@ def component_step_partials(E, A, P, S, b_prev, u, w, alpha, shape, scale,
     chain = f.I1 * dI0n          # multiplies d(E_new)/dx for every input x
     c_E = dI1 * f.I0n + chain * fE_E
     c_A = chain * fE_A
-    c_S = chain * fE_S
 
     Idel, IdelD = f.Idel, f.Idel[-1]
     dIdel = _dind_singleton(delta, P, alpha)
@@ -190,9 +175,7 @@ def component_step_partials(E, A, P, S, b_prev, u, w, alpha, shape, scale,
             drec[k, k + 1] += 1.0 - IdelD
             drec[k, D - 1] += -(P[k + 1] + 1.0) * dIdelD
 
-    # assemble blocks
-    dim = D + 2
-    d_own = np.zeros((dim, dim) + batch)
+    d_own = np.zeros((D + 2, D + 2) + batch)
     d_own[0, 0], d_own[0, 1] = fE_E, fE_A
     d_own[1, 0], d_own[1, 1] = fA_E, fA_A
     d_own[2:, 0] = gap * c_E[None]
@@ -200,10 +183,28 @@ def component_step_partials(E, A, P, S, b_prev, u, w, alpha, shape, scale,
     for k in range(D):
         d_own[2 + k, 2:] = drec[k] * c[None]
         d_own[2 + k, 2 + k] += dkeep[k] * (1.0 - c)
-    d_S = np.zeros((dim,) + batch)
-    d_S[0], d_S[1] = fE_S, fA_S
-    d_S[2:] = gap * c_S[None]
-    return ComponentStepPartials(d_own, d_S)
+    return d_own
+
+
+def component_step_d_S(E, A, P, S, b_prev, u, w, alpha, shape, scale,
+                       cfg: SystemConfig) -> np.ndarray:
+    """Derivative of the relaxed component step in the stock, (D+2, ...);
+    takes the arguments of :func:`component_step_d_own`.
+
+    Lower components enter only through ``b_prev`` and ``S - b_prev``, so
+    no block is built for them: the derivative in ``b_prev`` is ``-d_S``,
+    and the one in a lower component's regime E_j is ``-d_S * d1{0}(E_j)``.
+    """
+    alpha = _alpha_of(alpha)
+    f = sm._component_forward(E, A, P, S, b_prev, u, w, shape, scale, cfg,
+                              _ramps(alpha))
+    fE_S = _dind_nonneg(S - f.b, alpha) * f.g
+    chain = f.I1 * _dind_singleton(0.0, f.E_new, alpha)
+    d_S = np.zeros((cfg.D + 2,) + f.P_new.shape[1:])
+    d_S[0] = fE_S
+    d_S[1] = -A * f.g * _dind_strict_pos(f.b - S, alpha)
+    d_S[2:] = (f.record - f.keep) * (chain * fE_S)[None]
+    return d_S
 
 
 def stock_step_partials(E_all, P_all, S, alpha,

@@ -246,6 +246,13 @@ def exclusive_cumsum(x):
     return out
 
 
+def _sum_components(x):
+    """The rows of an (n, width) array added in index order: np.add.reduce
+    sums a single column pairwise, where a cumsum adds its rows in order."""
+    return (np.add.reduce(x, axis=0) if x.shape[1] > 1
+            else np.cumsum(x, axis=0)[-1])
+
+
 _Forward = namedtuple("_Forward", "g b V Vp m p nf one_g E_new A_new I1 I0n "
                                   "c Idel keep record P_new")
 
@@ -503,9 +510,9 @@ def _run_block(u, noises, cfg: SystemConfig, ind: Indicators,
         # which on small batches costs as much as the arithmetic
         empty[t] = np.add.reduce(S == 0)
         g = ind.singleton(0.0, E)
-        cm_cost += np.add.reduce(
-            beta[t] * cfg.C_C[:, None] * (g * ind.singleton(0.0, A)), axis=0)
-        fo_now = np.minimum(1.0, np.add.reduce(g * ind.strict_pos(A), axis=0))
+        cm_cost += _sum_components(
+            beta[t] * cfg.C_C[:, None] * (g * ind.singleton(0.0, A)))
+        fo_now = np.minimum(1.0, _sum_components(g * ind.strict_pos(A)))
         fo_cost += beta[t] * cfg.C_F * fo_now
         fo_steps += fo_now
         fo_onsets += fo_now * (1.0 - fo_prev)
@@ -519,10 +526,10 @@ def _run_block(u, noises, cfg: SystemConfig, ind: Indicators,
             panel[:, :, t].T if K == 1 else noises[scen, :, t].T,
             shape, scale, cfg, ind, g, p)
         S = stock_step_core(E, P, S, cfg, ind, g)
-        pm = np.add.reduce(f.m * f.one_g, axis=0)
+        pm = _sum_components(f.m * f.one_g)
         pm_count += pm
         pm_steps[t] = np.add.reduce(pm)
-        failure_count += np.add.reduce(f.c, axis=0)
+        failure_count += _sum_components(f.c)
         E, A, P = f.E_new, f.A_new, f.P_new.transpose(1, 0, 2)
         # free the step's other intermediates before the next step
         # makes its own: two steps alive at once take a 2048-column
@@ -542,11 +549,11 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
     Strategy, through :func:`parallel_map`, and of at most STACK_BLOCK
     columns for a stack, one block after another in this process, every
     block with the indicators ``ind``.  Costs use fixed-order summation
-    over t and columns never mix, so results do not depend on the
-    blocking, as long as no block is one column wide (numpy then sums a
-    column's components pairwise); a stack's fields carry a leading
-    K axis, and row k equals candidate k's own run, but for the curves,
-    which a stack leaves at None.
+    over t and over the components at every block width (the stock's
+    counts, whole in the exact dynamics, keep numpy's order), and columns
+    never mix, so results do not depend on the blocking; a stack's fields
+    carry a leading K axis, and row k equals candidate k's own run, but
+    for the curves, which a stack leaves at None.
     """
     stacked = not isinstance(controls, Strategy)
     u = (_checked_unit(controls, 3, "stacked controls") if stacked

@@ -22,7 +22,7 @@ def control_partials(E, A, P, S, b_prev, u, w, alpha, shape, scale,
                      cfg: SystemConfig) -> np.ndarray:
     """Derivative of the relaxed component step in the control, (D+2, ...).
 
-    Takes the arguments of ``relax.component_step_partials`` and broadcasts
+    Takes the arguments of ``relax.component_step_d_own`` and broadcasts
     them the same way; 0 exactly at every kink.
     """
     f = sm._component_forward(E, A, P, S, b_prev, u, w, shape, scale, cfg,
@@ -52,19 +52,11 @@ class StepPartials:
 
 
 def step_partials(*args) -> StepPartials:
-    """``relax.component_step_partials`` with the control block added."""
-    cp = rx.component_step_partials(*args)
-    return StepPartials(cp.d_own, cp.d_S, control_partials(*args))
-
-
-def _fleet_control_partials(X, U, t, S_t, b_prev, noises, alpha,
-                            cfg: SystemConfig) -> np.ndarray:
-    """Control block of every component's step at time t, the arguments
-    taken as ``appdecomp._fleet_partials`` takes them."""
-    return control_partials(
-        X[:, t, 0], X[:, t, 1], X[:, t, 2:].transpose(1, 0, 2), S_t, b_prev,
-        U[:, t, None], noises[:, :, t].T, alpha, cfg.weibull_shape[:, None],
-        cfg.weibull_scale[:, None], cfg)
+    """The package's two Jacobian blocks of the relaxed component step,
+    ``relax.component_step_d_own`` and ``relax.component_step_d_S``, with
+    the control block added."""
+    return StepPartials(rx.component_step_d_own(*args),
+                        rx.component_step_d_S(*args), control_partials(*args))
 
 
 def component_stationarity_residual(X, U, Lam, it: ad.Iterate, noises,
@@ -76,10 +68,10 @@ def component_stationarity_residual(X, U, Lam, it: ad.Iterate, noises,
     r = (ad._own_cost_gradient(X, cache.sigma_others, it.alpha, cfg)
          + it.gamma_x * (X - it.X) + Lam)
     for t in range(T):
-        cp = ad._fleet_partials(X, U, t, it.S[t], cache.bprev[:, t], noises,
-                                it.alpha, cfg)
+        d_own = ad._fleet_partials(rx.component_step_d_own, X, U, t, it.S[t],
+                                   cache.bprev[:, t], noises, it.alpha, cfg)
         r[:, t] += cache.coord[:, t] \
-            - np.einsum("ocjq,joq->jcq", cp.d_own, Lam[:, t + 1])
+            - np.einsum("ocjq,joq->jcq", d_own, Lam[:, t + 1])
     return np.max(np.abs(r), axis=(1, 2, 3))
 
 
@@ -116,8 +108,8 @@ def reduced_gradient(U, it: ad.Iterate, noises, cfg: SystemConfig,
     beta = cfg.discount(np.arange(T))
     grad = 2.0 * beta * cfg.C_P[:, None] * U + it.gamma_u * (U - it.u)
     for t in range(T):
-        d_u = _fleet_control_partials(X, U, t, it.S[t], cache.bprev[:, t],
-                                      noises, it.alpha, cfg)
+        d_u = ad._fleet_partials(control_partials, X, U, t, it.S[t],
+                                 cache.bprev[:, t], noises, it.alpha, cfg)
         grad[:, t] -= np.mean(np.einsum("ojq,joq->jq", d_u, Lam[:, t + 1]),
                               axis=1)
     return grad

@@ -544,6 +544,25 @@ def test_fixed_point_deterministic_across_repeats():
         assert r1["subproblem_best"] == r2["subproblem_best"]
 
 
+def test_small_system_lockstep_rounds(monkeypatch, tmp_path):
+    """``optimize-app`` on the small system with 20 scenarios caps a row's
+    chunk at 10 candidates.  Every poll from the do-nothing start fails,
+    so each iteration's budget of 50 goes in 5 rounds of 10 per row: the
+    start points with 9 trials, then 4 chunks of 10 trials."""
+    rounds = []
+    objective = ad.component_subproblem_objective
+
+    def counted(U, *args):
+        rounds.append(U.shape)
+        return objective(U, *args)
+
+    monkeypatch.setattr(ad, "component_subproblem_objective", counted)
+    assert cli.main(["--mode", "optimize-app", "--seed", "1",
+                     "--scenarios", "20", "--iterations", "2",
+                     "--budget", "50", "--out", str(tmp_path)]) == 0
+    assert rounds == [(10, 10, 40)] * 10
+
+
 def test_history_csv(tmp_path):
     cfg = make_cfg(n=2, T=3)
     noises = np.random.default_rng(1).random((2, 2, 3))

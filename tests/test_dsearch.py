@@ -13,17 +13,20 @@ def sphere(X):
 
 
 def _replay(chunks):
-    """Apply the charging rule to the value chunks a search was handed:
-    returns (charged values in order, best charged value, values charged
-    from each chunk)."""
+    """Apply the charging rule to the value chunks a search was handed,
+    the start point's value first in the first chunk: returns (charged
+    values in order, best charged value, values charged from each chunk,
+    the start point's included)."""
     best = chunks[0][0]
-    charged, stops = [best], [1]
-    for f in chunks[1:]:
-        better = np.flatnonzero(f < best)
-        stops.append(int(better[0]) + 1 if better.size else len(f))
-        charged += list(f[:stops[-1]])
+    charged, stops = [best], []
+    for k, f in enumerate(chunks):
+        lead = int(k == 0)
+        better = np.flatnonzero(f[lead:] < best)
+        used = int(better[0]) + 1 if better.size else len(f) - lead
+        charged += list(f[lead:lead + used])
+        stops.append(lead + used)
         if better.size:
-            best = f[stops[-1] - 1]
+            best = f[lead + used - 1]
     return charged, best, stops
 
 
@@ -191,7 +194,7 @@ def test_lockstep_rows_equal_separate_searches():
     # MIN_MESH, after 28 polls of 6 trials; the other rows spend the budget
     budget, seeds, flat = 300, [1, 2, 3, 4, 5], (3,)
     stack, row = _bumpy_bowls(centres, flat)
-    for cap in (1, 3, 10):
+    for cap in (None, 1, 3, 10):
         rounds = []
 
         def tracked(X):
@@ -200,7 +203,7 @@ def test_lockstep_rows_equal_separate_searches():
 
         X, F, total = minimize(tracked, x0, (lo, hi), budget, seeds,
                                max_chunk=cap)
-        assert all(R.shape[::2] == (5, d) and R.shape[1] <= cap
+        assert all(R.shape[::2] == (5, d) and R.shape[1] <= (cap or 2 * d)
                    for R in rounds)
         used, own, padded, cut = [], [], False, False
         for r, seed in enumerate(seeds):
@@ -276,10 +279,13 @@ def _check_against_reference(scalar, x0, lo, hi, max_evals, seed,
     assert evals == ref[2] and type(evals) is int
     charged, best, stops = _replay(chunks)
     assert len(charged) == evals and best == f[0]
-    # no chunk is longer than the budget left, nor than a poll or the cap
-    for k in range(1, len(chunks)):
-        assert len(chunks[k]) <= min(max_evals - sum(stops[:k]),
-                                     2 * x0.size, max_chunk or np.inf)
+    # no chunk holds more trials than the budget left or a poll, nor more
+    # values than the cap; the first holds the start point besides
+    for k, f in enumerate(chunks):
+        lead = int(k == 0)
+        assert len(f) - lead <= min(max_evals - sum(stops[:k]) - lead,
+                                    2 * x0.size)
+        assert len(f) <= (max_chunk or np.inf)
     return chunks
 
 
@@ -308,28 +314,71 @@ def test_chunked_search_mid_chunk_success_and_budget_end():
 
 
 def test_chunk_sizes_double_within_a_poll():
-    """A flat objective never improves, so every poll runs all 2d trials:
-    chunks of 1, 2, 4, ... cut by the poll's end and by the budget."""
+    """A flat objective never improves, so every poll runs all 2d trials.
+    Uncapped chunks hold 1, 2, 4, ... trials, capped ones the cap; the
+    start point takes the first slot of the first chunk, and every chunk
+    is cut by the poll's end and by the budget."""
     def flat(x):
         return 1.0
 
     box = (-np.ones(3), np.ones(3))
     for budget, sizes in (
-            (30, [1] + [1, 2, 3] * 4 + [1, 2, 2]),
+            (30, [1, 2, 4] + [1, 2, 3] * 3 + [1, 2, 2]),
             (1, [1]),
             (2, [1, 1]),
             # the mesh falls below MIN_MESH after 28 polls, 169 trials
-            (200, [1] + [1, 2, 3] * 28)):
+            (200, [1, 2, 4] + [1, 2, 3] * 27)):
         chunks = _check_against_reference(flat, np.zeros(3), *box, budget, 0)
         assert [len(f) for f in chunks] == sizes
-    # a poll of 800 trials against a budget of 500: ten objective calls
+    # a poll of 800 trials against a budget of 500: nine objective calls,
+    # the start point alone in the first
     chunks = _check_against_reference(flat, np.zeros(400), np.zeros(400),
                                       np.ones(400), 500, 1)
-    assert [len(f) for f in chunks] == [1, 1, 2, 4, 8, 16, 32, 64, 128, 244]
-    # a cap stops the doubling, and a cap of one polls trial by trial
-    for cap, sizes in ((3, [1] + [1, 2, 3] * 4 + [1, 2, 2]),
-                       (2, [1] + [1, 2, 2, 1] * 4 + [1, 2, 2]),
+    assert [len(f) for f in chunks] == [1, 2, 4, 8, 16, 32, 64, 128, 245]
+    # a capped chunk holds the cap from a poll's first trial: the start
+    # point and cap - 1 trials, then the cap; a cap of one polls trial by
+    # trial after the start point
+    for cap, sizes in ((3, [3, 3, 1] + [3, 3] * 3 + [3, 2]),
+                       (2, [2, 2, 2, 1] + [2, 2, 2] * 3 + [2, 2, 1]),
                        (1, [1] * 30)):
         chunks = _check_against_reference(flat, np.zeros(3), *box, 30, 0,
                                           cap)
         assert [len(f) for f in chunks] == sizes
+
+
+def test_capped_rows_fill_their_cap():
+    """On an objective that improves mid-chunk, a capped row's first chunk
+    is the start point and cap - 1 trials and every later one cap trials,
+    cut only by the poll's end and by the budget."""
+    rng = np.random.default_rng(5)
+    d = 8
+    box = (-np.ones(d), np.ones(d))
+    for cap in (1, 3, 10, 16, 40):
+        for budget in (1, 2, 9, 157):
+            chunks = _check_against_reference(
+                _bumpy(rng.uniform(-1, 1, d)), rng.uniform(-1, 1, d), *box,
+                budget, cap, cap)
+            best, polled, left = chunks[0][0], 0, budget - 1
+            for k, f in enumerate(chunks):
+                lead = int(k == 0)
+                trials = f[lead:]
+                assert len(trials) == min(cap - lead, 2 * d - polled, left)
+                better = np.flatnonzero(trials < best)
+                if better.size:
+                    best, polled = trials[better[0]], 0
+                    left -= int(better[0]) + 1
+                else:
+                    polled = (polled + len(trials)) % (2 * d)
+                    left -= len(trials)
+            assert left == 0
+    # a budget of one is a single round of the start points alone
+    rounds = []
+
+    def tracked(X):
+        rounds.append(X.copy())
+        return sphere(X)
+
+    x0 = rng.uniform(-1, 1, (4, d))
+    x, f, used = minimize(tracked, x0, box, 1, [1, 2, 3, 4], max_chunk=10)
+    assert len(rounds) == 1 and np.array_equal(rounds[0], x0[:, None])
+    assert np.array_equal(x, x0) and used == 4

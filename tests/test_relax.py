@@ -99,9 +99,10 @@ def test_alpha_validation():
     for alpha in (0.0, -1.0):
         with pytest.raises(ValueError):
             rx.simulate_relaxed_batch(strat, noises, alpha, cfg)
-    with pytest.raises(ValueError):
-        rx.component_step_partials(1.0, 0.0, np.full(2, -1.0), 1.0, 0.0, 0.0,
-                                   0.5, 0.0, 3.0, 10.0, cfg)
+    for block in (rx.component_step_d_own, rx.component_step_d_S):
+        with pytest.raises(ValueError):
+            block(1.0, 0.0, np.full(2, -1.0), 1.0, 0.0, 0.0, 0.5, 0.0, 3.0,
+                  10.0, cfg)
 
 
 @pytest.mark.parametrize("bad", [-0.1, 7.0, np.nan])

@@ -723,6 +723,21 @@ def test_stack_of_two_over_more_than_one_block_of_scenarios(shape):
                                   cfg, False)
 
 
+def test_stack_rows_equal_own_runs_on_one_scenario():
+    # on one scenario a candidate's own run is a block one column wide and
+    # a stack's block K columns wide; the components' costs are added in
+    # index order at both widths, which a fleet with unequal repair costs
+    # would show in the last bit
+    rng = np.random.default_rng(47)
+    for seed in range(100):
+        cfg = make_cfg(n=12, T=10, s_init=2, weibull_scale=4.0,
+                       C_C=rng.uniform(50.0, 500.0, 12))
+        noises = rng.random((1, 12, 10))
+        for K in (1, 2, 3):
+            _assert_stack_equals_own_runs(_candidates(rng, K, 12, 10),
+                                          noises, cfg, False)
+
+
 def test_stack_of_one_and_case1_fleet():
     cfg = case1_config()
     rng = np.random.default_rng(43)
