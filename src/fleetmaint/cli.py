@@ -1,6 +1,6 @@
 """Command-line front end: simulation, optimization, evaluation, tuning.
 
-Five subcommand-style modes (:data:`MODES`) share one flag set:
+Six subcommand-style modes (:data:`MODES`) share one flag set:
 
 * ``simulate``        one scenario on the exact batch engine, its states
                       and the events read off them written as CSV;
@@ -9,7 +9,8 @@ Five subcommand-style modes (:data:`MODES`) share one flag set:
                       objective (the gradient-free reference arm);
 * ``evaluate``        score a strategy file on fresh validation scenarios;
 * ``tune``            Latin-hypercube search over the six decomposition
-                      parameters on a small system.
+                      parameters on a small system;
+* ``compare``         both arms at equal budget on one validation set.
 
 Every output file is written here, each CSV table through
 :func:`write_csv`; the numerical layers return values only.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import fields, replace
 from itertools import repeat
 from pathlib import Path
@@ -47,9 +49,6 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_DIMENSION = 4
 EXIT_OUTPUT = 5
-
-
-MODES = ("simulate", "optimize-app", "optimize-direct", "evaluate", "tune")
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +347,27 @@ def optimize_direct(cfg: SystemConfig, noises, budget: int, seed: int):
     return Strategy(x.reshape(cfg.n, cfg.T)), float(f[0]), evals
 
 
+def compare_arms(cfg: SystemConfig, p: ad.APPParams, noises, validation,
+                 seed: int):
+    """The decomposition with ``p`` against :func:`optimize_direct` at the
+    ``p.iterations * n * p.subproblem_budget`` evaluations it charges, both
+    on ``noises`` with ``seed`` and scored projected on ``validation``:
+    ({arm: (strategy, report, wall seconds)}, app history, direct best)."""
+    tic = time.perf_counter()
+    app, history = ad.app_fixed_point(cfg, p, noises, seed=seed)
+    mid = time.perf_counter()
+    direct, best, _ = optimize_direct(
+        cfg, noises, p.iterations * cfg.n * p.subproblem_budget, seed)
+    toc = time.perf_counter()
+    arms = {}
+    for name, strat, secs in (("app", app, mid - tic),
+                              ("direct", direct, toc - mid)):
+        report = ev.evaluate_strategy(ev.project_strategy(strat, cfg.nu),
+                                      validation, cfg)
+        arms[name] = strat, report, secs
+    return arms, history, best
+
+
 def _run_optimize_direct(args, cfg, out: Path):
     noises = ev.generate_scenarios(cfg.n, cfg.T, args.scenarios, args.seed)
     budget = args.budget if args.budget is not None else 1000
@@ -374,6 +394,12 @@ def _run_evaluate(args, cfg, out: Path):
     print(text, end="")
 
 
+def _validation(args, cfg) -> ScenarioSet:
+    """tune's and compare's scenarios: none is a training scenario."""
+    return ScenarioSet(cfg.n, cfg.T, args.validation_scenarios,
+                       (args.seed + 1) % (1 << 64))
+
+
 def _run_tune(args, cfg, out: Path):
     base = _resolve_params(args)
     samples = [replace(p, iterations=base.iterations,
@@ -381,13 +407,35 @@ def _run_tune(args, cfg, out: Path):
                for p in lhs_sample(ad.PARAM_BOUNDS, args.lhs_count,
                                    args.seed)]
     noises = ev.generate_scenarios(cfg.n, cfg.T, args.scenarios, args.seed)
-    validation = ScenarioSet(cfg.n, cfg.T, args.validation_scenarios,
-                             (args.seed + 1) % (1 << 64))
-    best, leaderboard = tune(cfg, samples, noises, validation, seed=args.seed)
-    leaderboard_to_csv(leaderboard, out / "leaderboard.csv")
+    best, board = tune(cfg, samples, noises, _validation(args, cfg), args.seed)
+    leaderboard_to_csv(board, out / "leaderboard.csv")
     save_params(best, out / "best_params.yaml")
-    print(f"tune: best cost {leaderboard[0]['cost']:.6g} "
-          f"(sample {leaderboard[0]['index']})")
+    print(f"tune: best cost {board[0]['cost']:.6g} "
+          f"(sample {board[0]['index']})")
+
+
+def _run_compare(args, cfg, out: Path):
+    p = _resolve_params(args)
+    if p.iterations == 0:
+        return _fail("usage", "compare needs iterations >= 1", EXIT_USAGE)
+    noises = ev.generate_scenarios(cfg.n, cfg.T, args.scenarios, args.seed)
+    arms, history, _ = compare_arms(cfg, p, noises,
+                                    _validation(args, cfg), args.seed)
+    history_to_csv(history, out / "app_history.csv", cfg.n)
+    for name, (strat, report, secs) in arms.items():
+        save_strategy(strat, cfg, out / f"{name}_strategy.csv")
+        report_to_csv(report, out / f"{name}_report.csv")
+        print(f"{name:7s} mean cost {report.mean_cost:12.4f} ({secs:.1f} s)")
+    costs = {name: arm[1].mean_cost for name, arm in arms.items()}
+    write_csv(out / "summary.csv", ["arm", "mean_cost"], costs.items())
+    ratio = costs["app"] / costs["direct"] if costs["direct"] else float("nan")
+    print(f"app/direct cost ratio: {ratio:.4f}")
+
+
+#: each mode's run on (flags, config, output directory): None or an exit code
+MODES = {"simulate": _run_simulate, "optimize-app": _run_optimize_app,
+         "optimize-direct": _run_optimize_direct, "evaluate": _run_evaluate,
+         "tune": _run_tune, "compare": _run_compare}
 
 
 def run(args: argparse.Namespace) -> int:
@@ -402,15 +450,7 @@ def run(args: argparse.Namespace) -> int:
             probe.unlink()
         except OSError as exc:
             return _fail("output directory not writable", exc, EXIT_OUTPUT)
-        dispatch = {
-            "simulate": _run_simulate,
-            "optimize-app": _run_optimize_app,
-            "optimize-direct": _run_optimize_direct,
-            "evaluate": _run_evaluate,
-            "tune": _run_tune,
-        }
-        dispatch[args.mode](args, cfg, out)
-        return EXIT_OK
+        return MODES[args.mode](args, cfg, out) or EXIT_OK
     except ConfigError as exc:
         return _fail("bad configuration", exc, EXIT_CONFIG)
     except DimensionError as exc:
@@ -419,7 +459,7 @@ def run(args: argparse.Namespace) -> int:
         return _fail("i/o failure", exc, EXIT_OUTPUT)
 
 
-def _fail(what: str, exc: Exception, code: int) -> int:
+def _fail(what: str, exc: Exception | str, code: int) -> int:
     """Report ``exc`` on one stderr line (a YAML parse error spans several,
     with a caret drawing) and return the exit code."""
     print(f"error: {what}: {' '.join(str(exc).split())}", file=sys.stderr)

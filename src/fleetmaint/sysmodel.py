@@ -463,8 +463,8 @@ def _run_block(u, noises, cfg: SystemConfig, ind: Indicators,
     ages read the failure law from a table of the block.
 
     For one candidate, ``noises`` is a ScenarioSet, whose scenarios lo..hi-1
-    the block generates, or an array of just those scenarios; for a stack
-    it is the whole (Q, n, T) array, and column c is candidate c // Q on
+    the block generates, or an array of just those scenarios; for K > 1 it
+    is the whole (Q, n, T) array, and column c is candidate c // Q on
     scenario c % Q.  Returns the block's columns of the per-scenario sums
     (rows: CM cost, forced-outage cost, PM count, failure count, outage
     onsets, outage steps), its sums over columns of the PM events (T,) and
@@ -590,7 +590,7 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
     cuts = [j * K * Q // count for j in range(count + 1)]
     los, his = cuts[:-1], cuts[1:]
     # a worker gets a ScenarioSet as its four ints, an array as its block
-    sources = [noises if stacked or isinstance(noises, ScenarioSet)
+    sources = [noises if K > 1 or isinstance(noises, ScenarioSet)
                else noises[lo:hi] for lo, hi in zip(los, his)]
     # a stack's 512-column blocks are too short to pay for a hand-off
     parts = (map if stacked else parallel_map)(

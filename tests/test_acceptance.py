@@ -279,17 +279,8 @@ def test_criterion_7_decomposition_vs_direct_reference():
     validation = ev.generate_scenarios(cfg.n, cfg.T, 10_000, seed=1235)
     tic = time.perf_counter()
     p = ad.tuned_params(iterations=20, subproblem_budget=500)
-    app_strat, _ = ad.app_fixed_point(cfg, p, noises, seed=7)
-
-    total_evals = 20 * cfg.n * 500
-    direct_strat, direct_best, _ = cli.optimize_direct(cfg, noises,
-                                                       total_evals, seed=7)
-
-    costs = {}
-    for name, strat in (("app", app_strat), ("direct", direct_strat)):
-        projected = ev.project_strategy(strat, cfg.nu)
-        costs[name] = ev.evaluate_strategy(projected, validation,
-                                           cfg).mean_cost
+    arms, _, direct_best = cli.compare_arms(cfg, p, noises, validation, 7)
+    costs = {name: arm[1].mean_cost for name, arm in arms.items()}
     elapsed = time.perf_counter() - tic
     ok = costs["app"] <= 1.05 * costs["direct"]
     # the 30-minute wall-clock requirement presumes an 8-core machine;

@@ -1,12 +1,8 @@
 """Command-line front end: files, sampling, tuning, mode dispatch."""
 import dataclasses
 import multiprocessing
-import os
 import re
-import subprocess
-import sys
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +273,14 @@ def test_optimize_direct_budget_one(tmp_path):
     assert np.all(strat.controls == 0.0)
 
 
+def test_optimize_direct_on_more_scenarios_than_a_stack_block(tmp_path):
+    # each evaluation is a stack of one candidate, stepped in two blocks
+    rc = run_cli(mode="optimize-direct", seed=1, out=str(tmp_path / "o"),
+                 budget=2, scenarios=sm.STACK_BLOCK + 1)
+    assert rc == 0
+    assert (tmp_path / "o" / "strategy_projected.csv").exists()
+
+
 def test_optimize_app_writes_artifacts(tmp_path):
     cfg_path = write_cfg(tmp_path, small_cfg())
     rc = run_cli(mode="optimize-app", config=cfg_path,
@@ -418,18 +422,20 @@ def test_non_finite_params_exit_code(tmp_path, capsys, key, value):
     assert not (tmp_path / "o" / "history.csv").exists()
 
 
-@pytest.mark.parametrize("flag, content", [
-    ("--config", b"\xff\xfe\x00bad"),
-    ("--strategy", b"\xff\xfe\x00bad"),
-    ("--params", b"\xff\xfe\x00bad"),
-    ("--params", b"gamma_u0: [1\n"),
-], ids=["binary-config", "binary-strategy", "binary-params", "yaml-params"])
-def test_unreadable_input_file_exit_code(tmp_path, capsys, flag, content):
+@pytest.mark.parametrize("mode, flag, content", [
+    ("optimize-app", "--config", b"\xff\xfe\x00bad"),
+    ("evaluate", "--strategy", b"\xff\xfe\x00bad"),
+    ("optimize-app", "--params", b"\xff\xfe\x00bad"),
+    ("optimize-app", "--params", b"gamma_u0: [1\n"),
+    ("compare", "--config", b"\xff\xfe\x00bad"),
+], ids=["binary-config", "binary-strategy", "binary-params", "yaml-params",
+        "compare-binary-config"])
+def test_unreadable_input_file_exit_code(tmp_path, capsys, mode, flag,
+                                         content):
     # a file that is not UTF-8, or not YAML, is a bad input file: exit 3
     # with one line on stderr
     path = tmp_path / "input"
     path.write_bytes(content)
-    mode = "evaluate" if flag == "--strategy" else "optimize-app"
     rc = cli.main(["--mode", mode, flag, str(path), "--iterations", "1",
                    "--budget", "1", "--scenarios", "1",
                    "--validation-scenarios", "1",
@@ -538,9 +544,9 @@ def test_unwritable_output_exit_code(tmp_path):
     cfg_path = write_cfg(tmp_path, small_cfg())
     blocker = tmp_path / "blocked"
     blocker.write_text("not a directory")
-    rc = run_cli(mode="simulate", config=cfg_path, seed=0,
-                 out=str(blocker))
-    assert rc == cli.EXIT_OUTPUT
+    for mode in ("simulate", "compare"):
+        rc = run_cli(mode=mode, config=cfg_path, seed=0, out=str(blocker))
+        assert rc == cli.EXIT_OUTPUT
 
 
 def test_unknown_mode_rejected():
@@ -554,6 +560,10 @@ def test_unknown_mode_rejected():
     ("optimize-app", "--budget", "0"),
     ("simulate", "--seed", "-1"),
     ("tune", "--lhs-count", "0"),
+    ("compare", "--scenarios", "0"),
+    ("compare", "--budget", "0"),
+    ("compare", "--seed", "-1"),
+    ("compare", "--validation-scenarios", "0"),
 ])
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, mode, flag,
                                           value):
@@ -579,24 +589,21 @@ def test_default_config_is_small_system():
 
 
 def test_compare_arms_direct_arm_is_optimize_direct(tmp_path):
-    # scripts/compare_arms.py gives its direct arm the total budget of the
-    # decomposition arm: iterations * n * budget evaluations.  A PM
-    # threshold of 0.01 lets the search's first polls reach it, so the
-    # strategy moves off the do-nothing start.
-    import fleetmaint
+    # compare gives its direct arm the total budget of the decomposition
+    # arm: iterations * n * budget evaluations.  A PM threshold of 0.01 lets
+    # the search's first polls reach it, so the strategy moves off the
+    # do-nothing start.
     cfg = dataclasses.replace(small_system_config(), nu=0.01)
     cfg_path = write_cfg(tmp_path, cfg)
-    root = Path(__file__).resolve().parents[1]
-    src = str(Path(fleetmaint.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    subprocess.run([sys.executable, str(root / "scripts" / "compare_arms.py"),
-                    "--config", cfg_path, "--seed", "5",
-                    "--out", str(tmp_path / "compare"), "--iterations", "1",
-                    "--budget", "3", "--scenarios", "2",
-                    "--validation-scenarios", "10"],
-                   check=True, env=env, capture_output=True)
+    rc = run_cli(mode="compare", config=cfg_path, seed=5,
+                 out=str(tmp_path / "compare"), iterations=1, budget=3,
+                 scenarios=2, validation_scenarios=10)
+    assert rc == 0
+    assert sorted(path.name for path in (tmp_path / "compare").iterdir()) \
+        == ["app_history.csv", "app_report.csv", "app_strategy.csv",
+            "direct_report.csv", "direct_strategy.csv", "summary.csv"]
+    assert re.fullmatch(r"arm,mean_cost\napp,[^,]+\ndirect,[^,]+\n",
+                        (tmp_path / "compare" / "summary.csv").read_text())
     rc = run_cli(mode="optimize-direct", config=cfg_path,
                  seed=5, out=str(tmp_path / "direct"),
                  budget=1 * cfg.n * 3, scenarios=2)
@@ -606,3 +613,17 @@ def test_compare_arms_direct_arm_is_optimize_direct(tmp_path):
         == direct
     assert cli.load_strategy(tmp_path / "direct" / "strategy.csv",
                              cfg).controls.any()
+
+
+@pytest.mark.parametrize("source", ["flag", "params"])
+def test_compare_zero_iterations_is_usage_error(tmp_path, capsys, source):
+    # zero iterations leave the direct arm no budget
+    path = tmp_path / "params.yaml"
+    cli.save_params(ad.tuned_params(iterations=0), path)
+    flags = {"iterations": 0} if source == "flag" else {"params": path}
+    rc = run_cli(mode="compare", budget=1, scenarios=1,
+                 out=str(tmp_path / "o"), **flags)
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not any((tmp_path / "o").iterdir())

@@ -9,8 +9,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("sysmodel", "relax", "dsearch", "appdecomp", "evalharness",
            "config")
-#: the package, the scripts and the benchmark: everything but the tests
-USER_DIRS = ("src", "scripts", "perfbench")
+#: the package and the benchmark: everything but the tests
+USER_DIRS = ("src", "perfbench")
 
 
 def _module_tree(module):

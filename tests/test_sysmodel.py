@@ -748,6 +748,20 @@ def test_stack_of_one_and_case1_fleet():
                                   cfg, False)
 
 
+@pytest.mark.parametrize("source", ["array", "set"])
+def test_stack_of_one_over_more_than_one_block(source):
+    # one candidate on three stack blocks of scenarios: each block reads
+    # its own, as a Strategy's blocks do
+    rng = np.random.default_rng(49)
+    cfg = make_cfg(n=12, T=10, s_init=2, weibull_scale=4.0,
+                   C_C=rng.uniform(50.0, 500.0, 12))
+    noises = sm.ScenarioSet(12, 10, 2 * sm.STACK_BLOCK + 37, seed=3)
+    _assert_stack_equals_own_runs(
+        _candidates(rng, 2, 12, 10)[1:],
+        noises if source == "set" else noises.block(0, noises.count), cfg,
+        True)
+
+
 def test_malformed_stack_rejected():
     cfg = small_system_config()
     noises = np.random.default_rng(0).random((4, cfg.n, cfg.T))
