@@ -24,7 +24,9 @@ all component subproblems of an iteration are solved against the OLD bars,
 so they are independent and run in lockstep: one row-wise direct search
 whose every round steps a chunk of candidate controls per component, all
 on one stack of scenario columns with one fleet-wide relaxed step call per
-time step, and one fleet-wide multiplier recursion.
+time step, and which keeps the states of each row's best controls.  The
+multiplier recursions are fleet-wide too, and take the step Jacobians of
+max(1, LOCKSTEP_COLUMNS // (n Q)) steps in one call.
 Then the stock subproblem and its multiplier run on the freshly installed
 component solutions.  The driver returns the strategy and a per-iteration
 history as values; ``cli`` writes them out.
@@ -40,7 +42,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import ConfigError, SystemConfig
 from .sysmodel import Strategy, DimensionError
 from . import relax as rx
 from . import sysmodel as sm
@@ -155,31 +157,25 @@ class IterationCache:
     coord: np.ndarray           # (n, T, D+2, Q)
 
 
-def _fleet_partials(block, X, U, t, S_t, b_prev, noises, alpha,
-                    cfg: SystemConfig) -> np.ndarray:
-    """One Jacobian block of every component's relaxed step at time t, in
-    one call of ``block`` (``relax.component_step_d_own`` or ``_d_S``).
+def _fleet_partials(block, X, U, S, b_prev, noises, alpha,
+                    cfg: SystemConfig):
+    """One Jacobian block of every component's relaxed step
+    (``relax.component_step_d_own`` or ``_d_S``), one call per block of
+    max(1, LOCKSTEP_COLUMNS // (n Q)) steps: yields, latest block first,
+    the block's slice of steps and its partials, whose trailing axes are
+    (n, steps, Q).
 
-    Takes the states (n, T+1, D+2, Q), controls (n, T) and noises
-    (Q, n, T) of all times, and the (Q,) stock and (n, Q) broken-below
-    counts at t.
+    Takes the states (n, T+1, D+2, Q), controls (n, T), stock (T+1, Q),
+    broken-below counts (n, T, Q) and noises (Q, n, T) of all times.
     """
-    return block(
-        X[:, t, 0], X[:, t, 1], X[:, t, 2:].transpose(1, 0, 2), S_t, b_prev,
-        U[:, t, None], noises[:, :, t].T, alpha, cfg.weibull_shape[:, None],
-        cfg.weibull_scale[:, None], cfg)
-
-
-def _stock_sensitivity(X, U, t, S_t, b_prev, noises, Lam_next, alpha,
-                       cfg: SystemConfig) -> np.ndarray:
-    """Per-component d_S . Lam_{t+1} of the fleet's step at time t, (n, Q).
-
-    Takes the arguments of :func:`_fleet_partials` after ``block`` and the
-    (n, D+2, Q) multipliers at t+1.
-    """
-    d_S = _fleet_partials(rx.component_step_d_S, X, U, t, S_t, b_prev,
-                          noises, alpha, cfg)
-    return np.einsum("ojq,joq->jq", d_S, Lam_next)
+    size = max(1, LOCKSTEP_COLUMNS // (cfg.n * X.shape[-1]))
+    for t0 in reversed(range(0, cfg.T, size)):
+        t = slice(t0, min(t0 + size, cfg.T))
+        yield t, block(
+            X[:, t, 0], X[:, t, 1], X[:, t, 2:].transpose(2, 0, 1, 3), S[t],
+            b_prev[:, t], U[:, t, None], noises[:, :, t].transpose(1, 2, 0),
+            alpha, cfg.weibull_shape[:, None, None],
+            cfg.weibull_scale[:, None, None], cfg)
 
 
 def build_iteration_cache(it: Iterate, noises, cfg: SystemConfig
@@ -187,7 +183,8 @@ def build_iteration_cache(it: Iterate, noises, cfg: SystemConfig
     """Frozen bar-point quantities of iteration ``it``; see IterationCache.
 
     Regime E_p enters component j > p only through ``b_prev``, with slope
-    -d_S_j * d1{0}(E_p): one fleet-wide partials call per step suffices.
+    -d_S_j * d1{0}(E_p): one fleet-wide partials call per block of steps
+    suffices.
     """
     n, T, D = cfg.n, cfg.T, cfg.D
     Q = it.S.shape[1]
@@ -201,13 +198,15 @@ def build_iteration_cache(it: Iterate, noises, cfg: SystemConfig
     bprev = sm.exclusive_cumsum(i0E[:, :T, :])
 
     coord = np.zeros((n, T, D + 2, Q))
-    for t in range(T):
+    for t, d_S in _fleet_partials(rx.component_step_d_S, it.X, it.u, it.S,
+                                  bprev, noises, alpha, cfg):
         sp = rx.stock_step_partials(E[:, t], P[:, t], it.S[t], alpha, cfg)
-        lam_s = it.LamS[t + 1]
+        lam_s = it.LamS[t.start + 1:t.stop + 1]
         coord[:, t, 0] -= sp.d_E * lam_s
-        coord[:, t, 2:] -= sp.d_P * lam_s
-        h = _stock_sensitivity(it.X, it.u, t, it.S[t], bprev[:, t], noises,
-                               it.Lam[:, t + 1], alpha, cfg)
+        coord[:, t, 2:] -= sp.d_P * lam_s[:, None]
+        h = np.stack([np.einsum("ojq,joq->jq", d_S[:, :, ts - t.start],
+                                it.Lam[:, ts + 1])
+                      for ts in range(t.start, t.stop)], axis=1)
         above = sm.exclusive_cumsum(h[::-1])[::-1]
         coord[:, t, 0] += rx._dind_singleton(0.0, E[:, t], alpha) * above
     return IterationCache(bprev=bprev, sigma_others=sigma_others, coord=coord)
@@ -252,17 +251,19 @@ def component_trajectories(U, it: Iterate, noises, cfg: SystemConfig,
 
 
 def component_subproblem_objective(U, it: Iterate, noises, cfg: SystemConfig,
-                                   cache: IterationCache) -> np.ndarray:
+                                   cache: IterationCache):
     """Auxiliary objective of every component i at its K candidate controls.
 
-    ``U`` has shape (n, K, T) and gives (n, K) values.  Every row and every
-    candidate is reduced on its own, on its own Q scenario columns, so each
-    value is the one a single-component, single-candidate evaluation gives.
+    ``U`` has shape (n, K, T) and gives (n, K) values, returned with the
+    candidates' states (n, K, T+1, D+2, Q) of :func:`component_trajectories`.
+    Every row and every candidate is reduced on its own, on its own Q
+    scenario columns, so each value is the one a single-component,
+    single-candidate evaluation gives.
     """
     X = component_trajectories(U, it, noises, cfg, cache)
     U = np.asarray(U, dtype=float)
     return np.stack([_subproblem_values(U[:, k], X[:, k], it, cfg, cache)
-                     for k in range(U.shape[1])], axis=1)
+                     for k in range(U.shape[1])], axis=1), X
 
 
 def _subproblem_values(U, X, it: Iterate, cfg: SystemConfig,
@@ -291,7 +292,8 @@ def _subproblem_values(U, X, it: Iterate, cfg: SystemConfig,
 #: poll's first trial, the start point included in the first.  That is
 #: ten on the 10-component system with 20 scenarios, where a round of one
 #: candidate per row is dispatch-bound (see ``dsearch``), and one on the
-#: 80-component fleet with 50 scenarios or more.
+#: 80-component fleet with 50 scenarios or more.  A Jacobian call of the
+#: adjoint recursions takes as many steps (:func:`_fleet_partials`).
 LOCKSTEP_COLUMNS = sm.BLOCK
 
 
@@ -305,15 +307,15 @@ def solve_component_subproblems(it: Iterate, noises, cfg: SystemConfig,
     ``seeds[i]``; each round steps a chunk of
     max(1, LOCKSTEP_COLUMNS // (n Q)) candidates per row, cut only by a
     poll's end and the budget.  Returns (X, U, best values (n,),
-    evaluations used over all rows); the trajectories satisfy the
-    frozen-surroundings relaxed dynamics by construction.
+    evaluations used over all rows), with X the states the search kept for
+    each row's best controls: those of its frozen-surroundings relaxed
+    trajectories, as a stack of one gives them.
     """
     lo, hi = np.zeros(cfg.T), np.ones(cfg.T)
-    U, best, evals = minimize(
+    U, best, evals, X = minimize(
         lambda U: component_subproblem_objective(U, it, noises, cfg, cache),
         it.u.copy(), (lo, hi), max_evals, seeds,
         max_chunk=max(1, LOCKSTEP_COLUMNS // (cfg.n * noises.shape[0])))
-    X = component_trajectories(U[:, None], it, noises, cfg, cache)[:, 0]
     return X, U, best, evals
 
 
@@ -382,19 +384,21 @@ def component_multiplier_backward(X, U, it: Iterate, noises,
     (other components, stock) are evaluated at the bar point and enter
     through the cached coordination coefficients; the self term uses the
     Jacobian of the relaxed step along the fresh trajectories ``X`` of the
-    controls ``U``.  One fleet-wide own-state block per time step; returns
-    (n, T+1, D+2, Q).
+    controls ``U``.  One fleet-wide own-state block call per block of steps,
+    the carry taken step by step; returns (n, T+1, D+2, Q).
     """
     T = cfg.T
     g = _own_cost_gradient(X, cache.sigma_others, it.alpha, cfg)
     Lam = np.empty_like(X)
     Lam[:, T] = -g[:, T] - it.gamma_x * (X[:, T] - it.X[:, T])
-    for t in range(T - 1, -1, -1):
-        d_own = _fleet_partials(rx.component_step_d_own, X, U, t, it.S[t],
-                                cache.bprev[:, t], noises, it.alpha, cfg)
-        carry = np.einsum("ocjq,joq->jcq", d_own, Lam[:, t + 1])
-        Lam[:, t] = (-g[:, t] - it.gamma_x * (X[:, t] - it.X[:, t])
-                     - cache.coord[:, t] + carry)
+    for t, d_own in _fleet_partials(rx.component_step_d_own, X, U, it.S,
+                                    cache.bprev, noises, it.alpha, cfg):
+        base = (-g[:, t] - it.gamma_x * (X[:, t] - it.X[:, t])
+                - cache.coord[:, t])
+        for ts in reversed(range(t.start, t.stop)):
+            carry = np.einsum("ocjq,joq->jcq", d_own[..., ts - t.start, :],
+                              Lam[:, ts + 1])
+            Lam[:, ts] = base[:, ts - t.start] + carry
     return Lam
 
 
@@ -413,13 +417,15 @@ def stock_multiplier_backward(S_new, X_new, u_new, Lam_new, S_bar, noises,
     bprev = sm.exclusive_cumsum(rx._ind_singleton(0.0, E[:, :T], alpha))
     LamS = np.zeros((T + 1, Q))
     LamS[T] = -gamma_s * (S_new[T] - S_bar[T])
-    for t in range(T - 1, -1, -1):
-        acc = np.sum(_stock_sensitivity(X_new, u_new, t, S_bar[t],
-                                        bprev[:, t], noises,
-                                        Lam_new[:, t + 1], alpha, cfg),
-                     axis=0)
+    for t, d_S in _fleet_partials(rx.component_step_d_S, X_new, u_new, S_bar,
+                                  bprev, noises, alpha, cfg):
         sp = rx.stock_step_partials(E[:, t], P[:, t], S_new[t], alpha, cfg)
-        LamS[t] = -gamma_s * (S_new[t] - S_bar[t]) + acc + sp.d_S * LamS[t + 1]
+        base = -gamma_s * (S_new[t] - S_bar[t])
+        for ts in reversed(range(t.start, t.stop)):
+            s = ts - t.start
+            acc = np.sum(np.einsum("ojq,joq->jq", d_S[:, :, s],
+                                   Lam_new[:, ts + 1]), axis=0)
+            LamS[ts] = base[s] + acc + sp.d_S[s] * LamS[ts + 1]
     return LamS
 
 
@@ -438,7 +444,12 @@ def app_fixed_point(cfg: SystemConfig, p: APPParams, noises, seed: int):
     history holds one record per iteration with schedule values, the mean
     relaxed sample cost of the fresh controls and per-subproblem best
     values.  Output is a deterministic function of (cfg, p, noises, seed).
+    A Weibull shape below 1 raises ConfigError: the failure law's slope in
+    the age, which the multipliers read, is then infinite at age 0.
     """
+    if np.any(cfg.weibull_shape < 1):
+        raise ConfigError("the decomposition needs every Weibull shape "
+                          f">= 1, got {cfg.weibull_shape.min():g}")
     noises = np.asarray(noises, dtype=float)
     it = initial_iterate(cfg, p, noises)
     history = []

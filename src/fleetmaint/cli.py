@@ -26,8 +26,10 @@ or parameter file, 4 for a dimension mismatch, 5 for an output failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+from contextlib import suppress
 from dataclasses import fields, replace
 from itertools import repeat
 from pathlib import Path
@@ -517,7 +519,12 @@ def main(argv=None) -> int:
     if problem:
         # parser.error would print the whole usage first; one line will do
         parser.exit(EXIT_USAGE, f"{parser.prog}: error: {problem}\n")
-    return run(args)
+    made = not os.path.exists(args.out)
+    code = run(args)
+    if made and code != EXIT_OK:     # remove the directory run made, if empty
+        with suppress(OSError):
+            os.rmdir(args.out)
+    return code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,9 @@ box are clipped onto it so the evaluation budget is never wasted.
 
 ``minimize`` runs m independent searches row-wise in lockstep from an
 (m, d) stack of starts.  Each round hands the objective one chunk of
-trials per row, as an (m, K, d) stack, and gets (m, K) values back.  Every
+trials per row, as an (m, K, d) stack, and gets (m, K) values back, or
+those values and (m, K, ...) states of the trials, of which each row keeps
+its incumbent's (the decomposition's relaxed trajectories).  Every
 row keeps its own generator, basis, poll order, mesh, incumbent, budget
 and chunk size: its draws, iterates and charges are exactly those of a
 search run on its own.  Within a poll a row's chunks hold 1, 2, 4, ...
@@ -55,9 +57,10 @@ def minimize(objective, x0, bounds, max_evals, seeds, max_chunk=None):
 
     ``x0`` is an (m, d) stack of starts and ``bounds`` a pair of arrays
     (lo, hi).  ``objective`` maps an (m, K, d) stack of trials, a chunk
-    per row, to (m, K) values.  Row r charges at most ``max_evals``
-    evaluations and draws from ``seeds[r]``.  Returns (best points (m, d),
-    best values (m,), total evaluations charged over all rows).
+    per row, to (m, K) values, or to those values and (m, K, ...) states.
+    Row r charges at most ``max_evals`` evaluations and draws from
+    ``seeds[r]``.  Returns (best points (m, d), best values (m,), total
+    evaluations charged over all rows), and the best points' states.
     ``max_chunk`` is a capped row's chunk size, the start point included;
     None leaves the doubling bounded only by the poll and the budget.
     """
@@ -84,26 +87,33 @@ def minimize(objective, x0, bounds, max_evals, seeds, max_chunk=None):
         for r, c in enumerate(chunks):
             trials[r, :len(c)] = c
             trials[r, len(c):] = c[-1]
-        f = np.asarray(objective(trials), dtype=float)
+        f = objective(trials)
+        with_states = isinstance(f, tuple)
+        f, states = f if with_states else (f, np.empty((m, K, 0)))
+        f = np.asarray(f, dtype=float)
         if f.shape != (m, K):
             raise ValueError(f"objective returned shape {f.shape} for "
                              f"trials of shape {trials.shape}")
         for r, search in enumerate(searches):
             if results[r] is None:
                 try:
-                    chunks[r] = search.send(f[r, :len(chunks[r])])
+                    chunks[r] = search.send((f[r, :len(chunks[r])],
+                                             states[r]))
                 except StopIteration as stop:
                     results[r] = stop.value
                     chunks[r] = stop.value[0][None]
-    best_x, best_f, evals = zip(*results)
-    return np.array(best_x), np.array(best_f), sum(evals)
+        del states      # each row copied what it keeps
+    best_x, best_f, evals, best_s = zip(*results)
+    out = np.array(best_x), np.array(best_f), sum(evals)
+    return out + (np.array(best_s),) if with_states else out
 
 
 def _search(x0, lo, hi, seed, max_evals, max_chunk):
     """One search: yields each chunk of trials to evaluate, a (c, d)
-    matrix, is sent their c values, and returns (best point, best value,
-    evaluations charged).  A poll's chunks double from 1 trial, or hold
-    ``max_chunk`` when given; the start point leads the first chunk."""
+    matrix, is sent their c values and states, and returns (best point,
+    best value, evaluations charged, a copy of the best point's states).
+    A poll's chunks double from 1 trial, or hold ``max_chunk`` when given;
+    the start point leads the first chunk."""
     if np.any(hi < lo):
         raise ValueError("empty bounds box")
     if np.any(x0 < lo) or np.any(x0 > hi):
@@ -113,9 +123,10 @@ def _search(x0, lo, hi, seed, max_evals, max_chunk):
     scale = hi - lo
     rng = np.random.default_rng(seed)
 
-    best_x, best_f = x0.copy(), None
+    best_x, best_f, best_s = x0.copy(), None, None
     if max_evals == 1:
-        return best_x, (yield best_x[None])[0], 1
+        f, states = yield best_x[None]
+        return best_x, f[0], 1, states[0].copy()
     evals, mesh = 1, INITIAL_MESH     # the start point is charged ahead
 
     while evals < max_evals and mesh >= MIN_MESH:
@@ -129,19 +140,22 @@ def _search(x0, lo, hi, seed, max_evals, max_chunk):
             directions = basis[:, ks % d].T * np.where(ks < d, 1.0,
                                                        -1.0)[:, None]
             trials = np.clip(best_x + step * directions, lo, hi)
-            f = yield np.vstack((best_x[None], trials)) if lead else trials
+            f, states = yield (np.vstack((best_x[None], trials)) if lead
+                               else trials)
             if lead:
-                best_f, f = f[0], f[1:]
+                best_f, best_s, f = f[0], states[0].copy(), f[1:]
             better = np.flatnonzero(f < best_f)
             if better.size:
                 j = int(better[0])
                 best_x, best_f, improved = trials[j], f[j], True
+                best_s = states[j + lead].copy()
                 evals += j + 1
             else:
                 evals += len(ks)
+            del states          # no view of the round outlives it
             polled += len(ks)
             size = min(2 * size, cap)
         if not improved:
             mesh *= 0.5
 
-    return best_x, best_f, evals
+    return best_x, best_f, evals, best_s

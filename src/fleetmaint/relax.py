@@ -21,7 +21,8 @@ the latter enters a component's step only through ``b_prev``, the relaxed
 count of broken components with a lower index.  The step reads ``S`` and
 ``b_prev`` only through ``S - b_prev``, so its derivative in ``b_prev`` is
 ``-d_S`` and in a lower regime E_j it is ``-d_S * d1{0}(E_j)``.  The whole
-fleet steps, and is differentiated, in one vectorized call per time step.
+fleet steps in one vectorized call per time step, and is differentiated in
+one call per time step or per block of steps: every argument broadcasts.
 Each Jacobian block has its own function, the own-state block
 (:func:`component_step_d_own`) and the stock column
 (:func:`component_step_d_S`), so an adjoint recursion builds only the

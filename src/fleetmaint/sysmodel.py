@@ -163,24 +163,25 @@ def failure_probability(shape, scale, age, dt):
     Returns 1 when the denominator degenerates numerically.
     """
     age_arr = np.asarray(age, dtype=float)
-    if np.any(age_arr < 0):
+    if (age_arr < 0).any():
         raise ValueError("age must be nonnegative")
     # 1 - p = exp(h(age) - h(age + dt)) with h(x) = (x / scale)^shape,
     # formed in p, h1 for h(age + dt) and x for the quotients.  The power
     # and expm1 never write over their own input: np.power can then take
     # another inner loop, whose result differs in the last bit (exponent
-    # 0.5 or 2 on a one-element array)
+    # 0.5 or 2 on a one-element array).  With dt > 0 the argument of expm1
+    # is <= 0 or NaN, so it cannot overflow
     p = np.empty(np.broadcast(age_arr, shape, scale, dt).shape)
     x, h1 = np.empty_like(p), np.empty_like(p)
     np.power(np.divide(age_arr, scale, out=x), shape, out=p)
     np.divide(np.add(age_arr, dt, out=x), scale, out=x)
     np.power(x, shape, out=h1)
     np.subtract(p, h1, out=h1)
-    with np.errstate(over="ignore"):
-        np.expm1(h1, out=p)
+    np.expm1(h1, out=p)
     np.negative(p, out=p)
     np.copyto(p, 1.0, where=~np.isfinite(p))
-    np.clip(p, 0.0, 1.0, out=p)
+    # np.clip(p, 0, 1), keeping a -0.0 as np.clip does
+    np.minimum(np.maximum(0.0, p, out=p), 1.0, out=p)
     return float(p) if np.isscalar(age) or age_arr.ndim == 0 else p
 
 

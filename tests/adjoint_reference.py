@@ -64,14 +64,12 @@ def component_stationarity_residual(X, U, Lam, it: ad.Iterate, noises,
                                     cache: ad.IterationCache) -> np.ndarray:
     """Per component, max abs value of the Lagrangian state gradient at
     (X, Lam), shape (n,)."""
-    T = cfg.T
     r = (ad._own_cost_gradient(X, cache.sigma_others, it.alpha, cfg)
          + it.gamma_x * (X - it.X) + Lam)
-    for t in range(T):
-        d_own = ad._fleet_partials(rx.component_step_d_own, X, U, t, it.S[t],
-                                   cache.bprev[:, t], noises, it.alpha, cfg)
-        r[:, t] += cache.coord[:, t] \
-            - np.einsum("ocjq,joq->jcq", d_own, Lam[:, t + 1])
+    for t, d_own in ad._fleet_partials(rx.component_step_d_own, X, U, it.S,
+                                       cache.bprev, noises, it.alpha, cfg):
+        r[:, t] += cache.coord[:, t] - np.einsum(
+            "ocjtq,jtoq->jtcq", d_own, Lam[:, t.start + 1:t.stop + 1])
     return np.max(np.abs(r), axis=(1, 2, 3))
 
 
@@ -82,14 +80,15 @@ def stock_stationarity_residual(S_new, X_new, u_new, Lam_new, LamS, S_bar,
     T = cfg.T
     E, P = X_new[:, :, 0, :], X_new[:, :, 2:, :]
     worst = float(np.max(np.abs(gamma_s * (S_new[T] - S_bar[T]) + LamS[T])))
-    for t in range(T - 1, -1, -1):
-        b_prev = sm.exclusive_cumsum(rx._ind_singleton(0.0, E[:, t], alpha))
-        acc = np.sum(ad._stock_sensitivity(X_new, u_new, t, S_bar[t], b_prev,
-                                           noises, Lam_new[:, t + 1], alpha,
-                                           cfg), axis=0)
+    b_prev = sm.exclusive_cumsum(rx._ind_singleton(0.0, E[:, :T], alpha))
+    for t, d_S in ad._fleet_partials(rx.component_step_d_S, X_new, u_new,
+                                     S_bar, b_prev, noises, alpha, cfg):
+        t1 = slice(t.start + 1, t.stop + 1)
+        acc = np.sum(np.einsum("ojtq,jtoq->jtq", d_S, Lam_new[:, t1]),
+                     axis=0)
         sp = rx.stock_step_partials(E[:, t], P[:, t], S_new[t], alpha, cfg)
         r = (gamma_s * (S_new[t] - S_bar[t]) - acc
-             - sp.d_S * LamS[t + 1] + LamS[t])
+             - sp.d_S * LamS[t1] + LamS[t])
         worst = max(worst, float(np.max(np.abs(r))))
     return worst
 
@@ -107,9 +106,8 @@ def reduced_gradient(U, it: ad.Iterate, noises, cfg: SystemConfig,
     Lam = ad.component_multiplier_backward(X, U, it, noises, cfg, cache)
     beta = cfg.discount(np.arange(T))
     grad = 2.0 * beta * cfg.C_P[:, None] * U + it.gamma_u * (U - it.u)
-    for t in range(T):
-        d_u = ad._fleet_partials(control_partials, X, U, t, it.S[t],
-                                 cache.bprev[:, t], noises, it.alpha, cfg)
-        grad[:, t] -= np.mean(np.einsum("ojq,joq->jq", d_u, Lam[:, t + 1]),
-                              axis=1)
+    for t, d_u in ad._fleet_partials(control_partials, X, U, it.S,
+                                     cache.bprev, noises, it.alpha, cfg):
+        grad[:, t] -= np.mean(np.einsum(
+            "ojtq,jtoq->jtq", d_u, Lam[:, t.start + 1:t.stop + 1]), axis=-1)
     return grad

@@ -153,9 +153,9 @@ def test_criterion_4_adjoint_correctness():
             up[i, t] += h
             um[i, t] -= h
             fd = (ad.component_subproblem_objective(up[:, None], it, noises,
-                                                    cfg, cache)[i, 0]
+                                                    cfg, cache)[0][i, 0]
                   - ad.component_subproblem_objective(um[:, None], it, noises,
-                                                      cfg, cache)[i, 0]
+                                                      cfg, cache)[0][i, 0]
                   ) / (2 * h)
             rel = abs(grad[t] - fd) / max(abs(fd), 1e-7)
             worst_rel = max(worst_rel, rel)

@@ -85,7 +85,7 @@ def test_objective_at_bar_with_zero_multipliers():
     beta = cfg.discount(np.arange(cfg.T + 1))
     cache = ad.build_iteration_cache(it, noises, cfg)
     got = ad.component_subproblem_objective(it.u[:, None], it, noises, cfg,
-                                            cache)[:, 0]
+                                            cache)[0][:, 0]
     for i in range(2):
         E, A = stats.states[i, :, 0], stats.states[i, :, 1]
         cm = np.sum(beta[:, None] * cfg.C_C[i]
@@ -101,10 +101,10 @@ def test_objective_proximal_terms():
     it = make_iterate(cfg, noises, gamma_x=0.0, gamma_u=4.0)
     cache = ad.build_iteration_cache(it, noises, cfg)
     base = ad.component_subproblem_objective(it.u[:, None], it, noises, cfg,
-                                             cache)[0, 0]
+                                             cache)[0][0, 0]
     shifted = it.u + 0.1
     got = ad.component_subproblem_objective(shifted[:, None], it, noises, cfg,
-                                            cache)[0, 0]
+                                            cache)[0][0, 0]
     beta = cfg.discount(np.arange(3))
     pm = float(np.sum(beta * cfg.C_P[0] * shifted[0] ** 2))
     assert got == pytest.approx(base + pm + 0.5 * 4.0 * 3 * 0.1 ** 2,
@@ -130,9 +130,9 @@ def test_objective_is_deterministic():
     it = make_iterate(cfg, noises)
     u = rng.random((2, 4))[:, None]
     cache = ad.build_iteration_cache(it, noises, cfg)
-    a = ad.component_subproblem_objective(u, it, noises, cfg, cache)
-    b = ad.component_subproblem_objective(u, it, noises, cfg, cache)
-    assert np.array_equal(a, b)
+    fa, Xa = ad.component_subproblem_objective(u, it, noises, cfg, cache)
+    fb, Xb = ad.component_subproblem_objective(u, it, noises, cfg, cache)
+    assert np.array_equal(fa, fb) and np.array_equal(Xa, Xb)
 
 
 def test_subproblem_trajectories_at_bar_equal_relaxed_batch():
@@ -159,9 +159,9 @@ def test_subproblem_trajectories_at_bar_equal_relaxed_batch():
     assert np.array_equal(ad.component_trajectories(
         U[:, None], it, noises, cfg, cache)[0, 0], X[0])
     assert ad.component_subproblem_objective(
-        U[:, None], it, noises, cfg, cache)[0, 0] \
+        U[:, None], it, noises, cfg, cache)[0][0, 0] \
         == ad.component_subproblem_objective(
-            it.u[:, None], it, noises, cfg, cache)[0, 0]
+            it.u[:, None], it, noises, cfg, cache)[0][0, 0]
 
 
 def _stacked_case(cfg, Q, K, seed):
@@ -196,15 +196,16 @@ def test_stacked_candidates_equal_separate_calls(case):
         cfg, Q, K = case1_config(), 4, 3
     noises, it, cache, U = _stacked_case(cfg, Q, K, seed=len(case))
     X = ad.component_trajectories(U, it, noises, cfg, cache)
-    F = ad.component_subproblem_objective(U, it, noises, cfg, cache)
+    F, XF = ad.component_subproblem_objective(U, it, noises, cfg, cache)
+    assert np.array_equal(XF, X)
     assert X.shape == (cfg.n, K, cfg.T + 1, cfg.D + 2, Q)
     assert F.shape == (cfg.n, K)
     # candidate k of the stack is the stack of candidate k alone
     for k in range(K):
         Xk = ad.component_trajectories(U[:, k:k + 1], it, noises, cfg, cache)
         assert np.array_equal(X[:, k], Xk[:, 0]), k
-        fk = ad.component_subproblem_objective(U[:, k:k + 1], it, noises, cfg,
-                                               cache)
+        fk, _ = ad.component_subproblem_objective(U[:, k:k + 1], it, noises,
+                                                  cfg, cache)
         assert np.array_equal(F[:, k], fk[:, 0]), k
 
 
@@ -234,7 +235,7 @@ def test_budget_one_returns_warm_start():
     assert np.array_equal(u, it.u)
     assert evals == 2
     assert np.array_equal(best, ad.component_subproblem_objective(
-        it.u[:, None], it, noises, cfg, cache)[:, 0])
+        it.u[:, None], it, noises, cfg, cache)[0][:, 0])
 
 
 def test_subproblem_never_worse_than_warm_start():
@@ -246,7 +247,7 @@ def test_subproblem_never_worse_than_warm_start():
     it.X, it.S = relaxed_bars(sm.Strategy(it.u), noises, it.alpha, cfg)
     cache = ad.build_iteration_cache(it, noises, cfg)
     ref = ad.component_subproblem_objective(it.u[:, None], it, noises, cfg,
-                                            cache)[:, 0]
+                                            cache)[0][:, 0]
     _, _, best, _ = ad.solve_component_subproblems(
         it, noises, cfg, 120, range(2), cache)
     assert np.all(best <= ref + 1e-12)
@@ -263,7 +264,7 @@ def test_subproblem_solution_independent_of_round_size(monkeypatch):
     it.X, it.S = relaxed_bars(sm.Strategy(it.u), noises, it.alpha, cfg)
     cache = ad.build_iteration_cache(it, noises, cfg)
     ref = ad.component_subproblem_objective(it.u[:, None], it, noises, cfg,
-                                            cache)[:, 0]
+                                            cache)[0][:, 0]
     outs = []
     for columns in (1, 3 * 18, 10 ** 6):
         monkeypatch.setattr(ad, "LOCKSTEP_COLUMNS", columns)
@@ -273,6 +274,24 @@ def test_subproblem_solution_independent_of_round_size(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(out[:3], outs[0]))
         assert out[3] == outs[0][3] == 270
     assert np.all(outs[0][2] < ref)
+
+
+@pytest.mark.parametrize("budget", [1, 90])
+def test_subproblem_states_are_those_of_the_best_controls(budget):
+    """The states the search keeps for each row's best controls, the start
+    point's at budget 1, are bit for bit a stack of one's trajectories."""
+    cfg = make_cfg(n=3, T=5)
+    rng = np.random.default_rng(14)
+    noises = rng.random((6, 3, 5))
+    it = make_iterate(cfg, noises)
+    it.u = rng.random((3, 5)) * 0.5
+    it.X, it.S = relaxed_bars(sm.Strategy(it.u), noises, it.alpha, cfg)
+    cache = ad.build_iteration_cache(it, noises, cfg)
+    X, U, _, _ = ad.solve_component_subproblems(it, noises, cfg, budget,
+                                                range(3), cache)
+    assert np.all(np.any(U != it.u, axis=1)) == (budget > 1)
+    assert np.array_equal(X, ad.component_trajectories(
+        U[:, None], it, noises, cfg, cache)[:, 0])
 
 
 def test_stock_subproblem_all_healthy():
@@ -307,6 +326,55 @@ def _fresh_solution(cfg, noises, it, budget=60):
     Lam_new = ad.component_multiplier_backward(X_new, u_new, it, noises, cfg,
                                                cache)
     return cache, X_new, u_new, Lam_new
+
+
+def _random_states(rng, cfg, Q):
+    """States (n, T+1, D+2, Q) and a stock (T+1, Q) inside the ramps'
+    bands, most regimes within 1/(2 alpha) of 0 at alpha = 2, so that the
+    spare-order coupling through b_prev is live."""
+    X = np.empty((cfg.n, cfg.T + 1, cfg.D + 2, Q))
+    X[:, :, 0] = np.where(rng.random(X[:, :, 0].shape) < 0.2,
+                          rng.uniform(0.75, 1.25, X[:, :, 0].shape),
+                          rng.uniform(-0.25, 0.25, X[:, :, 0].shape))
+    X[:, :, 1] = rng.uniform(0.5, 10.0, X[:, :, 1].shape)
+    X[:, :, 2:] = rng.uniform(-1.5, cfg.D + 1.0, X[:, :, 2:].shape)
+    return X, rng.uniform(0.0, cfg.n, (cfg.T + 1, Q))
+
+
+def test_adjoint_recursions_equal_at_every_step_block(monkeypatch):
+    """The cache's coordination terms and both multiplier recursions give
+    the same bits in blocks of 1 step, of 3 steps (7 = 3 + 3 + 1) and of
+    all T steps, on a heterogeneous fleet with nonzero multipliers and
+    states inside the ramps' bands."""
+    cfg = make_cfg(n=4, T=7, D=3, s_init=1,
+                   weibull_shape=[1.0, 2.0, 3.5, 1.5],
+                   weibull_scale=[4.0, 6.0, 9.0, 5.0])
+    Q = 5
+    rng = np.random.default_rng(17)
+    noises = rng.random((Q, cfg.n, cfg.T))
+    it = make_iterate(cfg, noises, make_params(alpha0=2.0))
+    it.u = rng.random((cfg.n, cfg.T))
+    it.X, it.S = _random_states(rng, cfg, Q)
+    it.Lam = rng.standard_normal(it.X.shape)
+    it.LamS = rng.standard_normal(it.S.shape)
+    U = rng.random((cfg.n, cfg.T))
+    X, S = _random_states(rng, cfg, Q)
+    outs = []
+    for steps in (1, 3, cfg.T):
+        monkeypatch.setattr(ad, "LOCKSTEP_COLUMNS", steps * cfg.n * Q)
+        cache = ad.build_iteration_cache(it, noises, cfg)
+        blocks = [(t.start, t.stop) for t, _ in ad._fleet_partials(
+            rx.component_step_d_S, it.X, it.u, it.S, cache.bprev, noises,
+            it.alpha, cfg)]
+        assert blocks == ([(t, t + 1) for t in range(6, -1, -1)]
+                          if steps == 1 else [(6, 7), (3, 6), (0, 3)]
+                          if steps == 3 else [(0, 7)])
+        Lam = ad.component_multiplier_backward(X, U, it, noises, cfg, cache)
+        LamS = ad.stock_multiplier_backward(S, X, U, Lam, it.S, noises, cfg,
+                                            it.alpha, 0.02)
+        outs.append((cache.coord, Lam, LamS))
+    for out in outs[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(out, outs[0]))
 
 
 def test_component_multiplier_stationarity():
@@ -484,9 +552,9 @@ def test_reduced_gradient_matches_fd():
             up[i, t] += h
             um[i, t] -= h
             fd = (ad.component_subproblem_objective(up[:, None], it, noises,
-                                                    cfg, cache)[i, 0]
+                                                    cfg, cache)[0][i, 0]
                   - ad.component_subproblem_objective(um[:, None], it, noises,
-                                                      cfg, cache)[i, 0]
+                                                      cfg, cache)[0][i, 0]
                   ) / (2 * h)
             assert grad[t] == pytest.approx(fd, rel=1e-4, abs=1e-7), \
                 f"t={t} analytic {grad[t]} fd {fd}"

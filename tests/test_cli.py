@@ -379,6 +379,44 @@ def test_evaluate_requires_strategy(tmp_path):
     rc = run_cli(mode="evaluate", config=cfg_path, seed=2,
                  out=str(tmp_path / "o"))
     assert rc == cli.EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+
+
+def test_failed_run_keeps_only_directories_it_did_not_make(tmp_path):
+    """A failed run removes the empty output directory it made; a
+    directory that was there before the run stays."""
+    out = tmp_path / "o"
+    assert run_cli(mode="evaluate", seed=2, out=str(out)) == cli.EXIT_CONFIG
+    assert not out.exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert run_cli(mode="evaluate", seed=2, out=str(kept)) == cli.EXIT_CONFIG
+    assert kept.is_dir() and not any(kept.iterdir())
+
+
+@pytest.mark.parametrize("mode", ["optimize-app", "tune", "compare"])
+def test_decomposition_rejects_weibull_shape_below_one(tmp_path, capsys,
+                                                      mode):
+    """Below shape 1 the failure law's slope is infinite at age 0 and the
+    multipliers would be NaN: the decomposition's modes exit 3, while the
+    exact-engine modes take the fleet."""
+    cfg = small_cfg(n=3, T=6, weibull_shape=[3.0, 0.8, 2.0])
+    cfg_path = write_cfg(tmp_path, cfg)
+    rc = run_cli(mode=mode, config=cfg_path, seed=1, out=str(tmp_path / "o"),
+                 iterations=2, budget=5, scenarios=4, validation_scenarios=10,
+                 lhs_count=2)
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Weibull shape" in err
+    assert not (tmp_path / "o").exists()
+    assert run_cli(mode="optimize-direct", config=cfg_path, seed=1,
+                   out=str(tmp_path / "d"), budget=5, scenarios=4) == 0
+    for other in ("evaluate", "simulate"):
+        assert run_cli(mode=other, config=cfg_path, seed=1,
+                       strategy=tmp_path / "d" / "strategy_projected.csv",
+                       validation_scenarios=10,
+                       out=str(tmp_path / other)) == 0
+    assert "RuntimeWarning" not in capsys.readouterr().err
 
 
 def test_tune_mode(tmp_path):
@@ -626,4 +664,4 @@ def test_compare_zero_iterations_is_usage_error(tmp_path, capsys, source):
     assert rc == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.count("\n") == 1
-    assert not any((tmp_path / "o").iterdir())
+    assert not (tmp_path / "o").exists()

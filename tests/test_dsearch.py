@@ -242,6 +242,34 @@ def test_lockstep_rows_equal_separate_searches():
             assert padded and cut
 
 
+@pytest.mark.parametrize("budget, cap", [(1, None), (7, 7), (300, None),
+                                         (300, 1), (300, 3)])
+def test_objective_with_states_returns_incumbents_states(budget, cap):
+    """An objective that also returns per-trial states gets the same
+    search, and back the states of each row's incumbent: the start point's
+    on the flat row 2 and at budget 1, an accepted trial's elsewhere (at
+    budget 7, one of the first chunk, behind the start point)."""
+    rng = np.random.default_rng(21)
+    d, seeds = 3, [1, 2, 3, 4]
+    centres = rng.uniform(-1, 1, (4, d))
+    x0 = rng.uniform(-1, 1, (4, d))
+    box = (-np.ones(d), np.ones(d))
+    stack, _ = _bumpy_bowls(centres, (2,))
+
+    def states_of(X):
+        return np.stack((X, X * X), axis=-2)    # (..., 2, d)
+
+    plain = minimize(stack, x0, box, budget, seeds, max_chunk=cap)
+    x, f, evals, states = minimize(lambda X: (stack(X), states_of(X)), x0,
+                                   box, budget, seeds, max_chunk=cap)
+    assert len(plain) == 3
+    assert np.array_equal(x, plain[0]) and np.array_equal(f, plain[1])
+    assert evals == plain[2]
+    assert np.array_equal(states, states_of(x))
+    moved = np.any(x != x0, axis=1)
+    assert not moved[2] and moved.any() == (budget > 1)
+
+
 def test_lockstep_shape_checks():
     x0 = np.zeros((2, 3))
     box = (-np.ones(3), np.ones(3))

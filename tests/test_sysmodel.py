@@ -81,6 +81,23 @@ def failure_probability_oracle(shape, scale, age, dt):
     return float(p) if np.isscalar(age) or age_arr.ndim == 0 else p
 
 
+def test_failure_probability_grid_matches_oracle_bit_for_bit():
+    """A fixed grid of zero, fractional, whole and tail ages, scalar and
+    per-component laws; a negative age anywhere in an array raises."""
+    ages = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 7.3, 12.0, 39.75, 1e6])
+    for shape in (0.8, 1.0, 2.0, 3.0, 7.5):
+        for dt in (1.0, 0.25):
+            got = sm.failure_probability(shape, 10.0, ages, dt)
+            assert got.tobytes() == failure_probability_oracle(
+                shape, 10.0, ages, dt).tobytes()
+    law = (np.array([[1.0], [2.0], [3.0]]), np.array([[4.0], [8.0], [12.0]]))
+    grid = np.broadcast_to(ages, (3, len(ages)))
+    assert sm.failure_probability(*law, grid, 1.0).tobytes() \
+        == failure_probability_oracle(*law, grid, 1.0).tobytes()
+    with pytest.raises(ValueError):
+        sm.failure_probability(*law, grid - 1e-300 * (grid == 0), 1.0)
+
+
 # zero, fractional and whole ages, ages where age + dt rounds to age (p is
 # -0.0) and ages whose hazard overflows (p is 1)
 _AGES = st.one_of(st.sampled_from([0.0, 0.5, 3.0, 10.0, 1e20, 1e103, 1e300]),
