@@ -289,11 +289,10 @@ def _subproblem_values(U, X, it: Iterate, cfg: SystemConfig,
 
 #: scenario columns one lockstep round steps, summed over the rows: each
 #: row's chunk holds max(1, LOCKSTEP_COLUMNS // (n Q)) candidates from a
-#: poll's first trial, the start point included in the first.  That is
-#: ten on the 10-component system with 20 scenarios, where a round of one
-#: candidate per row is dispatch-bound (see ``dsearch``), and one on the
-#: 80-component fleet with 50 scenarios or more.  A Jacobian call of the
-#: adjoint recursions takes as many steps (:func:`_fleet_partials`).
+#: poll's first trial, the start point included in the first, so a small
+#: fleet fills a dispatch-bound round with several candidates per row and
+#: a large one steps one.  A Jacobian call of the adjoint recursions takes
+#: as many steps (:func:`_fleet_partials`).
 LOCKSTEP_COLUMNS = sm.BLOCK
 
 

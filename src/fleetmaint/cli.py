@@ -31,7 +31,7 @@ import sys
 import time
 from contextlib import suppress
 from dataclasses import fields, replace
-from itertools import repeat
+from itertools import repeat, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -519,11 +519,14 @@ def main(argv=None) -> int:
     if problem:
         # parser.error would print the whole usage first; one line will do
         parser.exit(EXIT_USAGE, f"{parser.prog}: error: {problem}\n")
-    made = not os.path.exists(args.out)
+    # the directories run makes: --out and its missing parents, leaf first
+    out = Path(args.out).absolute()
+    made = list(takewhile(lambda d: not os.path.exists(d), (out, *out.parents)))
     code = run(args)
-    if made and code != EXIT_OK:     # remove the directory run made, if empty
+    if code != EXIT_OK:     # remove them, leaf first, while they are empty
         with suppress(OSError):
-            os.rmdir(args.out)
+            for path in made:
+                os.rmdir(path)
     return code
 
 

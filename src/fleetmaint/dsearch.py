@@ -33,13 +33,10 @@ the longest chunk among the live rows; a shorter chunk is padded with
 copies of its last trial and a row that has stopped with its incumbent,
 and padded values are discarded and not charged.
 
-The cap lets the caller size a round by the work per trial.  The
-decomposition's component subproblems (``appdecomp``) are dispatch-bound
-on the 10-component system with 20 scenarios: a round with K trials per
-row costs 10.3 ms per K at K = 1, 2.9 ms at K = 5 and 2.5 ms at K = 10
-(2 cores).  On the 80-component fleet with 50 scenarios a round is mostly
-compute, 47.6 ms per K at K = 1 and 35.9 ms at K = 2, and the cap keeps
-one trial per row there.
+The cap lets the caller size a round by the work per trial: where a
+round of one trial per row is dispatch-bound, a larger cap spreads each
+call's fixed cost over more trials; where a round is mostly compute, a
+cap of one wastes no work on trials after a success.
 
 Everything is driven by seeded generators, so a given (objective, starts,
 bounds, budget, seeds) always returns the same answer.

@@ -43,10 +43,10 @@ Each step reads a block's noises ``panel[:, :, t].T``, contiguous on the
 step-major panels the package makes.  The step kernel forms its
 intermediates in place, in its output arrays and one scratch array, with
 the same IEEE operations in the same order as the plain expressions in
-its comments.  On {0, 1} controls every exact age is a whole number of
-steps, so an exact block computes the failure law once, at the ages
-0..T of each component, and its steps look it up; a step with a
-fractional age (a PM on a control in [nu, 1)) computes the law itself.
+its comments.  A block computes the failure law once, at the whole ages
+0..T of each component, and a step whose ages are all whole looks it
+up; a step with a fractional age (a PM on a control in [nu, 1), or a
+relaxed step inside a ramp) computes the law itself.
 """
 from __future__ import annotations
 
@@ -396,24 +396,16 @@ class BatchStats:
     stock: np.ndarray | None = None          # (T+1, Q)
 
 
-#: most scenarios stepped together for a Strategy; bounds the memory the
-#: step temporaries and a ScenarioSet's panels take on large batches.  On
-#: 100k scenarios of the small system (n=10, T=40), generation included, a
-#: ScenarioSet takes 2.2-2.7 s of wall and 4.3-5.2 s of CPU in two worker
-#: processes, each peaking at 44 MB, and 4.3-4.6 s in one process (55 MB);
-#: computing the failure law on every step, 2.8-3.6 s, 5.6-6.7 s and
-#: 4.9-6.0 s.  2 049 scenarios, as two blocks of 1 024 and 1 025, take
-#: 77-86 ms on two workers and 89-96 ms in one process; a block of 2 048
-#: and one of a single scenario took 150-171 ms on two workers.
+#: most scenarios stepped together for a Strategy: bounds the memory the
+#: step temporaries and a ScenarioSet's panels take on large batches,
+#: while a block stays wide enough that numpy's per-call dispatch is a
+#: small share of its steps
 BLOCK = 2048
 
 #: scenario columns stepped together for a stack of candidate controls,
-#: one block after another.  On the small system one 2048-column block
-#: adds 5.6 MB of peak resident set, +12 % on a 500-evaluation direct
-#: search that peaks at 47 MB; 512 columns add 1.3 MB.  512 columns
-#: already amortize the per-call dispatch: that search takes 0.75 s of
-#: CPU, against 0.56 s with 2048-column blocks and 5.0 s at one candidate
-#: per call.
+#: one block after another: narrower than BLOCK, since a search holds a
+#: block's temporaries on top of its own memory, and still wide enough to
+#: amortize the per-call dispatch over the stack's candidates
 STACK_BLOCK = 512
 
 
@@ -448,8 +440,9 @@ def _tabled_law(table, rows, A):
     or None unless every age is whole.
 
     Ages start at 0 and rise by at most 1 a step, so whole ages lie in
-    0..T; a PM on a control in [nu, 1) leaves a fraction.  The index
-    array dies with the call, before the step makes its own arrays.
+    0..T; a PM on a control in [nu, 1), or a ramp, leaves a fraction.
+    The index array dies with the call, before the step makes its own
+    arrays.
     """
     ages = A.astype(np.intp)
     if (ages == A).all():
@@ -460,8 +453,8 @@ def _tabled_law(table, rows, A):
 def _run_block(u, noises, cfg: SystemConfig, ind: Indicators,
                record_states: bool, lo: int, hi: int):
     """Step scenario columns lo..hi-1 of a call on the (K, n, T) controls
-    ``u``, with the indicators ``ind``; with :data:`HARD`, steps on whole
-    ages read the failure law from a table of the block.
+    ``u``, with the indicators ``ind``; steps on whole ages read the
+    failure law from a table of the block.
 
     For one candidate, ``noises`` is a ScenarioSet, whose scenarios lo..hi-1
     the block generates, or an array of just those scenarios; for K > 1 it
@@ -483,12 +476,11 @@ def _run_block(u, noises, cfg: SystemConfig, ind: Indicators,
                  else noises)
     else:
         cand, scen = np.divmod(np.arange(lo, hi), len(noises))
-    # the exact step's failure law at the whole ages 0..T, row i at
-    # i·(T+1); np.power may take another inner loop on a one-element
-    # array, whose result can differ in the last bit, so such a step
-    # computes its own.  Compared with ==: a worker unpickles a copy of HARD
+    # the failure law at the whole ages 0..T, row i at i·(T+1); np.power
+    # may take another inner loop on a one-element array, whose result can
+    # differ in the last bit, so such a step computes its own
     table = None
-    if ind == HARD and n * width > 1:
+    if n * width > 1:
         table = failure_probability(shape, scale, np.arange(T + 1.0)[None],
                                     cfg.dt).ravel()
         rows = np.arange(0, n * (T + 1), T + 1)[:, None]

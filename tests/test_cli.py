@@ -296,7 +296,7 @@ def test_optimize_app_writes_artifacts(tmp_path):
     assert (out / "history.csv").exists()
 
 
-def test_evaluate_mode(tmp_path):
+def test_evaluate_mode(tmp_path, capsys):
     cfg = small_cfg()
     cfg_path = write_cfg(tmp_path, cfg)
     spath = tmp_path / "strategy.csv"
@@ -310,6 +310,8 @@ def test_evaluate_mode(tmp_path):
     for name in ("report.csv", "report.txt", "pm_cumulative.csv",
                  "empty_stock.csv"):
         assert (out / name).exists()
+    # the text report is what the run printed
+    assert (out / "report.txt").read_text() == capsys.readouterr().out
     # fractional controls score as the binary schedule they stand for
     frac = Strategy(np.array([[0.95, 0.5, 0.0], [0.9, 0.2, 1.0]]))
     reports = []
@@ -383,15 +385,19 @@ def test_evaluate_requires_strategy(tmp_path):
 
 
 def test_failed_run_keeps_only_directories_it_did_not_make(tmp_path):
-    """A failed run removes the empty output directory it made; a
-    directory that was there before the run stays."""
-    out = tmp_path / "o"
-    assert run_cli(mode="evaluate", seed=2, out=str(out)) == cli.EXIT_CONFIG
-    assert not out.exists()
+    """A failed run removes the empty output directory it made, and the
+    parents it made for it, leaf first; a directory that was there before
+    the run stays."""
+    for out in (tmp_path / "o", tmp_path / "new" / "a" / "b"):
+        assert run_cli(mode="evaluate", seed=2,
+                       out=str(out)) == cli.EXIT_CONFIG
+        assert not any(tmp_path.iterdir())
     kept = tmp_path / "kept"
     kept.mkdir()
-    assert run_cli(mode="evaluate", seed=2, out=str(kept)) == cli.EXIT_CONFIG
-    assert kept.is_dir() and not any(kept.iterdir())
+    for out in (kept, kept / "a" / "b"):
+        assert run_cli(mode="evaluate", seed=2,
+                       out=str(out)) == cli.EXIT_CONFIG
+        assert kept.is_dir() and not any(kept.iterdir())
 
 
 @pytest.mark.parametrize("mode", ["optimize-app", "tune", "compare"])
@@ -587,10 +593,17 @@ def test_unwritable_output_exit_code(tmp_path):
         assert rc == cli.EXIT_OUTPUT
 
 
-def test_unknown_mode_rejected():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--mode", "explode", "--seed", "0", "--out", "x"])
-    assert exc.value.code == cli.EXIT_USAGE
+def test_unknown_mode_rejected(tmp_path):
+    # so is a flag that is gone: the maximin restarts are now the constant
+    # cli.LHS_RESTARTS; tiny sizes in case the flag were taken
+    tiny_tune = ["--lhs-count", "1", "--iterations", "0", "--budget", "1",
+                 "--scenarios", "1", "--validation-scenarios", "1"]
+    for argv in (["--mode", "explode"],
+                 ["--mode", "tune", "--lhs-restarts", "2", *tiny_tune]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--seed", "0", "--out", str(tmp_path / "o")])
+        assert exc.value.code == cli.EXIT_USAGE
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("mode, flag, value", [
@@ -602,6 +615,7 @@ def test_unknown_mode_rejected():
     ("compare", "--budget", "0"),
     ("compare", "--seed", "-1"),
     ("compare", "--validation-scenarios", "0"),
+    ("simulate", "--threads", "0"),
 ])
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, mode, flag,
                                           value):
@@ -612,6 +626,39 @@ def test_out_of_range_flag_is_usage_error(tmp_path, capsys, mode, flag,
     assert "Traceback" not in err
     assert err.count("\n") == 1 and flag in err
     assert not (tmp_path / "o").exists()
+
+
+#: each mode's flags at tiny sizes
+TINY_RUNS = {
+    "simulate": {},
+    "optimize-direct": dict(budget=2, scenarios=2),
+    "optimize-app": dict(iterations=1, budget=2, scenarios=2),
+    "evaluate": dict(validation_scenarios=10),
+    "tune": dict(lhs_count=2, iterations=1, budget=2, scenarios=2,
+                 validation_scenarios=10),
+    "compare": dict(iterations=1, budget=2, scenarios=2,
+                    validation_scenarios=10),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(TINY_RUNS))
+def test_threads_flag_changes_no_output(tmp_path, mode):
+    """Every mode takes ``--threads``, which the benchmark's optimize-app
+    job passes, and writes the same bytes with it as without."""
+    cfg = small_cfg()
+    flags = dict(TINY_RUNS[mode], mode=mode, config=write_cfg(tmp_path, cfg),
+                 seed=1)
+    if mode in ("simulate", "evaluate"):
+        flags["strategy"] = tmp_path / "strategy.csv"
+        cli.save_strategy(Strategy(np.array([[0.95, 0.5, 0.0],
+                                             [0.9, 0.2, 1.0]])),
+                          cfg, flags["strategy"])
+    outputs = []
+    for threads in ({}, {"threads": 2}):
+        out = tmp_path / f"o{len(outputs)}"
+        assert run_cli(out=str(out), **flags, **threads) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] == outputs[1]
 
 
 def test_main_entry(tmp_path):

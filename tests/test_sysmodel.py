@@ -5,7 +5,6 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -425,11 +424,6 @@ def test_blocked_batch_matches_scalar_and_slices():
     assert stats.failure_count.sum() > 0 and stats.fo_steps.sum() > 0
 
 
-#: the exact indicators, but not :data:`sm.HARD` itself: with them the
-#: engine computes the failure law on every step instead of looking it up
-DIRECT_LAW = sm.Indicators(*(partial(f) for f in sm.HARD))
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 31 - 1),
        laws=st.lists(st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]),
@@ -438,16 +432,20 @@ DIRECT_LAW = sm.Indicators(*(partial(f) for f in sm.HARD))
        width=st.one_of(st.sampled_from([1, 2, sm.BLOCK]),
                        st.integers(1, sm.BLOCK)),
        K=st.sampled_from([None, 2, 3]),
-       pm=st.sampled_from(["whole", "fractional"]))
+       pm=st.sampled_from(["whole", "fractional"]),
+       ramp=st.sampled_from([False, True]))
 # one-element steps on which the tabled law would differ in the last bit
-@example(seed=9, laws=[2.0], dt=1.0, n=1, width=1, K=None, pm="whole")
-@example(seed=19, laws=[0.5], dt=1.0, n=1, width=1, K=None, pm="whole")
+@example(seed=9, laws=[2.0], dt=1.0, n=1, width=1, K=None, pm="whole",
+         ramp=False)
+@example(seed=19, laws=[0.5], dt=1.0, n=1, width=1, K=None, pm="whole",
+         ramp=False)
 def test_failure_law_table_matches_direct_calls(seed, laws, dt, n, width, K,
-                                                pm):
-    """The exact engine looks the failure law up in a per-block table at
-    whole ages; computed on every step instead, every field of a Strategy's
-    and of a stack's run is the same to the bit.  A PM on a control in
-    [nu, 1) leaves a fractional age, and that step computes the law."""
+                                                pm, ramp):
+    """The engine looks the failure law up in a per-block table at whole
+    ages; computed on every step instead, every field of a Strategy's and
+    of a stack's run is the same to the bit, exact or relaxed.  A PM on a
+    control in [nu, 1) leaves a fractional age, and so does a relaxed step
+    inside a ramp: that step computes the law."""
     rng = np.random.default_rng(seed)
     T = 6
     cfg = make_cfg(n=n, T=T, s_init=1, dt=dt,
@@ -470,8 +468,11 @@ def test_failure_law_table_matches_direct_calls(seed, laws, dt, n, width, K,
             for t in range(T)] for i in range(n)]
     noises = np.where(rng.random((width, n, T)) < 0.5, law,
                       rng.random((width, n, T)))
-    table = sm.simulate_batch(controls, noises, cfg, record_states=True)
-    direct = sm._simulate(controls, noises, cfg, True, DIRECT_LAW)
+    ind = rx._ramps(3.7) if ramp else sm.HARD
+    table = sm._simulate(controls, noises, cfg, True, ind)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sm, "_tabled_law", lambda table, rows, A: None)
+        direct = sm._simulate(controls, noises, cfg, True, ind)
     for field in dataclasses.fields(sm.BatchStats):
         a, b = getattr(table, field.name), getattr(direct, field.name)
         assert (a is None) == (b is None), field.name
