@@ -24,8 +24,10 @@ all component subproblems of an iteration are solved against the OLD bars,
 so they are independent and run in lockstep: one row-wise direct search
 whose every round steps a chunk of candidate controls per component, all
 on one stack of scenario columns with one fleet-wide relaxed step call per
-time step, and which keeps the states of each row's best controls.  The
-multiplier recursions are fleet-wide too, and take the step Jacobians of
+time step, and which keeps the states of each row's best controls.  Where
+a round is compute-bound, its rows are cut into ranges searched in
+parallel, one forked worker per usable core.  The multiplier recursions
+are fleet-wide and serial, and take the step Jacobians of
 max(1, LOCKSTEP_COLUMNS // (n Q)) steps in one call.
 Then the stock subproblem and its multiplier run on the freshly installed
 component solutions.  The driver returns the strategy and a per-iteration
@@ -38,7 +40,8 @@ the identity.
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+import mmap
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -239,14 +242,15 @@ def component_trajectories(U, it: Iterate, noises, cfg: SystemConfig,
     A = np.zeros((K, cfg.n, Q))
     P = np.full((D, K, cfg.n, Q), sm.NO_FAILURE)
     ind = rx._ramps(it.alpha)
+    g = ind.singleton(0.0, E)
     shape, scale = cfg.weibull_shape[:, None], cfg.weibull_scale[:, None]
     for t in range(T + 1):
         X[:, :, t, 0], X[:, :, t, 1] = E, A
         X[:, :, t, 2:] = P.transpose(1, 2, 0, 3)
         if t < T:
-            E, A, P = sm.component_step_core(
+            E, A, P, g = sm.component_step_core(
                 E, A, P, it.S[t], cache.bprev[:, t], Uc[:, :, t, None],
-                noises[:, :, t].T, shape, scale, cfg, ind)
+                noises[:, :, t].T, shape, scale, cfg, ind, g)
     return X.transpose(1, 0, 2, 3, 4)
 
 
@@ -273,15 +277,22 @@ def _subproblem_values(U, X, it: Iterate, cfg: SystemConfig,
     beta = cfg.discount(np.arange(T + 1))
     alpha = it.alpha
     E, A = X[:, :, 0, :], X[:, :, 1, :]
+    # in place, with the operands of beta C_C (1{0}(E) 1{0}(A))
+    # + beta C_F min(1, sigma_others + 1{0}(E) 1(0,inf)(A))
     i0E = rx._ind_singleton(0.0, E, alpha)
-    own_cm = beta[:, None] * cfg.C_C[:, None, None] * (
-        i0E * rx._ind_singleton(0.0, A, alpha))
-    sigma = cache.sigma_others + i0E * rx._ind_strict_pos(A, alpha)
-    fo = beta[:, None] * cfg.C_F * np.minimum(1.0, sigma)
+    own_cm = rx._ind_singleton(0.0, A, alpha)
+    own_cm *= i0E
+    own_cm *= beta[:, None] * cfg.C_C[:, None, None]
+    fo = rx._ind_strict_pos(A, alpha)
+    fo *= i0E
+    fo += cache.sigma_others
+    np.minimum(fo, 1.0, out=fo)
+    fo *= beta[:, None] * cfg.C_F
+    own_cm += fo
     dev = X - it.X
     prox = 0.5 * it.gamma_x * np.sum(np.square(dev, out=dev), axis=(1, 2))
     coupling = np.einsum("itcq,itcq->iq", cache.coord, X[:, :T])
-    per_scenario = np.sum(own_cm + fo, axis=1) + prox + coupling
+    per_scenario = np.sum(own_cm, axis=1) + prox + coupling
     pm = np.sum(beta[:T] * cfg.C_P[:, None] * U ** 2, axis=1)
     prox_u = 0.5 * it.gamma_u * np.sum((U - it.u) ** 2, axis=1)
     return pm + prox_u + np.mean(per_scenario, axis=1)
@@ -309,13 +320,57 @@ def solve_component_subproblems(it: Iterate, noises, cfg: SystemConfig,
     evaluations used over all rows), with X the states the search kept for
     each row's best controls: those of its frozen-surroundings relaxed
     trajectories, as a stack of one gives them.
+
+    Rows never mix, so a range of rows is a search of its own.  A round
+    of more than LOCKSTEP_COLUMNS columns, one candidate per row, cuts
+    the rows into near-equal ranges, one per usable core, through
+    ``sysmodel.parallel_map``: a range inherits its inputs and writes its
+    rows of the results into shared memory, so only its bounds and its
+    evaluation count cross by pickle.
     """
-    lo, hi = np.zeros(cfg.T), np.ones(cfg.T)
-    U, best, evals, X = minimize(
-        lambda U: component_subproblem_objective(U, it, noises, cfg, cache),
-        it.u.copy(), (lo, hi), max_evals, seeds,
-        max_chunk=max(1, LOCKSTEP_COLUMNS // (cfg.n * noises.shape[0])))
+    n, Q = cfg.n, noises.shape[0]
+    count = min(sm._usable_cores(), n) if n * Q > LOCKSTEP_COLUMNS else 1
+    cuts = [j * n // count for j in range(count + 1)]
+    X, U, best = (_shared_empty(it.X.shape), _shared_empty(it.u.shape),
+                  _shared_empty(n))
+    job = (it, noises, cfg, max_evals, seeds, cache,
+           max(1, LOCKSTEP_COLUMNS // (n * Q)), (X, U, best))
+    evals = sum(sm.parallel_map(_solve_one, zip(cuts[:-1], cuts[1:]),
+                                inherit=job))
     return X, U, best, evals
+
+
+def _shared_empty(shape) -> np.ndarray:
+    """An uninitialized float array in anonymous shared memory, which
+    forked workers write into for their parent."""
+    size = int(np.prod(shape))
+    return np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)),
+                         count=size).reshape(shape)
+
+
+def _solve_one(rows):
+    """Rows lo..hi-1 of the search of :func:`solve_component_subproblems`,
+    on their slices of its inherited inputs and with the fleet's chunk
+    cap; writes their X, U and best values and returns their
+    evaluations."""
+    it, noises, cfg, max_evals, seeds, cache, cap, out = sm.inherited()
+    r = slice(*rows)
+    part = replace(cfg, n=r.stop - r.start, C_P=cfg.C_P[r], C_C=cfg.C_C[r],
+                   weibull_shape=cfg.weibull_shape[r],
+                   weibull_scale=cfg.weibull_scale[r])
+    bar = replace(it, X=it.X[r], u=it.u[r])
+    frozen = IterationCache(bprev=cache.bprev[r],
+                            sigma_others=cache.sigma_others[r],
+                            coord=cache.coord[r])
+    noises = noises[:, r]
+    U, best, evals, X = minimize(
+        lambda U: component_subproblem_objective(U, bar, noises, part,
+                                                 frozen),
+        bar.u.copy(), (np.zeros(cfg.T), np.ones(cfg.T)), max_evals,
+        seeds[r], max_chunk=cap)
+    for whole, rows_of in zip(out, (X, U, best)):
+        whole[r] = rows_of
+    return evals
 
 
 # ---------------------------------------------------------------------------

@@ -519,9 +519,12 @@ def main(argv=None) -> int:
     if problem:
         # parser.error would print the whole usage first; one line will do
         parser.exit(EXIT_USAGE, f"{parser.prog}: error: {problem}\n")
-    # the directories run makes: --out and its missing parents, leaf first
+    # the directories run makes: --out and its missing parents, leaf first;
+    # a ".." entry names a directory further up, which rmdir would refuse
+    # before it reached the rest (Path drops the "." entries)
     out = Path(args.out).absolute()
-    made = list(takewhile(lambda d: not os.path.exists(d), (out, *out.parents)))
+    made = list(takewhile(lambda d: not os.path.exists(d),
+                          (d for d in (out, *out.parents) if d.name != "..")))
     code = run(args)
     if code != EXIT_OK:     # remove them, leaf first, while they are empty
         with suppress(OSError):

@@ -8,7 +8,8 @@ hard comparisons; this module passes piecewise-linear surrogates of slope
 almost everywhere in states and controls while agreeing with the exact
 quantities on integer points once alpha >= 1.  The open half line gets a
 ramp through the origin (0 at x <= 0, slope 2*alpha, 1 beyond 1/(2*alpha))
-so that it still vanishes at 0 in the limit.
+so that it still vanishes at 0 in the limit.  For most alpha a ramp is a
+scaled clip with the bits of its comparison form (:func:`_clips`).
 
 Complementary conditions are always encoded as 1 minus the same surrogate,
 never as two independently relaxed indicators, so that branch weights sum
@@ -55,13 +56,30 @@ def _alpha_of(alpha) -> float:
 # indicator surrogates
 
 
+def _clips(alpha) -> bool:
+    """Whether the ramps at ``alpha`` give the bits of their comparison
+    form as a scaled clip: rounding is monotone, so with this product
+    exact, (2 alpha) d >= 1 exactly when d >= 0.5 / alpha."""
+    return (2.0 * alpha) * (0.5 / alpha) == 1.0
+
+
 def _ind_singleton(a, x, alpha):
+    if _clips(alpha):
+        # max(1 - 2 alpha |x - a|, 0) in one array, 0-d for a scalar
+        r = np.subtract(x, a, out=np.empty(np.shape(x)))
+        np.multiply(np.abs(r, out=r), 2.0 * alpha, out=r)
+        return np.maximum(np.subtract(1.0, r, out=r), 0.0, out=r)
     d = np.abs(np.asarray(x, dtype=float) - a)
     half = 0.5 / alpha
     return np.where(d >= half, 0.0, 1.0 - (2.0 * alpha) * d)
 
 
 def _ind_nonneg(x, alpha):
+    if _clips(alpha):
+        # min(max(2 alpha x + 1, 0), 1)
+        r = np.multiply(x, 2.0 * alpha, out=np.empty(np.shape(x)))
+        r += 1.0
+        return np.minimum(np.maximum(r, 0.0, out=r), 1.0, out=r)
     x = np.asarray(x, dtype=float)
     half = 0.5 / alpha
     return np.where(x >= 0.0, 1.0,
@@ -69,6 +87,11 @@ def _ind_nonneg(x, alpha):
 
 
 def _ind_strict_pos(x, alpha):
+    if _clips(alpha):
+        # min(max(2 alpha x, 0), 1); max(r, 0.0), not max(0.0, r), turns
+        # the -0.0 of x = -0.0 into the comparison form's +0.0
+        r = np.multiply(x, 2.0 * alpha, out=np.empty(np.shape(x)))
+        return np.minimum(np.maximum(r, 0.0, out=r), 1.0, out=r)
     x = np.asarray(x, dtype=float)
     half = 0.5 / alpha
     return np.where(x <= 0.0, 0.0,

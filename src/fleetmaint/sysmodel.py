@@ -337,7 +337,7 @@ def _component_forward(E, A, P, S, b_prev, u, w, shape, scale,
 
 
 def component_step_core(E, A, P, S, b_prev, u, w, shape, scale,
-                        cfg: SystemConfig, ind: Indicators):
+                        cfg: SystemConfig, ind: Indicators, g=None):
     """One-step update of one component, or of a whole fleet.
 
     ``P`` carries the failure-record axis first (shape (D, ...)); all other
@@ -346,10 +346,13 @@ def component_step_core(E, A, P, S, b_prev, u, w, shape, scale,
     the count of broken components with lower index.  With :data:`HARD`
     this is the exact step on integer states; complementary conditions are
     always 1 minus the same indicator, so the branch weights of a relaxed
-    step sum to 1.  Returns (E', A', P').
+    step sum to 1.  Returns (E', A', P'), and 1{0}(E') as well when the
+    caller passes ``g`` = 1{0}(E): the next step's ``g``.
     """
-    f = _component_forward(E, A, P, S, b_prev, u, w, shape, scale, cfg, ind)
-    return f.E_new, f.A_new, f.P_new
+    f = _component_forward(E, A, P, S, b_prev, u, w, shape, scale, cfg, ind,
+                           g)
+    out = f.E_new, f.A_new, f.P_new
+    return out if g is None else out + (f.I0n,)
 
 
 def stock_step_core(E_all, P_all, S, cfg: SystemConfig, ind: Indicators,
@@ -417,22 +420,41 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def parallel_map(fn, *iterables):
+_inherited = None
+
+
+def inherited():
+    """The ``inherit`` object of the :func:`parallel_map` call whose task
+    is running."""
+    return _inherited
+
+
+def parallel_map(fn, *iterables, inherit=None):
     """``map(fn, *iterables)`` on ``min(_usable_cores(), tasks)`` processes
     forked through an explicit ``fork`` context, yielding the results in
     task order as they arrive and raising a worker's exception; run to its
     end, it joins the workers.  The tasks run in this process when that
     count is 1, when the platform cannot fork, or in a pool worker, so
-    pools never nest."""
+    pools never nest.
+
+    ``inherit`` reaches every task as :func:`inherited`, through the fork
+    and never by pickle; a worker's writes reach this process only
+    through shared memory in it (``mmap``)."""
+    global _inherited
     tasks = list(zip(*iterables))
     workers = min(_usable_cores(), len(tasks))
-    if (workers < 2 or multiprocessing.parent_process() is not None
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        yield from starmap(fn, tasks)
-        return
-    with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        yield from pool.map(fn, *zip(*tasks))
+    outer, _inherited = _inherited, inherit
+    try:
+        if (workers < 2 or multiprocessing.parent_process() is not None
+                or "fork" not in multiprocessing.get_all_start_methods()):
+            yield from starmap(fn, tasks)
+            return
+        with ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            yield from pool.map(fn, *zip(*tasks))
+    finally:
+        _inherited = outer
 
 
 def _tabled_law(table, rows, A):
@@ -496,13 +518,13 @@ def _run_block(u, noises, cfg: SystemConfig, ind: Indicators,
     P = np.full((n, D, width), NO_FAILURE)
     S = np.full(width, float(cfg.s_init))
     fo_prev = np.zeros(width)
+    g = ind.singleton(0.0, E)
     for t in range(T + 1):
         if record_states:
             X[:, t, 0], X[:, t, 1], X[:, t, 2:], stock[t] = E, A, P, S
         # np.add.reduce is np.sum without its Python-level dispatch,
         # which on small batches costs as much as the arithmetic
         empty[t] = np.add.reduce(S == 0)
-        g = ind.singleton(0.0, E)
         cm_cost += _sum_components(
             beta[t] * cfg.C_C[:, None] * (g * ind.singleton(0.0, A)))
         fo_now = np.minimum(1.0, _sum_components(g * ind.strict_pos(A)))
@@ -523,7 +545,8 @@ def _run_block(u, noises, cfg: SystemConfig, ind: Indicators,
         pm_count += pm
         pm_steps[t] = np.add.reduce(pm)
         failure_count += _sum_components(f.c)
-        E, A, P = f.E_new, f.A_new, f.P_new.transpose(1, 0, 2)
+        # the step's 1{0}(E_new) is the next step's broken indicator
+        E, A, P, g = f.E_new, f.A_new, f.P_new.transpose(1, 0, 2), f.I0n
         # free the step's other intermediates before the next step
         # makes its own: two steps alive at once take a 2048-column
         # block from 6.1 to 9.3 MB of added peak resident set

@@ -3,6 +3,7 @@ import dataclasses
 import multiprocessing
 import re
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -242,6 +243,124 @@ def test_tune_boards_equal_across_worker_counts(monkeypatch,
             == _tune_board(monkeypatch, 1, validation_count))
 
 
+def split_cfg():
+    """A heterogeneous 12-component fleet (D = 3, T = 15): at 200 scenarios
+    a lockstep round steps 2 400 columns, more than LOCKSTEP_COLUMNS, so
+    optimize-app cuts its rows into ranges."""
+    rng = np.random.default_rng(5)
+    return SystemConfig(n=12, T=15, D=3, s_init=3, C_F=5000.0,
+                        C_P=rng.uniform(20, 80, 12),
+                        C_C=rng.uniform(100, 300, 12),
+                        weibull_shape=rng.uniform(1.5, 4, 12),
+                        weibull_scale=rng.uniform(5, 12, 12))
+
+
+def _record_row_ranges(monkeypatch):
+    """A list that gets the row ranges of every component search."""
+    ranges, real_map = [], sm.parallel_map
+
+    def recording_map(fn, *iterables, **kwargs):
+        tasks = list(zip(*iterables))
+        if fn is ad._solve_one:
+            ranges.append([task[0] for task in tasks])
+        return real_map(fn, *zip(*tasks), **kwargs)
+
+    monkeypatch.setattr(sm, "parallel_map", recording_map)
+    return ranges
+
+
+def _split_app_run(monkeypatch, tmp_path, cores):
+    """optimize-app on :func:`split_cfg` at 200 scenarios with ``cores``
+    usable cores: its three files, the row ranges of each iteration's
+    search and the sizes of everything this process pickled."""
+    monkeypatch.setattr(sm, "_usable_cores", lambda: cores)
+    ranges, pickled = _record_row_ranges(monkeypatch), []
+    real_dumps = ForkingPickler.dumps
+
+    def recording_dumps(obj, *args, **kwargs):
+        out = real_dumps(obj, *args, **kwargs)
+        pickled.append(len(out))
+        return out
+
+    monkeypatch.setattr(ForkingPickler, "dumps", recording_dumps)
+    out = tmp_path / f"cores{cores}"
+    assert run_cli(mode="optimize-app", config=write_cfg(tmp_path,
+                                                         split_cfg()),
+                   seed=2, iterations=2, budget=4, scenarios=200,
+                   out=str(out)) == 0
+    assert multiprocessing.active_children() == []
+    files = {name: (out / name).read_bytes() for name in
+             ("strategy.csv", "strategy_projected.csv", "history.csv")}
+    return files, ranges, pickled
+
+
+def test_optimize_app_rows_split_across_cores(monkeypatch, tmp_path):
+    """A round of more than LOCKSTEP_COLUMNS columns cuts the rows into
+    one near-equal range per usable core, each searched in a forked
+    worker: the files are those of one process, no worker outlives the
+    run, and no row array crosses by pickle, only each range's bounds
+    and its evaluation count."""
+    one, ranges, pickled = _split_app_run(monkeypatch, tmp_path, 1)
+    assert ranges == [[(0, 12)]] * 2 and pickled == []
+    cuts = {2: [(0, 6), (6, 12)], 3: [(0, 4), (4, 8), (8, 12)]}
+    for cores, want in cuts.items():
+        files, ranges, pickled = _split_app_run(monkeypatch, tmp_path, cores)
+        assert files == one, cores
+        assert ranges == [want] * 2
+        assert pickled and max(pickled) < 1024, (cores, max(pickled))
+
+
+def test_small_rounds_stay_in_process(monkeypatch):
+    """A round within LOCKSTEP_COLUMNS stays one range, in this process,
+    whatever the number of cores."""
+    monkeypatch.setattr(sm, "_usable_cores", lambda: 2)
+    ranges = _record_row_ranges(monkeypatch)
+    cfg = split_cfg()
+    noises = ev.generate_scenarios(cfg.n, cfg.T, 170, seed=1)   # 2 040
+    ad.app_fixed_point(cfg, ad.tuned_params(iterations=1,
+                                            subproblem_budget=2), noises, 0)
+    assert ranges == [[(0, 12)]]
+
+
+def test_split_ranges_keep_the_fleet_chunk_cap(monkeypatch):
+    """A range of 4 rows on 200 scenarios steps 800 columns a round, but
+    each round of the fleet steps one candidate per row, as in one
+    process: the cap comes from the fleet's n Q, not the range's."""
+    real_minimize = ad.minimize
+
+    def capped(*args, max_chunk, **kwargs):
+        assert max_chunk == 1, f"chunk cap {max_chunk} in a range"
+        return real_minimize(*args, max_chunk=max_chunk, **kwargs)
+
+    monkeypatch.setattr(sm, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(ad, "minimize", capped)
+    cfg = split_cfg()
+    noises = ev.generate_scenarios(cfg.n, cfg.T, 200, seed=1)
+    ad.app_fixed_point(cfg, ad.tuned_params(iterations=1,
+                                            subproblem_budget=3), noises, 0)
+
+
+def test_split_worker_exception_reaches_caller(monkeypatch):
+    """A search that raises in a forked worker raises in the caller, and
+    no worker is left behind."""
+    real_minimize = ad.minimize
+
+    def failing(*args, **kwargs):
+        if multiprocessing.parent_process() is not None:
+            raise RuntimeError("search failed in a worker")
+        return real_minimize(*args, **kwargs)
+
+    monkeypatch.setattr(sm, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(ad, "minimize", failing)
+    cfg = split_cfg()
+    noises = ev.generate_scenarios(cfg.n, cfg.T, 200, seed=1)
+    with pytest.raises(RuntimeError, match="search failed in a worker"):
+        ad.app_fixed_point(cfg, ad.tuned_params(iterations=1,
+                                                subproblem_budget=2),
+                           noises, 0)
+    assert multiprocessing.active_children() == []
+
+
 # ---------------------------------------------------------------------------
 # run() dispatch
 
@@ -387,8 +506,10 @@ def test_evaluate_requires_strategy(tmp_path):
 def test_failed_run_keeps_only_directories_it_did_not_make(tmp_path):
     """A failed run removes the empty output directory it made, and the
     parents it made for it, leaf first; a directory that was there before
-    the run stays."""
-    for out in (tmp_path / "o", tmp_path / "new" / "a" / "b"):
+    the run stays.  An ``--out`` through ``..`` makes its parent on the
+    way, and that goes too."""
+    for out in (tmp_path / "o", tmp_path / "new" / "a" / "b",
+                tmp_path / "a" / ".." / "b"):
         assert run_cli(mode="evaluate", seed=2,
                        out=str(out)) == cli.EXIT_CONFIG
         assert not any(tmp_path.iterdir())

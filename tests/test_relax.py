@@ -1,5 +1,6 @@
 """Relaxed dynamics: surrogate values, exact agreement, analytic partials."""
 import pickle
+from functools import partial
 from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
@@ -90,6 +91,72 @@ def test_ramps_pickle_to_the_same_bits():
         # the input crosses the kinks: values at 0, inside the ramp and at 1
         assert here.min() == 0.0 and here.max() == 1.0, kind
         assert np.any((here > 0.0) & (here < 1.0)), kind
+
+
+# the comparison form of the ramps, which the package keeps for the alpha
+# where the scaled clip is not exact: the oracle of the clip form
+def _where_singleton(a, x, alpha):
+    d = np.abs(np.asarray(x, dtype=float) - a)
+    half = 0.5 / alpha
+    return np.where(d >= half, 0.0, 1.0 - (2.0 * alpha) * d)
+
+
+def _where_nonneg(x, alpha):
+    x = np.asarray(x, dtype=float)
+    half = 0.5 / alpha
+    return np.where(x >= 0.0, 1.0,
+                    np.where(x <= -half, 0.0, (2.0 * alpha) * x + 1.0))
+
+
+def _where_strict_pos(x, alpha):
+    x = np.asarray(x, dtype=float)
+    half = 0.5 / alpha
+    return np.where(x <= 0.0, 0.0,
+                    np.where(x >= half, 1.0, (2.0 * alpha) * x))
+
+
+#: sharpnesses whose scaled clip is exact (the tuned schedule's first four
+#: among them) and some whose is not, so both forms of the ramps run
+CLIP_ALPHAS = (2.0, 3.0, 46.51, 182.01, 317.51, 453.01, 1e8)
+WHERE_ALPHAS = tuple(a for a in np.random.default_rng(3).uniform(2, 200, 40)
+                     if (2.0 * a) * (0.5 / a) != 1.0)
+
+
+def _kink_points(a, alpha):
+    """Points around the kinks of a ramp centred on ``a``: +-0 and the
+    non-finite values, a, a +- 0.5/alpha, a +- 1 -+ 0.5/alpha, and the
+    neighbours of each finite one."""
+    half = 0.5 / alpha
+    centre = np.array([a, a + half, a - half, a + 1.0 - half, a - 1.0 + half,
+                       a + 1.0, a - 1.0, a + 0.25 * half, a - 0.25 * half])
+    near = np.concatenate([centre, np.nextafter(centre, np.inf),
+                           np.nextafter(centre, -np.inf)])
+    return np.concatenate([near, [0.0, -0.0, np.nan, np.inf, -np.inf,
+                                  np.nextafter(0.0, 1.0),
+                                  np.nextafter(-0.0, -1.0)]])
+
+
+@pytest.mark.parametrize("alpha", CLIP_ALPHAS + WHERE_ALPHAS)
+def test_ramps_equal_comparison_form_bit_for_bit(alpha):
+    """Both forms of the ramps give the comparison form's bits, signed
+    zeros and NaN included, on arrays and on 0-d inputs.  Caught:
+    ``np.maximum(0.0, r)`` in the clip form of ``_ind_strict_pos``, which
+    keeps the -0.0 of x = -0.0 where the comparison form gives +0.0."""
+    assert len(WHERE_ALPHAS) >= 3 and rx._clips(alpha) == (
+        alpha in CLIP_ALPHAS)
+    cases = [("singleton", a, partial(rx._ind_singleton, a),
+              partial(_where_singleton, a)) for a in (0.0, 1.0, sm.NO_FAILURE)]
+    cases += [("nonneg", 0.0, rx._ind_nonneg, _where_nonneg),
+              ("strict_pos", 0.0, rx._ind_strict_pos, _where_strict_pos)]
+    for kind, a, ramp, oracle in cases:
+        x = _kink_points(a, alpha)
+        got, want = ramp(x, alpha), oracle(x, alpha)
+        assert got.tobytes() == want.tobytes(), (kind, a)
+        for xi in x:
+            for point in (xi, float(xi), np.array(xi), np.array([xi])):
+                got, want = ramp(point, alpha), oracle(point, alpha)
+                assert np.shape(got) == np.shape(want), (kind, a, xi)
+                assert got.tobytes() == want.tobytes(), (kind, a, xi)
 
 
 def test_alpha_validation():

@@ -632,6 +632,30 @@ def test_parallel_map_never_nests(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _inherited_row(i):
+    """Row i of the inherited array, and the process that read it."""
+    return os.getpid(), sm.inherited()[i].tolist()
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_parallel_map_hands_inherit_to_every_task(monkeypatch, cores):
+    """Every task, in a forked worker or in this process, finds the
+    ``inherit`` object as ``sm.inherited()``, and no pickle carries it:
+    a ``__reduce__`` that raises would fail a pickled hand-off.  The slot
+    is empty again after the map."""
+    class Unpicklable(np.ndarray):
+        def __reduce__(self):
+            raise AssertionError("the inherited object was pickled")
+
+    monkeypatch.setattr(sm, "_usable_cores", lambda: cores)
+    rows = np.arange(12.0).reshape(4, 3).view(Unpicklable)
+    out = list(sm.parallel_map(_inherited_row, range(4), inherit=rows))
+    assert [row for _, row in out] == rows.tolist()
+    assert (len({pid for pid, _ in out} - {os.getpid()}) > 0) == (cores > 1)
+    assert sm.inherited() is None
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("K", [None, 3])
 def test_memory_order_of_the_noises_does_not_matter(K):
     """The step-major panel of generate_scenarios and a C-ordered copy of
