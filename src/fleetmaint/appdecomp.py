@@ -30,7 +30,10 @@ parallel, one forked worker per usable core.  The multiplier recursions
 are fleet-wide and serial, and take the step Jacobians of
 max(1, LOCKSTEP_COLUMNS // (n Q)) steps in one call.
 Then the stock subproblem and its multiplier run on the freshly installed
-component solutions.  The driver returns the strategy and a per-iteration
+component solutions.  An iteration holds only what its current phase or a
+later one reads: the bar multipliers go once the cache has read them, the
+cache once the component multipliers are formed, and the old bar states
+before the stock phase.  The driver returns the strategy and a per-iteration
 history as values; ``cli`` writes them out.
 
 Sign convention used throughout: the dynamics constraint is written as
@@ -114,6 +117,8 @@ class Iterate:
     ``X`` has shape (n, T+1, D+2, Q) with state coordinates ordered
     (regime, age, failure record); ``S`` is (T+1, Q); ``u`` is the shared
     deterministic control matrix (n, T); ``Lam``/``LamS`` mirror X/S.
+    The driver drops both multipliers (None) once the iteration cache,
+    their only reader, has read them; its two recursions install new ones.
     """
 
     X: np.ndarray
@@ -199,6 +204,7 @@ def build_iteration_cache(it: Iterate, noises, cfg: SystemConfig
     waiting = i0E * rx._ind_strict_pos(A, alpha)
     sigma_others = np.sum(waiting, axis=0)[None] - waiting
     bprev = sm.exclusive_cumsum(i0E[:, :T, :])
+    del i0E, waiting
 
     coord = np.zeros((n, T, D + 2, Q))
     for t, d_S in _fleet_partials(rx.component_step_d_S, it.X, it.u, it.S,
@@ -401,16 +407,17 @@ def solve_stock_subproblem(X_fresh, alpha, cfg: SystemConfig
 # multiplier recursions
 
 
-def _own_cost_gradient(X, sigma_others, alpha, cfg: SystemConfig
+def _own_cost_gradient(X, t0, sigma_others, alpha, cfg: SystemConfig
                        ) -> np.ndarray:
     """Gradient in X of every component's stage costs, others at the bar.
 
-    ``X`` holds the states (n, T'+1, D+2, Q) of times 0..T' and
-    ``sigma_others`` the frozen waiting counts (n, T'+1, Q); returns an
-    array shaped like ``X``.  Failure-record coordinates never enter the
-    costs.  The FO min tie takes the derivative of the constant branch.
+    ``X`` holds the states (n, steps, D+2, Q) of one block of times from
+    ``t0`` on, which set the discount, and ``sigma_others`` their frozen
+    waiting counts (n, steps, Q); returns an array shaped like ``X``.
+    Failure-record coordinates never enter the costs.  The FO min tie
+    takes the derivative of the constant branch.
     """
-    beta = cfg.discount(np.arange(X.shape[1]))[:, None]
+    beta = cfg.discount(np.arange(t0, t0 + X.shape[1]))[:, None]
     c_c = cfg.C_C[:, None, None]
     E, A = X[:, :, 0], X[:, :, 1]
     i0E = rx._ind_singleton(0.0, E, alpha)
@@ -439,16 +446,17 @@ def component_multiplier_backward(X, U, it: Iterate, noises,
     through the cached coordination coefficients; the self term uses the
     Jacobian of the relaxed step along the fresh trajectories ``X`` of the
     controls ``U``.  One fleet-wide own-state block call per block of steps,
-    the carry taken step by step; returns (n, T+1, D+2, Q).
+    the carry taken step by step, and the stage-cost gradient of each
+    block formed with its Jacobian; returns (n, T+1, D+2, Q).
     """
-    T = cfg.T
-    g = _own_cost_gradient(X, cache.sigma_others, it.alpha, cfg)
+    T, sigma = cfg.T, cache.sigma_others
     Lam = np.empty_like(X)
-    Lam[:, T] = -g[:, T] - it.gamma_x * (X[:, T] - it.X[:, T])
+    g = _own_cost_gradient(X[:, T:], T, sigma[:, T:], it.alpha, cfg)
+    Lam[:, T] = -g[:, 0] - it.gamma_x * (X[:, T] - it.X[:, T])
     for t, d_own in _fleet_partials(rx.component_step_d_own, X, U, it.S,
                                     cache.bprev, noises, it.alpha, cfg):
-        base = (-g[:, t] - it.gamma_x * (X[:, t] - it.X[:, t])
-                - cache.coord[:, t])
+        g = _own_cost_gradient(X[:, t], t.start, sigma[:, t], it.alpha, cfg)
+        base = -g - it.gamma_x * (X[:, t] - it.X[:, t]) - cache.coord[:, t]
         for ts in reversed(range(t.start, t.stop)):
             carry = np.einsum("ocjq,joq->jcq", d_own[..., ts - t.start, :],
                               Lam[:, ts + 1])
@@ -512,16 +520,18 @@ def app_fixed_point(cfg: SystemConfig, p: APPParams, noises, seed: int):
         it.alpha = alpha
         it.gamma_x, it.gamma_u = gamma_x, gamma_u
         cache = build_iteration_cache(it, noises, cfg)
+        it.Lam = it.LamS = None
         seeds = [_subproblem_seed(seed, k, i) for i in range(cfg.n)]
         X_new, u_new, bests, _ = solve_component_subproblems(
             it, noises, cfg, p.subproblem_budget, seeds, cache)
-        Lam_new = component_multiplier_backward(X_new, u_new, it, noises,
-                                                cfg, cache)
+        it.Lam = component_multiplier_backward(X_new, u_new, it, noises,
+                                               cfg, cache)
+        del cache
+        it.X, it.u = X_new, u_new
         S_new = solve_stock_subproblem(X_new, alpha, cfg)
-        LamS_new = stock_multiplier_backward(
-            S_new, X_new, u_new, Lam_new, it.S, noises, cfg, alpha, gamma_s)
-        it.X, it.u, it.Lam = X_new, u_new, Lam_new
-        it.S, it.LamS = S_new, LamS_new
+        it.LamS = stock_multiplier_backward(
+            S_new, X_new, u_new, it.Lam, it.S, noises, cfg, alpha, gamma_s)
+        it.S = S_new
 
         relaxed = rx.simulate_relaxed_batch(Strategy(u_new), noises, alpha,
                                             cfg)

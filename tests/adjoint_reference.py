@@ -64,7 +64,7 @@ def component_stationarity_residual(X, U, Lam, it: ad.Iterate, noises,
                                     cache: ad.IterationCache) -> np.ndarray:
     """Per component, max abs value of the Lagrangian state gradient at
     (X, Lam), shape (n,)."""
-    r = (ad._own_cost_gradient(X, cache.sigma_others, it.alpha, cfg)
+    r = (ad._own_cost_gradient(X, 0, cache.sigma_others, it.alpha, cfg)
          + it.gamma_x * (X - it.X) + Lam)
     for t, d_own in ad._fleet_partials(rx.component_step_d_own, X, U, it.S,
                                        cache.bprev, noises, it.alpha, cfg):

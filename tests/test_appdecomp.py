@@ -1,8 +1,11 @@
 """Decomposition layer: schedules, subproblems, multipliers, fixed point."""
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
-from fleetmaint.config import SystemConfig
+from fleetmaint.config import SystemConfig, case1_config
 from fleetmaint import appdecomp as ad
 from fleetmaint import cli
 from fleetmaint import relax as rx
@@ -377,6 +380,26 @@ def test_adjoint_recursions_equal_at_every_step_block(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(out, outs[0]))
 
 
+def test_component_recursion_forms_its_gradient_per_block():
+    """On the 80-component fleet with 20 scenarios, the component
+    recursion's traced peak above its inputs stays below its output plus
+    one state-shaped array: the stage-cost gradient and its indicators
+    are formed one block of steps at a time, with that block's Jacobian,
+    not for all T+1 times before the recursion starts."""
+    cfg = case1_config()
+    noises = np.random.default_rng(4).random((20, cfg.n, cfg.T))
+    it = make_iterate(cfg, noises)
+    cache = ad.build_iteration_cache(it, noises, cfg)
+    tracemalloc.start()
+    try:
+        Lam = ad.component_multiplier_backward(it.X, it.u, it, noises, cfg,
+                                               cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < Lam.nbytes + it.X.nbytes, (peak, Lam.nbytes)
+
+
 def test_component_multiplier_stationarity():
     cfg = make_cfg(n=2, T=3)
     rng = np.random.default_rng(12)
@@ -610,6 +633,48 @@ def test_fixed_point_deterministic_across_repeats():
     for r1, r2 in zip(h1, h2):
         assert r1["saa_relaxed"] == r2["saa_relaxed"]
         assert r1["subproblem_best"] == r2["subproblem_best"]
+
+
+def test_fixed_point_drops_what_no_later_phase_reads(monkeypatch):
+    """Each phase of an iteration finds freed what no phase after it
+    reads: the bar multipliers, whose only reader is the iteration cache,
+    are gone when the component search starts; the cache, whose last
+    reader is the component recursion, and the old bar states are gone
+    when the stock phase starts.  Rounds of 2 400 columns take the row
+    split's path, in this process on one core."""
+    monkeypatch.setattr(sm, "_usable_cores", lambda: 1)
+    cfg = make_cfg(n=12, T=6, s_init=3)
+    noises = np.random.default_rng(9).random((200, cfg.n, cfg.T))
+    held, checks = {}, []
+
+    def watch(name, keys, f):
+        def watched(*args):
+            checks.append((name, [key for key in keys
+                                  if held[key]() is not None]))
+            return f(*args)
+        monkeypatch.setattr(ad, name, watched)
+
+    build = ad.build_iteration_cache
+
+    def kept(it, *args):
+        cache = build(it, *args)
+        held.update(Lam=weakref.ref(it.Lam), LamS=weakref.ref(it.LamS),
+                    X=weakref.ref(it.X), coord=weakref.ref(cache.coord),
+                    bprev=weakref.ref(cache.bprev),
+                    sigma_others=weakref.ref(cache.sigma_others))
+        return cache
+
+    monkeypatch.setattr(ad, "build_iteration_cache", kept)
+    watch("solve_component_subproblems", ["Lam", "LamS"],
+          ad.solve_component_subproblems)
+    for name in ("solve_stock_subproblem", "stock_multiplier_backward"):
+        watch(name, ["coord", "bprev", "sigma_others", "X"],
+              getattr(ad, name))
+    ad.app_fixed_point(cfg, make_params(iterations=2, subproblem_budget=2),
+                       noises, seed=1)
+    assert checks == [("solve_component_subproblems", []),
+                      ("solve_stock_subproblem", []),
+                      ("stock_multiplier_backward", [])] * 2
 
 
 def test_small_system_lockstep_rounds(monkeypatch, tmp_path):

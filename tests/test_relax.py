@@ -433,12 +433,12 @@ def test_cost_gradients_match_fd():
         X = np.zeros((3, t + 1, cfg.D + 2, 1))
         X[:, t, 0, 0], X[:, t, 1, 0] = E, A
         # two others waiting saturate the FO term: repair cost only
-        g_rep = ad._own_cost_gradient(X, np.full((3, t + 1, 1), 2.0), alpha,
-                                      cfg)[:, t, :, 0]
+        g_rep = ad._own_cost_gradient(X, 0, np.full((3, t + 1, 1), 2.0),
+                                      alpha, cfg)[:, t, :, 0]
         # no repair cost: FO cost of the fleet only
         g_fo = ad._own_cost_gradient(
-            X, np.broadcast_to((np.sum(waiting) - waiting)[:, None, None],
-                               (3, t + 1, 1)), alpha, no_repair)[:, t, :, 0]
+            X, 0, np.broadcast_to((np.sum(waiting) - waiting)[:, None, None],
+                                  (3, t + 1, 1)), alpha, no_repair)[:, t, :, 0]
         for j in range(3):
             g = g_rep[j]
             fd = (repair(j, E[j] + h, A[j]) - repair(j, E[j] - h, A[j])) \
