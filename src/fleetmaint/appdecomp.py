@@ -327,12 +327,12 @@ def solve_component_subproblems(it: Iterate, noises, cfg: SystemConfig,
     each row's best controls: those of its frozen-surroundings relaxed
     trajectories, as a stack of one gives them.
 
-    Rows never mix, so a range of rows is a search of its own.  A round
-    of more than LOCKSTEP_COLUMNS columns, one candidate per row, cuts
-    the rows into near-equal ranges, one per usable core, through
+    Rows never mix, so a range of rows is a search of its own.  A round of
+    more than LOCKSTEP_COLUMNS columns, one candidate per row, cuts the
+    rows into near-equal ranges, one per usable core, through
     ``sysmodel.parallel_map``: a range inherits its inputs and writes its
-    rows of the results into shared memory, so only its bounds and its
-    evaluation count cross by pickle.
+    rows of the results into shared memory; only its evaluation count
+    crosses by pickle.
     """
     n, Q = cfg.n, noises.shape[0]
     count = min(sm._usable_cores(), n) if n * Q > LOCKSTEP_COLUMNS else 1

@@ -35,7 +35,6 @@ from itertools import repeat, takewhile
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .config import (SystemConfig, ConfigError, load_config,
                      small_system_config, typed_fields)
@@ -148,6 +147,7 @@ _PARAM_KEYS = tuple(f.name for f in fields(ad.APPParams) if f.type == "float")
 
 
 def save_params(p: ad.APPParams, path):
+    import yaml
     data = typed_fields(ad.APPParams, vars(p), "parameter")
     Path(path).write_text(yaml.safe_dump(data, sort_keys=False))
 
@@ -155,6 +155,7 @@ def save_params(p: ad.APPParams, path):
 def load_params(path) -> ad.APPParams:
     """Read a parameter file: the fields of APPParams, the six
     decomposition parameters required and the two counts optional."""
+    import yaml
     try:
         data = yaml.safe_load(Path(path).read_text())
         return ad.APPParams(**typed_fields(ad.APPParams, data, "parameter"))

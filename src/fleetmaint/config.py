@@ -14,7 +14,6 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 
 class ConfigError(ValueError):
@@ -141,6 +140,7 @@ def _component_arrays(block, n: int) -> dict:
 
 def load_config(path: str | Path) -> SystemConfig:
     """Load a SystemConfig from a YAML file."""
+    import yaml
     try:
         raw = yaml.safe_load(Path(path).read_text())
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
@@ -157,6 +157,7 @@ def load_config(path: str | Path) -> SystemConfig:
 
 def save_config(cfg: SystemConfig, path: str | Path):
     """Write ``cfg`` as a YAML file that :func:`load_config` reads back."""
+    import yaml
     homogeneous = all(np.all(getattr(cfg, k) == getattr(cfg, k)[0])
                       for k in _COMPONENT_KEYS)
     if homogeneous:

@@ -119,8 +119,7 @@ def _dind_strict_pos(x, alpha):
 
 
 def _ramps(alpha) -> sm.Indicators:
-    """The surrogates at sharpness ``alpha``; partials of module-level
-    functions, so the engine's worker processes can unpickle them."""
+    """The surrogates at sharpness ``alpha``, as picklable partials."""
     return sm.Indicators(partial(_ind_singleton, alpha=alpha),
                          partial(_ind_nonneg, alpha=alpha),
                          partial(_ind_strict_pos, alpha=alpha))

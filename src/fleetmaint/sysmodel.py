@@ -28,17 +28,14 @@ trials over this way (:mod:`fleetmaint.dsearch`).
 A call splits its columns into the fewest blocks of at most
 :data:`BLOCK` (Strategy) or :data:`STACK_BLOCK` (stack) columns, of
 near-equal width, so no block is a short remainder.  The blocks of a
-single Strategy run through :func:`parallel_map`: one
-worker process per usable core, forked through an explicit ``fork``
-context, and never a pool inside a worker (a GIL-bound thread per core
-would hand the GIL over at each of the ~130 numpy calls of a step).  A
-worker gets the controls, the config, the indicators and the block's
-noises: a :class:`ScenarioSet` as its four ints, whose block the worker
-generates, so a large set is never held whole, or an array as the block's
-slice.  It returns the block's columns, and the caller writes them and
-adds the step sums over columns in block order, so every output
-is bit for bit the same whatever the number of workers.  Single-block
-calls and stacks stay in the calling process.
+single Strategy run through :func:`parallel_map`, on one worker process
+per usable core (a GIL-bound thread per core would hand the GIL over at
+each of the ~130 numpy calls of a step).  A worker inherits its blocks
+through the fork and generates a :class:`ScenarioSet`'s block itself, so
+a large set is never held whole; it pickles back the block's columns,
+and the caller writes them and adds the step sums over columns in block
+order, so every output is bit for bit the same whatever the number of
+workers.  Single-block calls and stacks stay in the calling process.
 Each step reads a block's noises ``panel[:, :, t].T``, contiguous on the
 step-major panels the package makes.  The step kernel forms its
 intermediates in place, in its output arrays and one scratch array, with
@@ -50,12 +47,14 @@ relaxed step inside a ramp) computes the law itself.
 """
 from __future__ import annotations
 
-import multiprocessing
 import os
+import pickle
+import select
+import signal
+import sys
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat, starmap
+from itertools import islice, repeat, starmap
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -421,6 +420,7 @@ def _usable_cores() -> int:
 
 
 _inherited = None
+_in_worker = False      # True in a worker of a parallel_map
 
 
 def inherited():
@@ -430,31 +430,68 @@ def inherited():
 
 
 def parallel_map(fn, *iterables, inherit=None):
-    """``map(fn, *iterables)`` on ``min(_usable_cores(), tasks)`` processes
-    forked through an explicit ``fork`` context, yielding the results in
-    task order as they arrive and raising a worker's exception; run to its
-    end, it joins the workers.  The tasks run in this process when that
-    count is 1, when the platform cannot fork, or in a pool worker, so
-    pools never nest.
-
-    ``inherit`` reaches every task as :func:`inherited`, through the fork
-    and never by pickle; a worker's writes reach this process only
-    through shared memory in it (``mmap``)."""
-    global _inherited
+    """``map(fn, *iterables)`` in task order on ``min(_usable_cores(),
+    tasks)`` processes forked by ``os.fork``, each sent its next task as it
+    pickles back a result and killed and reaped however the map ends, or
+    in this process on one core, without ``os.fork`` or in a worker.  Each
+    task finds ``inherit`` as :func:`inherited`; a task's exception is
+    raised here, and RuntimeError for a worker that ends without a result."""
+    global _inherited, _in_worker
     tasks = list(zip(*iterables))
     workers = min(_usable_cores(), len(tasks))
     outer, _inherited = _inherited, inherit
+    todo, results, running = iter(range(len(tasks))), {}, {}
     try:
-        if (workers < 2 or multiprocessing.parent_process() is not None
-                or "fork" not in multiprocessing.get_all_start_methods()):
+        if workers < 2 or _in_worker or not hasattr(os, "fork"):
             yield from starmap(fn, tasks)
             return
-        with ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork")) as pool:
-            yield from pool.map(fn, *zip(*tasks))
+        for stream in (sys.stdout, sys.stderr):     # no output to copy
+            stream.flush()
+        for task in islice(todo, workers):
+            (inbox, send), (receive, outbox) = os.pipe(), os.pipe()
+            os.write(send, task.to_bytes(4, "little"))
+            if (pid := os.fork()) == 0:     # the worker, until it ends
+                _in_worker = True
+                os.close(send)      # EOF on inbox once the parent is gone
+                try:
+                    out = os.fdopen(outbox, "wb")
+                    while index := os.read(inbox, 4):
+                        args = tasks[int.from_bytes(index, "little")]
+                        try:
+                            reply = True, fn(*args)
+                        except Exception as exc:
+                            reply = False, exc
+                        pickle.dump(reply, out, pickle.HIGHEST_PROTOCOL)
+                        out.flush()
+                finally:
+                    os._exit(1)
+            os.close(inbox)
+            os.close(outbox)
+            running[os.fdopen(receive, "rb")] = [pid, send, task]
+        for index in range(len(tasks)):
+            while index not in results:
+                for reader in select.select(list(running), [], [])[0]:
+                    pid, send, task = worker = running[reader]
+                    try:
+                        ok, results[task] = pickle.load(reader)
+                    except (EOFError, pickle.UnpicklingError):
+                        worker[0], status = None, os.waitpid(pid, 0)[1]
+                        raise RuntimeError(f"worker {pid} ended without a "
+                                           f"result: wait status {status}")
+                    if not ok:
+                        raise results[task]
+                    worker[2] = next(todo, None)
+                    if worker[2] is not None:
+                        os.write(send, worker[2].to_bytes(4, "little"))
+            yield results.pop(index)
     finally:
         _inherited = outer
+        for reader, (pid, send, _) in running.items():
+            os.close(send)
+            reader.close()
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _tabled_law(table, rows, A):
@@ -478,14 +515,13 @@ def _run_block(u, noises, cfg: SystemConfig, ind: Indicators,
     ``u``, with the indicators ``ind``; steps on whole ages read the
     failure law from a table of the block.
 
-    For one candidate, ``noises`` is a ScenarioSet, whose scenarios lo..hi-1
-    the block generates, or an array of just those scenarios; for K > 1 it
-    is the whole (Q, n, T) array, and column c is candidate c // Q on
-    scenario c % Q.  Returns the block's columns of the per-scenario sums
-    (rows: CM cost, forced-outage cost, PM count, failure count, outage
-    onsets, outage steps), its sums over columns of the PM events (T,) and
-    of the empty stocks (T+1,) of each step, and its (n, T+1, D+2, width)
-    states and (T+1, width) stock, or None.
+    ``noises`` is the call's ScenarioSet, whose scenarios lo..hi-1 a block
+    of one candidate generates, or its (Q, n, T) array; for K > 1 column c
+    is candidate c // Q on scenario c % Q.  Returns the block's columns of
+    the per-scenario sums (rows: CM cost, forced-outage cost, PM count,
+    failure count, outage onsets, outage steps), its sums over columns of
+    the PM events (T,) and of the empty stocks (T+1,) of each step, and its
+    (n, T+1, D+2, width) states and (T+1, width) stock, or None.
     """
     K, n, T, D = len(u), cfg.n, cfg.T, cfg.D
     width = hi - lo
@@ -495,7 +531,7 @@ def _run_block(u, noises, cfg: SystemConfig, ind: Indicators,
         # one candidate: its controls broadcast over the block
         cand = np.zeros(1, dtype=int)
         panel = (noises.block(lo, hi) if isinstance(noises, ScenarioSet)
-                 else noises)
+                 else noises[lo:hi])
     else:
         cand, scen = np.divmod(np.arange(lo, hi), len(noises))
     # the failure law at the whole ages 0..T, row i at i·(T+1); np.power
@@ -605,16 +641,13 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
     count = -(-K * Q // block)
     cuts = [j * K * Q // count for j in range(count + 1)]
     los, his = cuts[:-1], cuts[1:]
-    # a worker gets a ScenarioSet as its four ints, an array as its block
-    sources = [noises if K > 1 or isinstance(noises, ScenarioSet)
-               else noises[lo:hi] for lo, hi in zip(los, his)]
     # a stack's 512-column blocks are too short to pay for a hand-off
     parts = (map if stacked else parallel_map)(
-        _run_block, repeat(u), sources, repeat(cfg), repeat(ind),
+        _run_block, repeat(u), repeat(noises), repeat(cfg), repeat(ind),
         repeat(record_states), los, his)
     # write each block's columns, and add a Strategy's step sums in block
     # order as a serial run does; ``parts`` leads the zip, so a parallel
-    # map runs to its end and joins its workers
+    # map runs to its end and reaps its workers
     for (block_sums, block_pm, block_empty, block_states), lo, hi \
             in zip(parts, los, his):
         sums[:, lo:hi] = block_sums

@@ -1,9 +1,10 @@
 """Command-line front end: files, sampling, tuning, mode dispatch."""
 import dataclasses
-import multiprocessing
+import os
+import pickle
 import re
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing.reduction import ForkingPickler
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -212,16 +213,24 @@ def test_tune_leaderboard_sorted():
     assert best is samples[board[0]["index"]]
 
 
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _tune_board(monkeypatch, cores, validation_count):
     """The (index, cost) board of a 2-sample tune with ``cores`` usable
-    cores; no worker outlives it, and no tune worker starts a pool."""
-    class ParentOnly(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            assert multiprocessing.parent_process() is None, "nested pool"
-            super().__init__(*args, **kwargs)
+    cores; no worker outlives it, and no tune worker forks workers of its
+    own: a fork in a worker raises there, and the map raises it here."""
+    real_fork, me = os.fork, os.getpid()
+
+    def parent_only_fork():
+        assert os.getpid() == me, "nested pool"
+        return real_fork()
 
     monkeypatch.setattr(sm, "_usable_cores", lambda: cores)
-    monkeypatch.setattr(sm, "ProcessPoolExecutor", ParentOnly)
+    monkeypatch.setattr(os, "fork", parent_only_fork)
     cfg = small_cfg()
     noises = ev.generate_scenarios(2, 3, 3, seed=0)
     val = sm.ScenarioSet(2, 3, validation_count, 1)
@@ -229,7 +238,7 @@ def _tune_board(monkeypatch, cores, validation_count):
     for p in samples:
         p.iterations, p.subproblem_budget = 1, 8
     _, board = cli.tune(cfg, samples, noises, val, seed=0)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     return [(r["index"], r["cost"]) for r in board]
 
 
@@ -241,6 +250,43 @@ def test_tune_boards_equal_across_worker_counts(monkeypatch,
     worker steps in its own process."""
     assert (_tune_board(monkeypatch, 2, validation_count)
             == _tune_board(monkeypatch, 1, validation_count))
+
+
+#: run in a fresh interpreter with an output directory as its argument
+_IMPORT_PROBE = """
+import sys
+from fleetmaint import cli, sysmodel
+
+def loaded(*names):
+    return [name for name in names if name in sys.modules]
+
+out = sys.argv[1]
+pool = ("multiprocessing", "concurrent.futures")
+assert not loaded("yaml", *pool), loaded("yaml", *pool)
+assert cli.main(["--mode", "optimize-direct", "--budget", "2",
+                 "--scenarios", "2", "--out", out + "/direct"]) == 0
+strategy = out + "/direct/strategy.csv"
+assert cli.main(["--mode", "evaluate", "--strategy", strategy,
+                 "--validation-scenarios", "10", "--out", out + "/a"]) == 0
+assert not loaded("yaml", *pool), loaded("yaml", *pool)
+sysmodel._usable_cores = lambda: 2
+assert cli.main(["--mode", "evaluate", "--strategy", strategy,
+                 "--validation-scenarios", "2049", "--out", out + "/b"]) == 0
+assert not loaded(*pool), loaded(*pool)
+"""
+
+
+def test_modes_import_neither_a_pool_nor_yaml(tmp_path):
+    """A fresh interpreter that imports the CLI and runs optimize-direct
+    and evaluate, reading no YAML file, never imports ``yaml``,
+    ``multiprocessing`` or ``concurrent.futures``; an evaluate on two
+    engine blocks in two forked workers imports neither of the last
+    two."""
+    run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                          str(tmp_path)], capture_output=True, text=True,
+                         timeout=300, env={**os.environ, "PYTHONPATH":
+                                           os.pathsep.join(sys.path)})
+    assert run.returncode == 0, run.stderr
 
 
 def split_cfg():
@@ -269,26 +315,32 @@ def _record_row_ranges(monkeypatch):
     return ranges
 
 
+def _record_unpickled(monkeypatch):
+    """A list that gets everything this process unpickles from a file:
+    every reply of a worker of the map."""
+    unpickled, real_load = [], pickle.load
+
+    def recording_load(*args, **kwargs):
+        unpickled.append(real_load(*args, **kwargs))
+        return unpickled[-1]
+
+    monkeypatch.setattr(pickle, "load", recording_load)
+    return unpickled
+
+
 def _split_app_run(monkeypatch, tmp_path, cores):
     """optimize-app on :func:`split_cfg` at 200 scenarios with ``cores``
     usable cores: its three files, the row ranges of each iteration's
-    search and the sizes of everything this process pickled."""
+    search and every reply its workers pickled back."""
     monkeypatch.setattr(sm, "_usable_cores", lambda: cores)
-    ranges, pickled = _record_row_ranges(monkeypatch), []
-    real_dumps = ForkingPickler.dumps
-
-    def recording_dumps(obj, *args, **kwargs):
-        out = real_dumps(obj, *args, **kwargs)
-        pickled.append(len(out))
-        return out
-
-    monkeypatch.setattr(ForkingPickler, "dumps", recording_dumps)
+    ranges, pickled = (_record_row_ranges(monkeypatch),
+                       _record_unpickled(monkeypatch))
     out = tmp_path / f"cores{cores}"
     assert run_cli(mode="optimize-app", config=write_cfg(tmp_path,
                                                          split_cfg()),
                    seed=2, iterations=2, budget=4, scenarios=200,
                    out=str(out)) == 0
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     files = {name: (out / name).read_bytes() for name in
              ("strategy.csv", "strategy_projected.csv", "history.csv")}
     return files, ranges, pickled
@@ -298,8 +350,8 @@ def test_optimize_app_rows_split_across_cores(monkeypatch, tmp_path):
     """A round of more than LOCKSTEP_COLUMNS columns cuts the rows into
     one near-equal range per usable core, each searched in a forked
     worker: the files are those of one process, no worker outlives the
-    run, and no row array crosses by pickle, only each range's bounds
-    and its evaluation count."""
+    run, and no row array crosses by pickle, only each range's
+    evaluation count."""
     one, ranges, pickled = _split_app_run(monkeypatch, tmp_path, 1)
     assert ranges == [[(0, 12)]] * 2 and pickled == []
     cuts = {2: [(0, 6), (6, 12)], 3: [(0, 4), (4, 8), (8, 12)]}
@@ -307,7 +359,9 @@ def test_optimize_app_rows_split_across_cores(monkeypatch, tmp_path):
         files, ranges, pickled = _split_app_run(monkeypatch, tmp_path, cores)
         assert files == one, cores
         assert ranges == [want] * 2
-        assert pickled and max(pickled) < 1024, (cores, max(pickled))
+        assert len(pickled) == 2 * cores
+        assert all(ok is True and type(evals) is int
+                   for ok, evals in pickled), pickled
 
 
 def test_small_rounds_stay_in_process(monkeypatch):
@@ -343,10 +397,10 @@ def test_split_ranges_keep_the_fleet_chunk_cap(monkeypatch):
 def test_split_worker_exception_reaches_caller(monkeypatch):
     """A search that raises in a forked worker raises in the caller, and
     no worker is left behind."""
-    real_minimize = ad.minimize
+    real_minimize, me = ad.minimize, os.getpid()
 
     def failing(*args, **kwargs):
-        if multiprocessing.parent_process() is not None:
+        if os.getpid() != me:
             raise RuntimeError("search failed in a worker")
         return real_minimize(*args, **kwargs)
 
@@ -358,7 +412,7 @@ def test_split_worker_exception_reaches_caller(monkeypatch):
         ad.app_fixed_point(cfg, ad.tuned_params(iterations=1,
                                                 subproblem_budget=2),
                            noises, 0)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Scenario generation, SAA objectives, projection, evaluation reports."""
 import dataclasses
+import pickle
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -155,8 +154,9 @@ def test_scenario_set_scores_equal_the_panel(monkeypatch, count, workers):
 def test_scenario_set_is_never_materialized(monkeypatch, workers):
     """Evaluating 20 000 scenarios never holds the 64 MB panel.  On one
     worker the blocks are made in this process, where tracemalloc sees
-    them: below a quarter of the panel.  On two, each task ships the set
-    as four ints, not its scenarios: below 1 % of the panel pickled."""
+    them: below a quarter of the panel.  On two, the workers inherit the
+    set and pickle back only each block's sums: below 1 % of the panel
+    each."""
     monkeypatch.setattr(sm, "_usable_cores", lambda: workers)
     cfg = small_system_config()
     scen = sm.ScenarioSet(cfg.n, cfg.T, 20_000, 3)
@@ -172,17 +172,17 @@ def test_scenario_set_is_never_materialized(monkeypatch, workers):
         assert peak < panel_bytes / 4, peak
         return
 
-    payloads = []
+    replies, real_load = [], pickle.load
 
-    class Recording(ProcessPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            payloads.append(len(ForkingPickler.dumps((fn, args, kwargs))))
-            return super().submit(fn, *args, **kwargs)
+    def recording_load(*args, **kwargs):
+        reply = real_load(*args, **kwargs)
+        replies.append(len(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)))
+        return reply
 
-    monkeypatch.setattr(sm, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(pickle, "load", recording_load)
     ev.evaluate_strategy(strat, scen, cfg)
-    assert len(payloads) == -(-scen.count // sm.BLOCK)
-    assert max(payloads) < panel_bytes / 100, payloads
+    assert len(replies) == -(-scen.count // sm.BLOCK)
+    assert max(replies) < panel_bytes / 100, replies
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Relaxed dynamics: surrogate values, exact agreement, analytic partials."""
 import pickle
 from functools import partial
-from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -75,10 +74,10 @@ def test_indicator_pointwise_limit():
 
 
 def test_ramps_pickle_to_the_same_bits():
-    """The ramps cross to the engine's worker processes by pickle and
-    give there the bits they give here, on both sides of every kink."""
+    """The ramps pickle, and give back the bits they give here, on both
+    sides of every kink."""
     ramps = rx._ramps(3.0)
-    back = pickle.loads(ForkingPickler.dumps(ramps))
+    back = pickle.loads(pickle.dumps(ramps))
     half = 0.5 / 3.0
     x = np.concatenate([np.linspace(-0.4, 0.4, 97),
                         [-half, half, np.nextafter(-half, 0.0),

@@ -2,9 +2,11 @@
 import csv
 import dataclasses
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import signal
+import subprocess
+import sys
+import time
 from typing import NamedTuple
 
 import numpy as np
@@ -528,12 +530,18 @@ def test_columns_split_into_near_equal_blocks(monkeypatch, K, Q, widths):
     assert steps == widths
 
 
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _blocks_in_workers(monkeypatch, workers, run):
     """``run()`` with the batch driver allowed ``workers`` worker
     processes; none of them outlives the call."""
     monkeypatch.setattr(sm, "_usable_cores", lambda: workers)
     result = run()
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     return result
 
 
@@ -586,9 +594,9 @@ def test_outputs_identical_across_worker_counts(monkeypatch, tmp_path):
 
 def test_worker_exception_reaches_the_caller(monkeypatch):
     """An exception raised inside a worker process is raised by the call,
-    and the pool is shut down with it.  The planted function reaches the
-    workers because :func:`sm.parallel_map` forks them through an explicit
-    fork context, whatever the platform's default start method."""
+    with its own type, and every worker is reaped with it.  The planted
+    function reaches the workers because :func:`sm.parallel_map` forks
+    them, whatever the platform's default start method."""
     def broken(*args, **kwargs):
         raise FloatingPointError(f"planted in process {os.getpid()}")
 
@@ -599,7 +607,7 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
     with pytest.raises(FloatingPointError, match="planted") as err:
         sm.simulate_batch(sm.Strategy(np.zeros((cfg.n, cfg.T))), scen, cfg)
     assert str(err.value) != f"planted in process {os.getpid()}"
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def _pid_of(_):
@@ -607,29 +615,96 @@ def _pid_of(_):
 
 
 def _inner_pids(_):
-    """This worker's pid, and the pids of the tasks of a map it starts."""
-    return os.getpid(), list(sm.parallel_map(_pid_of, range(3)))
+    """This worker's parent and its own pid, and the pids of the tasks of
+    a map it starts."""
+    return (os.getppid(), os.getpid(),
+            list(sm.parallel_map(_pid_of, range(3))))
 
 
 def test_parallel_map_never_nests(monkeypatch):
-    """The map yields in task order from forked workers, and a task that
-    maps again runs every inner task in its own process."""
-    contexts = []
-
-    class Recording(ProcessPoolExecutor):
-        def __init__(self, *args, mp_context, **kwargs):
-            contexts.append(mp_context.get_start_method())
-            super().__init__(*args, mp_context=mp_context, **kwargs)
-
+    """The map yields in task order from workers forked by this process,
+    and a task that maps again runs every inner task in its own
+    process."""
     monkeypatch.setattr(sm, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(sm, "ProcessPoolExecutor", Recording)
     assert list(sm.parallel_map(pow, range(5), [2] * 5)) == [0, 1, 4, 9, 16]
     outer = list(sm.parallel_map(_inner_pids, range(2)))
-    assert contexts == ["fork", "fork"]
-    for pid, inner in outer:
-        assert pid != os.getpid()
+    assert len({pid for _, pid, _ in outer}) == 2
+    for parent, pid, inner in outer:
+        assert parent == os.getpid() != pid
         assert inner == [pid] * 3
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def _kill_own_worker(i):
+    if i == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(0.2)
+    return i
+
+
+def test_parallel_map_raises_when_a_worker_dies(monkeypatch):
+    """A worker killed in its task makes the map raise RuntimeError at
+    once, naming the worker and its wait status, and leaves no child."""
+    monkeypatch.setattr(sm, "_usable_cores", lambda: 2)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError,
+                       match=rf"worker \d+ ended without a result: wait "
+                             rf"status {int(signal.SIGKILL)}$"):
+        list(sm.parallel_map(_kill_own_worker, range(4)))
+    assert time.monotonic() - start < 5
+    assert_no_child_left()
+
+
+def test_parallel_map_closed_early_reaps_its_workers(monkeypatch):
+    """A consumer that stops after the first result leaves no worker,
+    running or unreaped, though the other tasks are still running."""
+    monkeypatch.setattr(sm, "_usable_cores", lambda: 2)
+    results = sm.parallel_map(time.sleep, [0.0] + [30.0] * 3)
+    assert next(results) is None
+    start = time.monotonic()
+    results.close()
+    assert time.monotonic() - start < 5
+    assert_no_child_left()
+
+
+def _slow_first(i):
+    if i == 0:
+        time.sleep(1.0)
+    return i, os.getpid()
+
+
+def test_parallel_map_hands_tasks_to_the_free_worker(monkeypatch):
+    """While one worker runs a slow first task, the other takes every
+    other task, and the results still come in task order."""
+    monkeypatch.setattr(sm, "_usable_cores", lambda: 2)
+    out = list(sm.parallel_map(_slow_first, range(6)))
+    assert [i for i, _ in out] == list(range(6))
+    pids = [pid for _, pid in out]
+    assert pids[0] not in pids[1:] and len(set(pids[1:])) == 1
+    assert_no_child_left()
+
+
+def test_forked_evaluate_writes_its_report_to_stdout_once(tmp_path):
+    """``evaluate`` on two engine blocks in two workers, with stdout a
+    file: the file holds the report once, byte-equal to report.txt, so
+    no worker writes out a copy of the parent's buffered output."""
+    cfg = small_system_config()
+    spath = tmp_path / "strategy.csv"
+    cli.save_strategy(sm.Strategy(np.zeros((cfg.n, cfg.T))), cfg, spath)
+    code = ("import sys; from fleetmaint import cli, sysmodel; "
+            "sysmodel._usable_cores = lambda: 2; "
+            "print('evaluate:', flush=False); "
+            "sys.exit(cli.main(sys.argv[1:]))")
+    with open(tmp_path / "stdout.txt", "wb") as stdout:
+        subprocess.run([sys.executable, "-c", code, "--mode", "evaluate",
+                        "--strategy", str(spath), "--validation-scenarios",
+                        "2049", "--out", str(tmp_path / "out")],
+                       stdout=stdout, check=True, timeout=120,
+                       env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                           sys.path)})
+    report = (tmp_path / "out" / "report.txt").read_bytes()
+    assert report.count(b"scenarios            2049") == 1
+    assert (tmp_path / "stdout.txt").read_bytes() == b"evaluate:\n" + report
 
 
 def _inherited_row(i):
@@ -653,7 +728,7 @@ def test_parallel_map_hands_inherit_to_every_task(monkeypatch, cores):
     assert [row for _, row in out] == rows.tolist()
     assert (len({pid for pid, _ in out} - {os.getpid()}) > 0) == (cores > 1)
     assert sm.inherited() is None
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("K", [None, 3])
