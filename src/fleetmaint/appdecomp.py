@@ -26,9 +26,11 @@ whose every round steps a chunk of candidate controls per component, all
 on one stack of scenario columns with one fleet-wide relaxed step call per
 time step, and which keeps the states of each row's best controls.  Where
 a round is compute-bound, its rows are cut into ranges searched in
-parallel, one forked worker per usable core.  The multiplier recursions
-are fleet-wide and serial, and take the step Jacobians of
-max(1, LOCKSTEP_COLUMNS // (n Q)) steps in one call.
+parallel, one forked worker per usable core, each pinned to its own.
+The component multiplier recursion reads nothing across rows either, so
+each range forms its rows' multipliers after its search; the stock
+multiplier recursion is fleet-wide and serial.  Both take the step
+Jacobians of max(1, LOCKSTEP_COLUMNS // (n Q)) steps in one call.
 Then the stock subproblem and its multiplier run on the freshly installed
 component solutions.  An iteration holds only what its current phase or a
 later one reads: the bar multipliers go once the cache has read them, the
@@ -323,13 +325,15 @@ def solve_component_subproblems(it: Iterate, noises, cfg: SystemConfig,
     ``seeds[i]``; each round steps a chunk of
     max(1, LOCKSTEP_COLUMNS // (n Q)) candidates per row, cut only by a
     poll's end and the budget.  Returns (X, U, best values (n,),
-    evaluations used over all rows), with X the states the search kept for
-    each row's best controls: those of its frozen-surroundings relaxed
-    trajectories, as a stack of one gives them.
+    multipliers, evaluations used over all rows), with X the states the
+    search kept for each row's best controls: those of its
+    frozen-surroundings relaxed trajectories, as a stack of one gives
+    them; and the multipliers those of
+    :func:`component_multiplier_backward` at X and U.
 
-    Rows never mix, so a range of rows is a search of its own.  A round of
-    more than LOCKSTEP_COLUMNS columns, one candidate per row, cuts the
-    rows into near-equal ranges, one per usable core, through
+    Rows never mix, so a range of rows is a search and a recursion of its
+    own.  A round of more than LOCKSTEP_COLUMNS columns, one candidate per
+    row, cuts the rows into near-equal ranges, one per usable core, through
     ``sysmodel.parallel_map``: a range inherits its inputs and writes its
     rows of the results into shared memory; only its evaluation count
     crosses by pickle.
@@ -337,13 +341,13 @@ def solve_component_subproblems(it: Iterate, noises, cfg: SystemConfig,
     n, Q = cfg.n, noises.shape[0]
     count = min(sm._usable_cores(), n) if n * Q > LOCKSTEP_COLUMNS else 1
     cuts = [j * n // count for j in range(count + 1)]
-    X, U, best = (_shared_empty(it.X.shape), _shared_empty(it.u.shape),
-                  _shared_empty(n))
+    X, U, best, Lam = (_shared_empty(it.X.shape), _shared_empty(it.u.shape),
+                       _shared_empty(n), _shared_empty(it.X.shape))
     job = (it, noises, cfg, max_evals, seeds, cache,
-           max(1, LOCKSTEP_COLUMNS // (n * Q)), (X, U, best))
+           max(1, LOCKSTEP_COLUMNS // (n * Q)), (X, U, best, Lam))
     evals = sum(sm.parallel_map(_solve_one, zip(cuts[:-1], cuts[1:]),
                                 inherit=job))
-    return X, U, best, evals
+    return X, U, best, Lam, evals
 
 
 def _shared_empty(shape) -> np.ndarray:
@@ -357,8 +361,8 @@ def _shared_empty(shape) -> np.ndarray:
 def _solve_one(rows):
     """Rows lo..hi-1 of the search of :func:`solve_component_subproblems`,
     on their slices of its inherited inputs and with the fleet's chunk
-    cap; writes their X, U and best values and returns their
-    evaluations."""
+    cap, then their multiplier recursion on the same slices; writes their
+    X, U, best values and multipliers and returns their evaluations."""
     it, noises, cfg, max_evals, seeds, cache, cap, out = sm.inherited()
     r = slice(*rows)
     part = replace(cfg, n=r.stop - r.start, C_P=cfg.C_P[r], C_C=cfg.C_C[r],
@@ -374,7 +378,8 @@ def _solve_one(rows):
                                                  frozen),
         bar.u.copy(), (np.zeros(cfg.T), np.ones(cfg.T)), max_evals,
         seeds[r], max_chunk=cap)
-    for whole, rows_of in zip(out, (X, U, best)):
+    Lam = component_multiplier_backward(X, U, bar, noises, part, frozen)
+    for whole, rows_of in zip(out, (X, U, best, Lam)):
         whole[r] = rows_of
     return evals
 
@@ -445,9 +450,11 @@ def component_multiplier_backward(X, U, it: Iterate, noises,
     (other components, stock) are evaluated at the bar point and enter
     through the cached coordination coefficients; the self term uses the
     Jacobian of the relaxed step along the fresh trajectories ``X`` of the
-    controls ``U``.  One fleet-wide own-state block call per block of steps,
-    the carry taken step by step, and the stage-cost gradient of each
-    block formed with its Jacobian; returns (n, T+1, D+2, Q).
+    controls ``U``.  Rows never mix: a range of rows, on its slices of
+    every input, gets its rows' multipliers.  One own-state block call
+    over all rows per block of steps, the carry taken step by step, and
+    the stage-cost gradient of each block formed with its Jacobian;
+    returns (n, T+1, D+2, Q).
     """
     T, sigma = cfg.T, cache.sigma_others
     Lam = np.empty_like(X)
@@ -522,10 +529,8 @@ def app_fixed_point(cfg: SystemConfig, p: APPParams, noises, seed: int):
         cache = build_iteration_cache(it, noises, cfg)
         it.Lam = it.LamS = None
         seeds = [_subproblem_seed(seed, k, i) for i in range(cfg.n)]
-        X_new, u_new, bests, _ = solve_component_subproblems(
+        X_new, u_new, bests, it.Lam, _ = solve_component_subproblems(
             it, noises, cfg, p.subproblem_budget, seeds, cache)
-        it.Lam = component_multiplier_backward(X_new, u_new, it, noises,
-                                               cfg, cache)
         del cache
         it.X, it.u = X_new, u_new
         S_new = solve_stock_subproblem(X_new, alpha, cfg)

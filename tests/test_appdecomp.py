@@ -233,7 +233,7 @@ def test_budget_one_returns_warm_start():
     noises = rng.random((3, 2, 3))
     it = make_iterate(cfg, noises)
     cache = ad.build_iteration_cache(it, noises, cfg)
-    X, u, best, evals = ad.solve_component_subproblems(
+    X, u, best, _, evals = ad.solve_component_subproblems(
         it, noises, cfg, 1, range(2), cache)
     assert np.array_equal(u, it.u)
     assert evals == 2
@@ -251,14 +251,15 @@ def test_subproblem_never_worse_than_warm_start():
     cache = ad.build_iteration_cache(it, noises, cfg)
     ref = ad.component_subproblem_objective(it.u[:, None], it, noises, cfg,
                                             cache)[0][:, 0]
-    _, _, best, _ = ad.solve_component_subproblems(
+    _, _, best, _, _ = ad.solve_component_subproblems(
         it, noises, cfg, 120, range(2), cache)
     assert np.all(best <= ref + 1e-12)
 
 
 def test_subproblem_solution_independent_of_round_size(monkeypatch):
     """Rounds of one candidate per row (a column budget below n Q), of
-    up to 3 and of whole polls give the same solutions and charges."""
+    up to 3 and of whole polls give the same solutions, multipliers and
+    charges; the recursion's Jacobian blocks span 1, 3 and all 5 steps."""
     cfg = make_cfg(n=3, T=5)
     rng = np.random.default_rng(14)
     noises = rng.random((6, 3, 5))
@@ -274,8 +275,8 @@ def test_subproblem_solution_independent_of_round_size(monkeypatch):
         outs.append(ad.solve_component_subproblems(
             it, noises, cfg, 90, range(3), cache))
     for out in outs[1:]:
-        assert all(np.array_equal(a, b) for a, b in zip(out[:3], outs[0]))
-        assert out[3] == outs[0][3] == 270
+        assert all(np.array_equal(a, b) for a, b in zip(out[:4], outs[0]))
+        assert out[4] == outs[0][4] == 270
     assert np.all(outs[0][2] < ref)
 
 
@@ -290,8 +291,8 @@ def test_subproblem_states_are_those_of_the_best_controls(budget):
     it.u = rng.random((3, 5)) * 0.5
     it.X, it.S = relaxed_bars(sm.Strategy(it.u), noises, it.alpha, cfg)
     cache = ad.build_iteration_cache(it, noises, cfg)
-    X, U, _, _ = ad.solve_component_subproblems(it, noises, cfg, budget,
-                                                range(3), cache)
+    X, U, _, _, _ = ad.solve_component_subproblems(it, noises, cfg, budget,
+                                                   range(3), cache)
     assert np.all(np.any(U != it.u, axis=1)) == (budget > 1)
     assert np.array_equal(X, ad.component_trajectories(
         U[:, None], it, noises, cfg, cache)[:, 0])
@@ -324,10 +325,8 @@ def test_stock_subproblem_matches_exact_trace():
 
 def _fresh_solution(cfg, noises, it, budget=60):
     cache = ad.build_iteration_cache(it, noises, cfg)
-    X_new, u_new, _, _ = ad.solve_component_subproblems(
+    X_new, u_new, _, Lam_new, _ = ad.solve_component_subproblems(
         it, noises, cfg, budget, range(cfg.n), cache)
-    Lam_new = ad.component_multiplier_backward(X_new, u_new, it, noises, cfg,
-                                               cache)
     return cache, X_new, u_new, Lam_new
 
 

@@ -394,6 +394,51 @@ def test_split_ranges_keep_the_fleet_chunk_cap(monkeypatch):
                                             subproblem_budget=3), noises, 0)
 
 
+def _split_search(monkeypatch, cores):
+    """solve_component_subproblems on :func:`split_cfg` at 200 scenarios
+    with ``cores`` usable cores, from the do-nothing iterate with random
+    bar multipliers; returns the iterate, its cache and the results."""
+    monkeypatch.setattr(sm, "_usable_cores", lambda: cores)
+    cfg = split_cfg()
+    noises = ev.generate_scenarios(cfg.n, cfg.T, 200, seed=1)
+    it = ad.initial_iterate(cfg, ad.tuned_params(), noises)
+    rng = np.random.default_rng(3)
+    it.Lam, it.LamS = rng.normal(size=it.X.shape), rng.normal(size=it.S.shape)
+    cache = ad.build_iteration_cache(it, noises, cfg)
+    out = ad.solve_component_subproblems(it, noises, cfg, 3, range(cfg.n),
+                                         cache)
+    assert_no_child_left()
+    return cfg, noises, it, cache, out
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_split_multipliers_equal_the_fleet_recursion(monkeypatch, cores):
+    """Each range's multipliers, formed after its search, are bit for bit
+    those of one fleet-wide recursion on the search's X and U."""
+    cfg, noises, it, cache, (X, U, _, Lam, _) = _split_search(monkeypatch,
+                                                                cores)
+    assert np.any(Lam != 0)
+    assert np.array_equal(Lam, ad.component_multiplier_backward(
+        X, U, it, noises, cfg, cache))
+
+
+def test_split_multipliers_are_formed_in_the_workers(monkeypatch, tmp_path):
+    """On two cores the component recursion runs once in each worker and
+    never in this process."""
+    real, log = ad.component_multiplier_backward, tmp_path / "pids"
+
+    def logged(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(ad, "component_multiplier_backward", logged)
+    _split_search(monkeypatch, 2)
+    pids = log.read_text().split()
+    assert len(pids) == len(set(pids)) == 2
+    assert str(os.getpid()) not in pids
+
+
 def test_split_worker_exception_reaches_caller(monkeypatch):
     """A search that raises in a forked worker raises in the caller, and
     no worker is left behind."""
