@@ -26,11 +26,11 @@ whose every round steps a chunk of candidate controls per component, all
 on one stack of scenario columns with one fleet-wide relaxed step call per
 time step, and which keeps the states of each row's best controls.  Where
 a round is compute-bound, its rows are cut into ranges searched in
-parallel, one forked worker per usable core, each pinned to its own.
-The component multiplier recursion reads nothing across rows either, so
-each range forms its rows' multipliers after its search; the stock
-multiplier recursion is fleet-wide and serial.  Both take the step
-Jacobians of max(1, LOCKSTEP_COLUMNS // (n Q)) steps in one call.
+parallel, one forked worker per usable core.  The component multiplier
+recursion reads nothing across rows either, so each range forms its rows'
+multipliers after its search; the stock multiplier recursion is
+fleet-wide and serial.  Both take the step Jacobians of
+max(1, LOCKSTEP_COLUMNS // (n Q)) steps in one call.
 Then the stock subproblem and its multiplier run on the freshly installed
 component solutions.  An iteration holds only what its current phase or a
 later one reads: the bar multipliers go once the cache has read them, the
@@ -336,18 +336,19 @@ def solve_component_subproblems(it: Iterate, noises, cfg: SystemConfig,
     row, cuts the rows into near-equal ranges, one per usable core, through
     ``sysmodel.parallel_map``: a range inherits its inputs and writes its
     rows of the results into shared memory; only its evaluation count
-    crosses by pickle.
+    crosses by pickle.  A single range keeps its own arrays.
     """
     n, Q = cfg.n, noises.shape[0]
     count = min(sm._usable_cores(), n) if n * Q > LOCKSTEP_COLUMNS else 1
     cuts = [j * n // count for j in range(count + 1)]
-    X, U, best, Lam = (_shared_empty(it.X.shape), _shared_empty(it.u.shape),
-                       _shared_empty(n), _shared_empty(it.X.shape))
+    out = None if count == 1 else (
+        _shared_empty(it.X.shape), _shared_empty(it.u.shape),
+        _shared_empty(n), _shared_empty(it.X.shape))
     job = (it, noises, cfg, max_evals, seeds, cache,
-           max(1, LOCKSTEP_COLUMNS // (n * Q)), (X, U, best, Lam))
-    evals = sum(sm.parallel_map(_solve_one, zip(cuts[:-1], cuts[1:]),
-                                inherit=job))
-    return X, U, best, Lam, evals
+           max(1, LOCKSTEP_COLUMNS // (n * Q)), out)
+    parts = list(sm.parallel_map(_solve_one, zip(cuts[:-1], cuts[1:]),
+                                 inherit=job))
+    return parts[0] if out is None else (*out, sum(parts))
 
 
 def _shared_empty(shape) -> np.ndarray:
@@ -362,7 +363,8 @@ def _solve_one(rows):
     """Rows lo..hi-1 of the search of :func:`solve_component_subproblems`,
     on their slices of its inherited inputs and with the fleet's chunk
     cap, then their multiplier recursion on the same slices; writes their
-    X, U, best values and multipliers and returns their evaluations."""
+    X, U, best values and multipliers into the shared outputs and returns
+    their evaluations, or, without outputs, returns all five."""
     it, noises, cfg, max_evals, seeds, cache, cap, out = sm.inherited()
     r = slice(*rows)
     part = replace(cfg, n=r.stop - r.start, C_P=cfg.C_P[r], C_C=cfg.C_C[r],
@@ -379,6 +381,8 @@ def _solve_one(rows):
         bar.u.copy(), (np.zeros(cfg.T), np.ones(cfg.T)), max_evals,
         seeds[r], max_chunk=cap)
     Lam = component_multiplier_backward(X, U, bar, noises, part, frozen)
+    if out is None:     # the only range: its own arrays, no shared copies
+        return X, U, best, Lam, evals
     for whole, rows_of in zip(out, (X, U, best, Lam)):
         whole[r] = rows_of
     return evals

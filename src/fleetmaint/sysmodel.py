@@ -433,9 +433,7 @@ def parallel_map(fn, *iterables, inherit=None):
     """``map(fn, *iterables)`` in task order on ``min(_usable_cores(),
     tasks)`` processes forked by ``os.fork``, each sent its next task as it
     pickles back a result and killed and reaped however the map ends, or
-    in this process on one core, without ``os.fork`` or in a worker.  Worker
-    k is pinned, where the platform lets it, to core k (mod their count) of
-    this process's cores, whose own affinity stays as it is.  Each
+    in this process on one core, without ``os.fork`` or in a worker.  Each
     task finds ``inherit`` as :func:`inherited`; a task's exception is
     raised here, and RuntimeError for a worker that ends without a result."""
     global _inherited, _in_worker
@@ -449,18 +447,13 @@ def parallel_map(fn, *iterables, inherit=None):
             return
         for stream in (sys.stdout, sys.stderr):     # no output to copy
             stream.flush()
-        cores = sorted(getattr(os, "sched_getaffinity", lambda _: [0])(0))
-        for slot, task in enumerate(islice(todo, workers)):
+        for task in islice(todo, workers):
             (inbox, send), (receive, outbox) = os.pipe(), os.pipe()
             os.write(send, task.to_bytes(4, "little"))
             if (pid := os.fork()) == 0:     # the worker, until it ends
                 _in_worker = True
                 os.close(send)      # EOF on inbox once the parent is gone
                 try:
-                    try:    # left to the kernel, forks may share one core
-                        os.sched_setaffinity(0, {cores[slot % len(cores)]})
-                    except (AttributeError, OSError):
-                        pass        # no pin here: the worker runs unpinned
                     out = os.fdopen(outbox, "wb")
                     while index := os.read(inbox, 4):
                         args = tasks[int.from_bytes(index, "little")]

@@ -1,5 +1,6 @@
 """Command-line front end: files, sampling, tuning, mode dispatch."""
 import dataclasses
+import mmap
 import os
 import pickle
 import re
@@ -420,6 +421,17 @@ def test_split_multipliers_equal_the_fleet_recursion(monkeypatch, cores):
     assert np.any(Lam != 0)
     assert np.array_equal(Lam, ad.component_multiplier_backward(
         X, U, it, noises, cfg, cache))
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_only_split_results_sit_in_shared_memory(monkeypatch, cores):
+    """Ranges in workers hand their rows back through shared maps; the one
+    range of a single core returns its own arrays, so a run in one
+    process holds no shared copy of its states and multipliers."""
+    *_, out = _split_search(monkeypatch, cores)
+    views = [getattr(a.base, "base", None) for a in out[:4]]
+    shared = [isinstance(getattr(v, "obj", None), mmap.mmap) for v in views]
+    assert shared == [cores > 1] * 4
 
 
 def test_split_multipliers_are_formed_in_the_workers(monkeypatch, tmp_path):

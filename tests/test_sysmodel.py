@@ -731,59 +731,6 @@ def test_parallel_map_hands_inherit_to_every_task(monkeypatch, cores):
     assert_no_child_left()
 
 
-def _affinity(x):
-    return x, os.getpid(), os.sched_getaffinity(0)
-
-
-def _two_pinned_workers(monkeypatch):
-    """The results of :func:`_affinity` over two tasks on two workers,
-    checked to come from two worker processes; none outlives the map."""
-    monkeypatch.setattr(sm, "_usable_cores", lambda: 2)
-    out = list(sm.parallel_map(_affinity, range(2)))
-    assert [x for x, _, _ in out] == [0, 1]
-    assert len({pid for _, pid, _ in out} - {os.getpid()}) == 2
-    assert_no_child_left()
-    return [cores for _, _, cores in out]
-
-
-def test_parallel_map_pins_each_worker_to_its_own_core(monkeypatch):
-    """Each of two workers runs on one core of this process's set, not
-    the other's, and this process keeps its own set."""
-    caller = os.sched_getaffinity(0)
-    if len(caller) < 2:
-        pytest.skip("needs 2 usable cores")
-    pinned = _two_pinned_workers(monkeypatch)
-    assert all(len(cores) == 1 and cores <= caller for cores in pinned)
-    assert pinned[0] != pinned[1]
-    assert os.sched_getaffinity(0) == caller
-
-
-def test_parallel_map_runs_unpinned_where_pinning_fails(monkeypatch):
-    """A pin that the platform refuses leaves the workers on this
-    process's cores, with the same results and no child left."""
-    def refused(*args):
-        raise OSError("affinity refused")
-
-    caller = os.sched_getaffinity(0)
-    monkeypatch.setattr(os, "sched_setaffinity", refused)
-    assert _two_pinned_workers(monkeypatch) == [caller] * 2
-
-
-def test_parallel_map_pins_inside_a_narrowed_set(monkeypatch):
-    """With this process narrowed to two cores without core 0, the
-    workers take those two, one each."""
-    caller = os.sched_getaffinity(0)
-    if len(caller) < 3:
-        pytest.skip("needs 3 usable cores")
-    subset = set(sorted(caller - {0})[:2])
-    os.sched_setaffinity(0, subset)
-    try:
-        pinned = _two_pinned_workers(monkeypatch)
-    finally:
-        os.sched_setaffinity(0, caller)
-    assert sorted(pinned, key=min) == [{core} for core in sorted(subset)]
-
-
 @pytest.mark.parametrize("K", [None, 3])
 def test_memory_order_of_the_noises_does_not_matter(K):
     """The step-major panel of generate_scenarios and a C-ordered copy of
