@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import mmap
 from dataclasses import astuple, dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -256,9 +257,11 @@ def component_trajectories(U, it: Iterate, noises, cfg: SystemConfig,
         X[:, :, t, 0], X[:, :, t, 1] = E, A
         X[:, :, t, 2:] = P.transpose(1, 2, 0, 3)
         if t < T:
-            E, A, P, g = sm.component_step_core(
+            f = sm._component_forward(
                 E, A, P, it.S[t], cache.bprev[:, t], Uc[:, :, t, None],
                 noises[:, :, t].T, shape, scale, cfg, ind, g)
+            E, A, P, g = f.E_new, f.A_new, f.P_new, f.I0n
+            del f   # the step's other intermediates go before the next's
     return X.transpose(1, 0, 2, 3, 4)
 
 
@@ -334,9 +337,10 @@ def solve_component_subproblems(it: Iterate, noises, cfg: SystemConfig,
     Rows never mix, so a range of rows is a search and a recursion of its
     own.  A round of more than LOCKSTEP_COLUMNS columns, one candidate per
     row, cuts the rows into near-equal ranges, one per usable core, through
-    ``sysmodel.parallel_map``: a range inherits its inputs and writes its
-    rows of the results into shared memory; only its evaluation count
-    crosses by pickle.  A single range keeps its own arrays.
+    ``sysmodel.parallel_map``: a worker reads a range's task, inputs
+    included, through the fork and writes the range's rows of the results
+    into shared memory; only its evaluation count crosses by pickle.  A
+    single range keeps its own arrays.
     """
     n, Q = cfg.n, noises.shape[0]
     count = min(sm._usable_cores(), n) if n * Q > LOCKSTEP_COLUMNS else 1
@@ -346,8 +350,8 @@ def solve_component_subproblems(it: Iterate, noises, cfg: SystemConfig,
         _shared_empty(n), _shared_empty(it.X.shape))
     job = (it, noises, cfg, max_evals, seeds, cache,
            max(1, LOCKSTEP_COLUMNS // (n * Q)), out)
-    parts = list(sm.parallel_map(_solve_one, zip(cuts[:-1], cuts[1:]),
-                                 inherit=job))
+    parts = list(sm.parallel_map(_solve_one,
+                                 zip(zip(cuts[:-1], cuts[1:]), repeat(job))))
     return parts[0] if out is None else (*out, sum(parts))
 
 
@@ -359,13 +363,13 @@ def _shared_empty(shape) -> np.ndarray:
                          count=size).reshape(shape)
 
 
-def _solve_one(rows):
-    """Rows lo..hi-1 of the search of :func:`solve_component_subproblems`,
-    on their slices of its inherited inputs and with the fleet's chunk
-    cap, then their multiplier recursion on the same slices; writes their
-    X, U, best values and multipliers into the shared outputs and returns
-    their evaluations, or, without outputs, returns all five."""
-    it, noises, cfg, max_evals, seeds, cache, cap, out = sm.inherited()
+def _solve_one(task):
+    """Rows lo..hi-1 of :func:`solve_component_subproblems`' search, for
+    the task ((lo, hi), job), on their slices of the job's inputs and with
+    its chunk cap, then their multiplier recursion on the same slices;
+    writes their X, U, best values and multipliers into the shared outputs
+    and returns their evaluations, or, without outputs, returns all five."""
+    rows, (it, noises, cfg, max_evals, seeds, cache, cap, out) = task
     r = slice(*rows)
     part = replace(cfg, n=r.stop - r.start, C_P=cfg.C_P[r], C_C=cfg.C_C[r],
                    weibull_shape=cfg.weibull_shape[r],

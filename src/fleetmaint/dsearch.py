@@ -111,9 +111,9 @@ def _search(x0, lo, hi, seed, max_evals, max_chunk):
     best value, evaluations charged, a copy of the best point's states).
     A poll's chunks double from 1 trial, or hold ``max_chunk`` when given;
     the start point leads the first chunk."""
-    if np.any(hi < lo):
-        raise ValueError("empty bounds box")
-    if np.any(x0 < lo) or np.any(x0 > hi):
+    if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)):
+        raise ValueError("bounds must be finite, with lo <= hi")
+    if not np.all((lo <= x0) & (x0 <= hi)):    # a NaN start fails it too
         raise ValueError("start point outside bounds")
     d = x0.size
     first, cap = (1, 2 * d) if max_chunk is None else (max_chunk, max_chunk)
@@ -123,6 +123,8 @@ def _search(x0, lo, hi, seed, max_evals, max_chunk):
     best_x, best_f, best_s = x0.copy(), None, None
     if max_evals == 1:
         f, states = yield best_x[None]
+        if np.isnan(f[0]):
+            raise ValueError("objective is NaN at the start point")
         return best_x, f[0], 1, states[0].copy()
     evals, mesh = 1, INITIAL_MESH     # the start point is charged ahead
 
@@ -141,6 +143,8 @@ def _search(x0, lo, hi, seed, max_evals, max_chunk):
                                else trials)
             if lead:
                 best_f, best_s, f = f[0], states[0].copy(), f[1:]
+                if np.isnan(best_f):    # no trial can beat it
+                    raise ValueError("objective is NaN at the start point")
             better = np.flatnonzero(f < best_f)
             if better.size:
                 j = int(better[0])

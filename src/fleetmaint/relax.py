@@ -141,7 +141,7 @@ def component_step_d_own(E, A, P, S, b_prev, u, w, alpha, shape, scale,
     """Jacobian of the relaxed component step in its own state,
     (D+2, D+2, ...), output coordinate first.
 
-    Takes the arguments of ``sysmodel.component_step_core``, with the
+    Takes the arguments of ``sysmodel._component_forward``, with the
     sharpness ``alpha`` in place of the indicators, and broadcasts them
     the same way, so one call covers a whole fleet.  Derivatives are 0
     exactly at every kink.

@@ -6,7 +6,7 @@ last D undiscarded failures, which drives stock replenishment.  All
 components share a single stock of spare parts; broken components are
 repaired in index order while spares last.
 
-This module owns the one fleet step kernel (:func:`component_step_core`,
+This module owns the one fleet step kernel (:func:`_component_forward`,
 :func:`stock_step_core`), written over three indicator functions, and the
 batch driver over it, which takes one set of :class:`Indicators`.
 :func:`simulate_batch` passes the hard comparisons, which is the exact
@@ -260,10 +260,17 @@ _Forward = namedtuple("_Forward", "g b V Vp m p nf one_g E_new A_new I1 I0n "
 def _component_forward(E, A, P, S, b_prev, u, w, shape, scale,
                        cfg: SystemConfig, ind: Indicators, g=None,
                        p=None) -> _Forward:
-    """Indicator values and outputs of one component step (see the core).
+    """One step of one component, or of a whole fleet: its indicator
+    values and outputs; I0n = 1{0}(E_new) is the next step's ``g``.
 
-    ``g`` is the broken indicator 1{0}(E) and ``p`` the failure law at the
-    ages ``A`` when the caller has them already.
+    ``P`` carries the failure-record axis first (shape (D, ...)); all other
+    arguments broadcast to the trailing shape (for a fleet, components
+    first and Weibull ``shape``/``scale`` of shape (n, 1)).  ``b_prev`` is
+    the count of broken components with lower index, ``g`` 1{0}(E) and
+    ``p`` the failure law at the ages ``A`` when the caller has them.
+    With :data:`HARD` this is the exact step on integer states;
+    complementary conditions are always 1 minus the same indicator, so the
+    branch weights of a relaxed step sum to 1.
     Besides the returned fields, the step allocates one scratch array (and
     ``u - nu``, of the controls' shape); the comments give each output as
     the expression whose IEEE operations it performs, in that order up to
@@ -335,25 +342,6 @@ def _component_forward(E, A, P, S, b_prev, u, w, shape, scale,
                     Idel, keep, record, P_new)
 
 
-def component_step_core(E, A, P, S, b_prev, u, w, shape, scale,
-                        cfg: SystemConfig, ind: Indicators, g=None):
-    """One-step update of one component, or of a whole fleet.
-
-    ``P`` carries the failure-record axis first (shape (D, ...)); all other
-    arguments broadcast to the trailing shape (for a fleet, components
-    first and Weibull ``shape``/``scale`` of shape (n, 1)).  ``b_prev`` is
-    the count of broken components with lower index.  With :data:`HARD`
-    this is the exact step on integer states; complementary conditions are
-    always 1 minus the same indicator, so the branch weights of a relaxed
-    step sum to 1.  Returns (E', A', P'), and 1{0}(E') as well when the
-    caller passes ``g`` = 1{0}(E): the next step's ``g``.
-    """
-    f = _component_forward(E, A, P, S, b_prev, u, w, shape, scale, cfg, ind,
-                           g)
-    out = f.E_new, f.A_new, f.P_new
-    return out if g is None else out + (f.I0n,)
-
-
 def stock_step_core(E_all, P_all, S, cfg: SystemConfig, ind: Indicators,
                     g=None):
     """Stock update: ordered parts arrive, repairs consume spares.
@@ -419,27 +407,25 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-_inherited = None
 _in_worker = False      # True in a worker of a parallel_map
 
 
-def inherited():
-    """The ``inherit`` object of the :func:`parallel_map` call whose task
-    is running."""
-    return _inherited
-
-
-def parallel_map(fn, *iterables, inherit=None):
+def parallel_map(fn, *iterables):
     """``map(fn, *iterables)`` in task order on ``min(_usable_cores(),
     tasks)`` processes forked by ``os.fork``, each sent its next task as it
     pickles back a result and killed and reaped however the map ends, or
-    in this process on one core, without ``os.fork`` or in a worker.  Each
-    task finds ``inherit`` as :func:`inherited`; a task's exception is
-    raised here, and RuntimeError for a worker that ends without a result."""
-    global _inherited, _in_worker
+    in this process on one core, without ``os.fork`` or in a worker.  A
+    worker reads its tasks from its forked copy of the task list, so no
+    task is pickled; a task's exception is raised here, and RuntimeError
+    for a worker that ends without a result.  The map stays on
+    ``os.fork`` after threaded BLAS calls: OpenBLAS's ``pthread_atfork``
+    handler stops its thread pool before each fork, and a worker starts
+    its own at its first threaded call.  Python 3.12 and later warn
+    (DeprecationWarning) at a fork only while another thread is alive,
+    such as one a caller started; the stopped pool is not."""
+    global _in_worker
     tasks = list(zip(*iterables))
     workers = min(_usable_cores(), len(tasks))
-    outer, _inherited = _inherited, inherit
     todo, results, running = iter(range(len(tasks))), {}, {}
     try:
         if workers < 2 or _in_worker or not hasattr(os, "fork"):
@@ -485,7 +471,6 @@ def parallel_map(fn, *iterables, inherit=None):
                         os.write(send, worker[2].to_bytes(4, "little"))
             yield results.pop(index)
     finally:
-        _inherited = outer
         for reader, (pid, send, _) in running.items():
             os.close(send)
             reader.close()

@@ -139,9 +139,9 @@ def _last(states, stock, u, w, alpha, cfg):
 
 def step_last(states, stock, u, w, alpha, cfg):
     """Relaxed step of the last component, as (E', A', P'^1..P'^D)."""
-    E, A, P = sm.component_step_core(*_last(states, stock, u, w, alpha, cfg),
-                                     rx._ramps(alpha))
-    return np.concatenate([[E, A], P])
+    f = sm._component_forward(*_last(states, stock, u, w, alpha, cfg),
+                              rx._ramps(alpha))
+    return np.concatenate([[f.E_new, f.A_new], f.P_new])
 
 
 def step_stock(states, stock, alpha, cfg):

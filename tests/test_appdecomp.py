@@ -477,11 +477,11 @@ def _bar_cross_terms(X_t, p, t, it, noises, cfg):
     for j in range(cfg.n):
         if j == p:
             continue
-        E_j, A_j, P_j = sm.component_step_core(
+        f = sm._component_forward(
             E[j], A[j], P[j], it.S[t], np.sum(i0[:j], axis=0), it.u[j, t],
             noises[:, j, t], cfg.weibull_shape[j], cfg.weibull_scale[j], cfg,
             rx._ramps(alpha))
-        f_j = np.concatenate([E_j[None], A_j[None], P_j])
+        f_j = np.concatenate([f.E_new[None], f.A_new[None], f.P_new])
         comp += np.sum(it.Lam[j, t + 1] * f_j, axis=0)
     stock = it.LamS[t + 1] * sm.stock_step_core(E, P, it.S[t], cfg,
                                                 rx._ramps(alpha))
@@ -518,7 +518,7 @@ def test_coupling_coefficients_match_fd():
         for t in range(T):
             probe = KinkProbe((Q,))
             E, P = X[:, t, 0], X[:, t, 2:]
-            sm.component_step_core(
+            sm._component_forward(
                 E, X[:, t, 1], P.transpose(1, 0, 2), it.S[t],
                 sm.exclusive_cumsum(rx._ind_singleton(0.0, E, alpha)),
                 it.u[:, t, None], noises[:, :, t].T,

@@ -306,11 +306,11 @@ def _record_row_ranges(monkeypatch):
     """A list that gets the row ranges of every component search."""
     ranges, real_map = [], sm.parallel_map
 
-    def recording_map(fn, *iterables, **kwargs):
+    def recording_map(fn, *iterables):
         tasks = list(zip(*iterables))
         if fn is ad._solve_one:
-            ranges.append([task[0] for task in tasks])
-        return real_map(fn, *zip(*tasks), **kwargs)
+            ranges.append([task[0][0] for task in tasks])
+        return real_map(fn, *zip(*tasks))
 
     monkeypatch.setattr(sm, "parallel_map", recording_map)
     return ranges

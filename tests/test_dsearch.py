@@ -57,6 +57,40 @@ def test_start_out_of_bounds_rejected():
                  (np.array([1.0]), np.array([-1.0])), 10, [0])
 
 
+def test_nan_start_rejected():
+    # NaN compares False with both bounds, so the box check must be
+    # written to fail on it
+    with pytest.raises(ValueError, match="start point outside bounds"):
+        minimize(sphere, np.array([[np.nan, 0.5]]),
+                 (-np.ones(2), np.ones(2)), 20, [0])
+
+
+@pytest.mark.parametrize("max_evals", [1, 20])
+def test_nan_start_value_rejected_before_the_budget_is_spent(max_evals):
+    # no trial can beat a NaN incumbent, so the search fails on the first
+    # round instead of returning NaN as its best value
+    calls = []
+
+    def nan_everywhere(trials):
+        calls.append(trials.shape)
+        return np.full(trials.shape[:2], np.nan)
+
+    with pytest.raises(ValueError, match="NaN at the start point"):
+        minimize(nan_everywhere, np.array([[0.4, -0.3]]),
+                 (-np.ones(2), np.ones(2)), max_evals, [0])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_bounds_rejected(bad):
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        minimize(sphere, np.array([[0.0, 0.5]]),
+                 (np.array([-bad, -1.0]), np.ones(2)), 20, [0])
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        minimize(sphere, np.array([[0.0, 0.5]]),
+                 (-np.ones(2), np.array([1.0, bad])), 20, [0])
+
+
 def test_sphere_40d_within_budget():
     rng = np.random.default_rng(123)
     x0 = rng.uniform(-1, 1, (1, 40))

@@ -520,7 +520,7 @@ def test_fleet_partials_match_per_component_calls():
     fleet = step_partials(
         E, A, P, S, b_prev, u[:, None], w, 2.0, cfg.weibull_shape[:, None],
         cfg.weibull_scale[:, None], cfg)
-    core = sm.component_step_core(
+    core = sm._component_forward(
         E, A, P, S, b_prev, u[:, None], w, cfg.weibull_shape[:, None],
         cfg.weibull_scale[:, None], cfg, rx._ramps(2.0))
 
@@ -531,7 +531,7 @@ def test_fleet_partials_match_per_component_calls():
         one = step_partials(
             E[i], A[i], P[:, i], S, b_prev[i], u[i], w[i], 2.0,
             cfg.weibull_shape[i], cfg.weibull_scale[i], cfg)
-        one_core = sm.component_step_core(
+        one_core = sm._component_forward(
             E[i], A[i], P[:, i], S, b_prev[i], u[i], w[i],
             cfg.weibull_shape[i], cfg.weibull_scale[i], cfg, rx._ramps(2.0))
         assert np.array_equal(b_prev[i],
@@ -540,6 +540,6 @@ def test_fleet_partials_match_per_component_calls():
         assert close(fleet.d_own[:, :, i], one.d_own)
         assert close(fleet.d_S[:, i], one.d_S)
         assert close(fleet.d_u[:, i], one.d_u)
-        assert close(core[0][i], one_core[0])
-        assert close(core[1][i], one_core[1])
-        assert close(core[2][:, i], one_core[2])
+        assert close(core.E_new[i], one_core.E_new)
+        assert close(core.A_new[i], one_core.A_new)
+        assert close(core.P_new[:, i], one_core.P_new)

@@ -707,27 +707,60 @@ def test_forked_evaluate_writes_its_report_to_stdout_once(tmp_path):
     assert (tmp_path / "stdout.txt").read_bytes() == b"evaluate:\n" + report
 
 
-def _inherited_row(i):
-    """Row i of the inherited array, and the process that read it."""
-    return os.getpid(), sm.inherited()[i].tolist()
+_FORK_AFTER_BLAS = """
+import os
+import numpy as np
+from fleetmaint import sysmodel as sm
+
+a = np.random.default_rng(3).random((512, 512))
+a @ a                       # starts the BLAS thread pool, if it has one
+
+
+def task(k):
+    return (a + k) @ a
+
+
+sm._usable_cores = lambda: 2
+forked = list(sm.parallel_map(task, range(4)))
+assert all(np.array_equal(x, task(k)) for k, x in enumerate(forked))
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("ok")
+"""
+
+
+def test_parallel_map_forks_after_a_threaded_blas_call():
+    """A parent that has run a threaded BLAS product forks workers that
+    run products of their own, with the in-process results, and leaves
+    no child.  A fresh interpreter runs it under a timeout, so that a
+    deadlocked worker fails the test instead of hanging the suite."""
+    done = subprocess.run(
+        [sys.executable, "-c", _FORK_AFTER_BLAS], capture_output=True,
+        text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr
+
+
+def _row_of(i, rows):
+    """Row i of the task's array, and the process that read it."""
+    return os.getpid(), rows[i].tolist()
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-def test_parallel_map_hands_inherit_to_every_task(monkeypatch, cores):
-    """Every task, in a forked worker or in this process, finds the
-    ``inherit`` object as ``sm.inherited()``, and no pickle carries it:
-    a ``__reduce__`` that raises would fail a pickled hand-off.  The slot
-    is empty again after the map."""
+def test_parallel_map_never_pickles_a_task(monkeypatch, cores):
+    """Every task, in a forked worker or in this process, gets its
+    arguments, and no pickle carries them: a ``__reduce__`` that raises
+    would fail a pickled hand-off."""
     class Unpicklable(np.ndarray):
         def __reduce__(self):
-            raise AssertionError("the inherited object was pickled")
+            raise AssertionError("a task argument was pickled")
 
     monkeypatch.setattr(sm, "_usable_cores", lambda: cores)
     rows = np.arange(12.0).reshape(4, 3).view(Unpicklable)
-    out = list(sm.parallel_map(_inherited_row, range(4), inherit=rows))
+    out = list(sm.parallel_map(_row_of, range(4), [rows] * 4))
     assert [row for _, row in out] == rows.tolist()
     assert (len({pid for pid, _ in out} - {os.getpid()}) > 0) == (cores > 1)
-    assert sm.inherited() is None
     assert_no_child_left()
 
 
