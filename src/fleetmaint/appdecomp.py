@@ -32,7 +32,10 @@ multipliers after its search; the stock multiplier recursion is
 fleet-wide and serial.  Both take the step Jacobians of
 max(1, LOCKSTEP_COLUMNS // (n Q)) steps in one call.
 Then the stock subproblem and its multiplier run on the freshly installed
-component solutions.  An iteration holds only what its current phase or a
+component solutions.  Only a later iteration reads the multipliers: the
+cache skips its sweep where they are all zero, as at the do-nothing start,
+and the last iteration forms none, so it runs neither recursion nor the
+stock subproblem.  An iteration holds only what its current phase or a
 later one reads: the bar multipliers go once the cache has read them, the
 cache once the component multipliers are formed, and the old bar states
 before the stock phase.  The driver returns the strategy and a per-iteration
@@ -46,6 +49,7 @@ the identity.
 from __future__ import annotations
 
 import mmap
+import numbers
 from dataclasses import astuple, dataclass, replace
 from itertools import repeat
 
@@ -91,6 +95,10 @@ class APPParams:
             raise ValueError("gamma_u0, r_x, r_s and alpha0 must be positive")
         if self.d_gamma < 0 or self.d_alpha < 0:
             raise ValueError("schedule increments must be nonnegative")
+        counts = (self.iterations, self.subproblem_budget)
+        if not all(isinstance(c, numbers.Integral) for c in counts):
+            raise ValueError("iterations and subproblem_budget must be "
+                             f"integers, got {counts}")
         if self.iterations < 0 or self.subproblem_budget < 1:
             raise ValueError("invalid iteration or budget count")
 
@@ -121,7 +129,8 @@ class Iterate:
     (regime, age, failure record); ``S`` is (T+1, Q); ``u`` is the shared
     deterministic control matrix (n, T); ``Lam``/``LamS`` mirror X/S.
     The driver drops both multipliers (None) once the iteration cache,
-    their only reader, has read them; its two recursions install new ones.
+    their only reader, has read them; its two recursions install new ones,
+    except after the last search, which leaves them None.
     """
 
     X: np.ndarray
@@ -196,6 +205,14 @@ def build_iteration_cache(it: Iterate, noises, cfg: SystemConfig
     Regime E_p enters component j > p only through ``b_prev``, with slope
     -d_S_j * d1{0}(E_p): one fleet-wide partials call per block of steps
     suffices.
+
+    Where every entry of ``it.Lam`` and ``it.LamS`` is zero, as at the
+    do-nothing start, ``coord`` is ``np.zeros`` and no partial is formed.
+    The sweep would give the same bytes: ``coord`` starts at +0.0, and
+    each update adds or subtracts a product of a finite partial with a
+    +-0.0 multiplier, which is +-0.0, so every entry stays +0.0 with no
+    sign bit set.  The partials are finite wherever every Weibull shape
+    is at least 1, which :func:`app_fixed_point` checks.
     """
     n, T, D = cfg.n, cfg.T, cfg.D
     Q = it.S.shape[1]
@@ -210,6 +227,9 @@ def build_iteration_cache(it: Iterate, noises, cfg: SystemConfig
     del i0E, waiting
 
     coord = np.zeros((n, T, D + 2, Q))
+    if not (np.any(it.Lam) or np.any(it.LamS)):
+        return IterationCache(bprev=bprev, sigma_others=sigma_others,
+                              coord=coord)
     for t, d_S in _fleet_partials(rx.component_step_d_S, it.X, it.u, it.S,
                                   bprev, noises, alpha, cfg):
         sp = rx.stock_step_partials(E[:, t], P[:, t], it.S[t], alpha, cfg)
@@ -320,7 +340,8 @@ LOCKSTEP_COLUMNS = sm.BLOCK
 
 def solve_component_subproblems(it: Iterate, noises, cfg: SystemConfig,
                                 max_evals: int, seeds,
-                                cache: IterationCache):
+                                cache: IterationCache, *,
+                                multipliers: bool = True):
     """Minimize every component's auxiliary objective over its controls.
 
     One row-wise lockstep search, row i warm-started at the bar controls of
@@ -332,24 +353,26 @@ def solve_component_subproblems(it: Iterate, noises, cfg: SystemConfig,
     search kept for each row's best controls: those of its
     frozen-surroundings relaxed trajectories, as a stack of one gives
     them; and the multipliers those of
-    :func:`component_multiplier_backward` at X and U.
+    :func:`component_multiplier_backward` at X and U, or None with
+    ``multipliers=False``, which forms none.
 
     Rows never mix, so a range of rows is a search and a recursion of its
     own.  A round of more than LOCKSTEP_COLUMNS columns, one candidate per
     row, cuts the rows into near-equal ranges, one per usable core, through
     ``sysmodel.parallel_map``: a worker reads a range's task, inputs
     included, through the fork and writes the range's rows of the results
-    into shared memory; only its evaluation count crosses by pickle.  A
-    single range keeps its own arrays.
+    into shared memory, the multipliers only where they are formed; only
+    its evaluation count crosses by pickle.  A single range keeps its own
+    arrays.
     """
     n, Q = cfg.n, noises.shape[0]
     count = min(sm._usable_cores(), n) if n * Q > LOCKSTEP_COLUMNS else 1
     cuts = [j * n // count for j in range(count + 1)]
     out = None if count == 1 else (
         _shared_empty(it.X.shape), _shared_empty(it.u.shape),
-        _shared_empty(n), _shared_empty(it.X.shape))
+        _shared_empty(n), _shared_empty(it.X.shape) if multipliers else None)
     job = (it, noises, cfg, max_evals, seeds, cache,
-           max(1, LOCKSTEP_COLUMNS // (n * Q)), out)
+           max(1, LOCKSTEP_COLUMNS // (n * Q)), multipliers, out)
     parts = list(sm.parallel_map(_solve_one,
                                  zip(zip(cuts[:-1], cuts[1:]), repeat(job))))
     return parts[0] if out is None else (*out, sum(parts))
@@ -366,10 +389,12 @@ def _shared_empty(shape) -> np.ndarray:
 def _solve_one(task):
     """Rows lo..hi-1 of :func:`solve_component_subproblems`' search, for
     the task ((lo, hi), job), on their slices of the job's inputs and with
-    its chunk cap, then their multiplier recursion on the same slices;
-    writes their X, U, best values and multipliers into the shared outputs
-    and returns their evaluations, or, without outputs, returns all five."""
-    rows, (it, noises, cfg, max_evals, seeds, cache, cap, out) = task
+    its chunk cap, then, where the job asks for multipliers, their
+    recursion on the same slices; writes their X, U, best values and any
+    multipliers into the shared outputs and returns their evaluations, or,
+    without outputs, returns all five, the multipliers None if unformed."""
+    rows, (it, noises, cfg, max_evals, seeds, cache, cap, multipliers,
+           out) = task
     r = slice(*rows)
     part = replace(cfg, n=r.stop - r.start, C_P=cfg.C_P[r], C_C=cfg.C_C[r],
                    weibull_shape=cfg.weibull_shape[r],
@@ -384,11 +409,13 @@ def _solve_one(task):
                                                  frozen),
         bar.u.copy(), (np.zeros(cfg.T), np.ones(cfg.T)), max_evals,
         seeds[r], max_chunk=cap)
-    Lam = component_multiplier_backward(X, U, bar, noises, part, frozen)
+    Lam = (component_multiplier_backward(X, U, bar, noises, part, frozen)
+           if multipliers else None)
     if out is None:     # the only range: its own arrays, no shared copies
         return X, U, best, Lam, evals
     for whole, rows_of in zip(out, (X, U, best, Lam)):
-        whole[r] = rows_of
+        if whole is not None:
+            whole[r] = rows_of
     return evals
 
 
@@ -523,6 +550,11 @@ def app_fixed_point(cfg: SystemConfig, p: APPParams, noises, seed: int):
     values.  Output is a deterministic function of (cfg, p, noises, seed).
     A Weibull shape below 1 raises ConfigError: the failure law's slope in
     the age, which the multipliers read, is then infinite at age 0.
+
+    An iteration's multipliers have one reader, the next iteration's
+    cache, so the last iteration forms none: its search skips the
+    component recursion, and the stock subproblem and its recursion do not
+    run.  Its relaxed re-score, which the history reads, does.
     """
     if np.any(cfg.weibull_shape < 1):
         raise ConfigError("the decomposition needs every Weibull shape "
@@ -537,14 +569,18 @@ def app_fixed_point(cfg: SystemConfig, p: APPParams, noises, seed: int):
         cache = build_iteration_cache(it, noises, cfg)
         it.Lam = it.LamS = None
         seeds = [_subproblem_seed(seed, k, i) for i in range(cfg.n)]
+        last = k == p.iterations - 1
         X_new, u_new, bests, it.Lam, _ = solve_component_subproblems(
-            it, noises, cfg, p.subproblem_budget, seeds, cache)
+            it, noises, cfg, p.subproblem_budget, seeds, cache,
+            multipliers=not last)
         del cache
         it.X, it.u = X_new, u_new
-        S_new = solve_stock_subproblem(X_new, alpha, cfg)
-        it.LamS = stock_multiplier_backward(
-            S_new, X_new, u_new, it.Lam, it.S, noises, cfg, alpha, gamma_s)
-        it.S = S_new
+        if not last:
+            S_new = solve_stock_subproblem(X_new, alpha, cfg)
+            it.LamS = stock_multiplier_backward(
+                S_new, X_new, u_new, it.Lam, it.S, noises, cfg, alpha,
+                gamma_s)
+            it.S = S_new
 
         relaxed = rx.simulate_relaxed_batch(Strategy(u_new), noises, alpha,
                                             cfg)

@@ -7,6 +7,10 @@ Lagrangian step by step, so their residuals vanish by construction; the
 functions here evaluate those conditions and the chain rule in controls
 on their own, for the tests to check the recursions and the step
 Jacobians against finite differences.
+
+The package forms only the multipliers a later iteration reads; the
+reference cache and fixed point here form all of them, for the tests to
+check that skipping the rest changes no bit.
 """
 from dataclasses import dataclass
 
@@ -111,3 +115,58 @@ def reduced_gradient(U, it: ad.Iterate, noises, cfg: SystemConfig,
         grad[:, t] -= np.mean(np.einsum(
             "ojtq,jtoq->jtq", d_u, Lam[:, t.start + 1:t.stop + 1]), axis=-1)
     return grad
+
+
+def reference_iteration_cache(it: ad.Iterate, noises, cfg: SystemConfig
+                              ) -> ad.IterationCache:
+    """``appdecomp.build_iteration_cache`` with its coordination sweep run
+    whatever the multipliers, zero ones included."""
+    T = cfg.T
+    E, P = it.X[:, :, 0, :], it.X[:, :, 2:, :]
+    i0E = rx._ind_singleton(0.0, E, it.alpha)
+    waiting = i0E * rx._ind_strict_pos(it.X[:, :, 1, :], it.alpha)
+    sigma_others = np.sum(waiting, axis=0)[None] - waiting
+    bprev = sm.exclusive_cumsum(i0E[:, :T, :])
+    coord = np.zeros((cfg.n, T, cfg.D + 2, it.S.shape[1]))
+    for t, d_S in ad._fleet_partials(rx.component_step_d_S, it.X, it.u,
+                                     it.S, bprev, noises, it.alpha, cfg):
+        sp = rx.stock_step_partials(E[:, t], P[:, t], it.S[t], it.alpha, cfg)
+        lam_s = it.LamS[t.start + 1:t.stop + 1]
+        coord[:, t, 0] -= sp.d_E * lam_s
+        coord[:, t, 2:] -= sp.d_P * lam_s[:, None]
+        h = np.stack([np.einsum("ojq,joq->jq", d_S[:, :, ts - t.start],
+                                it.Lam[:, ts + 1])
+                      for ts in range(t.start, t.stop)], axis=1)
+        above = sm.exclusive_cumsum(h[::-1])[::-1]
+        coord[:, t, 0] += rx._dind_singleton(0.0, E[:, t], it.alpha) * above
+    return ad.IterationCache(bprev=bprev, sigma_others=sigma_others,
+                             coord=coord)
+
+
+def reference_fixed_point(cfg: SystemConfig, p: ad.APPParams, noises,
+                          seed: int):
+    """``appdecomp.app_fixed_point`` forming every multiplier in every
+    iteration, the last included, each cache by the full sweep of
+    :func:`reference_iteration_cache`; returns (Strategy, history)."""
+    it = ad.initial_iterate(cfg, p, noises)
+    history = []
+    for k in range(p.iterations):
+        gamma_x, gamma_s, gamma_u, alpha = ad.update_schedules(k, p)
+        it.alpha, it.gamma_x, it.gamma_u = alpha, gamma_x, gamma_u
+        cache = reference_iteration_cache(it, noises, cfg)
+        seeds = [ad._subproblem_seed(seed, k, i) for i in range(cfg.n)]
+        X_new, u_new, bests, Lam, _ = ad.solve_component_subproblems(
+            it, noises, cfg, p.subproblem_budget, seeds, cache)
+        S_new = ad.solve_stock_subproblem(X_new, alpha, cfg)
+        it.LamS = ad.stock_multiplier_backward(
+            S_new, X_new, u_new, Lam, it.S, noises, cfg, alpha, gamma_s)
+        it.X, it.u, it.S, it.Lam = X_new, u_new, S_new, Lam
+        relaxed = rx.simulate_relaxed_batch(sm.Strategy(u_new), noises,
+                                            alpha, cfg)
+        history.append({
+            "k": k, "alpha": alpha, "gamma_u": gamma_u,
+            "gamma_x": gamma_x, "gamma_s": gamma_s,
+            "saa_relaxed": float(np.mean(relaxed.total_cost)),
+            "subproblem_best": bests.tolist(),
+        })
+    return sm.Strategy(it.u.copy()), history

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fleetmaint.config import SystemConfig, case1_config
 from fleetmaint import appdecomp as ad
@@ -11,7 +12,8 @@ from fleetmaint import cli
 from fleetmaint import relax as rx
 from fleetmaint import sysmodel as sm
 from adjoint_reference import (component_stationarity_residual,
-                               reduced_gradient, stock_stationarity_residual)
+                               reduced_gradient, reference_iteration_cache,
+                               stock_stationarity_residual)
 from scalar_points import (KinkProbe, band_hits, kink_indicators,
                            stock_kinks, subproblem_kink_distance)
 
@@ -70,6 +72,21 @@ def test_params_validation():
         make_params(d_alpha=-1.0)
     with pytest.raises(ValueError):
         ad.update_schedules(-1, make_params())
+
+
+@pytest.mark.parametrize("counts", [dict(iterations=1.5, subproblem_budget=2),
+                                    dict(subproblem_budget=2.5)])
+def test_params_reject_fractional_counts(counts):
+    with pytest.raises(ValueError, match="integers"):
+        ad.tuned_params(**counts)
+
+
+def test_params_accept_numpy_counts():
+    cfg = make_cfg()
+    noises = np.random.default_rng(1).random((2, cfg.n, cfg.T))
+    p = ad.tuned_params(iterations=np.int64(2), subproblem_budget=np.int32(3))
+    _, history = ad.app_fixed_point(cfg, p, noises, seed=1)
+    assert len(history) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +481,49 @@ def test_terminal_stock_multiplier_linear_in_gamma():
     assert lam3[cfg.T] == pytest.approx(3.0 * lam1[cfg.T])
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6), st.integers(1, 8),
+       st.integers(1, 3), st.integers(1, 5))
+def test_cache_at_zero_multipliers_equals_the_sweep(seed, n, T, D, Q):
+    """Where every bar multiplier is zero, whatever its sign, the cache's
+    coordination coefficients are those of the full sweep bit for bit,
+    sign bits included, on random heterogeneous fleets whose Weibull
+    shapes are at least 1, exactly 1 now and then; and so they are
+    where either multiplier is random.  Regimes and stocks are spread
+    over wide ramps, where the partials the multipliers multiply are
+    often nonzero."""
+    rng = np.random.default_rng(seed)
+    cfg = make_cfg(n=n, T=T, D=D, s_init=int(rng.integers(0, 4)),
+                   weibull_shape=np.where(rng.random(n) < 0.25, 1.0,
+                                          rng.uniform(1.0, 4.5, n)),
+                   weibull_scale=rng.uniform(2.0, 15.0, n),
+                   C_P=rng.uniform(0.0, 100.0, n),
+                   C_C=rng.uniform(0.0, 400.0, n))
+    noises = rng.random((Q, n, T))
+    p = make_params(alpha0=rng.uniform(0.5, 1.0) if rng.random() < 0.75
+                    else rng.uniform(4.0, 200.0))
+    u = rng.random((n, T))
+    X, _ = relaxed_bars(sm.Strategy(u), noises, p.alpha0, cfg)
+    X[:, :, 0] = rng.random((n, T + 1, Q))
+    it = make_iterate(cfg, noises, p, X=X, S=rng.uniform(0.0, n, (T + 1, Q)),
+                      u=u)
+
+    def zeros(shape):
+        return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+
+    S = it.S
+    for it.Lam, it.LamS in [(zeros(X.shape), zeros(S.shape)),
+                            (zeros(X.shape), rng.normal(size=S.shape)),
+                            (rng.normal(size=X.shape), zeros(S.shape)),
+                            (rng.normal(size=X.shape),
+                             rng.normal(size=S.shape))]:
+        got = ad.build_iteration_cache(it, noises, cfg)
+        want = reference_iteration_cache(it, noises, cfg)
+        for field in ("bprev", "sigma_others", "coord"):
+            assert (getattr(got, field).tobytes()
+                    == getattr(want, field).tobytes()), field
+
+
 def _bar_cross_terms(X_t, p, t, it, noises, cfg):
     """Bar-point terms of the Lagrangian that read X_{p,t} from outside p.
 
@@ -639,18 +699,19 @@ def test_fixed_point_drops_what_no_later_phase_reads(monkeypatch):
     reads: the bar multipliers, whose only reader is the iteration cache,
     are gone when the component search starts; the cache, whose last
     reader is the component recursion, and the old bar states are gone
-    when the stock phase starts.  Rounds of 2 400 columns take the row
-    split's path, in this process on one core."""
+    when the stock phase starts.  The last iteration, whose multipliers
+    nothing reads, runs no stock phase.  Rounds of 2 400 columns take the
+    row split's path, in this process on one core."""
     monkeypatch.setattr(sm, "_usable_cores", lambda: 1)
     cfg = make_cfg(n=12, T=6, s_init=3)
     noises = np.random.default_rng(9).random((200, cfg.n, cfg.T))
     held, checks = {}, []
 
     def watch(name, keys, f):
-        def watched(*args):
+        def watched(*args, **kwargs):
             checks.append((name, [key for key in keys
                                   if held[key]() is not None]))
-            return f(*args)
+            return f(*args, **kwargs)
         monkeypatch.setattr(ad, name, watched)
 
     build = ad.build_iteration_cache
@@ -673,7 +734,8 @@ def test_fixed_point_drops_what_no_later_phase_reads(monkeypatch):
                        noises, seed=1)
     assert checks == [("solve_component_subproblems", []),
                       ("solve_stock_subproblem", []),
-                      ("stock_multiplier_backward", [])] * 2
+                      ("stock_multiplier_backward", []),
+                      ("solve_component_subproblems", [])]
 
 
 def test_small_system_lockstep_rounds(monkeypatch, tmp_path):

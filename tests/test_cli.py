@@ -19,6 +19,7 @@ from fleetmaint import cli
 from fleetmaint import evalharness as ev
 from fleetmaint import sysmodel as sm
 from fleetmaint.sysmodel import Strategy
+from adjoint_reference import reference_fixed_point
 
 
 def small_cfg(**kw):
@@ -395,10 +396,11 @@ def test_split_ranges_keep_the_fleet_chunk_cap(monkeypatch):
                                             subproblem_budget=3), noises, 0)
 
 
-def _split_search(monkeypatch, cores):
+def _split_search(monkeypatch, cores, **kwargs):
     """solve_component_subproblems on :func:`split_cfg` at 200 scenarios
-    with ``cores`` usable cores, from the do-nothing iterate with random
-    bar multipliers; returns the iterate, its cache and the results."""
+    with ``cores`` usable cores and its keyword arguments ``kwargs``, from
+    the do-nothing iterate with random bar multipliers; returns the
+    iterate, its cache and the results."""
     monkeypatch.setattr(sm, "_usable_cores", lambda: cores)
     cfg = split_cfg()
     noises = ev.generate_scenarios(cfg.n, cfg.T, 200, seed=1)
@@ -407,7 +409,7 @@ def _split_search(monkeypatch, cores):
     it.Lam, it.LamS = rng.normal(size=it.X.shape), rng.normal(size=it.S.shape)
     cache = ad.build_iteration_cache(it, noises, cfg)
     out = ad.solve_component_subproblems(it, noises, cfg, 3, range(cfg.n),
-                                         cache)
+                                         cache, **kwargs)
     assert_no_child_left()
     return cfg, noises, it, cache, out
 
@@ -434,6 +436,37 @@ def test_only_split_results_sit_in_shared_memory(monkeypatch, cores):
     assert shared == [cores > 1] * 4
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_split_search_without_multipliers(monkeypatch, tmp_path, cores):
+    """A search asked for no multipliers returns the X, U, best values and
+    evaluation count of the default call bit for bit and None for the
+    multipliers: it maps only three shared outputs on two cores, and the
+    component recursion runs in no process."""
+    *_, full = _split_search(monkeypatch, cores)
+    maps, log = [], tmp_path / "pids"
+    real_empty, real_backward = (ad._shared_empty,
+                                 ad.component_multiplier_backward)
+
+    def counted(shape):
+        maps.append(shape)
+        return real_empty(shape)
+
+    def logged(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_backward(*args)
+
+    monkeypatch.setattr(ad, "_shared_empty", counted)
+    monkeypatch.setattr(ad, "component_multiplier_backward", logged)
+    *_, bare = _split_search(monkeypatch, cores, multipliers=False)
+    assert bare[3] is None
+    for got, want in zip(bare[:3], full[:3]):
+        assert got.tobytes() == want.tobytes()
+    assert bare[4] == full[4]
+    assert len(maps) == (3 if cores > 1 else 0)
+    assert not log.exists()
+
+
 def test_split_multipliers_are_formed_in_the_workers(monkeypatch, tmp_path):
     """On two cores the component recursion runs once in each worker and
     never in this process."""
@@ -449,6 +482,28 @@ def test_split_multipliers_are_formed_in_the_workers(monkeypatch, tmp_path):
     pids = log.read_text().split()
     assert len(pids) == len(set(pids)) == 2
     assert str(os.getpid()) not in pids
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("iterations", [1, 2, 3])
+def test_fixed_point_equals_the_loop_forming_every_multiplier(
+        monkeypatch, iterations, cores):
+    """Skipping the sweep at zero multipliers and the last iteration's
+    recursions changes no bit: the strategy and every history field are
+    those of a loop that forms every multiplier in every iteration, on
+    one core and on two, where the rows are split.  The ramps stay at
+    their widest, alpha = 2, where the multipliers of one iteration give
+    the next nonzero coordination terms."""
+    monkeypatch.setattr(sm, "_usable_cores", lambda: cores)
+    cfg = split_cfg()
+    noises = ev.generate_scenarios(cfg.n, cfg.T, 200, seed=1)
+    p = ad.APPParams(*ad.TUNED_PARAMS[:4], alpha0=2.0, d_alpha=0.0,
+                     iterations=iterations, subproblem_budget=3)
+    strategy, history = ad.app_fixed_point(cfg, p, noises, 4)
+    assert_no_child_left()
+    want, want_history = reference_fixed_point(cfg, p, noises, 4)
+    assert strategy.controls.tobytes() == want.controls.tobytes()
+    assert history == want_history
 
 
 def test_split_worker_exception_reaches_caller(monkeypatch):
@@ -761,6 +816,7 @@ def set_key(path, key, text):
     # the failure-record sentinel is a constant, no longer a config key
     ("--config", "delta_default", "-0.01"),
     ("--params", "iterations", "1.7"),
+    ("--params", "subproblem_budget", "2.5"),
     ("--params", "d_alpha", "true"),
     ("--params", "typo_key", "5"),
 ])
