@@ -204,7 +204,7 @@ def build_iteration_cache(it: Iterate, noises, cfg: SystemConfig
 
     Regime E_p enters component j > p only through ``b_prev``, with slope
     -d_S_j * d1{0}(E_p): one fleet-wide partials call per block of steps
-    suffices.
+    suffices.  Multipliers left None raise ValueError.
 
     Where every entry of ``it.Lam`` and ``it.LamS`` is zero, as at the
     do-nothing start, ``coord`` is ``np.zeros`` and no partial is formed.
@@ -214,6 +214,8 @@ def build_iteration_cache(it: Iterate, noises, cfg: SystemConfig
     sign bit set.  The partials are finite wherever every Weibull shape
     is at least 1, which :func:`app_fixed_point` checks.
     """
+    if it.Lam is None or it.LamS is None:
+        raise ValueError("the iterate's multipliers were never formed")
     n, T, D = cfg.n, cfg.T, cfg.D
     Q = it.S.shape[1]
     alpha = it.alpha
@@ -329,13 +331,14 @@ def _subproblem_values(U, X, it: Iterate, cfg: SystemConfig,
     return pm + prox_u + np.mean(per_scenario, axis=1)
 
 
-#: scenario columns one lockstep round steps, summed over the rows: each
-#: row's chunk holds max(1, LOCKSTEP_COLUMNS // (n Q)) candidates from a
-#: poll's first trial, the start point included in the first, so a small
-#: fleet fills a dispatch-bound round with several candidates per row and
-#: a large one steps one.  A Jacobian call of the adjoint recursions takes
-#: as many steps (:func:`_fleet_partials`).
-LOCKSTEP_COLUMNS = sm.BLOCK
+#: (row, candidate, scenario) columns one lockstep round steps: each row's
+#: chunk holds max(1, LOCKSTEP_COLUMNS // (n Q)) candidates from a poll's
+#: first trial, the start point included in the first, so a small fleet
+#: fills a dispatch-bound round with several candidates per row and a large
+#: one steps one.  Not an engine block: a round keeps (T+1)(D+2) floats of
+#: states per column.  A Jacobian call of the adjoint recursions takes as
+#: many (row, step, scenario) columns (:func:`_fleet_partials`).
+LOCKSTEP_COLUMNS = 2048
 
 
 def solve_component_subproblems(it: Iterate, noises, cfg: SystemConfig,
@@ -359,14 +362,16 @@ def solve_component_subproblems(it: Iterate, noises, cfg: SystemConfig,
     Rows never mix, so a range of rows is a search and a recursion of its
     own.  A round of more than LOCKSTEP_COLUMNS columns, one candidate per
     row, cuts the rows into near-equal ranges, one per usable core, through
-    ``sysmodel.parallel_map``: a worker reads a range's task, inputs
+    ``sysmodel.parallel_map``, except in a worker of a map, whose tasks run
+    one after another anyway: a worker reads a range's task, inputs
     included, through the fork and writes the range's rows of the results
     into shared memory, the multipliers only where they are formed; only
     its evaluation count crosses by pickle.  A single range keeps its own
     arrays.
     """
     n, Q = cfg.n, noises.shape[0]
-    count = min(sm._usable_cores(), n) if n * Q > LOCKSTEP_COLUMNS else 1
+    split = n * Q > LOCKSTEP_COLUMNS and not sm._in_worker
+    count = min(sm._usable_cores(), n) if split else 1
     cuts = [j * n // count for j in range(count + 1)]
     out = None if count == 1 else (
         _shared_empty(it.X.shape), _shared_empty(it.u.shape),

@@ -25,25 +25,25 @@ candidate-major, reading each candidate's noises from the shared
 the costs and counts of its own call; a direct search hands its poll
 trials over this way (:mod:`fleetmaint.dsearch`).
 
-A call splits its columns into the fewest blocks of at most
-:data:`BLOCK` (Strategy) or :data:`STACK_BLOCK` (stack) columns, of
-near-equal width, so no block is a short remainder.  The blocks of a
-single Strategy run through :func:`parallel_map`, on one worker process
-per usable core (a GIL-bound thread per core would hand the GIL over at
-each of the ~130 numpy calls of a step).  A worker inherits its blocks
-through the fork and generates a :class:`ScenarioSet`'s block itself, so
-a large set is never held whole; it pickles back the block's columns,
-and the caller writes them and adds the step sums over columns in block
-order, so every output is bit for bit the same whatever the number of
-workers.  Single-block calls and stacks stay in the calling process.
-Each step reads a block's noises ``panel[:, :, t].T``, contiguous on the
+A call splits its columns into the fewest near-equal blocks of at most
+``max(1, BLOCK_CELLS // n)`` columns: 2 048 on the 10-component system,
+256 on the 80-component fleet.  The blocks of a single Strategy run
+through :func:`parallel_map`, on one worker process per usable core (a
+GIL-bound thread per core would hand the GIL over at each of the ~130
+numpy calls of a step).  A worker inherits its blocks through the fork
+and generates a :class:`ScenarioSet`'s block itself, so a large set is
+never held whole; it pickles back the block's columns, and the caller
+writes them and adds the step sums over columns in block order, so every
+output is bit for bit the same whatever the number of workers.
+Single-block calls and stacks stay in the calling process.  Each step
+reads a block's noises ``panel[:, :, t].T``, contiguous on the
 step-major panels the package makes.  The step kernel forms its
 intermediates in place, in its output arrays and one scratch array, with
 the same IEEE operations in the same order as the plain expressions in
 its comments.  A block computes the failure law once, at the whole ages
-0..T of each component, and a step whose ages are all whole looks it
-up; a step with a fractional age (a PM on a control in [nu, 1), or a
-relaxed step inside a ramp) computes the law itself.
+0..T of each component, and a step whose ages are all whole looks it up;
+a step with a fractional age (a PM on a control in [nu, 1), or a relaxed
+step inside a ramp) computes the law itself.
 """
 from __future__ import annotations
 
@@ -386,17 +386,12 @@ class BatchStats:
     stock: np.ndarray | None = None          # (T+1, Q)
 
 
-#: most scenarios stepped together for a Strategy: bounds the memory the
-#: step temporaries and a ScenarioSet's panels take on large batches,
-#: while a block stays wide enough that numpy's per-call dispatch is a
-#: small share of its steps
-BLOCK = 2048
-
-#: scenario columns stepped together for a stack of candidate controls,
-#: one block after another: narrower than BLOCK, since a search holds a
-#: block's temporaries on top of its own memory, and still wide enough to
-#: amortize the per-call dispatch over the stack's candidates
-STACK_BLOCK = 512
+#: most component-scenario cells (n × columns) one engine block steps, a
+#: Strategy's or a stack's: it bounds the step temporaries' and a
+#: ScenarioSet panel's memory, and keeps numpy's per-call dispatch a small
+#: share of a step.  In one-core width sweeps at n = 10, 40 and 80 about
+#: 20 480 cells was the fastest block, or within the host's noise of it
+BLOCK_CELLS = 20480
 
 
 def _usable_cores() -> int:
@@ -569,7 +564,7 @@ def _run_block(u, noises, cfg: SystemConfig, ind: Indicators,
         # the step's 1{0}(E_new) is the next step's broken indicator
         E, A, P, g = f.E_new, f.A_new, f.P_new.transpose(1, 0, 2), f.I0n
         # free the step's other intermediates before the next step
-        # makes its own: two steps alive at once take a 2048-column
+        # makes its own: two steps alive at once take a 20 480-cell
         # block from 6.1 to 9.3 MB of added peak resident set
         del f
     return sums, pm_steps, empty, states
@@ -582,15 +577,16 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
     ``controls`` is a Strategy or a (K, n, T) stack of candidate controls,
     each run on all Q scenarios.  Scenario columns are candidate-major
     (column k·Q + q is candidate k on scenario q) and are walked by
-    :func:`_run_block` in near-equal blocks of at most BLOCK columns for a
-    Strategy, through :func:`parallel_map`, and of at most STACK_BLOCK
-    columns for a stack, one block after another in this process, every
-    block with the indicators ``ind``.  Costs use fixed-order summation
+    :func:`_run_block` in the fewest near-equal blocks of at most
+    ``max(1, BLOCK_CELLS // n)`` columns, every block with the indicators
+    ``ind``: a Strategy's through :func:`parallel_map`, a stack's one
+    block after another in this process.  Costs use fixed-order summation
     over t and over the components at every block width (the stock's
     counts, whole in the exact dynamics, keep numpy's order), and columns
-    never mix, so results do not depend on the blocking; a stack's fields
-    carry a leading K axis, and row k equals candidate k's own run, but
-    for the curves, which a stack leaves at None.
+    never mix, so only a relaxed PM curve, a sum of fractional events over
+    columns, depends on the blocking; a stack's fields carry a leading K
+    axis, and row k equals candidate k's own run, but for the curves,
+    which a stack leaves at None.
     """
     stacked = not isinstance(controls, Strategy)
     u = (_checked_unit(controls, 3, "stacked controls") if stacked
@@ -610,7 +606,6 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
         raise DimensionError(f"nothing to simulate: {K} candidates on "
                              f"{Q} scenarios")
     T = cfg.T
-    block = STACK_BLOCK if stacked else BLOCK
     beta = cfg.discount(np.arange(T + 1))
 
     pm_cost = np.repeat([float(np.sum(beta[:T][None, :] * cfg.C_P[:, None]
@@ -621,12 +616,12 @@ def _simulate(controls, noises, cfg: SystemConfig, record_states: bool,
         X = np.empty((cfg.n, T + 1, cfg.D + 2, K * Q))
         stock = np.empty((T + 1, K * Q))
 
-    # the fewest blocks of at most ``block`` columns, of near-equal width:
-    # a remainder of a few columns would cost a Strategy a worker of its own
-    count = -(-K * Q // block)
+    # the fewest near-equal blocks of at most BLOCK_CELLS // n columns: a
+    # short remainder would cost a Strategy a worker of its own
+    count = -(-K * Q // max(1, BLOCK_CELLS // cfg.n))
     cuts = [j * K * Q // count for j in range(count + 1)]
     los, his = cuts[:-1], cuts[1:]
-    # a stack's 512-column blocks are too short to pay for a hand-off
+    # a stack's blocks stay here: forks would cost more CPU than they save
     parts = (map if stacked else parallel_map)(
         _run_block, repeat(u), repeat(noises), repeat(cfg), repeat(ind),
         repeat(record_states), los, his)

@@ -98,7 +98,8 @@ def band_hits(strategy, noises, alpha, cfg):
     block of columns, so every value ends in the scenario axis, or in 1 for
     a control, which then counts for every scenario.
     """
-    assert len(noises) <= sm.BLOCK, "the probe sees one block of columns"
+    assert len(noises) <= sm.BLOCK_CELLS // cfg.n, \
+        "the probe sees one block of columns"
     hit = np.zeros(len(noises), dtype=bool)
     ramps = rx._ramps(alpha)
 

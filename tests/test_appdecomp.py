@@ -524,6 +524,20 @@ def test_cache_at_zero_multipliers_equals_the_sweep(seed, n, T, D, Q):
                     == getattr(want, field).tobytes()), field
 
 
+@pytest.mark.parametrize("unformed", ["Lam", "LamS", "both"])
+def test_cache_rejects_unformed_multipliers(unformed):
+    """An iterate whose multipliers were never formed, as the driver
+    leaves it after its last search, is no zero-multiplier iterate: the
+    cache raises ValueError where it would read None as zeros."""
+    cfg = make_cfg()
+    noises = np.random.default_rng(3).random((4, cfg.n, cfg.T))
+    it = make_iterate(cfg, noises)
+    for name in (("Lam", "LamS") if unformed == "both" else (unformed,)):
+        setattr(it, name, None)
+    with pytest.raises(ValueError, match="multipliers"):
+        ad.build_iteration_cache(it, noises, cfg)
+
+
 def _bar_cross_terms(X_t, p, t, it, noises, cfg):
     """Bar-point terms of the Lagrangian that read X_{p,t} from outside p.
 

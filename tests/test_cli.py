@@ -12,8 +12,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from fleetmaint.config import (SystemConfig, load_config, save_config,
-                               small_system_config)
+from fleetmaint.config import (SystemConfig, case1_config, load_config,
+                               save_config, small_system_config)
 from fleetmaint import appdecomp as ad
 from fleetmaint import cli
 from fleetmaint import evalharness as ev
@@ -252,6 +252,34 @@ def test_tune_boards_equal_across_worker_counts(monkeypatch,
     worker steps in its own process."""
     assert (_tune_board(monkeypatch, 2, validation_count)
             == _tune_board(monkeypatch, 1, validation_count))
+
+
+def test_tune_workers_search_one_range(monkeypatch, tmp_path):
+    """Rounds of 2 400 columns on the 80-component fleet at 30 scenarios
+    would cut their rows into ranges, but a tune worker steps its tasks
+    one after another: it searches one range with its own arrays and maps
+    no shared output, and the tune files are those of one process."""
+    log, real = tmp_path / "maps", ad._shared_empty
+
+    def logged(shape):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(shape)
+
+    monkeypatch.setattr(ad, "_shared_empty", logged)
+    config = write_cfg(tmp_path, case1_config())
+    files = []
+    for cores in (1, 2):
+        monkeypatch.setattr(sm, "_usable_cores", lambda: cores)
+        out = tmp_path / f"cores{cores}"
+        assert run_cli(mode="tune", config=config, seed=3, lhs_count=2,
+                       iterations=1, budget=2, scenarios=30,
+                       validation_scenarios=20, out=str(out)) == 0
+        assert_no_child_left()
+        files.append({name: (out / name).read_bytes() for name in
+                      ("leaderboard.csv", "best_params.yaml")})
+    assert files[0] == files[1]
+    assert not log.exists()
 
 
 #: run in a fresh interpreter with an output directory as its argument
@@ -560,8 +588,9 @@ def test_optimize_direct_budget_one(tmp_path):
 
 def test_optimize_direct_on_more_scenarios_than_a_stack_block(tmp_path):
     # each evaluation is a stack of one candidate, stepped in two blocks
+    # of the small system
     rc = run_cli(mode="optimize-direct", seed=1, out=str(tmp_path / "o"),
-                 budget=2, scenarios=sm.STACK_BLOCK + 1)
+                 budget=2, scenarios=sm.BLOCK_CELLS // 10 + 1)
     assert rc == 0
     assert (tmp_path / "o" / "strategy_projected.csv").exists()
 

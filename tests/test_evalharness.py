@@ -70,16 +70,17 @@ def test_scenarios_seed_range(seed):
 
 
 def test_scenario_set_blocks_are_slices_of_the_panel():
-    """Blocks that straddle the 64-scenario fill buffer and the engine's
-    BLOCK hold the same bits as the materialized panel, which is stored
-    step-major."""
-    count = sm.BLOCK + 70
+    """Blocks that straddle the 64-scenario fill buffer and an engine
+    block of this 3-component set hold the same bits as the materialized
+    panel, which is stored step-major."""
+    width = sm.BLOCK_CELLS // 3
+    count = width + 70
     panel = ev.generate_scenarios(3, 5, count, seed=7)
     assert panel.flags.f_contiguous and panel.shape == (count, 3, 5)
     scen = sm.ScenarioSet(3, 5, count, 7)
     assert scen.shape == panel.shape
-    for lo, hi in [(0, 1), (63, 65), (60, 200), (sm.BLOCK - 70, sm.BLOCK + 3),
-                   (sm.BLOCK - 1, count), (0, count)]:
+    for lo, hi in [(0, 1), (63, 65), (60, 200), (width - 70, width + 3),
+                   (width - 1, count), (0, count)]:
         block = scen.block(lo, hi)
         assert block.flags.f_contiguous
         assert block.tobytes() == panel[lo:hi].tobytes(), (lo, hi)
@@ -181,7 +182,7 @@ def test_scenario_set_is_never_materialized(monkeypatch, workers):
 
     monkeypatch.setattr(pickle, "load", recording_load)
     ev.evaluate_strategy(strat, scen, cfg)
-    assert len(replies) == -(-scen.count // sm.BLOCK)
+    assert len(replies) == -(-scen.count // (sm.BLOCK_CELLS // cfg.n))
     assert max(replies) < panel_bytes / 100, replies
 
 

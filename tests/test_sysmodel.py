@@ -21,6 +21,10 @@ from fleetmaint import sysmodel as sm
 import scalar_reference as ref
 
 
+#: scenario columns of one engine block on the 10-component system
+SMALL_BLOCK = sm.BLOCK_CELLS // 10
+
+
 def make_cfg(n=1, T=4, D=2, s_init=1, **kw):
     base = dict(n=n, T=T, D=D, s_init=s_init, C_F=10000.0, C_P=50.0,
                 C_C=200.0, weibull_shape=3.0, weibull_scale=10.0)
@@ -392,12 +396,12 @@ def test_blocked_batch_matches_scalar_and_slices():
     # 2 * Q // 3
     cfg = make_cfg(n=3, T=6, s_init=1, D=2, weibull_scale=3.0)
     rng = np.random.default_rng(21)
-    Q = 2 * sm.BLOCK + 37
+    width = sm.BLOCK_CELLS // cfg.n
+    Q = 2 * width + 37
     u = sm.Strategy(rng.random((3, 6)))
     noises = rng.random((Q, 3, 6))
     stats = sm.simulate_batch(u, noises, cfg, record_states=True)
-    picks = [0, 5, Q // 3 - 1, Q // 3, sm.BLOCK, sm.BLOCK + 11,
-             2 * Q // 3, Q - 1]
+    picks = [0, 5, Q // 3 - 1, Q // 3, width, width + 11, 2 * Q // 3, Q - 1]
     for q in picks:
         traj = ref.simulate(u, ref.Scenario(noises[q]), cfg)
         cost = ref.total_cost(traj, u, cfg)
@@ -431,8 +435,8 @@ def test_blocked_batch_matches_scalar_and_slices():
        laws=st.lists(st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]),
                                st.floats(0.2, 8.0)), min_size=1, max_size=4),
        dt=st.sampled_from([0.25, 1.0, 2.0]), n=st.sampled_from([1, 2, 3, 80]),
-       width=st.one_of(st.sampled_from([1, 2, sm.BLOCK]),
-                       st.integers(1, sm.BLOCK)),
+       width=st.one_of(st.sampled_from([1, 2, SMALL_BLOCK]),
+                       st.integers(1, SMALL_BLOCK)),
        K=st.sampled_from([None, 2, 3]),
        pm=st.sampled_from(["whole", "fractional"]),
        ramp=st.sampled_from([False, True]))
@@ -491,8 +495,8 @@ _CUMSUM_INPUTS = {
 
 
 @pytest.mark.parametrize("values", sorted(_CUMSUM_INPUTS))
-@pytest.mark.parametrize("shape", [(1, 1), (1, 37), (10, sm.BLOCK), (80, 50),
-                                   (80, 40, 50)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 37), (10, SMALL_BLOCK),
+                                   (80, 50), (80, 40, 50)])
 def test_exclusive_cumsum_equals_cumsum_bit_for_bit(shape, values):
     # relaxed broken indicators, and signed values with negative zeros;
     # the decomposition also passes a reversed view
@@ -504,30 +508,97 @@ def test_exclusive_cumsum_equals_cumsum_bit_for_bit(shape, values):
         assert sm.exclusive_cumsum(rows).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("K, Q, widths", [
-    (None, 1, [1]), (None, sm.BLOCK, [sm.BLOCK]),
-    (None, sm.BLOCK + 1, [1024, 1025]), (None, 2 * sm.BLOCK + 1,
-                                         [1365, 1366, 1366]),
-    (3, 171, [256, 257]), (2, sm.STACK_BLOCK // 2, [sm.STACK_BLOCK])])
-def test_columns_split_into_near_equal_blocks(monkeypatch, K, Q, widths):
-    """A call steps the fewest blocks of at most BLOCK (Strategy) or
-    STACK_BLOCK (stack) columns, none shorter than the others by more than
-    one column: a short remainder would cost a Strategy a worker of its
-    own."""
-    cfg = make_cfg(n=2, T=3)
-    steps = []
-    block = sm._run_block
+def _record_blocks(monkeypatch):
+    """A list that gets (candidates, lo, hi) of every block this process
+    steps."""
+    blocks, real = [], sm._run_block
 
     def spy(u, noises, cfg, ind, record_states, lo, hi):
-        steps.append(hi - lo)
-        return block(u, noises, cfg, ind, record_states, lo, hi)
+        blocks.append((len(u), lo, hi))
+        return real(u, noises, cfg, ind, record_states, lo, hi)
 
     monkeypatch.setattr(sm, "_run_block", spy)
+    return blocks
+
+
+def _block_widths(monkeypatch, n, K, Q):
+    """The widths of the blocks an n-component call of K candidates (None
+    for a Strategy) on Q scenarios steps."""
+    blocks = _record_blocks(monkeypatch)
     monkeypatch.setattr(sm, "_usable_cores", lambda: 1)
-    controls = (sm.Strategy(np.zeros((2, 3))) if K is None
-                else np.zeros((K, 2, 3)))
-    sm.simulate_batch(controls, sm.ScenarioSet(2, 3, Q, 1), cfg)
-    assert steps == widths
+    controls = (sm.Strategy(np.zeros((n, 3))) if K is None
+                else np.zeros((K, n, 3)))
+    sm.simulate_batch(controls, sm.ScenarioSet(n, 3, Q, 1), make_cfg(n=n, T=3))
+    return [hi - lo for _, lo, hi in blocks]
+
+
+@pytest.mark.parametrize("K, Q, widths", [
+    (None, 1, [1]), (None, 2048, [2048]), (None, 2049, [1024, 1025]),
+    (None, 4097, [1365, 1366, 1366]), (3, 171, [513]), (2, 256, [512]),
+    (2, 1024, [2048]), (3, 683, [1024, 1025])])
+def test_columns_split_into_near_equal_blocks(monkeypatch, K, Q, widths):
+    """On the 10-component system a call steps the fewest blocks of at
+    most BLOCK_CELLS // 10 = 2 048 columns, a Strategy and a stack alike,
+    none shorter than the others by more than one column: a short
+    remainder would cost a Strategy a worker of its own."""
+    assert _block_widths(monkeypatch, 10, K, Q) == widths
+
+
+@pytest.mark.parametrize("n, K, Q, widths", [
+    (2, None, 10241, [5120, 5121]), (2, 3, 3414, [5121, 5121]),
+    (80, None, 256, [256]), (80, None, 600, [200, 200, 200]),
+    (80, 3, 171, [171, 171, 171])])
+def test_block_width_follows_the_fleet_size(monkeypatch, n, K, Q, widths):
+    """The same rule gives BLOCK_CELLS // n columns on other fleets: 256
+    on the 80-component fleet."""
+    assert _block_widths(monkeypatch, n, K, Q) == widths
+
+
+def test_a_block_holds_at_least_one_column(monkeypatch):
+    """A fleet of more components than BLOCK_CELLS steps one column a
+    block."""
+    monkeypatch.setattr(sm, "BLOCK_CELLS", 1)
+    blocks = _record_blocks(monkeypatch)
+    sm.simulate_batch(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)),
+                      make_cfg(n=2, T=3))
+    assert [hi - lo for _, lo, hi in blocks] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("engine", ["exact", "relaxed"])
+def test_case1_fleet_blocks_change_no_byte(monkeypatch, engine, cores):
+    """On the 80-component fleet a Strategy on 600 scenarios steps three
+    200-column blocks, and so does a stack of 3 candidates on 200; every
+    field, curves and states included, is bit for bit that of one
+    600-column block.  The one exception is a relaxed run's PM curve,
+    which adds fractional events over columns block by block."""
+    cfg = case1_config()
+    rng = np.random.default_rng(53)
+    monkeypatch.setattr(sm, "_usable_cores", lambda: cores)
+    runs = {"exact": lambda u, noises: sm.simulate_batch(
+                u, noises, cfg, record_states=True),
+            "relaxed": lambda u, noises: rx.simulate_relaxed_batch(
+                u, noises, 1.5, cfg, record_states=True)}
+    for controls, Q in ((sm.Strategy(rng.random((cfg.n, cfg.T))), 600),
+                        (_candidates(rng, 3, cfg.n, cfg.T), 200)):
+        noises = sm.ScenarioSet(cfg.n, cfg.T, Q, 9)
+        with pytest.MonkeyPatch.context() as patch:
+            blocks = _record_blocks(patch)
+            split = runs[engine](controls, noises)
+        if cores == 1 or Q == 200:      # the blocks ran in this process
+            assert [hi - lo for _, lo, hi in blocks] == [200] * 3
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sm, "BLOCK_CELLS", 600 * cfg.n)
+            whole = runs[engine](controls, noises)
+        assert_no_child_left()
+        for field in dataclasses.fields(sm.BatchStats):
+            a, b = getattr(split, field.name), getattr(whole, field.name)
+            assert (a is None) == (b is None), field.name
+            if a is not None and (engine, field.name) != ("relaxed",
+                                                          "pm_cumulative"):
+                assert a.tobytes() == b.tobytes(), field.name
+        assert np.any(split.failure_count > 0)
+        del split, whole
 
 
 def assert_no_child_left():
@@ -551,7 +622,7 @@ def test_outputs_identical_across_worker_counts(monkeypatch, tmp_path):
     # on a ScenarioSet
     cfg = small_system_config()
     rng = np.random.default_rng(12)
-    Q = 2 * sm.BLOCK + 52
+    Q = 2 * (sm.BLOCK_CELLS // cfg.n) + 52
     sources = {"array": rng.random((Q, cfg.n, cfg.T)),
                "set": sm.ScenarioSet(cfg.n, cfg.T, Q, 12)}
     strategy = sm.Strategy(rng.random((cfg.n, cfg.T)))
@@ -603,7 +674,7 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(sm, "_component_forward", broken)
     monkeypatch.setattr(sm, "_usable_cores", lambda: 2)
     cfg = small_system_config()
-    scen = sm.ScenarioSet(cfg.n, cfg.T, 2 * sm.BLOCK + 1, 0)
+    scen = sm.ScenarioSet(cfg.n, cfg.T, 2 * (sm.BLOCK_CELLS // cfg.n) + 1, 0)
     with pytest.raises(FloatingPointError, match="planted") as err:
         sm.simulate_batch(sm.Strategy(np.zeros((cfg.n, cfg.T))), scen, cfg)
     assert str(err.value) != f"planted in process {os.getpid()}"
@@ -765,13 +836,17 @@ def test_parallel_map_never_pickles_a_task(monkeypatch, cores):
 
 
 @pytest.mark.parametrize("K", [None, 3])
-def test_memory_order_of_the_noises_does_not_matter(K):
+def test_memory_order_of_the_noises_does_not_matter(monkeypatch, K):
     """The step-major panel of generate_scenarios and a C-ordered copy of
     it give the same bytes in every field, for a Strategy over three
-    blocks and for a stack over three stack blocks."""
+    blocks and for a stack over three blocks, whose cells are cut to 512
+    columns so that its states stay small."""
     cfg = small_system_config()
     rng = np.random.default_rng(17)
-    Q = 2 * sm.BLOCK + 52 if K is None else sm.STACK_BLOCK - 1
+    if K is not None:
+        monkeypatch.setattr(sm, "BLOCK_CELLS", 512 * cfg.n)
+    width = sm.BLOCK_CELLS // cfg.n
+    Q = 2 * width + 52 if K is None else width - 1
     panel = ev.generate_scenarios(cfg.n, cfg.T, Q, seed=6)
     copy = np.ascontiguousarray(panel)
     assert panel.flags.f_contiguous and copy.flags.c_contiguous
@@ -846,15 +921,18 @@ def _candidates(rng, K, n, T):
     return U
 
 
-def test_stack_equals_each_candidate_run():
-    # K·Q = 1110 columns: three stack blocks, the first two boundaries
-    # inside candidates 13 and 27
+def test_stack_equals_each_candidate_run(monkeypatch):
+    # K·Q = 1110 columns in blocks of at most 160: seven blocks, every
+    # boundary inside a candidate
     cfg = make_cfg(n=4, T=10, s_init=1, D=2, weibull_scale=4.0)
     rng = np.random.default_rng(41)
     K, Q = 30, 37
-    assert sm.STACK_BLOCK % Q and K * Q > 2 * sm.STACK_BLOCK
+    monkeypatch.setattr(sm, "BLOCK_CELLS", 160 * cfg.n)
+    blocks = _record_blocks(monkeypatch)
     stats = _assert_stack_equals_own_runs(_candidates(rng, K, 4, 10),
                                           rng.random((Q, 4, 10)), cfg, True)
+    cuts = sorted({lo for k, lo, _ in blocks if k == K})
+    assert len(cuts) >= 3 and all(lo % Q for lo in cuts[1:])
     assert stats.total_cost.shape == (K, Q)
     assert stats.states.shape == (K, 4, 11, 4, Q)
     assert stats.stock.shape == (K, 11, Q)
@@ -868,7 +946,8 @@ def test_stack_of_two_over_more_than_one_block_of_scenarios(shape):
     cfg = dataclasses.replace(small_system_config(), weibull_shape=shape,
                               weibull_scale=8.0)
     rng = np.random.default_rng(42)
-    noises = ev.generate_scenarios(cfg.n, cfg.T, sm.BLOCK + 52, seed=5)
+    noises = ev.generate_scenarios(cfg.n, cfg.T,
+                                   sm.BLOCK_CELLS // cfg.n + 52, seed=5)
     _assert_stack_equals_own_runs(_candidates(rng, 2, cfg.n, cfg.T), noises,
                                   cfg, False)
 
@@ -900,12 +979,12 @@ def test_stack_of_one_and_case1_fleet():
 
 @pytest.mark.parametrize("source", ["array", "set"])
 def test_stack_of_one_over_more_than_one_block(source):
-    # one candidate on three stack blocks of scenarios: each block reads
-    # its own, as a Strategy's blocks do
+    # one candidate on three blocks of scenarios: each block reads its
+    # own, as a Strategy's blocks do
     rng = np.random.default_rng(49)
     cfg = make_cfg(n=12, T=10, s_init=2, weibull_scale=4.0,
                    C_C=rng.uniform(50.0, 500.0, 12))
-    noises = sm.ScenarioSet(12, 10, 2 * sm.STACK_BLOCK + 37, seed=3)
+    noises = sm.ScenarioSet(12, 10, 2 * (sm.BLOCK_CELLS // 12) + 37, seed=3)
     _assert_stack_equals_own_runs(
         _candidates(rng, 2, 12, 10)[1:],
         noises if source == "set" else noises.block(0, noises.count), cfg,
