@@ -113,24 +113,21 @@ def trajectory_to_csv(stats: BatchStats, strategy: Strategy,
     E, A = stats.states[:, :, 0, 0].T, stats.states[:, :, 1, 0].T
     S = stats.stock[:, 0]
     T = cfg.T
-    pm = np.zeros((T + 1, cfg.n), dtype=int)
-    cm = np.zeros((T + 1, cfg.n), dtype=int)
+    pm = np.zeros((T + 1, cfg.n))
+    cm = np.zeros((T + 1, cfg.n))
     pm[:T] = (E[:T] == 1.0) & (strategy.controls.T >= cfg.nu)
     cm[:T] = (E[:T] == 0.0) & (E[1:] == 1.0)
-    failure = ((E == 0.0) & (A == 0.0)).astype(int)
-    forced_outage = np.any((E == 0.0) & (A > 0.0), axis=1).astype(int)
+    failure = (E == 0.0) & (A == 0.0)
+    forced_outage = np.any((E == 0.0) & (A > 0.0), axis=1)
     header = ["t", "stock"]
     for i in range(1, cfg.n + 1):
         header += [f"regime_{i}", f"age_{i}", f"pm_{i}", f"failure_{i}",
                    f"cm_{i}"]
     header.append("forced_outage")
-    rows = []
-    for t in range(T + 1):
-        row = [t, S[t]]
-        for i in range(cfg.n):
-            row += [E[t, i], A[t, i], pm[t, i], failure[t, i], cm[t, i]]
-        rows.append(row + [forced_outage[t]])
-    write_csv(path, header, rows)
+    per_component = np.stack((E, A, pm, failure, cm), axis=2)
+    write_csv(path, header, np.column_stack(
+        (np.arange(T + 1), S, per_component.reshape(T + 1, -1),
+         forced_outage)))
 
 
 def history_to_csv(history, path, n: int):
@@ -193,12 +190,9 @@ def lhs_sample(bounds, count: int, seed: int):
         for j in range(d):
             strata = rng.permutation(count)
             unit[:, j] = (strata + rng.random(count)) / count
-        if count == 1:
-            sep = np.inf
-        else:
-            diff = unit[:, None, :] - unit[None, :, :]
-            dist = np.sqrt(np.sum(diff ** 2, axis=-1))
-            sep = np.min(dist[np.triu_indices(count, k=1)])
+        diff = unit[:, None, :] - unit[None, :, :]
+        dist = np.sqrt(np.sum(diff ** 2, axis=-1))
+        sep = np.min(dist[np.triu_indices(count, k=1)], initial=np.inf)
         if sep > best_sep:
             best, best_sep = unit, sep
     lo = np.array([b[0] for b in bounds])

@@ -20,7 +20,7 @@ and chunk size: its draws, iterates and charges are exactly those of a
 search run on its own.  Within a poll a row's chunks hold 1, 2, 4, ...
 trials, or the caller's cap from the poll's first trial, each bounded by
 the trials left in the poll and by the budget left.  No trial depends on
-the start point's value, which takes the first slot of the first chunk.
+the start point's value, which leads the first chunk, alone at budget 1.
 The row accepts the first improving trial of a chunk (the opportunistic
 poll of Audet & Dennis, SIAM J. Optim. 17(1), 2006).  It charges the
 trials up to and including that one, or the whole chunk if none
@@ -110,7 +110,7 @@ def _search(x0, lo, hi, seed, max_evals, max_chunk):
     matrix, is sent their c values and states, and returns (best point,
     best value, evaluations charged, a copy of the best point's states).
     A poll's chunks double from 1 trial, or hold ``max_chunk`` when given;
-    the start point leads the first chunk."""
+    the start point leads the first chunk, budget 1 included."""
     if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)):
         raise ValueError("bounds must be finite, with lo <= hi")
     if not np.all((lo <= x0) & (x0 <= hi)):    # a NaN start fails it too
@@ -121,12 +121,7 @@ def _search(x0, lo, hi, seed, max_evals, max_chunk):
     rng = np.random.default_rng(seed)
 
     best_x, best_f, best_s = x0.copy(), None, None
-    if max_evals == 1:
-        f, states = yield best_x[None]
-        if np.isnan(f[0]):
-            raise ValueError("objective is NaN at the start point")
-        return best_x, f[0], 1, states[0].copy()
-    evals, mesh = 1, INITIAL_MESH     # the start point is charged ahead
+    evals, mesh = 0, INITIAL_MESH
 
     while evals < max_evals and mesh >= MIN_MESH:
         basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -135,7 +130,7 @@ def _search(x0, lo, hi, seed, max_evals, max_chunk):
         polled, size, improved = 0, first, False
         while polled < 2 * d and evals < max_evals and not improved:
             lead = best_f is None         # the first chunk leads with x0
-            ks = order[polled:polled + min(size - lead, max_evals - evals)]
+            ks = order[polled:polled + min(size, max_evals - evals) - lead]
             directions = basis[:, ks % d].T * np.where(ks < d, 1.0,
                                                        -1.0)[:, None]
             trials = np.clip(best_x + step * directions, lo, hi)
@@ -143,6 +138,7 @@ def _search(x0, lo, hi, seed, max_evals, max_chunk):
                                else trials)
             if lead:
                 best_f, best_s, f = f[0], states[0].copy(), f[1:]
+                evals = 1
                 if np.isnan(best_f):    # no trial can beat it
                     raise ValueError("objective is NaN at the start point")
             better = np.flatnonzero(f < best_f)

@@ -100,10 +100,7 @@ def _ind_strict_pos(x, alpha):
 
 def _dind_singleton(a, x, alpha):
     s = np.asarray(x, dtype=float) - a
-    half = 0.5 / alpha
-    slope = 2.0 * alpha
-    return (np.where((s > 0.0) & (s < half), -slope, 0.0)
-            + np.where((s < 0.0) & (s > -half), slope, 0.0))
+    return _dind_nonneg(s, alpha) - _dind_strict_pos(s, alpha)
 
 
 def _dind_nonneg(x, alpha):

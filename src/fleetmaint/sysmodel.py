@@ -395,7 +395,9 @@ BLOCK_CELLS = 20480
 
 
 def _usable_cores() -> int:
-    """CPU cores this process may run on."""
+    """CPU cores this process may run on: 1 without ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:      # no affinity call on this platform
@@ -409,7 +411,7 @@ def parallel_map(fn, *iterables):
     """``map(fn, *iterables)`` in task order on ``min(_usable_cores(),
     tasks)`` processes forked by ``os.fork``, each sent its next task as it
     pickles back a result and killed and reaped however the map ends, or
-    in this process on one core, without ``os.fork`` or in a worker.  A
+    in this process in a worker or on one usable core (no ``os.fork``).  A
     worker reads its tasks from its forked copy of the task list, so no
     task is pickled; a task's exception is raised here, and RuntimeError
     for a worker that ends without a result.  The map stays on
@@ -423,7 +425,7 @@ def parallel_map(fn, *iterables):
     workers = min(_usable_cores(), len(tasks))
     todo, results, running = iter(range(len(tasks))), {}, {}
     try:
-        if workers < 2 or _in_worker or not hasattr(os, "fork"):
+        if workers < 2 or _in_worker:
             yield from starmap(fn, tasks)
             return
         for stream in (sys.stdout, sys.stderr):     # no output to copy

@@ -181,6 +181,19 @@ def test_lhs_maximin_improves_separation(monkeypatch):
     assert min_sep(many) >= min_sep(one)
 
 
+@pytest.mark.parametrize("seed", [0, 4, 11])
+def test_lhs_single_sample_is_the_first_design(seed):
+    """A one-point design has no pairwise distance, so every design ties
+    and the first one drawn is kept: replayed from the generator, its
+    stratum permutation and its offset in each coordinate."""
+    rng = np.random.default_rng(seed)
+    unit = [rng.permutation(1)[0] + rng.random(1)[0]
+            for _ in ad.PARAM_BOUNDS]
+    lo, hi = np.array(ad.PARAM_BOUNDS, dtype=float).T
+    [p] = cli.lhs_sample(ad.PARAM_BOUNDS, 1, seed)
+    assert np.array_equal(param_vector(p), lo + np.array(unit) * (hi - lo))
+
+
 def test_lhs_validation():
     with pytest.raises(ValueError):
         cli.lhs_sample([(0.0, 1.0)] * 6, 0, seed=1)
@@ -392,6 +405,33 @@ def test_optimize_app_rows_split_across_cores(monkeypatch, tmp_path):
         assert len(pickled) == 2 * cores
         assert all(ok is True and type(evals) is int
                    for ok, evals in pickled), pickled
+
+
+def test_optimize_app_rows_stay_one_range_without_fork(monkeypatch,
+                                                       tmp_path):
+    """Where ``os`` has no ``fork``, three cores count as one: each
+    iteration searches all rows in one range with its own arrays, maps no
+    shared output, and writes the files of the forked run."""
+    with monkeypatch.context() as forking:
+        forked, _, _ = _split_app_run(forking, tmp_path, 3)
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    ranges, shared = _record_row_ranges(monkeypatch), []
+    real = ad._shared_empty
+
+    def logged(shape):
+        shared.append(shape)
+        return real(shape)
+
+    monkeypatch.setattr(ad, "_shared_empty", logged)
+    out = tmp_path / "no-fork"
+    assert run_cli(mode="optimize-app", config=write_cfg(tmp_path,
+                                                         split_cfg()),
+                   seed=2, iterations=2, budget=4, scenarios=200,
+                   out=str(out)) == 0
+    assert ranges == [[(0, 12)]] * 2 and shared == []
+    assert {name: (out / name).read_bytes() for name in forked} == forked
 
 
 def test_small_rounds_stay_in_process(monkeypatch):
